@@ -17,7 +17,7 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .batching import Batch, EncodedDocument, encode_document, make_batches
+from .batching import EncodedDocument, encode_document, make_batches
 from .config import ModelConfig, load_config, save_config
 from .corpus import (
     CorpusError,

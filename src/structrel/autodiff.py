@@ -8,6 +8,7 @@ irrelevant and double precision keeps finite-difference checks tight.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -231,18 +232,6 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return out
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.values.shape[axis]
-    out = Tensor(a.values.mean(axis=axis, keepdims=keepdims), (a,))
-
-    def _backward(grad):
-        g = grad if keepdims else np.expand_dims(grad, axis)
-        a._accumulate(np.broadcast_to(g / n, a.values.shape).copy())
-
-    out._backward = _backward
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.values, 0.0), (a,))
 
@@ -288,23 +277,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     def _backward(grad):
         inner = (grad * values).sum(axis=-1, keepdims=True)
         a._accumulate(values * (grad - inner))
-
-    out._backward = _backward
-    return out
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is true by a constant; gradient is
-    blocked at filled cells."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.values.shape:
-        raise ShapeError(
-            f"masked_fill: mask shape {mask.shape} does not match {a.shape}"
-        )
-    out = Tensor(np.where(mask, value, a.values), (a,))
-
-    def _backward(grad):
-        a._accumulate(grad * ~mask)
 
     out._backward = _backward
     return out
@@ -571,24 +543,30 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n_bytes: int) -> bytes:
+            if n_bytes > size - fh.tell():
+                raise ValueError(f"{path}: truncated checkpoint")
+            return fh.read(n_bytes)
+
+        def read_u32() -> int:
+            return struct.unpack("<I", read(4))[0]
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = read_u32()
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
         arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(
-                struct.unpack("<I", fh.read(4))[0] for _ in range(ndim)
-            )
+        for _ in range(read_u32()):
+            try:
+                name = read(read_u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: entry name is not UTF-8") from exc
+            shape = tuple(read_u32() for _ in range(read_u32()))
             n_items = int(np.prod(shape)) if shape else 1
-            data = fh.read(n_items * 8)
-            if len(data) != n_items * 8:
-                raise ValueError(f"{path}: truncated data for entry {name!r}")
+            data = read(n_items * 8)
             arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return arrays

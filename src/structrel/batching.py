@@ -1,9 +1,10 @@
-"""Document encoding and batch assembly.
+"""Document encoding and batching.
 
-Documents are turned into index arrays (word, position is implicit,
-entity-type, coreference ordinal) plus their structure matrix.  Batches
-right-pad everything to the longest member; padded tokens use the pad
-word index, feature index 0, and NA structure cells.
+A document is cut to the model's ``max_len`` and turned into index
+arrays (word, entity-type, coreference ordinal; position is implicit)
+plus its structure matrix.  Training encodes each document once and
+batches are seeded chunks of those encodings; inference encodes each
+document as it runs it.
 """
 from __future__ import annotations
 
@@ -28,13 +29,14 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EncodedDocument:
-    doc: Document
+    doc: Document             # the document as encoded, after truncation
     word_idx: np.ndarray      # (n,) vocabulary indices
     etype_idx: np.ndarray     # (n,) 0 = non-entity, else 1 + type ordinal
     coref_idx: np.ndarray     # (n,) 0 = non-entity, else 1 + entity ordinal
     structure: StructureMatrix
     entity_tokens: tuple[tuple[int, ...], ...]
     first_starts: tuple[int, ...]  # earliest mention start per entity
+    entity_ordinals: tuple[int, ...]  # each entity's ordinal before truncation
 
     @property
     def n(self) -> int:
@@ -47,8 +49,16 @@ class EncodedDocument:
 
 def encode_document(doc: Document, vocab: Vocabulary,
                     etype_to_index: dict[str, int], coref_cap: int,
+                    max_len: int,
                     excluded: frozenset[DependencyType] = frozenset(),
                     ) -> EncodedDocument:
+    """Truncate a document to ``max_len`` tokens and encode what is left."""
+    # an entity survives truncation with any mention inside the cut
+    ordinals = tuple(
+        e for e, entity in enumerate(doc.entities)
+        if any(doc.global_span(m)[1] <= max_len for m in entity.mentions)
+    )
+    doc = truncate_document(doc, max_len)
     n = doc.token_count()
     word_idx = np.array([vocab.index(tok) for tok in doc.tokens()], dtype=np.int64)
     etype_idx = np.zeros(n, dtype=np.int64)
@@ -83,6 +93,7 @@ def encode_document(doc: Document, vocab: Vocabulary,
         structure=structure,
         entity_tokens=tuple(entity_tokens),
         first_starts=tuple(first_starts),
+        entity_ordinals=ordinals,
     )
 
 
@@ -139,82 +150,12 @@ def truncate_document(doc: Document, max_len: int) -> Document:
     return Document(doc.doc_id, tuple(sentences), tuple(entities), tuple(facts))
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Padded grids plus the per-document encodings they were built from."""
-
-    encodings: tuple[EncodedDocument, ...]
-    token_grid: np.ndarray      # (B, L) word indices, pad index where padded
-    pad_mask: np.ndarray        # (B, L) True at real tokens
-    etype_grid: np.ndarray      # (B, L)
-    coref_grid: np.ndarray      # (B, L)
-    structure_grid: np.ndarray  # (B, L, L) dependency codes, NA where padded
-
-    @property
-    def size(self) -> int:
-        return len(self.encodings)
-
-    @property
-    def length(self) -> int:
-        return self.token_grid.shape[1]
-
-    def gold_facts(self) -> list[tuple[str, int, int, str]]:
-        return [
-            (enc.doc.doc_id, f.h, f.t, f.r)
-            for enc in self.encodings
-            for f in enc.doc.facts
-        ]
-
-
-def _assemble(encodings: Sequence[EncodedDocument],
-              pad_index: int) -> Batch:
-    B = len(encodings)
-    L = max(enc.n for enc in encodings)
-    token_grid = np.full((B, L), pad_index, dtype=np.int64)
-    pad_mask = np.zeros((B, L), dtype=bool)
-    etype_grid = np.zeros((B, L), dtype=np.int64)
-    coref_grid = np.zeros((B, L), dtype=np.int64)
-    structure_grid = np.full(
-        (B, L, L), DependencyType.NA, dtype=np.int8
-    )
-    for i, enc in enumerate(encodings):
-        n = enc.n
-        token_grid[i, :n] = enc.word_idx
-        pad_mask[i, :n] = True
-        etype_grid[i, :n] = enc.etype_idx
-        coref_grid[i, :n] = enc.coref_idx
-        structure_grid[i, :n, :n] = enc.structure.codes
-    return Batch(
-        encodings=tuple(encodings),
-        token_grid=token_grid,
-        pad_mask=pad_mask,
-        etype_grid=etype_grid,
-        coref_grid=coref_grid,
-        structure_grid=structure_grid,
-    )
-
-
-def make_batches(docs: Sequence[Document], vocab: Vocabulary,
-                 etype_to_index: dict[str, int], max_len: int,
-                 batch_size: int, seed: int, coref_cap: int = 64,
-                 excluded: frozenset[DependencyType] = frozenset(),
-                 shuffle: bool = True) -> list[Batch]:
-    """Seeded shuffle, truncation, encoding, and padding."""
+def make_batches(encodings: Sequence[EncodedDocument], batch_size: int,
+                 seed: int) -> list[tuple[EncodedDocument, ...]]:
+    """Seeded shuffle of already encoded documents, cut into chunks of
+    ``batch_size``; the last chunk may be shorter."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    order = np.arange(len(docs))
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(docs))
-    batches = []
-    chunk: list[EncodedDocument] = []
-    for pos in order:
-        doc = truncate_document(docs[pos], max_len)
-        chunk.append(
-            encode_document(doc, vocab, etype_to_index, coref_cap, excluded)
-        )
-        if len(chunk) == batch_size:
-            batches.append(_assemble(chunk, vocab.pad_index))
-            chunk = []
-    if chunk:
-        batches.append(_assemble(chunk, vocab.pad_index))
-    return batches
+    order = np.random.default_rng(seed).permutation(len(encodings))
+    return [tuple(encodings[i] for i in order[lo:lo + batch_size])
+            for lo in range(0, len(order), batch_size)]

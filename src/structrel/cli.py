@@ -7,38 +7,30 @@ mirrors a config field (kebab-case) and overrides the ``--config`` file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import os
 import re
 import sys
 
 from . import harness
-from .config import FIELD_TYPES, ModelConfig, load_config
+from .config import ModelConfig, _parse_value, field_types, load_config
 from .corpus import CorpusError, corpus_stats, parse_corpus, write_corpus
 from .structure import build_structure_matrix, write_grid
 from .synth import SynthSpec, generate_synthetic
 
-_CONFIG_TYPES = dict(FIELD_TYPES)
+_CONFIG_TYPES = field_types()
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     for name, ftype in _CONFIG_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if ftype is bool:
-            parser.add_argument(flag, type=_parse_bool, default=None,
-                                metavar="BOOL")
-        else:
-            parser.add_argument(flag, type=ftype, default=None)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+        # flags parse like config-file values; argparse names the type
+        # in its error messages
+        parse = functools.partial(_parse_value, ftype=ftype)
+        parse.__name__ = ftype.__name__
+        parser.add_argument("--" + name.replace("_", "-"), type=parse,
+                            default=None,
+                            metavar="BOOL" if ftype is bool else None)
 
 
 def _resolve_config(args: argparse.Namespace) -> ModelConfig:

@@ -6,6 +6,7 @@ mirrors every field as a kebab-case flag.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +18,7 @@ _MODE_DEFAULTS = {
     "biaffine": dict(core=True, query=False, key=False, prior=True),
     "decomp": dict(core=False, query=True, key=True, prior=True),
 }
+_TOGGLES = ("bias_core", "bias_query", "bias_key", "bias_prior")
 
 
 @dataclass
@@ -118,10 +120,26 @@ class ModelConfig:
     def replace(self, **changes) -> "ModelConfig":
         """Copy with changes; switching ``mode`` re-defaults the bias-term
         toggles unless they are changed explicitly."""
-        if "mode" in changes and changes["mode"] != self.mode:
-            for toggle in ("bias_core", "bias_query", "bias_key", "bias_prior"):
-                changes.setdefault(toggle, None)
-        return dataclasses.replace(self, **changes)
+        return dataclasses.replace(self, **_switch_mode(self.mode, changes))
+
+
+def _switch_mode(mode: Optional[str], changes: dict) -> dict:
+    """``changes``, plus a reset to the new mode's default for every
+    bias-term toggle they leave out when they switch away from ``mode``."""
+    if "mode" in changes and changes["mode"] != mode:
+        return {**dict.fromkeys(_TOGGLES), **changes}
+    return changes
+
+
+def field_types() -> dict[str, type]:
+    """Concrete type per config field, read off the dataclass annotations;
+    ``Optional[X]`` gives ``X``."""
+    hints = typing.get_type_hints(ModelConfig)
+    out = {}
+    for f in dataclasses.fields(ModelConfig):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        out[f.name] = args[0] if args else hints[f.name]
+    return out
 
 
 def _format_value(value) -> str:
@@ -158,7 +176,7 @@ def save_config(cfg: ModelConfig, path) -> None:
 def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
     """Read a flat ``key = value`` file; ``overrides`` (already typed)
     take precedence."""
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    types = field_types()
     kwargs: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -169,30 +187,13 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kwargs[key] = _parse_value(value, FIELD_TYPES[key])
+            kwargs[key] = _parse_value(value, types[key])
     if overrides:
-        if "mode" in overrides and overrides["mode"] != kwargs.get("mode"):
-            # a mode override invalidates the file's term toggles
-            for toggle in ("bias_core", "bias_query", "bias_key",
-                           "bias_prior"):
-                kwargs.pop(toggle, None)
-        for key, value in overrides.items():
-            if key not in fields:
+        for key in overrides:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = value
+        kwargs.update(_switch_mode(kwargs.get("mode"), overrides))
     return ModelConfig(**kwargs)
 
-
-# Concrete python types per field (dataclass .type may be a string under
-# deferred annotations).
-FIELD_TYPES = {
-    "layers": int, "heads": int, "d_model": int, "ffn_mult": int,
-    "d_dist": int, "max_len": int, "coref_cap": int, "mode": str,
-    "bias_core": bool, "bias_query": bool, "bias_key": bool,
-    "bias_prior": bool, "structured_layers": str, "excluded_deps": str,
-    "schema_path": str, "vocab_min_count": int, "threshold": float,
-    "auto_threshold": bool, "seed": int, "lr": float, "beta1": float,
-    "beta2": float, "adam_eps": float, "epochs": int, "batch_size": int,
-}

@@ -115,10 +115,10 @@ def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> 
                     f"sentence {mention.sent_id}, document has {len(doc.sentences)}"
                 )
             sent_len = len(doc.sentences[mention.sent_id])
-            if mention.end > sent_len:
+            if mention.start < 0 or mention.end > sent_len:
                 raise CorpusError(
                     f"doc {doc.doc_id!r}: mention {mention.name!r} span "
-                    f"[{mention.start}, {mention.end}) exceeds sentence "
+                    f"[{mention.start}, {mention.end}) lies outside sentence "
                     f"{mention.sent_id} of length {sent_len}"
                 )
             lo, hi = doc.global_span(mention)
@@ -209,6 +209,8 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
         raise CorpusError(f"{path}: malformed JSON: {exc}") from exc
     docs = []
     for i, obj in enumerate(raw):
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: document {i} is not a JSON object")
         doc = _document_from_json(obj, i)
         validate_document(doc, schema)
         docs.append(doc)
@@ -248,7 +250,6 @@ UNK_TOKEN = "<unk>"
 @dataclass(frozen=True)
 class Vocabulary:
     word_to_index: dict[str, int]
-    pad_index: int = 0
     unk_index: int = 1
 
     def __len__(self) -> int:
@@ -261,9 +262,11 @@ class Vocabulary:
 def build_vocab(docs: Sequence[Document], min_count: int = 1) -> Vocabulary:
     """Word-to-index map with reserved padding and unknown slots.
 
-    Words below ``min_count`` fall through to the unknown index.  Index
-    order is first occurrence over the corpus, so a fixed corpus yields a
-    fixed vocabulary.
+    Slot 0 (``<pad>``) is never looked up; it stays reserved so that
+    saved vocabularies and checkpoints keep their indices.  Words below
+    ``min_count`` fall through to the unknown index.  Index order is first
+    occurrence over the corpus, so a fixed corpus yields a fixed
+    vocabulary.
     """
     counts: Counter[str] = Counter()
     first_seen: list[str] = []

@@ -27,7 +27,6 @@ from .autodiff import (
     add,
     concat,
     constant,
-    masked_fill,
     matmul,
     mul,
     relu,
@@ -38,8 +37,6 @@ from .autodiff import (
     xavier_uniform,
 )
 from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
-
-NEG_FILL = -1e30
 
 
 class TransformationError(ValueError):
@@ -284,12 +281,10 @@ class BiasRecorder:
 def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
                       structure: StructureMatrix, layer: int, head: int,
                       tf: Transformation,
-                      key_padding: Optional[np.ndarray] = None,
                       recorder: Optional[BiasRecorder] = None) -> Tensor:
     """Attention scores with structural bias: ``(q k^T + bias) / sqrt(d)``.
 
-    Cells whose dependency is NA receive no bias; padded key positions are
-    filled with a large negative constant before the softmax.
+    Cells whose dependency is NA receive no bias.
     """
     n = q.shape[0]
     if structure.n != n:
@@ -312,11 +307,7 @@ def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
             total_bias = masked if total_bias is None else add(total_bias, masked)
     if total_bias is not None:
         scores = add(scores, total_bias)
-    scores = scale(scores, 1.0 / math.sqrt(q.shape[-1]))
-    if key_padding is not None and key_padding.any():
-        grid = np.broadcast_to(np.asarray(key_padding, bool)[None, :], (n, n))
-        scores = masked_fill(scores, grid, NEG_FILL)
-    return scores
+    return scale(scores, 1.0 / math.sqrt(q.shape[-1]))
 
 
 def attend(scores: Tensor, v: Tensor) -> Tensor:
@@ -326,7 +317,6 @@ def attend(scores: Tensor, v: Tensor) -> Tensor:
 
 def encoder_forward(store: ParameterStore, x: Tensor,
                     structure: StructureMatrix, cfg: EncoderConfig,
-                    key_padding: Optional[np.ndarray] = None,
                     recorder: Optional[BiasRecorder] = None) -> Tensor:
     """Run the full block stack.
 
@@ -339,10 +329,8 @@ def encoder_forward(store: ParameterStore, x: Tensor,
         heads = []
         for h in range(cfg.n_heads):
             q, k, v = project_qkv(store, x, l, h)
-            scores = structured_scores(
-                store, q, k, structure, l, h, tf,
-                key_padding=key_padding, recorder=recorder,
-            )
+            scores = structured_scores(store, q, k, structure, l, h, tf,
+                                       recorder=recorder)
             heads.append(attend(scores, v))
         merged = matmul(concat(heads, axis=1), store[f"layer{l}.wo"].tensor)
         x = layer_norm(add(x, merged), store[f"layer{l}.ln1.gain"].tensor,

@@ -6,14 +6,15 @@ a run reproduces checkpoints and reports byte for byte.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import load_checkpoint, save_checkpoint
-from .batching import encode_document, make_batches
+from .batching import EncodedDocument, encode_document, make_batches
 from .config import ModelConfig, load_config, save_config
 from .corpus import (
     Document,
@@ -24,12 +25,13 @@ from .corpus import (
 from .encoder import BiasRecorder, export_bias_heatmap
 from .metrics import (
     EvalReport,
+    Fact,
     build_train_fact_index,
     evaluate_facts,
     f1_score,
     make_in_train_checker,
 )
-from .model import PredictedFact, RelationExtractor
+from .model import ForwardResult, PredictedFact, RelationExtractor
 from .structure import STRUCTURED_TYPES, DependencyType
 
 
@@ -90,23 +92,30 @@ def build_model(config: ModelConfig, train_docs: Sequence[Document],
     return RelationExtractor(config, vocab, etypes, list(schema))
 
 
-def _forward_facts(model: RelationExtractor, docs: Sequence[Document],
-                   threshold: float,
-                   recorder: Optional[BiasRecorder] = None,
-                   ) -> tuple[list[PredictedFact], list]:
-    """Frozen-parameter predictions over a document list."""
-    excluded = model.cfg.excluded_dependency_set()
-    predictions: list[PredictedFact] = []
-    encodings = []
+def _encode(model: RelationExtractor, doc: Document) -> EncodedDocument:
+    cfg = model.cfg
+    return encode_document(doc, model.vocab, model.etype_to_index,
+                           cfg.coref_cap, cfg.max_len,
+                           cfg.excluded_dependency_set())
+
+
+def _forward_docs(model: RelationExtractor, docs: Sequence[Document],
+                  recorder: Optional[BiasRecorder] = None,
+                  ) -> Iterator[ForwardResult]:
+    """The inference loop: truncate, encode and run each document with
+    frozen parameters.  Pairs are renumbered to the document's own entity
+    ordinals, so facts about truncated-away entities are simply absent."""
     for doc in docs:
-        enc = encode_document(
-            doc, model.vocab, model.etype_to_index, model.cfg.coref_cap,
-            excluded,
-        )
+        enc = _encode(model, doc)
         result = model.forward(enc, recorder=recorder)
-        predictions.extend(model.predict(result, threshold))
-        encodings.append((enc, result))
-    return predictions, encodings
+        ordinals = enc.entity_ordinals
+        yield dataclasses.replace(
+            result, pairs=[(ordinals[s], ordinals[o]) for s, o in result.pairs]
+        )
+
+
+def _gold_facts(docs: Sequence[Document]) -> set[Fact]:
+    return {(d.doc_id, f.h, f.t, f.r) for d in docs for f in d.facts}
 
 
 def evaluate(model: RelationExtractor, docs: Sequence[Document],
@@ -115,43 +124,36 @@ def evaluate(model: RelationExtractor, docs: Sequence[Document],
              ) -> tuple[EvalReport, list[PredictedFact]]:
     """Score thresholded predictions against the documents' gold facts.
 
-    ``train_docs`` feed the ignore-train variant; an empty list makes the
-    ignore metrics equal the plain ones.
+    Gold is the untruncated documents' facts, so a fact lost to
+    truncation counts as a miss.  ``train_docs`` feed the ignore-train
+    variant; an empty list makes the ignore metrics equal the plain ones.
     """
     threshold = model.cfg.threshold if threshold is None else threshold
-    predictions, _ = _forward_facts(model, docs, threshold)
+    predictions = [fact for result in _forward_docs(model, docs)
+                   for fact in model.predict(result, threshold)]
     predicted = {(p.doc_id, p.h, p.t, p.r) for p in predictions}
-    gold = {(d.doc_id, f.h, f.t, f.r) for d in docs for f in d.facts}
     if train_docs:
         checker = make_in_train_checker(build_train_fact_index(train_docs), docs)
     else:
         checker = lambda fact: False
-    return evaluate_facts(predicted, gold, checker), predictions
+    return evaluate_facts(predicted, _gold_facts(docs), checker), predictions
 
 
 def tune_threshold(model: RelationExtractor,
                    dev_docs: Sequence[Document]) -> float:
     """Sweep the observed probabilities; return the F1-maximizing
-    threshold, preferring the larger one on ties."""
-    excluded = model.cfg.excluded_dependency_set()
+    threshold, preferring the larger one on ties.  Recall counts every
+    gold fact, as :func:`evaluate` does, including truncated-away ones."""
+    gold = _gold_facts(dev_docs)
     probs: list[float] = []
     flags: list[bool] = []
-    for doc in dev_docs:
-        enc = encode_document(
-            doc, model.vocab, model.etype_to_index, model.cfg.coref_cap,
-            excluded,
-        )
-        result = model.forward(enc)
-        if result.probabilities is None:
-            continue
-        gold = {(f.h, f.t, f.r) for f in doc.facts}
-        values = result.probabilities.values
-        for i, (s, o) in enumerate(result.pairs):
-            for j, r in enumerate(model.schema):
-                probs.append(float(values[i, j]))
-                flags.append((s, o, r) in gold)
-    n_gold = sum(flags)
-    if not probs or n_gold == 0:
+    for result in _forward_docs(model, dev_docs):
+        for score in result.pair_scores():
+            for r, p in zip(model.schema, score.probabilities):
+                probs.append(float(p))
+                flags.append((result.doc_id, score.subject_index,
+                              score.object_index, r) in gold)
+    if not any(flags):
         return model.cfg.threshold
     order = np.argsort(probs)[::-1]
     sorted_probs = np.asarray(probs)[order]
@@ -166,7 +168,7 @@ def tune_threshold(model: RelationExtractor,
         if not 0.0 < theta < 1.0:
             continue
         precision = cum_correct[i] / (i + 1)
-        recall = cum_correct[i] / n_gold
+        recall = cum_correct[i] / len(gold)
         f1 = f1_score(precision, recall)
         if f1 > best_f1 or (f1 == best_f1 and theta > best_theta):
             best_f1, best_theta = f1, theta
@@ -182,29 +184,30 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     """Epochs of batched forward/loss/backward/update with best-checkpoint
     tracking on dev F1.
 
+    Each training document is truncated and encoded once, before the
+    first epoch; every epoch shuffles those encodings into batches with
+    its own seed.
+
     Raises :class:`DivergenceError` the moment a batch loss goes
     non-finite.  ``stop_train_f1`` stops early once the training-set F1
     reaches the target (checked at the eval cadence).
     """
     model = build_model(config, train_docs, schema)
     optimizer = model.make_optimizer()
-    excluded = config.excluded_dependency_set()
+    encodings = [_encode(model, doc) for doc in train_docs]
     best_arrays = {**model.parameter_arrays(), **optimizer.state_arrays()}
     best_dev, best_epoch = -1.0, -1
     log: list[EpochLog] = []
     step = 0
     for epoch in range(config.epochs):
-        batches = make_batches(
-            train_docs, model.vocab, model.etype_to_index, config.max_len,
-            config.batch_size, seed=config.seed + epoch,
-            coref_cap=config.coref_cap, excluded=excluded,
-        )
+        batches = make_batches(encodings, config.batch_size,
+                               seed=config.seed + epoch)
         epoch_loss = 0.0
         n_docs = 0
         for batch in batches:
             optimizer.zero_grad()
             losses = []
-            for enc in batch.encodings:
+            for enc in batch:
                 result = model.forward(enc)
                 losses.append(model.compute_loss(result, enc))
             total = losses[0]
@@ -424,8 +427,8 @@ def collect_bias_heatmap(model: RelationExtractor,
     """Run the encoder over a corpus with bias recording on and render the
     layer-by-dependency grid."""
     recorder = BiasRecorder()
-    _forward_facts(model, docs, threshold=model.cfg.threshold,
-                   recorder=recorder)
+    for _ in _forward_docs(model, docs, recorder):
+        pass
     return export_bias_heatmap(recorder.records, model.cfg.layers)
 
 

@@ -188,12 +188,10 @@ class RelationExtractor:
         return sigmoid(concat(cols, axis=1))
 
     def forward(self, enc: EncodedDocument,
-                recorder: Optional[BiasRecorder] = None,
-                key_padding: Optional[np.ndarray] = None) -> ForwardResult:
+                recorder: Optional[BiasRecorder] = None) -> ForwardResult:
         x = self.embed_inputs(enc)
         hidden = encoder_forward(self.store, x, enc.structure,
-                                 self.encoder_cfg, key_padding=key_padding,
-                                 recorder=recorder)
+                                 self.encoder_cfg, recorder=recorder)
         if enc.n_entities < 2:
             return ForwardResult(enc.doc.doc_id, [], None, hidden)
         entities = self.pool_entities(hidden, enc)

@@ -16,6 +16,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .corpus import validate_document
+
 
 class DependencyType(IntEnum):
     """Six-way token-pair dependency taxonomy.
@@ -109,10 +111,10 @@ class StructureMatrix:
 def token_annotations(doc) -> list[TokenAnnotation]:
     """Flatten a document into one annotation per token.
 
-    Rejects mentions whose spans fall outside their sentence and tokens
-    claimed by more than one mention, naming the offending mention.
+    The document is checked by :func:`validate_document` first, which
+    names the offending mention of any bad span or overlap.
     """
-    offsets = doc.sentence_offsets()
+    validate_document(doc)
     n = doc.token_count()
     sent_of = []
     for s_idx, sent in enumerate(doc.sentences):
@@ -122,25 +124,8 @@ def token_annotations(doc) -> list[TokenAnnotation]:
     mention_counter = 0
     for e_idx, entity in enumerate(doc.entities):
         for mention in entity.mentions:
-            if mention.sent_id < 0 or mention.sent_id >= len(doc.sentences):
-                raise ValueError(
-                    f"doc {doc.doc_id!r}: mention {mention.name!r} has sentence "
-                    f"index {mention.sent_id} outside the document"
-                )
-            sent_len = len(doc.sentences[mention.sent_id])
-            if not (0 <= mention.start < mention.end <= sent_len):
-                raise ValueError(
-                    f"doc {doc.doc_id!r}: mention {mention.name!r} span "
-                    f"[{mention.start}, {mention.end}) is invalid for sentence "
-                    f"{mention.sent_id} of length {sent_len}"
-                )
-            base = offsets[mention.sent_id]
-            for t in range(base + mention.start, base + mention.end):
-                if entity_of[t] is not None:
-                    raise ValueError(
-                        f"doc {doc.doc_id!r}: mention {mention.name!r} overlaps "
-                        f"an earlier mention at token {t}"
-                    )
+            lo, hi = doc.global_span(mention)
+            for t in range(lo, hi):
                 entity_of[t] = e_idx
                 mention_of[t] = mention_counter
             mention_counter += 1

@@ -1,0 +1,44 @@
+"""The benchmark tracer in ``benchmark/spans.py`` patches functions by the
+names their callers look them up by.  A rename under ``src/`` must fail
+here rather than break ``benchmark/run.py --trace 1``."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+import spans  # noqa: E402
+from structrel import autodiff, encoder, harness, model  # noqa: E402
+from structrel.synth import SynthSpec, generate_synthetic  # noqa: E402
+
+from test_harness import small_config  # noqa: E402
+
+
+def test_every_patched_name_resolves_in_its_owner():
+    patched = [(owner, attr) for owner, attr, _ in spans.SPANNED] + [
+        (autodiff.Tensor, "__init__"),
+        (encoder, "type_bias"),
+        (model, "encoder_forward"),
+    ]
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr in patched if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_tracer_restores_every_original():
+    before = [owner.__dict__[attr] for owner, attr, _ in spans.SPANNED]
+    with spans.Tracer():
+        pass
+    after = [owner.__dict__[attr] for owner, attr, _ in spans.SPANNED]
+    assert all(a is b for a, b in zip(before, after))
+
+
+def test_training_encodes_each_document_once():
+    docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
+    config = small_config(epochs=3, batch_size=4)
+    with spans.Tracer() as tracer:
+        tracer.measure("harness.train", "train", harness.train, config, docs)
+    totals = tracer.totals("train")
+    assert totals["harness.make_batches.calls"] == 3
+    assert totals["batching.encode_document.calls"] == 6
+    assert totals["batching.build_structure_matrix.calls"] == 6
+    assert totals["model.forward.calls"] == 18

@@ -22,7 +22,6 @@ from structrel.corpus import (
     parse_corpus,
     write_corpus,
 )
-from structrel.structure import DependencyType
 from structrel.synth import (
     SENTENCE_END,
     SynthSpec,
@@ -78,6 +77,20 @@ class TestParse:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([bad]))
         with pytest.raises(CorpusError, match="mini"):
+            parse_corpus(path)
+
+    def test_negative_span_start_rejected(self, tmp_path):
+        bad = json.loads(json.dumps(MINIMAL_DOC))
+        bad["vertexSet"][0][0]["pos"] = [-1, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([bad]))
+        with pytest.raises(CorpusError, match=r"'mini'.*'Ada'.*\[-1, 1\)"):
+            parse_corpus(path)
+
+    def test_non_object_entry_names_file_and_index(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps([MINIMAL_DOC, 3]))
+        with pytest.raises(CorpusError, match=r"mixed\.json: document 1 "):
             parse_corpus(path)
 
     def test_overlapping_mentions_rejected(self, tmp_path):
@@ -195,46 +208,29 @@ class TestBatching:
         etypes = {t: i for i, t in enumerate(entity_type_labels(docs))}
         return vocab, etypes
 
+    def _encode_all(self, docs):
+        vocab, etypes = self._encode_args(docs)
+        return [encode_document(d, vocab, etypes, 64, 64) for d in docs]
+
     def test_batch_sizes(self):
         rng = np.random.default_rng(31)
         docs = [random_document(rng, f"b{i}") for i in range(5)]
-        vocab, etypes = self._encode_args(docs)
-        batches = make_batches(docs, vocab, etypes, max_len=64, batch_size=2,
-                               seed=0)
-        assert [b.size for b in batches] == [2, 2, 1]
+        batches = make_batches(self._encode_all(docs), batch_size=2, seed=0)
+        assert [len(b) for b in batches] == [2, 2, 1]
 
     def test_same_seed_same_order(self):
         rng = np.random.default_rng(37)
-        docs = [random_document(rng, f"b{i}") for i in range(9)]
-        vocab, etypes = self._encode_args(docs)
-        first = make_batches(docs, vocab, etypes, 64, 3, seed=5)
-        second = make_batches(docs, vocab, etypes, 64, 3, seed=5)
-        ids_a = [e.doc.doc_id for b in first for e in b.encodings]
-        ids_b = [e.doc.doc_id for b in second for e in b.encodings]
+        encodings = self._encode_all(
+            [random_document(rng, f"b{i}") for i in range(9)]
+        )
+        first = make_batches(encodings, 3, seed=5)
+        second = make_batches(encodings, 3, seed=5)
+        ids_a = [e.doc.doc_id for b in first for e in b]
+        ids_b = [e.doc.doc_id for b in second for e in b]
         assert ids_a == ids_b
-        third = make_batches(docs, vocab, etypes, 64, 3, seed=6)
-        ids_c = [e.doc.doc_id for b in third for e in b.encodings]
+        third = make_batches(encodings, 3, seed=6)
+        ids_c = [e.doc.doc_id for b in third for e in b]
         assert ids_a != ids_c  # overwhelmingly likely for 9 docs
-
-    def test_grids_consistent_with_mask(self):
-        rng = np.random.default_rng(41)
-        docs = [random_document(rng, f"g{i}") for i in range(6)]
-        vocab, etypes = self._encode_args(docs)
-        for batch in make_batches(docs, vocab, etypes, 64, 4, seed=1):
-            B, L = batch.token_grid.shape
-            assert batch.pad_mask.shape == (B, L)
-            assert batch.structure_grid.shape == (B, L, L)
-            for i, enc in enumerate(batch.encodings):
-                n = enc.n
-                assert batch.pad_mask[i, :n].all()
-                assert not batch.pad_mask[i, n:].any()
-                assert (batch.token_grid[i, n:] == vocab.pad_index).all()
-                assert (
-                    batch.structure_grid[i, n:, :] == DependencyType.NA
-                ).all()
-                assert (
-                    batch.structure_grid[i, :, n:] == DependencyType.NA
-                ).all()
 
     def test_truncation_drops_mention_and_fact_with_warning(self):
         doc = Document(
@@ -251,6 +247,27 @@ class TestBatching:
         assert cut.token_count() == 8
         assert len(cut.entities) == 1
         assert cut.facts == ()
+
+    def test_encoding_truncates_and_keeps_original_ordinals(self):
+        doc = Document(
+            "long",
+            (tuple(f"t{i}" for i in range(10)),),
+            (
+                Entity("ENT", (Mention(0, 8, 9, "late"),)),
+                Entity("ENT", (Mention(0, 0, 1, "early"),)),
+                Entity("ENT", (Mention(0, 2, 3, "mid"), Mention(0, 9, 10, "x"))),
+            ),
+            (RelationFact(1, 2, "r0"), RelationFact(0, 1, "r0")),
+        )
+        vocab = build_vocab([doc])
+        with pytest.warns(TruncationWarning):
+            enc = encode_document(doc, vocab, {"ENT": 0}, 8, 8)
+        assert enc.n == 8
+        assert enc.entity_ordinals == (1, 2)
+        assert enc.doc.facts == (RelationFact(0, 1, "r0"),)
+        whole = encode_document(doc, vocab, {"ENT": 0}, 8, 10)
+        assert whole.n == 10
+        assert whole.entity_ordinals == (0, 1, 2)
 
     def test_truncation_noop_below_limit(self):
         doc = Document("short", (("a", "b"),), (), ())
@@ -269,7 +286,7 @@ class TestBatching:
         vocab = build_vocab([doc])
         etypes = {"ENT": 0}
         with pytest.raises(ValueError, match="capacity"):
-            encode_document(doc, vocab, etypes, coref_cap=1)
+            encode_document(doc, vocab, etypes, coref_cap=1, max_len=8)
 
 
 def brute_force_rule(doc):

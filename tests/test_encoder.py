@@ -231,15 +231,6 @@ class TestStructuredScores:
             structured_scores(store, q, k, all_na(3), 0, 0,
                               Transformation.none())
 
-    def test_padded_keys_are_masked(self):
-        store, q, k, S = self._setup(Transformation.none())
-        pad = np.array([False] * 4 + [True] * 2)
-        scores = structured_scores(store, q, k, S, 0, 0,
-                                   Transformation.none(), key_padding=pad)
-        attn = attend(scores, Tensor(np.eye(6))).values
-        assert np.allclose(attn[:, 4:], 0.0)
-        assert np.abs(attn[:4, :4].sum(axis=1) - 1.0).max() < 1e-12
-
 
 class TestAttend:
     def test_uniform_scores_average_values(self):
@@ -365,27 +356,6 @@ class TestEncoderForward:
         S_perm = StructureMatrix("p", S.codes[np.ix_(perm, perm)])
         out_perm = encoder_forward(store, Tensor(x[perm]), S_perm, cfg).values
         assert np.allclose(out_perm, out[perm], rtol=1e-10, atol=1e-12)
-
-    def test_padding_equivalence(self, two_sentence_doc):
-        # appending padded tokens (masked keys, NA structure) must not
-        # change the real positions
-        S = fixture_structure(two_sentence_doc)
-        cfg = EncoderConfig(n_layers=2, n_heads=2, d_model=8)
-        store = make_store(cfg, 9)
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(S.n, 8))
-        out = encoder_forward(store, Tensor(x), S, cfg).values
-
-        n_pad = 3
-        padded_x = np.vstack([x, np.zeros((n_pad, 8))])
-        padded_codes = np.zeros((S.n + n_pad, S.n + n_pad), dtype=np.int8)
-        padded_codes[:S.n, :S.n] = S.codes
-        pad = np.array([False] * S.n + [True] * n_pad)
-        out_padded = encoder_forward(
-            store, Tensor(padded_x), StructureMatrix("pad", padded_codes),
-            cfg, key_padding=pad,
-        ).values
-        assert np.allclose(out_padded[:S.n], out, rtol=1e-12, atol=1e-14)
 
     def test_gradients_reach_transformation_parameters(self, two_sentence_doc):
         from structrel.autodiff import constant, mul, sum_all

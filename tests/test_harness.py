@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from structrel.autodiff import Tensor
+from structrel.batching import TruncationWarning
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
 from structrel.encoder import Transformation
@@ -11,6 +12,8 @@ from structrel.harness import (
     DivergenceError,
     ablate_dependencies,
     ablate_layers,
+    build_model,
+    collect_bias_heatmap,
     evaluate,
     load_run,
     render_ablation_table,
@@ -165,8 +168,8 @@ class TestTuneThreshold:
         # Overwrite forward results: gold cells get 0.9, the rest 0.1.
         original_forward = RelationExtractor.forward
 
-        def rigged(self, enc, recorder=None, key_padding=None):
-            out = original_forward(self, enc, recorder, key_padding)
+        def rigged(self, enc, recorder=None):
+            out = original_forward(self, enc, recorder)
             if out.probabilities is None:
                 return out
             gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
@@ -183,6 +186,61 @@ class TestTuneThreshold:
         assert theta == pytest.approx(0.9)
         report, _ = evaluate(model, dev_docs, threshold=theta)
         assert report.f1 == 1.0
+
+
+def over_length_doc() -> Document:
+    """44 tokens against the max_len of 32: entity 0 lies wholly beyond
+    the cut, entity 2 keeps one of its two mentions."""
+    sentences = (tuple(f"a{i}" for i in range(22)),
+                 tuple(f"b{i}" for i in range(22)))
+    return Document(
+        "long",
+        sentences,
+        (
+            Entity("ENT", (Mention(1, 15, 16, "late"),)),
+            Entity("ENT", (Mention(0, 0, 1, "first"),)),
+            Entity("ENT", (Mention(0, 3, 4, "second"),
+                           Mention(1, 16, 17, "second-again"))),
+        ),
+        (RelationFact(1, 2, "r0"), RelationFact(2, 1, "r0"),
+         RelationFact(0, 1, "r1")),
+    )
+
+
+class TestOverLengthInference:
+    @pytest.fixture
+    def model(self, tiny_corpus):
+        return build_model(small_config(), tiny_corpus[0], schema=["r0", "r1"])
+
+    def test_evaluate_counts_the_cut_fact_as_a_miss(self, model):
+        with pytest.warns(TruncationWarning):
+            report, predictions = evaluate(model, [over_length_doc()],
+                                           threshold=1e-9)
+        assert {(p.h, p.t) for p in predictions} == {(1, 2), (2, 1)}
+        assert (report.gold, report.correct) == (3, 2)
+
+    def test_tune_threshold_recall_counts_the_cut_fact(self, model,
+                                                       monkeypatch):
+        # Ranked cells: gold 0.9, 0.8, 0.7, gold 0.6.  Over the 3 gold
+        # facts the best threshold is 0.6 (F1 4/7 against 1/2 at 0.9);
+        # counting only the 2 reachable ones would tie and pick 0.9.
+        original_forward = RelationExtractor.forward
+
+        def rigged(self, enc, recorder=None):
+            out = original_forward(self, enc, recorder)
+            assert out.pairs == [(0, 1), (1, 0)]
+            out.probabilities.values = np.array([[0.9, 0.8], [0.6, 0.7]])
+            return out
+
+        monkeypatch.setattr(RelationExtractor, "forward", rigged)
+        with pytest.warns(TruncationWarning):
+            theta = tune_threshold(model, [over_length_doc()])
+        assert theta == pytest.approx(0.6)
+
+    def test_bias_heatmap_runs(self, model):
+        with pytest.warns(TruncationWarning):
+            heatmap = collect_bias_heatmap(model, [over_length_doc()])
+        assert len(heatmap.splitlines()) == 1 + model.cfg.layers * 6
 
 
 class TestAblations:

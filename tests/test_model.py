@@ -44,7 +44,8 @@ def make_model(doc=None, schema=("knows", "likes"), **cfg_kwargs) -> tuple:
     vocab = build_vocab([doc])
     etypes = entity_type_labels([doc])
     model = RelationExtractor(cfg, vocab, etypes, list(schema))
-    enc = encode_document(doc, vocab, model.etype_to_index, cfg.coref_cap)
+    enc = encode_document(doc, vocab, model.etype_to_index, cfg.coref_cap,
+                          cfg.max_len)
     return model, enc
 
 
@@ -121,7 +122,8 @@ class TestEmbedInputs:
     def test_too_long_document_rejected(self):
         doc = Document("long", (tuple(f"t{i}" for i in range(20)),), (), ())
         model, _ = make_model()
-        enc = encode_document(doc, model.vocab, model.etype_to_index, 8)
+        # encoded against a longer limit than the model's max_len of 16
+        enc = encode_document(doc, model.vocab, model.etype_to_index, 8, 64)
         with pytest.raises(ValueError, match="max_len"):
             model.embed_inputs(enc)
 
@@ -178,7 +180,8 @@ class TestPooling:
             (Entity("PER", mentions[::-1]),), (),
         )
         model, enc_fwd = make_model(doc=doc_fwd)
-        enc_rev = encode_document(doc_rev, model.vocab, model.etype_to_index, 8)
+        enc_rev = encode_document(doc_rev, model.vocab, model.etype_to_index,
+                                  8, 16)
         hidden = np.random.default_rng(2).normal(size=(4, 8))
         a = model.pool_entities(Tensor(hidden), enc_fwd).values
         b = model.pool_entities(Tensor(hidden), enc_rev).values
@@ -366,7 +369,7 @@ class TestBaselineEquivalenceWithLoss:
             cfg = ModelConfig(layers=2, heads=2, d_model=8, d_dist=4,
                               max_len=16, coref_cap=8, mode=mode, seed=7)
             model = RelationExtractor(cfg, vocab, etypes, ["knows"])
-            enc = encode_document(doc, vocab, model.etype_to_index, 8,
+            enc = encode_document(doc, vocab, model.etype_to_index, 8, 16,
                                   excluded)
             result = model.forward(enc)
             return float(model.compute_loss(result, enc).values)
