@@ -142,17 +142,34 @@ def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> 
             )
 
 
-def _document_from_json(obj: dict, index: int) -> Document:
+def _document_from_json(obj: dict, index: int, path) -> Document:
     doc_id = obj.get("title", f"doc{index}")
+    where = f"{path}: doc {doc_id!r}"
     try:
         sents = obj["sents"]
         vertex_set = obj["vertexSet"]
     except KeyError as exc:
-        raise CorpusError(f"doc {doc_id!r}: missing field {exc.args[0]!r}") from exc
+        raise CorpusError(f"{where}: missing field {exc.args[0]!r}") from exc
+    labels = obj.get("labels", [])
+    for field, value in (("sents", sents), ("vertexSet", vertex_set),
+                         ("labels", labels)):
+        if not isinstance(value, list):
+            raise CorpusError(f"{where}: field {field!r} is not a list")
+    for s_idx, sent in enumerate(sents):
+        if not isinstance(sent, list):
+            raise CorpusError(f"{where}: sentence {s_idx} is not a list")
     entities = []
-    for mentions in vertex_set:
+    for e_idx, mentions in enumerate(vertex_set):
+        if not isinstance(mentions, list):
+            raise CorpusError(f"{where}: entity {e_idx} is not a list")
         if not mentions:
-            raise CorpusError(f"doc {doc_id!r}: entity with zero mentions")
+            raise CorpusError(f"{where}: entity with zero mentions")
+        for m in mentions:
+            if not isinstance(m, dict):
+                raise CorpusError(
+                    f"{where}: entity {e_idx} has a mention {m!r} that is "
+                    f"not an object"
+                )
         parsed = []
         etype = mentions[0].get("type", "")
         for m in mentions:
@@ -167,18 +184,16 @@ def _document_from_json(obj: dict, index: int) -> Document:
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(
-                    f"doc {doc_id!r}: malformed mention {m!r}"
-                ) from exc
+                raise CorpusError(f"{where}: malformed mention {m!r}") from exc
         entities.append(Entity(etype=etype, mentions=tuple(parsed)))
     facts = []
-    for label in obj.get("labels", []):
+    for label in labels:
         try:
             facts.append(
                 RelationFact(h=int(label["h"]), t=int(label["t"]), r=str(label["r"]))
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"doc {doc_id!r}: malformed label {label!r}") from exc
+            raise CorpusError(f"{where}: malformed label {label!r}") from exc
     doc = Document(
         doc_id=doc_id,
         sentences=tuple(tuple(str(tok) for tok in sent) for sent in sents),
@@ -193,7 +208,8 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
 
     Accepts a JSON array or one JSON object per line.  Every document is
     validated; errors identify the document and the offending mention or
-    label.
+    label.  Document ids must be unique within the file, because gold and
+    predicted facts are keyed by them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -208,11 +224,18 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: malformed JSON: {exc}") from exc
     docs = []
+    first_index: dict[str, int] = {}
     for i, obj in enumerate(raw):
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}: document {i} is not a JSON object")
-        doc = _document_from_json(obj, i)
+        doc = _document_from_json(obj, i, path)
         validate_document(doc, schema)
+        if doc.doc_id in first_index:
+            raise CorpusError(
+                f"{path}: documents {first_index[doc.doc_id]} and {i} share "
+                f"the id {doc.doc_id!r}"
+            )
+        first_index[doc.doc_id] = i
         docs.append(doc)
     return docs
 

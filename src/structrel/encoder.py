@@ -2,13 +2,17 @@
 
 Each block is standard post-norm multi-head attention plus a feed-forward
 network, with one addition: before the softmax, every query-key score
-receives a learned scalar bias chosen by the dependency type of that token
-pair.  Two bias parameterizations are supported, a bilinear (biaffine)
-form ``q A_s k^T + b_s`` and a decomposed linear form
+whose token pair has a dependency receives a learned scalar bias chosen
+by that dependency type.  Two bias parameterizations are supported, a
+bilinear (biaffine) form ``q A_s k^T + b_s`` and a decomposed linear form
 ``q K_s + Q_s k + b_s`` whose three terms can be toggled independently.
-NA cells carry no parameters and contribute exactly zero, so a model whose
-structure is all NA computes the same function as the unstructured
-baseline.
+
+The bias is computed only where there is structure.  For each layer and
+head the five types' parameters are concatenated, every non-NA cell
+gathers its query row, key row and type slot, and one scatter places the
+cell biases into the score matrix.  NA cells carry no parameters and are
+never computed, so a model whose structure is all NA computes the same
+function as the unstructured baseline.
 
 Bias parameters are owned per layer, per head, and per dependency type;
 they are never shared.
@@ -26,13 +30,17 @@ from .autodiff import (
     Tensor,
     add,
     concat,
-    constant,
+    layer_norm,
     matmul,
     mul,
     relu,
+    reshape,
     scale,
+    scatter_cells,
     softmax_rows,
-    layer_norm,
+    sum_axis,
+    take_cells,
+    take_rows,
     transpose,
     xavier_uniform,
 )
@@ -203,60 +211,55 @@ def raw_scores(q: Tensor, k: Tensor) -> Tensor:
     return scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
 
 
-def biaffine_bias(q: Tensor, k: Tensor, A: Tensor,
-                  b: Optional[Tensor] = None) -> Tensor:
-    """Bilinear bias ``q A k^T (+ b)`` for every query/key pair at once."""
-    out = matmul(matmul(q, A), transpose(k))
-    if b is not None:
-        out = add(out, b)
-    return out
+def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
+              head: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+              tf: Transformation) -> Tensor:
+    """The attentive bias of one layer and head at its structured cells.
 
+    ``cells`` is ``(rows, cols, types)`` as given by
+    :attr:`StructureMatrix.cells`; entry ``c`` of the returned vector is
+    the bias of type ``STRUCTURED_TYPES[types[c]]`` between query
+    ``rows[c]`` and key ``cols[c]``.  The five types' parameters are
+    concatenated so each term is one gather:
 
-def decomp_bias(q: Tensor, k: Tensor, qvec: Optional[Tensor] = None,
-                kvec: Optional[Tensor] = None,
-                b: Optional[Tensor] = None) -> Tensor:
-    """Decomposed bias: query-conditioned plus key-conditioned plus prior.
+    * biaffine core ``q_i A_s k_j``: row ``i*5 + s`` of ``q A_cat``
+      reshaped to (5n, dh), dotted with ``k_j``;
+    * query-conditioned ``q_i K_s``: cell ``(i, s)`` of ``q qvec_cat``;
+    * key-conditioned ``Q_s k_j``: cell ``(j, s)`` of ``k kvec_cat``;
+    * prior ``b_s``: slot ``s`` of ``b_cat``.
 
-    Disabled terms are simply absent and contribute zero.  The result
-    broadcasts to (n, m).
+    Nothing is computed for NA cells, which are never passed in.
     """
+    rows, cols, types = cells
+    n_types = len(STRUCTURED_TYPES)
+
+    def stacked(suffix: str) -> list[Tensor]:
+        return [store[f"{bias_param_prefix(layer, head, dep)}.{suffix}"].tensor
+                for dep in STRUCTURED_TYPES]
+
     terms: list[Tensor] = []
-    if qvec is not None:
-        terms.append(matmul(q, qvec))            # (n, 1)
-    if kvec is not None:
-        terms.append(transpose(matmul(k, kvec)))  # (1, m)
-    if b is not None:
-        terms.append(b)
+    if tf.biaffine_core:
+        n, dh = q.shape
+        qa = reshape(matmul(q, concat(stacked("A"), axis=1)), (n * n_types, dh))
+        terms.append(sum_axis(mul(take_rows(qa, rows * n_types + types),
+                                  take_rows(k, cols)), axis=1))
+    if tf.query_conditioned:
+        terms.append(take_cells(matmul(q, concat(stacked("qvec"), axis=1)),
+                                rows, types))
+    if tf.key_conditioned:
+        terms.append(take_cells(matmul(k, concat(stacked("kvec"), axis=1)),
+                                cols, types))
+    if tf.prior:
+        prior = concat([reshape(b, (1, 1)) for b in stacked("b")], axis=1)
+        terms.append(take_cells(prior, np.zeros_like(types), types))
     if not terms:
-        raise TransformationError("decomposed bias with every term disabled")
+        raise TransformationError(
+            f"mode {tf.mode!r} with no term enabled produces no bias"
+        )
     out = terms[0]
     for term in terms[1:]:
         out = add(out, term)
     return out
-
-
-def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
-              head: int, dep: DependencyType, tf: Transformation) -> Tensor:
-    """The attentive bias for one dependency type, before masking."""
-    if dep == DependencyType.NA:
-        raise TransformationError("NA bypasses the transformation entirely")
-    prefix = bias_param_prefix(layer, head, dep)
-    if tf.mode == "biaffine":
-        if tf.biaffine_core:
-            return biaffine_bias(
-                q, k, A=store[f"{prefix}.A"].tensor,
-                b=store[f"{prefix}.b"].tensor if tf.prior else None,
-            )
-        if tf.prior:
-            return store[f"{prefix}.b"].tensor
-    elif tf.mode == "decomp":
-        return decomp_bias(
-            q, k,
-            qvec=store[f"{prefix}.qvec"].tensor if tf.query_conditioned else None,
-            kvec=store[f"{prefix}.kvec"].tensor if tf.key_conditioned else None,
-            b=store[f"{prefix}.b"].tensor if tf.prior else None,
-        )
-    raise TransformationError("mode 'none' produces no bias")
 
 
 class BiasRecorder:
@@ -265,17 +268,25 @@ class BiasRecorder:
     def __init__(self):
         self.records: list[BiasRecord] = []
 
-    def add(self, layer: int, head: int, dep: DependencyType,
-            masked_values: np.ndarray, count: int) -> None:
-        self.records.append(
-            BiasRecord(
-                layer=layer,
-                head=head,
-                dependency=dep,
-                mean_bias=float(masked_values.sum() / count),
-                count=count,
-            )
-        )
+    def add(self, layer: int, head: int, types: np.ndarray,
+            bias: np.ndarray) -> None:
+        """Record one mean per dependency type present among the cells;
+        ``types`` and ``bias`` are one layer and head's cell types and
+        biases, as :func:`type_bias` pairs them."""
+        n_types = len(STRUCTURED_TYPES)
+        counts = np.bincount(types, minlength=n_types)
+        sums = np.bincount(types, weights=bias, minlength=n_types)
+        for s, dep in enumerate(STRUCTURED_TYPES):
+            if counts[s]:
+                self.records.append(
+                    BiasRecord(
+                        layer=layer,
+                        head=head,
+                        dependency=dep,
+                        mean_bias=float(sums[s] / counts[s]),
+                        count=int(counts[s]),
+                    )
+                )
 
 
 def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
@@ -284,7 +295,10 @@ def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
                       recorder: Optional[BiasRecorder] = None) -> Tensor:
     """Attention scores with structural bias: ``(q k^T + bias) / sqrt(d)``.
 
-    Cells whose dependency is NA receive no bias.
+    The bias is computed by :func:`type_bias` only at the structure's
+    non-NA cells and placed into the (n, n) score matrix with one scatter;
+    NA cells receive nothing, and a structure without cells leaves the
+    raw scores untouched.
     """
     n = q.shape[0]
     if structure.n != n:
@@ -293,20 +307,13 @@ def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
             f"document has {n} tokens"
         )
     scores = matmul(q, transpose(k))
-    total_bias: Optional[Tensor] = None
     if tf.active:
-        for dep in STRUCTURED_TYPES:
-            mask = structure.codes == dep.value
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            term = type_bias(store, q, k, layer, head, dep, tf)
-            masked = mul(constant(mask.astype(np.float64)), term)
+        rows, cols, types = cells = structure.cells
+        if rows.size:
+            bias = type_bias(store, q, k, layer, head, cells, tf)
             if recorder is not None:
-                recorder.add(layer, head, dep, masked.values, count)
-            total_bias = masked if total_bias is None else add(total_bias, masked)
-    if total_bias is not None:
-        scores = add(scores, total_bias)
+                recorder.add(layer, head, types, bias.values)
+            scores = add(scores, scatter_cells(bias, rows, cols, (n, n)))
     return scale(scores, 1.0 / math.sqrt(q.shape[-1]))
 
 

@@ -115,6 +115,13 @@ def _forward_docs(model: RelationExtractor, docs: Sequence[Document],
 
 
 def _gold_facts(docs: Sequence[Document]) -> set[Fact]:
+    """Gold facts keyed by document id; a repeated id would merge two
+    documents' gold and predictions, so it is an error."""
+    seen: set[str] = set()
+    for d in docs:
+        if d.doc_id in seen:
+            raise ValueError(f"document id {d.doc_id!r} occurs more than once")
+        seen.add(d.doc_id)
     return {(d.doc_id, f.h, f.t, f.r) for d in docs for f in d.facts}
 
 
@@ -129,6 +136,7 @@ def evaluate(model: RelationExtractor, docs: Sequence[Document],
     variant; an empty list makes the ignore metrics equal the plain ones.
     """
     threshold = model.cfg.threshold if threshold is None else threshold
+    gold = _gold_facts(docs)
     predictions = [fact for result in _forward_docs(model, docs)
                    for fact in model.predict(result, threshold)]
     predicted = {(p.doc_id, p.h, p.t, p.r) for p in predictions}
@@ -136,7 +144,7 @@ def evaluate(model: RelationExtractor, docs: Sequence[Document],
         checker = make_in_train_checker(build_train_fact_index(train_docs), docs)
     else:
         checker = lambda fact: False
-    return evaluate_facts(predicted, _gold_facts(docs), checker), predictions
+    return evaluate_facts(predicted, gold, checker), predictions
 
 
 def tune_threshold(model: RelationExtractor,

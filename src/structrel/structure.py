@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -106,6 +107,19 @@ class StructureMatrix:
 
     def dep(self, i: int, j: int) -> DependencyType:
         return DependencyType(int(self.codes[i, j]))
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The non-NA cells in row-major order, as ``(rows, cols, types)``.
+
+        ``types[i]`` indexes :data:`STRUCTURED_TYPES`.  ``codes`` is
+        read-only, so the arrays are computed once per matrix.
+        """
+        rows, cols = np.nonzero(self.codes)
+        types = self.codes[rows, cols].astype(np.int64) - 1
+        for arr in (rows, cols, types):
+            arr.setflags(write=False)
+        return rows, cols, types
 
 
 def token_annotations(doc) -> list[TokenAnnotation]:

@@ -17,12 +17,15 @@ from structrel.autodiff import (
     matmul,
     mul,
     relu,
+    reshape,
     save_checkpoint,
     scale,
+    scatter_cells,
     sigmoid,
     softmax_rows,
     sum_all,
     sum_axis,
+    take_cells,
     take_rows,
     transpose,
     xavier_uniform,
@@ -63,6 +66,34 @@ class TestForward:
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         taken = take_rows(x, [1, 1, 0])
         assert taken.values.tolist() == [[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]]
+
+    def test_cells(self):
+        x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert take_cells(x, [1, 0, 1], [2, 0, 2]).values.tolist() == [6.0, 1.0, 6.0]
+        placed = scatter_cells(Tensor([7.0, 8.0]), [1, 0], [0, 2], (2, 3))
+        assert placed.values.tolist() == [[0.0, 0.0, 8.0], [7.0, 0.0, 0.0]]
+        assert reshape(x, (3, 2)).values.tolist() == [[1.0, 2.0], [3.0, 4.0],
+                                                      [5.0, 6.0]]
+        with pytest.raises(ShapeError, match="repeat"):
+            scatter_cells(Tensor([1.0, 2.0]), [0, 0], [1, 1], (2, 2))
+        with pytest.raises(ShapeError, match="out of range"):
+            take_cells(x, [2], [0])
+        with pytest.raises(ShapeError, match="out of range"):
+            scatter_cells(Tensor([1.0]), [0], [-1], (2, 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_take_rows_backward_matches_add_at_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 17))
+        size = int(rng.integers(0, 3 * rows)) if seed else 0  # seed 0: empty
+        idx = rng.integers(0, rows, size=size)
+        grad = rng.normal(size=(size, width)) * 10.0 ** rng.integers(-8, 8)
+        table = Tensor(rng.normal(size=(rows, width)))
+        taken = take_rows(table, idx)
+        taken._backward(grad)
+        expect = np.zeros((rows, width))
+        np.add.at(expect, idx, grad)
+        assert table.grad.tobytes() == expect.tobytes()
 
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -136,6 +167,9 @@ class TestFiniteDifferences:
         gain = Parameter("gain", Tensor(rng.normal(size=(5,)) + 1.0))
         bias = Parameter("bias", Tensor(rng.normal(size=(5,))))
         idx = rng.integers(0, 4, size=6)
+        cell_rows = rng.integers(0, 4, size=7)  # cells repeat
+        cell_cols = rng.integers(0, 5, size=7)
+        flat = rng.permutation(20)[:7]  # distinct cells
 
         cases = {
             "add": lambda: sum_all(add(p.tensor, q.tensor)),
@@ -166,6 +200,18 @@ class TestFiniteDifferences:
             ),
             "take_rows": lambda: sum_all(
                 mul(take_rows(p.tensor, idx), take_rows(q.tensor, idx))
+            ),
+            "reshape": lambda: sum_all(
+                mul(reshape(p.tensor, (10, 2)), reshape(q.tensor, (10, 2)))
+            ),
+            "take_cells": lambda: sum_all(
+                mul(take_cells(p.tensor, cell_rows, cell_cols),
+                    take_cells(q.tensor, cell_rows, cell_cols))
+            ),
+            "scatter_cells": lambda: sum_all(
+                mul(softmax_rows(scatter_cells(
+                    take_cells(p.tensor, flat // 5, flat % 5),
+                    flat // 5, flat % 5, (4, 5))), q.tensor)
             ),
             "broadcast_add": lambda: sum_all(
                 sigmoid(add(sum_axis(p.tensor, axis=1, keepdims=True),

@@ -4,6 +4,8 @@ here rather than break ``benchmark/run.py --trace 1``."""
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 
 import spans  # noqa: E402
@@ -42,3 +44,23 @@ def test_training_encodes_each_document_once():
     assert totals["batching.encode_document.calls"] == 6
     assert totals["batching.build_structure_matrix.calls"] == 6
     assert totals["model.forward.calls"] == 18
+
+
+@pytest.mark.parametrize("mode, structured_layers, n_structured", [
+    ("biaffine", "all", 2),
+    ("decomp", "1", 1),
+])
+def test_bias_is_computed_only_at_structured_cells(mode, structured_layers,
+                                                   n_structured):
+    # A dense bias (every cell of every type) would count n*n*5 cells per
+    # head and layer; the gather counts each non-NA cell once.
+    docs = generate_synthetic(SynthSpec(n_docs=4, seed=3))
+    config = small_config(epochs=1, layers=2, heads=2, mode=mode,
+                          structured_layers=structured_layers)
+    with spans.Tracer() as tracer:
+        tracer.measure("harness.train", "train", harness.train, config, docs)
+    totals = tracer.totals("train")
+    assert totals["model.forward.calls"] == 4
+    assert totals["structure.structured_cells"] > 0
+    assert totals["encoder.bias_cells"] == (
+        totals["structure.structured_cells"] * config.heads * n_structured)

@@ -60,8 +60,33 @@ class TestParse:
 
     def test_json_lines_layout(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(MINIMAL_DOC) + "\n" + json.dumps(MINIMAL_DOC))
+        second = dict(MINIMAL_DOC, title="mini2")
+        path.write_text(json.dumps(MINIMAL_DOC) + "\n" + json.dumps(second))
         assert len(parse_corpus(path)) == 2
+
+    def test_duplicate_doc_id_names_file_and_both_indices(self, tmp_path):
+        path = tmp_path / "dup.json"
+        other = dict(MINIMAL_DOC, title="other")
+        path.write_text(json.dumps([MINIMAL_DOC, other, MINIMAL_DOC]))
+        with pytest.raises(CorpusError,
+                           match=r"dup\.json: documents 0 and 2 share the id 'mini'"):
+            parse_corpus(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sents", 5, "field 'sents' is not a list"),
+        ("sents", ["Ada wrote"], "sentence 0 is not a list"),
+        ("vertexSet", {"a": 1}, "field 'vertexSet' is not a list"),
+        ("vertexSet", [5], "entity 0 is not a list"),
+        ("vertexSet", [[1]], "entity 0 has a mention 1 that is not an object"),
+        ("labels", "none", "field 'labels' is not a list"),
+    ])
+    def test_wrong_json_type_names_file_and_doc(self, tmp_path, field, value,
+                                                message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps([dict(MINIMAL_DOC, **{field: value})]))
+        with pytest.raises(CorpusError,
+                           match=rf"typed\.json: doc 'mini': {message}"):
+            parse_corpus(path)
 
     def test_empty_span_rejected_with_location(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL_DOC))

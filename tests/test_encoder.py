@@ -11,8 +11,7 @@ from structrel.encoder import (
     Transformation,
     TransformationError,
     attend,
-    biaffine_bias,
-    decomp_bias,
+    bias_param_prefix,
     encoder_forward,
     export_bias_heatmap,
     init_encoder_params,
@@ -45,6 +44,84 @@ def fixture_structure(doc_fixture) -> StructureMatrix:
 
 def all_na(n: int) -> StructureMatrix:
     return StructureMatrix("na", np.zeros((n, n), dtype=np.int8))
+
+
+# Dense reference: the bias of one type over every query/key pair, then
+# masked by that type's cells and summed over types.  The encoder computes
+# the same values at the structured cells only.
+
+def biaffine_bias(q, k, A, b=None):
+    out = q @ A @ k.T
+    return out if b is None else out + b
+
+
+def decomp_bias(q, k, qvec=None, kvec=None, b=None):
+    out = np.zeros((q.shape[0], k.shape[0]))
+    if qvec is not None:
+        out = out + q @ qvec
+    if kvec is not None:
+        out = out + (k @ kvec).T
+    if b is not None:
+        out = out + b
+    return out
+
+
+def dense_bias(store, q, k, layer, head, tf, codes):
+    total = np.zeros(codes.shape)
+    for dep in STRUCTURED_TYPES:
+        prefix = f"layer{layer}.head{head}.bias.{dep.name.lower()}"
+
+        def param(suffix, on):
+            return store[f"{prefix}.{suffix}"].values if on else None
+
+        if tf.biaffine_core:
+            term = biaffine_bias(q, k, param("A", True), param("b", tf.prior))
+        else:
+            term = decomp_bias(q, k, param("qvec", tf.query_conditioned),
+                               param("kvec", tf.key_conditioned),
+                               param("b", tf.prior))
+        total += (codes == dep.value) * term
+    return total
+
+
+def random_symmetric_codes(rng, n):
+    codes = rng.integers(0, 6, size=(n, n)).astype(np.int8)
+    return np.triu(codes) + np.triu(codes, 1).T
+
+
+def randomize_bias_params(store, rng, scale=0.5):
+    for p in store:
+        if ".bias." in p.name:
+            p.tensor.values = rng.normal(size=p.values.shape) * scale
+
+
+def single_head_store(tf: Transformation, d: int) -> ParameterStore:
+    cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=d, transformation=tf,
+                        structured_layers=frozenset({0}) if tf.active
+                        else frozenset())
+    return make_store(cfg)
+
+
+def set_param(store, dep, suffix, values):
+    store[f"layer0.head0.bias.{dep.name.lower()}.{suffix}"].tensor.values = (
+        np.asarray(values, dtype=float)
+    )
+
+
+def one_cell(dep: DependencyType):
+    return (np.array([0]), np.array([0]),
+            np.array([STRUCTURED_TYPES.index(dep)]))
+
+
+BIAS_FORMS = [
+    Transformation.biaffine(core=True, prior=True),
+    Transformation.biaffine(core=True, prior=False),
+    Transformation.biaffine(core=False, prior=True),
+] + [
+    Transformation.decomp(query=qc, key=kc, prior=pr)
+    for qc in (False, True) for kc in (False, True) for pr in (False, True)
+    if qc or kc or pr
+]
 
 
 class TestTransformation:
@@ -116,61 +193,107 @@ class TestRawScores:
 
 class TestBiasForms:
     def test_biaffine_zero_parameters(self):
+        tf = Transformation.biaffine()
+        store = single_head_store(tf, 2)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = biaffine_bias(q, k, Tensor(np.zeros((2, 2))), Tensor(0.0))
-        assert out.values[0, 0] == 0.0
+        for dep in STRUCTURED_TYPES:
+            out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+            assert out.values.tolist() == [0.0]
 
     def test_biaffine_identity_reduces_to_dot(self):
+        tf = Transformation.biaffine()
+        store = single_head_store(tf, 2)
+        dep = D.INTER_COREF
+        set_param(store, dep, "A", np.eye(2))
+        set_param(store, dep, "b", 0.5)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = biaffine_bias(q, k, Tensor(np.eye(2)), Tensor(0.5))
-        assert out.values[0, 0] == pytest.approx(11.5)
+        out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+        assert out.values[0] == pytest.approx(11.5)
 
     def test_biaffine_matches_triple_loop(self):
         rng = np.random.default_rng(9)
+        tf = Transformation.biaffine()
+        store = single_head_store(tf, 3)
+        randomize_bias_params(store, rng, scale=1.0)
         q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        A, b = rng.normal(size=(3, 3)), rng.normal()
-        out = biaffine_bias(Tensor(q), Tensor(k), Tensor(A), Tensor(b)).values
-        for i in range(4):
-            for j in range(4):
-                expect = sum(
-                    q[i, a] * A[a, c] * k[j, c]
-                    for a in range(3)
-                    for c in range(3)
-                ) + b
-                assert out[i, j] == pytest.approx(expect, rel=1e-12)
+        codes = rng.integers(1, 6, size=(4, 4)).astype(np.int8)
+        S = StructureMatrix("s", codes)
+        out = type_bias(store, Tensor(q), Tensor(k), 0, 0, S.cells, tf).values
+        for c, (i, j) in enumerate(zip(*S.cells[:2])):
+            prefix = f"layer0.head0.bias.{S.dep(i, j).name.lower()}"
+            A, b = store[f"{prefix}.A"].values, store[f"{prefix}.b"].values
+            expect = sum(
+                q[i, a] * A[a, e] * k[j, e]
+                for a in range(3)
+                for e in range(3)
+            ) + b
+            assert out[c] == pytest.approx(expect, rel=1e-12)
 
     def test_decomp_all_zero(self):
+        tf = Transformation.decomp()
+        store = single_head_store(tf, 2)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = decomp_bias(q, k, Tensor(np.zeros((2, 1))),
-                          Tensor(np.zeros((2, 1))), Tensor(0.0))
-        assert out.values[0, 0] == 0.0
+        for dep in STRUCTURED_TYPES:
+            out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+            assert out.values.tolist() == [0.0]
 
     def test_decomp_worked_example(self):
         # query side dotted with [1,1], key side with [0,1]:
         # (1 + 2) + 4 + 0 = 7
+        tf = Transformation.decomp()
+        store = single_head_store(tf, 2)
+        dep = D.INTRA_NE
+        set_param(store, dep, "qvec", [[1.0], [1.0]])
+        set_param(store, dep, "kvec", [[0.0], [1.0]])
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = decomp_bias(q, k, Tensor([[1.0], [1.0]]),
-                          Tensor([[0.0], [1.0]]), Tensor(0.0))
-        assert out.values[0, 0] == pytest.approx(7.0)
+        out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+        assert out.values[0] == pytest.approx(7.0)
 
     def test_decomp_prior_only_is_constant(self):
         rng = np.random.default_rng(1)
+        tf = Transformation.decomp(query=False, key=False, prior=True)
+        store = single_head_store(tf, 2)
+        for dep in STRUCTURED_TYPES:
+            set_param(store, dep, "b", 0.3)
         q, k = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
-        out = decomp_bias(q, k, b=Tensor(0.3))
+        S = StructureMatrix("s", rng.integers(1, 6, size=(3, 3)))
+        out = type_bias(store, q, k, 0, 0, S.cells, tf)
+        assert out.shape == (9,)
         assert out.values == pytest.approx(0.3)
 
     def test_decomp_without_any_term_rejected(self):
+        tf = Transformation("decomp")
+        store = single_head_store(tf, 2)
         with pytest.raises(TransformationError):
-            decomp_bias(Tensor([[1.0]]), Tensor([[1.0]]))
+            type_bias(store, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), 0, 0,
+                      one_cell(D.INTRA_NE), tf)
 
-    def test_na_rejected(self):
-        cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=4,
-                            transformation=Transformation.biaffine(),
-                            structured_layers=frozenset({0}))
-        store = make_store(cfg)
-        q = Tensor(np.zeros((2, 4)))
+    def test_na_rejected(self, monkeypatch):
+        # NA cells never reach type_bias: it sees exactly the non-NA cells,
+        # each with its own type index
+        import structrel.encoder as encoder_module
+
+        tf = Transformation.biaffine()
+        store = single_head_store(tf, 4)
+        rng = np.random.default_rng(4)
+        codes = random_symmetric_codes(rng, 7)
+        codes[0, :] = codes[:, 0] = D.NA
+        S = StructureMatrix("s", codes)
+        seen = []
+
+        def spy(store, q, k, layer, head, cells, tf):
+            seen.append(cells)
+            return type_bias(store, q, k, layer, head, cells, tf)
+
+        monkeypatch.setattr(encoder_module, "type_bias", spy)
+        q = Tensor(rng.normal(size=(7, 4)))
+        structured_scores(store, q, q, S, 0, 0, tf)
+        (rows, cols, types), = seen
+        assert rows.size == np.count_nonzero(codes)
+        assert np.all(codes[rows, cols] != D.NA)
+        assert np.array_equal(codes[rows, cols], types + 1)
         with pytest.raises(TransformationError, match="NA"):
-            type_bias(store, q, q, 0, 0, D.NA, cfg.transformation)
+            bias_param_prefix(0, 0, D.NA)
 
 
 class TestStructuredScores:
@@ -183,9 +306,7 @@ class TestStructuredScores:
         rng = np.random.default_rng(seed + 100)
         q = Tensor(rng.normal(size=(n, d)))
         k = Tensor(rng.normal(size=(n, d)))
-        codes = rng.integers(0, 6, size=(n, n)).astype(np.int8)
-        codes = np.triu(codes) + np.triu(codes, 1).T  # symmetric
-        return store, q, k, StructureMatrix("s", codes)
+        return store, q, k, StructureMatrix("s", random_symmetric_codes(rng, n))
 
     def test_mode_none_equals_raw(self):
         store, q, k, S = self._setup(Transformation.none())
@@ -224,6 +345,42 @@ class TestStructuredScores:
         mask = S.codes == dep.value
         assert np.allclose(diff[mask], delta / math.sqrt(4))
         assert np.allclose(diff[~mask], 0.0)
+
+    @pytest.mark.parametrize("tf", BIAS_FORMS, ids=lambda tf: repr(tf))
+    def test_matches_dense_reference(self, tf):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(3, 12)), 6
+            cfg = EncoderConfig(n_layers=2, n_heads=2, d_model=2 * d,
+                                transformation=tf,
+                                structured_layers=frozenset({1}))
+            store = make_store(cfg, seed)
+            randomize_bias_params(store, rng)
+            codes = random_symmetric_codes(rng, n)
+            q, k = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            got = structured_scores(store, Tensor(q), Tensor(k),
+                                    StructureMatrix("s", codes), 1, 1, tf)
+            expect = (q @ k.T + dense_bias(store, q, k, 1, 1, tf, codes)) / (
+                math.sqrt(d))
+            np.testing.assert_allclose(got.values, expect, rtol=1e-12,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("tf", [Transformation.biaffine(),
+                                    Transformation.decomp()])
+    def test_recorder_means_match_dense(self, tf):
+        store, q, k, S = self._setup(tf, seed=3, n=9)
+        randomize_bias_params(store, np.random.default_rng(8))
+        recorder = BiasRecorder()
+        structured_scores(store, q, k, S, 0, 0, tf, recorder=recorder)
+        dense = dense_bias(store, q.values, k.values, 0, 0, tf, S.codes)
+        present = [dep for dep in STRUCTURED_TYPES
+                   if np.any(S.codes == dep.value)]
+        assert [rec.dependency for rec in recorder.records] == present
+        for rec in recorder.records:
+            mask = S.codes == rec.dependency.value
+            assert rec.count == int(mask.sum())
+            assert rec.mean_bias == pytest.approx(dense[mask].mean(),
+                                                  rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         store, q, k, _ = self._setup(Transformation.none())

@@ -150,6 +150,16 @@ class TestEvaluateModel:
         assert report.gold == sum(len(d.facts) for d in dev_docs)
 
 
+    def test_repeated_doc_id_rejected(self, tiny_corpus):
+        train_docs, dev_docs = tiny_corpus
+        model = build_model(small_config(), train_docs, schema=["r0", "r1"])
+        twice = [dev_docs[0], dev_docs[1], dev_docs[0]]
+        with pytest.raises(ValueError, match=r"'synth0009' occurs more than once"):
+            evaluate(model, twice)
+        with pytest.raises(ValueError, match=r"'synth0009' occurs more than once"):
+            tune_threshold(model, twice)
+
+
 class TestTuneThreshold:
     def test_maximizes_over_fixed_grid(self, tiny_corpus):
         train_docs, dev_docs = tiny_corpus
