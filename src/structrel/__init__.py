@@ -55,7 +55,6 @@ from .harness import (
 )
 from .metrics import EvalReport, evaluate_facts, f1_score
 from .model import (
-    PairScore,
     PredictedFact,
     RelationExtractor,
     distance_bucket,

@@ -3,8 +3,12 @@
 Every operation builds the graph as it computes its forward value and
 registers a closure with its backward rule; ``Tensor.backward`` walks the
 graph in reverse topological order and accumulates gradients into every
-reachable node.  Storage is float64 throughout: at desk scale speed is
-irrelevant and double precision keeps finite-difference checks tight.
+reachable node.  A node's first gradient is stored as a copy (backward
+rules may hand one array to two parents, or pass views), later ones are
+added into it.  An inner node's gradient is released as soon as its own
+backward rule has consumed it; only leaves (parameters and constants)
+keep theirs.  Storage is float64 throughout: double precision keeps
+finite-difference checks tight.
 """
 from __future__ import annotations
 
@@ -52,11 +56,27 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += grad
+            if grad.shape != self._values.shape:
+                raise ShapeError(
+                    f"gradient of shape {grad.shape} for a node of shape "
+                    f"{self._values.shape}"
+                )
+            # A copy in the node's own layout: the caller may still use
+            # ``grad``, or have handed the same array to another parent.
+            # Unlike zero-fill and add, the copy keeps a -0.0; that cannot
+            # change a parameter's gradient, which starts at +0.0.
+            self.grad = np.empty_like(self._values)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
-        """Reverse-accumulate gradients from a scalar loss."""
+        """Reverse-accumulate gradients from a scalar loss.
+
+        Leaves gain (or add to) their ``grad``.  Each inner node's
+        ``grad`` is set to None once its backward rule has run, so at most
+        the gradients still waiting to be consumed are alive.
+        """
         if self.values.size != 1:
             raise ShapeError(
                 f"backward requires a scalar, got shape {self.values.shape}"
@@ -80,6 +100,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # Operator sugar; constants are wrapped on the fly.
     def __add__(self, other):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -142,6 +143,19 @@ def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> 
             )
 
 
+def _reject_line_breaks(where: str, fields) -> None:
+    """Reject names that are written one per line (vocabulary, entity
+    types, schema, grid header) and would not read back.  ``fields``
+    pairs a label, formatted with the name's index, with the names."""
+    for label, names in fields:
+        joined = "".join(names)
+        if "\n" in joined or "\r" in joined:
+            i, bad = next((i, n) for i, n in enumerate(names)
+                          if "\n" in n or "\r" in n)
+            raise CorpusError(
+                f"{where}: {label.format(i)} {bad!r} contains a line break")
+
+
 def _document_from_json(obj: dict, index: int, path) -> Document:
     doc_id = obj.get("title", f"doc{index}")
     where = f"{path}: doc {doc_id!r}"
@@ -155,9 +169,11 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
                          ("labels", labels)):
         if not isinstance(value, list):
             raise CorpusError(f"{where}: field {field!r} is not a list")
+    sentences = []
     for s_idx, sent in enumerate(sents):
         if not isinstance(sent, list):
             raise CorpusError(f"{where}: sentence {s_idx} is not a list")
+        sentences.append(tuple(str(tok) for tok in sent))
     entities = []
     for e_idx, mentions in enumerate(vertex_set):
         if not isinstance(mentions, list):
@@ -194,9 +210,15 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: malformed label {label!r}") from exc
+    _reject_line_breaks(where, (
+        ("title", [str(doc_id)]),
+        ("token {}", list(chain.from_iterable(sentences))),
+        ("type of entity {}", [str(e.etype) for e in entities]),
+        ("relation of label {}", [f.r for f in facts]),
+    ))
     doc = Document(
         doc_id=doc_id,
-        sentences=tuple(tuple(str(tok) for tok in sent) for sent in sents),
+        sentences=tuple(sentences),
         entities=tuple(entities),
         facts=tuple(facts),
     )

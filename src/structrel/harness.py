@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import load_checkpoint, save_checkpoint
+from .autodiff import constant, load_checkpoint, save_checkpoint
 from .batching import EncodedDocument, encode_document, make_batches
 from .config import ModelConfig, load_config, save_config
 from .corpus import (
@@ -28,7 +28,6 @@ from .metrics import (
     Fact,
     build_train_fact_index,
     evaluate_facts,
-    f1_score,
     make_in_train_checker,
 )
 from .model import ForwardResult, PredictedFact, RelationExtractor
@@ -153,34 +152,77 @@ def tune_threshold(model: RelationExtractor,
     threshold, preferring the larger one on ties.  Recall counts every
     gold fact, as :func:`evaluate` does, including truncated-away ones."""
     gold = _gold_facts(dev_docs)
-    probs: list[float] = []
-    flags: list[bool] = []
-    for result in _forward_docs(model, dev_docs):
-        for score in result.pair_scores():
-            for r, p in zip(model.schema, score.probabilities):
-                probs.append(float(p))
-                flags.append((result.doc_id, score.subject_index,
-                              score.object_index, r) in gold)
-    if not any(flags):
+    prob_parts: list[np.ndarray] = [np.empty(0)]
+    flag_parts: list[np.ndarray] = [np.empty(0, dtype=bool)]
+    for doc, result in zip(dev_docs, _forward_docs(model, dev_docs)):
+        if result.probabilities is None:
+            continue
+        hit = np.zeros(result.probabilities.shape, dtype=bool)
+        row_of = {pair: i for i, pair in enumerate(result.pairs)}
+        for fact in doc.facts:
+            row = row_of.get((fact.h, fact.t))
+            col = model.rel_to_index.get(fact.r)
+            if row is not None and col is not None:
+                hit[row, col] = True
+        prob_parts.append(result.probabilities.values.ravel())
+        flag_parts.append(hit.ravel())
+    flags = np.concatenate(flag_parts)
+    if not flags.any():
         return model.cfg.threshold
+    probs = np.concatenate(prob_parts)
     order = np.argsort(probs)[::-1]
-    sorted_probs = np.asarray(probs)[order]
-    sorted_flags = np.asarray(flags)[order]
-    cum_correct = np.cumsum(sorted_flags)
-    best_theta, best_f1 = model.cfg.threshold, -1.0
-    for i in range(len(sorted_probs)):
-        # predicting everything with probability >= sorted_probs[i]
-        if i + 1 < len(sorted_probs) and sorted_probs[i + 1] == sorted_probs[i]:
-            continue
-        theta = float(sorted_probs[i])
-        if not 0.0 < theta < 1.0:
-            continue
-        precision = cum_correct[i] / (i + 1)
-        recall = cum_correct[i] / len(gold)
-        f1 = f1_score(precision, recall)
-        if f1 > best_f1 or (f1 == best_f1 and theta > best_theta):
-            best_f1, best_theta = f1, theta
-    return best_theta
+    sorted_probs = probs[order]
+    cum_correct = np.cumsum(flags[order])
+    # Predicting everything with probability >= sorted_probs[i] is a
+    # candidate only at the last index of each tie group.
+    last = np.append(sorted_probs[1:] != sorted_probs[:-1], True)
+    candidates = np.nonzero(
+        last & (sorted_probs > 0.0) & (sorted_probs < 1.0))[0]
+    if not candidates.size:
+        return model.cfg.threshold
+    precision = cum_correct[candidates] / (candidates + 1)
+    recall = cum_correct[candidates] / len(gold)
+    denominator = precision + recall  # metrics.f1_score, cell by cell
+    f1 = 2.0 * precision * recall / np.where(denominator == 0.0, 1.0,
+                                              denominator)
+    # Thresholds fall along the candidates, so the first maximum is the
+    # largest F1-maximizing threshold.
+    return float(sorted_probs[candidates[np.argmax(f1)]])
+
+
+def _backward_batch(model: RelationExtractor,
+                    batch: Sequence[EncodedDocument],
+                    step: int, epoch: int) -> float:
+    """Accumulate the gradient of the batch's mean loss into the
+    parameter gradients, one document at a time, and return that mean.
+
+    Each document runs forward, loss, and backward of ``loss / B``; its
+    graph is dropped before the next document runs, so memory holds one
+    document's graph rather than the batch's.  This is bit-identical to
+    one backward through the summed batch loss: there, every document's
+    loss node also receives the gradient ``1 / B``, and each document's
+    inner nodes form one contiguous block of the reversed walk, in batch
+    order, so every parameter gradient receives the same additions in
+    the same order.  The returned mean, the documents' losses summed in
+    batch order times ``1 / B``, equals the graph value bit for bit too.
+    The nodes built are as many as well: B scalings and one constant
+    ``1 / B``, where the summed graph had B - 1 additions, one scaling
+    and that constant.
+    """
+    share = 1.0 / len(batch)
+    weight = constant(share)
+    total = 0.0
+    for enc in batch:
+        loss = model.compute_loss(model.forward(enc), enc)
+        value = float(loss.values)
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"non-finite loss at step {step} (epoch {epoch})"
+            )
+        (loss * weight).backward()
+        total += value
+        del loss  # free this document's graph before the next forward
+    return total * share
 
 
 def train(config: ModelConfig, train_docs: Sequence[Document],
@@ -196,9 +238,16 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     first epoch; every epoch shuffles those encodings into batches with
     its own seed.
 
-    Raises :class:`DivergenceError` the moment a batch loss goes
-    non-finite.  ``stop_train_f1`` stops early once the training-set F1
-    reaches the target (checked at the eval cadence).
+    A batch is one optimizer step on the mean of its documents' losses.
+    :func:`_backward_batch` builds that gradient by a backward per
+    document, so only one document's graph is alive at a time; parameter
+    gradients, Adam state and logged losses are bit-identical to one
+    backward through the summed batch loss (its docstring says why).
+
+    Raises :class:`DivergenceError` the moment a document's loss goes
+    non-finite, before its batch's optimizer step.  ``stop_train_f1``
+    stops early once the training-set F1 reaches the target (checked at
+    the eval cadence).
     """
     model = build_model(config, train_docs, schema)
     optimizer = model.make_optimizer()
@@ -214,24 +263,11 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
         n_docs = 0
         for batch in batches:
             optimizer.zero_grad()
-            losses = []
-            for enc in batch:
-                result = model.forward(enc)
-                losses.append(model.compute_loss(result, enc))
-            total = losses[0]
-            for extra in losses[1:]:
-                total = total + extra
-            mean_loss = total * (1.0 / len(losses))
-            value = float(mean_loss.values)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss at step {step} (epoch {epoch})"
-                )
-            mean_loss.backward()
+            value = _backward_batch(model, batch, step, epoch)
             optimizer.step()
             step += 1
-            epoch_loss += value * len(losses)
-            n_docs += len(losses)
+            epoch_loss += value * len(batch)
+            n_docs += len(batch)
         entry = EpochLog(epoch=epoch, train_loss=epoch_loss / max(n_docs, 1))
         if (epoch + 1) % eval_every == 0 or epoch == config.epochs - 1:
             if dev_docs:

@@ -47,21 +47,15 @@ DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
 
 
-def distance_bucket(distance: int) -> int:
-    """Bucket a signed token distance, symmetric around zero."""
-    if distance == 0:
-        return len(DISTANCE_BOUNDARIES)
-    level = int(np.searchsorted(DISTANCE_BOUNDARIES, abs(distance), side="right"))
-    if distance > 0:
-        return len(DISTANCE_BOUNDARIES) + level
-    return len(DISTANCE_BOUNDARIES) - level
+_BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
 
 
-@dataclass(frozen=True)
-class PairScore:
-    subject_index: int
-    object_index: int
-    probabilities: np.ndarray  # (M,) in schema order
+def distance_bucket(distance):
+    """Bucket signed token distances (an int or an integer array),
+    symmetric around zero."""
+    d = np.asarray(distance)
+    level = np.searchsorted(_BOUNDARIES, np.abs(d), side="right")
+    return len(DISTANCE_BOUNDARIES) + np.sign(d) * level
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,6 @@ class ForwardResult:
     pairs: list[tuple[int, int]]
     probabilities: Optional[Tensor]  # (P, M), None when < 2 entities
     hidden: Tensor
-
-    def pair_scores(self) -> list[PairScore]:
-        if self.probabilities is None:
-            return []
-        values = self.probabilities.values
-        return [
-            PairScore(s, o, values[i].copy())
-            for i, (s, o) in enumerate(self.pairs)
-        ]
 
 
 class RelationExtractor:
@@ -165,13 +150,13 @@ class RelationExtractor:
                       ) -> tuple[Tensor, Tensor, list[tuple[int, int]]]:
         """Augment both sides of every ordered pair with its signed
         distance-bucket embedding."""
-        N = enc.n_entities
-        pairs = [(s, o) for s in range(N) for o in range(N) if s != o]
-        subj = [s for s, _ in pairs]
-        obj = [o for _, o in pairs]
-        starts = enc.first_starts
-        subj_buckets = [distance_bucket(starts[s] - starts[o]) for s, o in pairs]
-        obj_buckets = [distance_bucket(starts[o] - starts[s]) for s, o in pairs]
+        # Subject-major order: (0, 1), (0, 2), ..., (1, 0), (1, 2), ...
+        subj, obj = np.nonzero(~np.eye(enc.n_entities, dtype=bool))
+        pairs = list(zip(subj.tolist(), obj.tolist()))
+        starts = np.asarray(enc.first_starts, dtype=np.int64)
+        gap = starts[subj] - starts[obj]
+        subj_buckets = distance_bucket(gap)
+        obj_buckets = distance_bucket(-gap)
         dist = self.store["head.dist"].tensor
         e_s = concat([take_rows(entities, subj), take_rows(dist, subj_buckets)],
                      axis=1)
@@ -225,16 +210,13 @@ class RelationExtractor:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
         if result.probabilities is None:
             return []
-        out = []
         values = result.probabilities.values
-        for i, (s, o) in enumerate(result.pairs):
-            for j, r in enumerate(self.schema):
-                if values[i, j] >= threshold:
-                    out.append(
-                        PredictedFact(result.doc_id, s, o, r,
-                                      float(values[i, j]))
-                    )
-        return out
+        rows, cols = np.nonzero(values >= threshold)  # pair-major order
+        return [
+            PredictedFact(result.doc_id, *result.pairs[i], self.schema[j],
+                          float(values[i, j]))
+            for i, j in zip(rows.tolist(), cols.tolist())
+        ]
 
     def make_optimizer(self) -> Adam:
         return Adam(

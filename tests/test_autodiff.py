@@ -128,6 +128,42 @@ class TestBackward:
         sum_all(y).backward()
         assert np.allclose(x.grad, [5.0])
 
+    def test_shared_first_gradient_is_copied(self):
+        # add hands one array to both parents; a second gradient for one
+        # parent must not reach the other.
+        a, b = Tensor(np.zeros(3)), Tensor(np.zeros(3))
+        shared = np.ones(3)
+        add(a, b)._backward(shared)
+        a._accumulate(np.full(3, 2.0))
+        assert np.array_equal(a.grad, [3.0, 3.0, 3.0])
+        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+        assert np.array_equal(shared, [1.0, 1.0, 1.0])
+
+    def test_shared_first_gradient_is_copied_in_backward(self):
+        # The walk runs add(a, b) before scale(a, 2), so a's second
+        # gradient arrives after a and b adopted the same one.
+        a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
+        sum_all(add(add(a, b), scale(a, 2.0))).backward()
+        assert np.array_equal(a.grad, [3.0, 3.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_inner_gradients_are_released_and_leaves_keep_theirs(self):
+        x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
+        w = Tensor(np.ones((3, 2)))
+        product = matmul(x, w)
+        hidden = relu(product)
+        loss = sum_all(hidden)
+        loss.backward()
+        assert product.grad is None and hidden.grad is None
+        assert loss.grad is None
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(w.grad, np.array([[3.0, 3.0], [5.0, 5.0],
+                                                [7.0, 7.0]]))
+
+    def test_first_gradient_of_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
+            Tensor(np.zeros((2, 3)))._accumulate(np.ones(3))
+
 
 def _finite_diff_check(build, params, tol, step=1e-6):
     err = grad_check(build, params, step=step)

@@ -1,7 +1,9 @@
 """The benchmark tracer in ``benchmark/spans.py`` patches functions by the
 names their callers look them up by.  A rename under ``src/`` must fail
 here rather than break ``benchmark/run.py --trace 1``."""
+import gc
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,30 @@ def test_bias_is_computed_only_at_structured_cells(mode, structured_layers,
     assert totals["structure.structured_cells"] > 0
     assert totals["encoder.bias_cells"] == (
         totals["structure.structured_cells"] * config.heads * n_structured)
+
+
+def test_training_holds_one_document_graph_at_a_time(monkeypatch):
+    # Each forward's hidden states belong to that document's graph; they
+    # must be freed (by reference counting, without a collector pass)
+    # before the next document's forward starts.  ``Tensor`` has
+    # ``__slots__`` and no weak references, so the arrays are watched.
+    docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
+    config = small_config(epochs=2, batch_size=4)
+    original_forward = model.RelationExtractor.forward
+    hidden: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+
+    def watched(self, enc, recorder=None):
+        alive_at_start.append(sum(ref() is not None for ref in hidden))
+        result = original_forward(self, enc, recorder)
+        hidden.append(weakref.ref(result.hidden.values))
+        return result
+
+    monkeypatch.setattr(model.RelationExtractor, "forward", watched)
+    gc.disable()
+    try:
+        harness.train(config, docs)
+    finally:
+        gc.enable()
+    assert len(alive_at_start) == 12
+    assert alive_at_start == [0] * 12

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,35 @@ class TestParse:
         path.write_text(json.dumps([dict(MINIMAL_DOC, **{field: value})]))
         with pytest.raises(CorpusError,
                            match=rf"typed\.json: doc 'mini': {message}"):
+            parse_corpus(path)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    @pytest.mark.parametrize("field", ["title", "token", "type", "relation"])
+    def test_line_break_in_a_name_names_file_doc_and_field(self, tmp_path,
+                                                           field, brk):
+        # Tokens, entity types, relation names and document ids are
+        # written one per line (vocabulary, types, schema, grid header).
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["vertexSet"].append(
+            [{"name": "math", "sent_id": 1, "pos": [2, 3], "type": "FIELD"}])
+        doc["labels"] = [{"h": 0, "t": 1, "r": "likes"}]
+        bad = f"a{brk}b"
+        if field == "title":
+            doc["title"] = bad
+            where = f"doc {bad!r}: title"
+        elif field == "token":
+            doc["sents"][1][1] = bad
+            where = "doc 'mini': token 4"
+        elif field == "type":
+            doc["vertexSet"][1][0]["type"] = bad
+            where = "doc 'mini': type of entity 1"
+        else:
+            doc["labels"][0]["r"] = bad
+            where = "doc 'mini': relation of label 0"
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps([doc]))
+        message = f"lines.json: {where} {bad!r} contains a line break"
+        with pytest.raises(CorpusError, match=re.escape(message)):
             parse_corpus(path)
 
     def test_empty_span_rejected_with_location(self, tmp_path):

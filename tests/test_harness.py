@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +12,10 @@ from structrel.corpus import Document, Entity, Mention, RelationFact
 from structrel.encoder import Transformation
 from structrel.harness import (
     DivergenceError,
+    _backward_batch,
+    _encode,
+    _forward_docs,
+    _gold_facts,
     ablate_dependencies,
     ablate_layers,
     build_model,
@@ -22,7 +28,7 @@ from structrel.harness import (
     tune_threshold,
 )
 from structrel.metrics import evaluate_facts, f1_score
-from structrel.model import RelationExtractor
+from structrel.model import PredictedFact, RelationExtractor
 from structrel.synth import SynthSpec, generate_synthetic
 
 A = ("docA", 0, 1, "r0")
@@ -133,6 +139,51 @@ class TestTrain:
             train(small_config(), train_docs, dev_docs)
 
 
+class TestPerDocumentBackward:
+    @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
+    def test_equals_one_backward_of_the_summed_batch(self, tiny_corpus, mode):
+        docs = tiny_corpus[0][:4]
+        model = build_model(small_config(mode=mode), docs)
+        encodings = [_encode(model, doc) for doc in docs]
+        optimizer = model.make_optimizer()
+
+        # Reference: every document's graph alive, one backward.
+        optimizer.zero_grad()
+        losses = [model.compute_loss(model.forward(enc), enc)
+                  for enc in encodings]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = total + extra
+        mean_loss = total * (1.0 / len(losses))
+        mean_loss.backward()
+        expect = {p.name: p.tensor.grad.copy() for p in optimizer.params}
+
+        optimizer.zero_grad()
+        value = _backward_batch(model, encodings, step=0, epoch=0)
+        assert value.hex() == float(mean_loss.values).hex()
+        assert any(np.any(g != 0.0) for g in expect.values())
+        for p in optimizer.params:
+            assert p.tensor.grad.tobytes() == expect[p.name].tobytes(), p.name
+
+    def test_divergence_stops_before_the_next_document(self, tiny_corpus,
+                                                       monkeypatch):
+        docs = tiny_corpus[0][:4]
+        model = build_model(small_config(), docs)
+        encodings = [_encode(model, doc) for doc in docs]
+        seen = []
+
+        def loss_of(self, result, enc):
+            seen.append(enc.doc.doc_id)
+            return Tensor(float("inf") if len(seen) == 2 else 1.0)
+
+        monkeypatch.setattr(RelationExtractor, "compute_loss", loss_of)
+        model.make_optimizer().zero_grad()
+        with pytest.raises(DivergenceError,
+                           match=r"non-finite loss at step 7 \(epoch 3\)"):
+            _backward_batch(model, encodings, step=7, epoch=3)
+        assert len(seen) == 2
+
+
 class TestEvaluateModel:
     def test_ign_equals_plain_without_train_overlap(self, tiny_corpus):
         train_docs, dev_docs = tiny_corpus
@@ -196,6 +247,128 @@ class TestTuneThreshold:
         assert theta == pytest.approx(0.9)
         report, _ = evaluate(model, dev_docs, threshold=theta)
         assert report.f1 == 1.0
+
+
+def reference_tune_threshold(model, dev_docs):
+    """The per-cell sweep that the vectorised one replaced."""
+    gold = _gold_facts(dev_docs)
+    probs, flags = [], []
+    for result in _forward_docs(model, dev_docs):
+        if result.probabilities is None:
+            continue
+        for (s, o), row in zip(result.pairs, result.probabilities.values):
+            for r, p in zip(model.schema, row):
+                probs.append(float(p))
+                flags.append((result.doc_id, s, o, r) in gold)
+    if not any(flags):
+        return model.cfg.threshold
+    order = np.argsort(probs)[::-1]
+    sorted_probs = np.asarray(probs)[order]
+    cum_correct = np.cumsum(np.asarray(flags)[order])
+    best_theta, best_f1 = model.cfg.threshold, -1.0
+    for i in range(len(sorted_probs)):
+        if i + 1 < len(sorted_probs) and sorted_probs[i + 1] == sorted_probs[i]:
+            continue
+        theta = float(sorted_probs[i])
+        if not 0.0 < theta < 1.0:
+            continue
+        f1 = f1_score(cum_correct[i] / (i + 1), cum_correct[i] / len(gold))
+        if f1 > best_f1 or (f1 == best_f1 and theta > best_theta):
+            best_f1, best_theta = f1, theta
+    return best_theta
+
+
+def reference_predict(model, result, threshold):
+    """The per-cell loop that the vectorised ``predict`` replaced."""
+    out = []
+    values = result.probabilities.values
+    for i, (s, o) in enumerate(result.pairs):
+        for j, r in enumerate(model.schema):
+            if values[i, j] >= threshold:
+                out.append(PredictedFact(result.doc_id, s, o, r,
+                                         float(values[i, j])))
+    return out
+
+
+def quantised_forward(levels):
+    """A forward whose probabilities are drawn per document from
+    ``levels`` values in [0, 1], both ends included, so cells tie."""
+    original_forward = RelationExtractor.forward
+
+    def rigged(self, enc, recorder=None):
+        out = original_forward(self, enc, recorder)
+        if out.probabilities is not None:
+            rng = np.random.default_rng(zlib.crc32(enc.doc.doc_id.encode()))
+            draws = rng.integers(0, levels, size=out.probabilities.shape)
+            out.probabilities.values = draws / (levels - 1)
+        return out
+
+    return rigged
+
+
+class TestVectorisedSweep:
+    @pytest.fixture(scope="class")
+    def model(self, tiny_corpus):
+        return build_model(small_config(), tiny_corpus[0],
+                           schema=["r0", "r1", "r2"])
+
+    @pytest.mark.parametrize("levels", [2, 3, 5, 11, 1000])
+    def test_threshold_equals_the_cell_loop(self, model, tiny_corpus,
+                                            monkeypatch, levels):
+        monkeypatch.setattr(RelationExtractor, "forward",
+                            quantised_forward(levels))
+        docs = tiny_corpus[0] + tiny_corpus[1]
+        theta = tune_threshold(model, docs)
+        assert theta.hex() == reference_tune_threshold(model, docs).hex()
+
+    def test_threshold_counts_truncated_away_gold(self, model, monkeypatch):
+        monkeypatch.setattr(RelationExtractor, "forward", quantised_forward(7))
+        docs = [over_length_doc()]
+        with pytest.warns(TruncationWarning):
+            theta = tune_threshold(model, docs)
+            expect = reference_tune_threshold(model, docs)
+        assert theta.hex() == expect.hex()
+
+    def test_f1_tie_keeps_the_larger_threshold(self, model, monkeypatch):
+        # Three gold cells.  Predicting down to 0.95 gives 1 of 1 correct,
+        # down to 0.75 gives 2 of 5: both F1 0.5, the best there is.
+        doc = Document(
+            "tie", (("a", "b", "c", "d"),),
+            tuple(Entity("ENT", (Mention(0, i, i + 1, t),))
+                  for i, t in enumerate("abc")),
+            (RelationFact(0, 1, "r0"), RelationFact(1, 2, "r0"),
+             RelationFact(0, 2, "r1")),
+        )
+        original_forward = RelationExtractor.forward
+
+        def rigged(self, enc, recorder=None):
+            out = original_forward(self, enc, recorder)
+            assert out.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                 (2, 1)]
+            values = np.full(out.probabilities.shape, 0.1)
+            values[0, 0], values[3, 0], values[1, 1] = 0.95, 0.75, 0.05
+            values[0, 1], values[1, 0], values[2, 0] = 0.9, 0.85, 0.8
+            out.probabilities.values = values
+            return out
+
+        monkeypatch.setattr(RelationExtractor, "forward", rigged)
+        assert tune_threshold(model, [doc]) == 0.95
+        assert reference_tune_threshold(model, [doc]) == 0.95
+
+    def test_no_gold_keeps_the_configured_threshold(self, model, tiny_corpus):
+        bare = [dataclasses.replace(doc, facts=()) for doc in tiny_corpus[1]]
+        assert tune_threshold(model, bare) == model.cfg.threshold
+        assert reference_tune_threshold(model, bare) == model.cfg.threshold
+
+    @pytest.mark.parametrize("threshold", [1e-9, 0.25, 0.5, 1.0 - 1e-9])
+    def test_predict_equals_the_cell_loop(self, model, tiny_corpus,
+                                          monkeypatch, threshold):
+        monkeypatch.setattr(RelationExtractor, "forward", quantised_forward(5))
+        results = list(_forward_docs(model, tiny_corpus[1]))
+        for result in results:
+            assert (model.predict(result, threshold)
+                    == reference_predict(model, result, threshold))
+        assert sum(len(model.predict(r, 0.25)) for r in results) > 0
 
 
 def over_length_doc() -> Document:

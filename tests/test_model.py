@@ -58,18 +58,24 @@ class TestDistanceBuckets:
         assert distance_bucket(5) == center + 3   # the 4..7 band
         assert distance_bucket(-5) == center - 3
 
-    def test_exhaustive_scan_matches_brute_force(self):
-        def brute(d):
-            if d == 0:
-                return len(DISTANCE_BOUNDARIES)
-            level = 0
-            for boundary in DISTANCE_BOUNDARIES:
-                if abs(d) >= boundary:
-                    level += 1
-            return len(DISTANCE_BOUNDARIES) + (level if d > 0 else -level)
+    @staticmethod
+    def brute(d):
+        if d == 0:
+            return len(DISTANCE_BOUNDARIES)
+        level = 0
+        for boundary in DISTANCE_BOUNDARIES:
+            if abs(d) >= boundary:
+                level += 1
+        return len(DISTANCE_BOUNDARIES) + (level if d > 0 else -level)
 
+    def test_exhaustive_scan_matches_brute_force(self):
         for d in range(-300, 301):
-            assert distance_bucket(d) == brute(d), d
+            assert distance_bucket(d) == self.brute(d), d
+
+    def test_array_form_matches_brute_force(self):
+        distances = np.arange(-1000, 1001)
+        expect = [self.brute(int(d)) for d in distances]
+        assert distance_bucket(distances).tolist() == expect
 
     def test_bucket_range(self):
         buckets = {distance_bucket(d) for d in range(-1000, 1001)}
@@ -220,9 +226,8 @@ class TestScoring:
         )
         model, enc = make_model(doc=doc)
         result = model.forward(enc)
-        assert len(result.pairs) == 3 * 2
+        assert result.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert result.probabilities.shape == (6, 2)
-        assert len(result.pair_scores()) == 6
 
     def test_scores_match_triple_loop(self):
         model, enc = make_model()
@@ -253,7 +258,6 @@ class TestScoring:
         model, enc = make_model(doc=doc)
         result = model.forward(enc)
         assert result.probabilities is None
-        assert result.pair_scores() == []
         assert float(model.compute_loss(result, enc).values) == 0.0
 
 
