@@ -36,8 +36,6 @@ from .corpus import (
 from .encoder import (
     BiasRecord,
     BiasRecorder,
-    EncoderConfig,
-    Transformation,
     encoder_forward,
     export_bias_heatmap,
 )
@@ -62,12 +60,8 @@ from .model import (
 from .structure import (
     DependencyType,
     StructureMatrix,
-    TokenAnnotation,
     apply_ablation,
     build_structure_matrix,
-    classify_dependency,
-    dependency_histogram,
-    read_grid,
     write_grid,
 )
 from .synth import SYNTH_SCHEMA, SynthSpec, default_relation_rule, generate_synthetic

@@ -102,30 +102,10 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None
 
-    # Operator sugar; constants are wrapped on the fly.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __mul__(self, other):
+        """Elementwise product; a non-tensor operand is wrapped as a
+        constant."""
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(x) -> Tensor:
@@ -271,16 +251,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def _backward(grad):
         a._accumulate(grad * values * (1.0 - values))
-
-    out._backward = _backward
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.values), (a,))
-
-    def _backward(grad):
-        a._accumulate(grad / a.values)
 
     out._backward = _backward
     return out

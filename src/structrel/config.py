@@ -1,7 +1,11 @@
 """Model and training configuration.
 
-Configs round-trip through a flat ``key = value`` text format; the CLI
-mirrors every field as a kebab-case flag.
+:class:`ModelConfig` is the only config type: the encoder, the model and
+the training loop all read it, and its ``__post_init__`` is the one
+validator.  The bias-term defaults of each transformation mode are stated
+once, in ``_MODE_DEFAULTS``.  Configs round-trip through a flat
+``key = value`` text format; the CLI mirrors every field as a kebab-case
+flag.
 """
 from __future__ import annotations
 
@@ -10,15 +14,20 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from .encoder import Transformation
 from .structure import DependencyType
 
+#: Per transformation mode, the value each bias-term toggle takes when it
+#: is left unset.  Biaffine is the bilinear core ``q A_s k`` plus a prior
+#: ``b_s``; decomp is the query- and key-conditioned terms plus the prior.
 _MODE_DEFAULTS = {
-    "none": dict(core=False, query=False, key=False, prior=False),
-    "biaffine": dict(core=True, query=False, key=False, prior=True),
-    "decomp": dict(core=False, query=True, key=True, prior=True),
+    "none": dict(bias_core=False, bias_query=False, bias_key=False,
+                 bias_prior=False),
+    "biaffine": dict(bias_core=True, bias_query=False, bias_key=False,
+                     bias_prior=True),
+    "decomp": dict(bias_core=False, bias_query=True, bias_key=True,
+                   bias_prior=True),
 }
-_TOGGLES = ("bias_core", "bias_query", "bias_key", "bias_prior")
+TOGGLES = tuple(_MODE_DEFAULTS["none"])
 
 
 @dataclass
@@ -41,7 +50,6 @@ class ModelConfig:
     schema_path: str = ""
     vocab_min_count: int = 1
     threshold: float = 0.5
-    auto_threshold: bool = False
     seed: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -53,33 +61,25 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in _MODE_DEFAULTS:
             raise ValueError(f"unknown transformation mode {self.mode!r}")
-        defaults = _MODE_DEFAULTS[self.mode]
-        if self.bias_core is None:
-            self.bias_core = defaults["core"]
-        if self.bias_query is None:
-            self.bias_query = defaults["query"]
-        if self.bias_key is None:
-            self.bias_key = defaults["key"]
-        if self.bias_prior is None:
-            self.bias_prior = defaults["prior"]
+        for name, default in _MODE_DEFAULTS[self.mode].items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
+        if self.mode == "none" and any(getattr(self, t) for t in TOGGLES):
+            raise ValueError("mode 'none' admits no bias terms")
+        if self.mode == "biaffine" and (self.bias_query or self.bias_key):
+            raise ValueError(
+                "query/key conditioned terms belong to decomp mode"
+            )
+        if self.mode == "decomp" and self.bias_core:
+            raise ValueError("the bilinear core belongs to biaffine mode")
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} is not divisible by {self.heads} heads"
             )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        self.transformation()             # validates mode/toggle consistency
         self.resolve_structured_layers()  # validates the range spec
         self.excluded_dependency_set()    # validates the exclusion list
-
-    def transformation(self) -> Transformation:
-        return Transformation(
-            mode=self.mode,
-            biaffine_core=bool(self.bias_core),
-            query_conditioned=bool(self.bias_query),
-            key_conditioned=bool(self.bias_key),
-            prior=bool(self.bias_prior),
-        )
 
     def resolve_structured_layers(self) -> frozenset[int]:
         """Parse the structured-layer range: ``all``, ``none``, ``top:K``,
@@ -89,17 +89,25 @@ class ModelConfig:
             return frozenset(range(self.layers)) if spec == "all" else frozenset()
         if spec == "none":
             return frozenset()
+
+        def number(text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"structured_layers: malformed spec "
+                                 f"{self.structured_layers!r}") from None
+
         if spec.startswith("top:"):
-            k = int(spec[4:])
+            k = number(spec[4:])
             if not 0 <= k <= self.layers:
-                raise ValueError(
-                    f"top:{k} exceeds the {self.layers}-layer stack"
-                )
+                raise ValueError(f"structured_layers: top:{k} exceeds the "
+                                 f"{self.layers}-layer stack")
             return frozenset(range(self.layers - k, self.layers))
-        layers = frozenset(int(part) for part in spec.split(","))
-        bad = [l for l in layers if not 0 <= l < self.layers]
+        layers = frozenset(number(part) for part in spec.split(","))
+        bad = sorted(l for l in layers if not 0 <= l < self.layers)
         if bad:
-            raise ValueError(f"structured layers {bad} outside [0, {self.layers})")
+            raise ValueError(f"structured_layers: {bad} outside "
+                             f"[0, {self.layers})")
         return layers
 
     def excluded_dependency_set(self) -> frozenset[DependencyType]:
@@ -127,7 +135,7 @@ def _switch_mode(mode: Optional[str], changes: dict) -> dict:
     """``changes``, plus a reset to the new mode's default for every
     bias-term toggle they leave out when they switch away from ``mode``."""
     if "mode" in changes and changes["mode"] != mode:
-        return {**dict.fromkeys(_TOGGLES), **changes}
+        return {**dict.fromkeys(TOGGLES), **changes}
     return changes
 
 
@@ -189,11 +197,17 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
             key = key.strip()
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kwargs[key] = _parse_value(value, types[key])
+            try:
+                kwargs[key] = _parse_value(value, types[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if overrides:
         for key in overrides:
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
         kwargs.update(_switch_mode(kwargs.get("mode"), overrides))
-    return ModelConfig(**kwargs)
+    try:
+        return ModelConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 

@@ -159,6 +159,8 @@ def _reject_line_breaks(where: str, fields) -> None:
 def _document_from_json(obj: dict, index: int, path) -> Document:
     doc_id = obj.get("title", f"doc{index}")
     where = f"{path}: doc {doc_id!r}"
+    if not isinstance(doc_id, str):
+        raise CorpusError(f"{where}: field 'title' is not a string")
     try:
         sents = obj["sents"]
         vertex_set = obj["vertexSet"]
@@ -188,6 +190,11 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
                 )
         parsed = []
         etype = mentions[0].get("type", "")
+        if not isinstance(etype, str):
+            raise CorpusError(
+                f"{where}: entity {e_idx} has a type {etype!r} that is not a "
+                f"string"
+            )
         for m in mentions:
             try:
                 start, end = m["pos"]
@@ -211,9 +218,9 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{where}: malformed label {label!r}") from exc
     _reject_line_breaks(where, (
-        ("title", [str(doc_id)]),
+        ("title", [doc_id]),
         ("token {}", list(chain.from_iterable(sentences))),
-        ("type of entity {}", [str(e.etype) for e in entities]),
+        ("type of entity {}", [e.etype for e in entities]),
         ("relation of label {}", [f.r for f in facts]),
     ))
     doc = Document(

@@ -15,13 +15,15 @@ never computed, so a model whose structure is all NA computes the same
 function as the unstructured baseline.
 
 Bias parameters are owned per layer, per head, and per dependency type;
-they are never shared.
+they are never shared.  Every function here reads the model's
+:class:`~structrel.config.ModelConfig`: the stack shape, the four
+``bias_*`` term toggles and the structured-layer range.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -46,86 +48,8 @@ from .autodiff import (
 )
 from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
 
-
-class TransformationError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """Bias parameterization: which form, and which terms are live.
-
-    ``mode`` is one of ``none``, ``biaffine``, ``decomp``.  Mode ``none``
-    forces every toggle off.  The decomposed toggles (``query_conditioned``,
-    ``key_conditioned``) belong to decomp mode; ``biaffine_core`` belongs to
-    biaffine mode; ``prior`` is available to both.
-    """
-
-    mode: str = "none"
-    biaffine_core: bool = False
-    query_conditioned: bool = False
-    key_conditioned: bool = False
-    prior: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("none", "biaffine", "decomp"):
-            raise TransformationError(f"unknown transformation mode {self.mode!r}")
-        if self.mode == "none" and any(
-            (self.biaffine_core, self.query_conditioned, self.key_conditioned,
-             self.prior)
-        ):
-            raise TransformationError("mode 'none' admits no bias terms")
-        if self.mode == "biaffine" and (self.query_conditioned or self.key_conditioned):
-            raise TransformationError(
-                "query/key conditioned terms belong to decomp mode"
-            )
-        if self.mode == "decomp" and self.biaffine_core:
-            raise TransformationError("the bilinear core belongs to biaffine mode")
-
-    @property
-    def active(self) -> bool:
-        return self.mode != "none" and any(
-            (self.biaffine_core, self.query_conditioned, self.key_conditioned,
-             self.prior)
-        )
-
-    @staticmethod
-    def none() -> "Transformation":
-        return Transformation("none")
-
-    @staticmethod
-    def biaffine(core: bool = True, prior: bool = True) -> "Transformation":
-        return Transformation("biaffine", biaffine_core=core, prior=prior)
-
-    @staticmethod
-    def decomp(query: bool = True, key: bool = True,
-               prior: bool = True) -> "Transformation":
-        return Transformation(
-            "decomp", query_conditioned=query, key_conditioned=key, prior=prior
-        )
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    n_layers: int
-    n_heads: int
-    d_model: int
-    ffn_mult: int = 4
-    transformation: Transformation = Transformation.none()
-    structured_layers: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} is not divisible by {self.n_heads} heads"
-            )
-        bad = [l for l in self.structured_layers if not 0 <= l < self.n_layers]
-        if bad:
-            raise ValueError(f"structured layers {bad} outside [0, {self.n_layers})")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
+if TYPE_CHECKING:
+    from .config import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -146,42 +70,52 @@ class BiasRecord:
             raise ValueError("a bias record requires at least one cell")
 
 
-def _dep_key(dep: DependencyType) -> str:
+def dep_name(dep: DependencyType) -> str:
+    """The lower-case name of a dependency type, as parameter names,
+    exclusion lists and reports spell it."""
     return dep.name.lower()
 
 
 def bias_param_prefix(layer: int, head: int, dep: DependencyType) -> str:
     if dep == DependencyType.NA:
-        raise TransformationError("NA carries no bias parameters")
-    return f"layer{layer}.head{head}.bias.{_dep_key(dep)}"
+        raise ValueError("NA carries no bias parameters")
+    return f"layer{layer}.head{head}.bias.{dep_name(dep)}"
+
+
+def _bias_layers(cfg: ModelConfig) -> frozenset[int]:
+    """The blocks that receive structural bias: the structured-layer range,
+    or none when every bias term is off (as mode ``none`` forces)."""
+    if cfg.bias_core or cfg.bias_query or cfg.bias_key or cfg.bias_prior:
+        return cfg.resolve_structured_layers()
+    return frozenset()
 
 
 def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
-                        cfg: EncoderConfig) -> None:
+                        cfg: ModelConfig) -> None:
     """Create all encoder parameters.
 
     Projections are Xavier-uniform; bias-transformation parameters start at
     zero so an untrained structured model is exactly the baseline.
     """
-    d, dh = cfg.d_model, cfg.d_head
-    tf = cfg.transformation
-    for l in range(cfg.n_layers):
-        for h in range(cfg.n_heads):
+    d, dh = cfg.d_model, cfg.d_model // cfg.heads
+    structured = _bias_layers(cfg)
+    for l in range(cfg.layers):
+        for h in range(cfg.heads):
             for name in ("wq", "wk", "wv"):
                 store.create(
                     f"layer{l}.head{h}.{name}",
                     xavier_uniform(rng, d, dh, (d, dh)),
                 )
-            if tf.active and l in cfg.structured_layers:
+            if l in structured:
                 for dep in STRUCTURED_TYPES:
                     prefix = bias_param_prefix(l, h, dep)
-                    if tf.biaffine_core:
+                    if cfg.bias_core:
                         store.create(f"{prefix}.A", np.zeros((dh, dh)))
-                    if tf.query_conditioned:
+                    if cfg.bias_query:
                         store.create(f"{prefix}.qvec", np.zeros((dh, 1)))
-                    if tf.key_conditioned:
+                    if cfg.bias_key:
                         store.create(f"{prefix}.kvec", np.zeros((dh, 1)))
-                    if tf.prior:
+                    if cfg.bias_prior:
                         store.create(f"{prefix}.b", np.zeros(()))
         store.create(f"layer{l}.wo", xavier_uniform(rng, d, d, (d, d)))
         store.create(f"layer{l}.ln1.gain", np.ones(d))
@@ -205,15 +139,9 @@ def project_qkv(store: ParameterStore, x: Tensor, layer: int,
     return q, k, v
 
 
-def raw_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled query-key dot products, (n, n)."""
-    d = q.shape[-1]
-    return scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-
-
 def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
               head: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-              tf: Transformation) -> Tensor:
+              cfg: ModelConfig) -> Tensor:
     """The attentive bias of one layer and head at its structured cells.
 
     ``cells`` is ``(rows, cols, types)`` as given by
@@ -228,7 +156,8 @@ def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
     * key-conditioned ``Q_s k_j``: cell ``(j, s)`` of ``k kvec_cat``;
     * prior ``b_s``: slot ``s`` of ``b_cat``.
 
-    Nothing is computed for NA cells, which are never passed in.
+    Only the terms whose ``bias_*`` toggle is on are computed.  Nothing is
+    computed for NA cells, which are never passed in.
     """
     rows, cols, types = cells
     n_types = len(STRUCTURED_TYPES)
@@ -238,23 +167,23 @@ def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
                 for dep in STRUCTURED_TYPES]
 
     terms: list[Tensor] = []
-    if tf.biaffine_core:
+    if cfg.bias_core:
         n, dh = q.shape
         qa = reshape(matmul(q, concat(stacked("A"), axis=1)), (n * n_types, dh))
         terms.append(sum_axis(mul(take_rows(qa, rows * n_types + types),
                                   take_rows(k, cols)), axis=1))
-    if tf.query_conditioned:
+    if cfg.bias_query:
         terms.append(take_cells(matmul(q, concat(stacked("qvec"), axis=1)),
                                 rows, types))
-    if tf.key_conditioned:
+    if cfg.bias_key:
         terms.append(take_cells(matmul(k, concat(stacked("kvec"), axis=1)),
                                 cols, types))
-    if tf.prior:
+    if cfg.bias_prior:
         prior = concat([reshape(b, (1, 1)) for b in stacked("b")], axis=1)
         terms.append(take_cells(prior, np.zeros_like(types), types))
     if not terms:
-        raise TransformationError(
-            f"mode {tf.mode!r} with no term enabled produces no bias"
+        raise ValueError(
+            f"mode {cfg.mode!r} with no term enabled produces no bias"
         )
     out = terms[0]
     for term in terms[1:]:
@@ -291,14 +220,14 @@ class BiasRecorder:
 
 def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
                       structure: StructureMatrix, layer: int, head: int,
-                      tf: Transformation,
+                      cfg: ModelConfig,
                       recorder: Optional[BiasRecorder] = None) -> Tensor:
     """Attention scores with structural bias: ``(q k^T + bias) / sqrt(d)``.
 
     The bias is computed by :func:`type_bias` only at the structure's
     non-NA cells and placed into the (n, n) score matrix with one scatter;
-    NA cells receive nothing, and a structure without cells leaves the
-    raw scores untouched.
+    NA cells receive nothing, and a structure without cells, or a layer
+    outside :func:`_bias_layers`, leaves the raw scores untouched.
     """
     n = q.shape[0]
     if structure.n != n:
@@ -307,10 +236,10 @@ def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
             f"document has {n} tokens"
         )
     scores = matmul(q, transpose(k))
-    if tf.active:
+    if layer in _bias_layers(cfg):
         rows, cols, types = cells = structure.cells
         if rows.size:
-            bias = type_bias(store, q, k, layer, head, cells, tf)
+            bias = type_bias(store, q, k, layer, head, cells, cfg)
             if recorder is not None:
                 recorder.add(layer, head, types, bias.values)
             scores = add(scores, scatter_cells(bias, rows, cols, (n, n)))
@@ -323,20 +252,18 @@ def attend(scores: Tensor, v: Tensor) -> Tensor:
 
 
 def encoder_forward(store: ParameterStore, x: Tensor,
-                    structure: StructureMatrix, cfg: EncoderConfig,
+                    structure: StructureMatrix, cfg: ModelConfig,
                     recorder: Optional[BiasRecorder] = None) -> Tensor:
     """Run the full block stack.
 
-    Layers outside ``structured_layers`` attend without bias.  Each block
-    is post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.
+    Layers outside ``cfg``'s structured range attend without bias.  Each
+    block is post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.
     """
-    none = Transformation.none()
-    for l in range(cfg.n_layers):
-        tf = cfg.transformation if l in cfg.structured_layers else none
+    for l in range(cfg.layers):
         heads = []
-        for h in range(cfg.n_heads):
+        for h in range(cfg.heads):
             q, k, v = project_qkv(store, x, l, h)
-            scores = structured_scores(store, q, k, structure, l, h, tf,
+            scores = structured_scores(store, q, k, structure, l, h, cfg,
                                        recorder=recorder)
             heads.append(attend(scores, v))
         merged = matmul(concat(heads, axis=1), store[f"layer{l}.wo"].tensor)
@@ -381,5 +308,5 @@ def export_bias_heatmap(records: Sequence[BiasRecord], n_layers: int) -> str:
                 mean, count = 0.0, 0
             else:
                 mean, count = grid.get((l, dep), (0.0, 0))
-            lines.append(f"{l}\t{_dep_key(dep)}\t{mean:.10g}\t{count}")
+            lines.append(f"{l}\t{dep_name(dep)}\t{mean:.10g}\t{count}")
     return "\n".join(lines) + "\n"

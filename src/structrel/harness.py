@@ -15,14 +15,14 @@ import numpy as np
 
 from .autodiff import constant, load_checkpoint, save_checkpoint
 from .batching import EncodedDocument, encode_document, make_batches
-from .config import ModelConfig, load_config, save_config
+from .config import TOGGLES, ModelConfig, load_config, save_config
 from .corpus import (
     Document,
     Vocabulary,
     build_vocab,
     entity_type_labels,
 )
-from .encoder import BiasRecorder, export_bias_heatmap
+from .encoder import BiasRecorder, dep_name, export_bias_heatmap
 from .metrics import (
     EvalReport,
     Fact,
@@ -31,7 +31,7 @@ from .metrics import (
     make_in_train_checker,
 )
 from .model import ForwardResult, PredictedFact, RelationExtractor
-from .structure import STRUCTURED_TYPES, DependencyType
+from .structure import STRUCTURED_TYPES
 
 
 class DivergenceError(RuntimeError):
@@ -313,10 +313,6 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
 # ---- ablation suites -----------------------------------------------------
 
 
-def _dep_name(dep: DependencyType) -> str:
-    return dep.name.lower()
-
-
 def _run_row(config: ModelConfig, train_docs, dev_docs,
              schema: Optional[Sequence[str]]) -> EvalReport:
     result = train(config, train_docs, dev_docs, schema=schema)
@@ -333,32 +329,29 @@ def ablate_dependencies(config: ModelConfig, train_docs, dev_docs,
     rows = [("full", config)]
     for dep in STRUCTURED_TYPES:
         rows.append(
-            (f"-{_dep_name(dep)}", config.replace(excluded_deps=_dep_name(dep)))
+            (f"-{dep_name(dep)}", config.replace(excluded_deps=dep_name(dep)))
         )
     rows.append(
         ("-all",
          config.replace(
-             excluded_deps=",".join(_dep_name(d) for d in STRUCTURED_TYPES)))
+             excluded_deps=",".join(dep_name(d) for d in STRUCTURED_TYPES)))
     )
     return [(label, _run_row(cfg, train_docs, dev_docs, schema))
             for label, cfg in rows]
 
 
+#: Per row, the mode and the bias-term toggles it turns off; every other
+#: toggle takes the mode's default.
 TERM_ROWS = (
-    ("baseline", dict(mode="none", bias_core=False, bias_query=False,
-                      bias_key=False, bias_prior=False)),
-    ("prior", dict(mode="decomp", bias_core=False, bias_query=False,
-                   bias_key=False, bias_prior=True)),
-    ("key_conditioned", dict(mode="decomp", bias_core=False, bias_query=False,
-                             bias_key=True, bias_prior=False)),
-    ("query_conditioned", dict(mode="decomp", bias_core=False, bias_query=True,
-                               bias_key=False, bias_prior=False)),
-    ("decomp", dict(mode="decomp", bias_core=False, bias_query=True,
-                    bias_key=True, bias_prior=True)),
-    ("biaffine_core", dict(mode="biaffine", bias_core=True, bias_query=False,
-                           bias_key=False, bias_prior=False)),
-    ("biaffine", dict(mode="biaffine", bias_core=True, bias_query=False,
-                      bias_key=False, bias_prior=True)),
+    ("baseline", dict(mode="none")),
+    ("prior", dict(mode="decomp", bias_query=False, bias_key=False)),
+    ("key_conditioned", dict(mode="decomp", bias_query=False,
+                             bias_prior=False)),
+    ("query_conditioned", dict(mode="decomp", bias_key=False,
+                               bias_prior=False)),
+    ("decomp", dict(mode="decomp")),
+    ("biaffine_core", dict(mode="biaffine", bias_prior=False)),
+    ("biaffine", dict(mode="biaffine")),
 )
 
 
@@ -367,9 +360,10 @@ def ablate_bias_terms(config: ModelConfig, train_docs, dev_docs,
                       ) -> list[tuple[str, EvalReport]]:
     """One run per bias-term configuration, from the unbiased baseline to
     the full biaffine and decomposed forms."""
+    unset = dict.fromkeys(TOGGLES)
     return [
-        (label, _run_row(config.replace(**changes), train_docs, dev_docs,
-                         schema))
+        (label, _run_row(config.replace(**{**unset, **changes}), train_docs,
+                         dev_docs, schema))
         for label, changes in TERM_ROWS
     ]
 
@@ -378,15 +372,11 @@ def ablate_layers(config: ModelConfig, train_docs, dev_docs,
                   ks: Sequence[int],
                   schema: Optional[Sequence[str]] = None,
                   ) -> list[tuple[int, float]]:
-    """F1 when only the top k blocks receive structural bias."""
-    curve = []
-    for k in ks:
-        if not 0 <= k <= config.layers:
-            raise ValueError(f"top-{k} is outside the {config.layers}-layer stack")
-        cfg = config.replace(structured_layers=f"top:{k}")
-        report = _run_row(cfg, train_docs, dev_docs, schema)
-        curve.append((k, report.f1))
-    return curve
+    """F1 when only the top k blocks receive structural bias.  Every row's
+    config is built, and so checked, before the first row trains."""
+    rows = [(k, config.replace(structured_layers=f"top:{k}")) for k in ks]
+    return [(k, _run_row(cfg, train_docs, dev_docs, schema).f1)
+            for k, cfg in rows]
 
 
 def render_ablation_table(rows: list[tuple[str, EvalReport]]) -> str:
@@ -416,7 +406,6 @@ CHECKPOINT_FILE = "checkpoint.bin"
 LOG_FILE = "train_log.tsv"
 REPORT_FILE = "dev_report.txt"
 PREDICTIONS_FILE = "predictions.tsv"
-HEATMAP_FILE = "bias_heatmap.tsv"
 
 
 def save_run(run_dir, result: TrainResult) -> None:

@@ -34,12 +34,7 @@ from .autodiff import (
 from .batching import EncodedDocument
 from .config import ModelConfig
 from .corpus import Vocabulary
-from .encoder import (
-    BiasRecorder,
-    EncoderConfig,
-    encoder_forward,
-    init_encoder_params,
-)
+from .encoder import BiasRecorder, encoder_forward, init_encoder_params
 
 #: Symmetric distance-bucket boundaries; index 9 is distance zero, positive
 #: distances grow to the right, negative mirror to the left.
@@ -90,14 +85,6 @@ class RelationExtractor:
         self.etype_to_index = {t: i for i, t in enumerate(self.etype_labels)}
         self.schema = list(schema)
         self.rel_to_index = {r: i for i, r in enumerate(self.schema)}
-        self.encoder_cfg = EncoderConfig(
-            n_layers=cfg.layers,
-            n_heads=cfg.heads,
-            d_model=cfg.d_model,
-            ffn_mult=cfg.ffn_mult,
-            transformation=cfg.transformation(),
-            structured_layers=cfg.resolve_structured_layers(),
-        )
         self.store = ParameterStore()
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d_model
@@ -111,7 +98,7 @@ class RelationExtractor:
         n_coref = cfg.coref_cap + 1
         self.store.create("embed.coref",
                           xavier_uniform(rng, n_coref, d, (n_coref, d)))
-        init_encoder_params(self.store, rng, self.encoder_cfg)
+        init_encoder_params(self.store, rng, cfg)
         self.store.create(
             "head.dist",
             xavier_uniform(rng, N_DISTANCE_BUCKETS, cfg.d_dist,
@@ -175,8 +162,8 @@ class RelationExtractor:
     def forward(self, enc: EncodedDocument,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:
         x = self.embed_inputs(enc)
-        hidden = encoder_forward(self.store, x, enc.structure,
-                                 self.encoder_cfg, recorder=recorder)
+        hidden = encoder_forward(self.store, x, enc.structure, self.cfg,
+                                 recorder=recorder)
         if enc.n_entities < 2:
             return ForwardResult(enc.doc.doc_id, [], None, hidden)
         entities = self.pool_entities(hidden, enc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -46,48 +46,6 @@ STRUCTURED_TYPES = (
 
 
 @dataclass(frozen=True)
-class TokenAnnotation:
-    """Per-token view of sentence and mention membership.
-
-    ``entity_index`` and ``mention_index`` are either both present or both
-    absent; non-entity tokens carry neither.
-    """
-
-    sentence_index: int
-    entity_index: Optional[int] = None
-    mention_index: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.entity_index is None) != (self.mention_index is None):
-            raise ValueError(
-                "entity_index and mention_index must be both set or both absent"
-            )
-
-    @property
-    def in_mention(self) -> bool:
-        return self.entity_index is not None
-
-
-def classify_dependency(a: TokenAnnotation, b: TokenAnnotation) -> DependencyType:
-    """Classify the dependency between two tokens of the same document.
-
-    Total and symmetric: the decision table only consults sentence
-    equality, mention membership, and entity equality.
-    """
-    if a.in_mention and b.in_mention:
-        same_sentence = a.sentence_index == b.sentence_index
-        same_entity = a.entity_index == b.entity_index
-        if same_entity:
-            return DependencyType.INTRA_COREF if same_sentence else DependencyType.INTER_COREF
-        return DependencyType.INTRA_RELATE if same_sentence else DependencyType.INTER_RELATE
-    if a.in_mention or b.in_mention:
-        if a.sentence_index == b.sentence_index:
-            return DependencyType.INTRA_NE
-        return DependencyType.NA
-    return DependencyType.NA
-
-
-@dataclass(frozen=True)
 class StructureMatrix:
     """n x n grid of dependency codes over a document's tokens."""
 
@@ -105,9 +63,6 @@ class StructureMatrix:
     def n(self) -> int:
         return self.codes.shape[0]
 
-    def dep(self, i: int, j: int) -> DependencyType:
-        return DependencyType(int(self.codes[i, j]))
-
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The non-NA cells in row-major order, as ``(rows, cols, types)``.
@@ -122,44 +77,23 @@ class StructureMatrix:
         return rows, cols, types
 
 
-def token_annotations(doc) -> list[TokenAnnotation]:
-    """Flatten a document into one annotation per token.
-
-    The document is checked by :func:`validate_document` first, which
-    names the offending mention of any bad span or overlap.
-    """
-    validate_document(doc)
-    n = doc.token_count()
-    sent_of = []
-    for s_idx, sent in enumerate(doc.sentences):
-        sent_of.extend([s_idx] * len(sent))
-    entity_of: list[Optional[int]] = [None] * n
-    mention_of: list[Optional[int]] = [None] * n
-    mention_counter = 0
-    for e_idx, entity in enumerate(doc.entities):
-        for mention in entity.mentions:
-            lo, hi = doc.global_span(mention)
-            for t in range(lo, hi):
-                entity_of[t] = e_idx
-                mention_of[t] = mention_counter
-            mention_counter += 1
-    return [
-        TokenAnnotation(sent_of[t], entity_of[t], mention_of[t]) for t in range(n)
-    ]
-
-
 def build_structure_matrix(doc) -> StructureMatrix:
     """Materialize the dependency grid for a document.
 
-    Vectorized over the same decision table as :func:`classify_dependency`.
+    The document is checked by :func:`validate_document` first, which
+    names the offending mention of any bad span or overlap.  The decision
+    table is evaluated for all pairs at once from two per-token arrays,
+    the sentence index and the entity index (-1 outside every mention).
     """
-    anns = token_annotations(doc)
-    n = len(anns)
-    sent = np.array([a.sentence_index for a in anns], dtype=np.int64)
-    ent = np.array(
-        [a.entity_index if a.entity_index is not None else -1 for a in anns],
-        dtype=np.int64,
-    )
+    validate_document(doc)
+    sent = np.repeat(np.arange(len(doc.sentences)),
+                     [len(s) for s in doc.sentences])
+    ent = np.full(doc.token_count(), -1, dtype=np.int64)
+    for e_idx, entity in enumerate(doc.entities):
+        for mention in entity.mentions:
+            lo, hi = doc.global_span(mention)
+            ent[lo:hi] = e_idx
+    n = len(ent)
     in_mention = ent >= 0
 
     same_sent = sent[:, None] == sent[None, :]
@@ -197,12 +131,6 @@ def apply_ablation(
     return StructureMatrix(m.doc_id, codes)
 
 
-def dependency_histogram(m: StructureMatrix) -> dict[DependencyType, int]:
-    """Count cells per dependency type; counts sum to n*n."""
-    counts = np.bincount(m.codes.ravel(), minlength=len(DependencyType))
-    return {dep: int(counts[dep.value]) for dep in DependencyType}
-
-
 # On-disk grid format: one tab-separated text header line "doc_id<TAB>n",
 # then n*n raw bytes, row-major, coded per DependencyType.
 
@@ -211,27 +139,3 @@ def write_grid(m: StructureMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(m.codes.astype(np.uint8).tobytes(order="C"))
-
-
-def read_grid(path) -> StructureMatrix:
-    with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated grid header")
-            if ch == b"\n":
-                break
-            header.extend(ch)
-        try:
-            doc_id, n_text = header.decode("utf-8").rsplit("\t", 1)
-            n = int(n_text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed grid header") from exc
-        body = fh.read(n * n)
-    if len(body) != n * n:
-        raise ValueError(f"{path}: expected {n * n} cells, found {len(body)}")
-    codes = np.frombuffer(body, dtype=np.uint8).reshape(n, n).astype(np.int8)
-    if codes.max(initial=0) >= len(DependencyType):
-        raise ValueError(f"{path}: cell value outside the dependency code range")
-    return StructureMatrix(doc_id, codes)

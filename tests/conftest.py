@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,9 @@ def random_document(rng: np.random.Generator, doc_id: str = "random") -> Documen
             if mentions:
                 entities.append(Entity("ENT", mentions))
     return Document(doc_id, sentences, tuple(entities), ())
+
+
+def raw_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Reference attention scores without structure: scaled query-key dot
+    products, (n, n), in the operation order of the encoder."""
+    return (q @ k.T) * (1.0 / math.sqrt(q.shape[-1]))

@@ -80,13 +80,20 @@ class TestParse:
         ("vertexSet", [5], "entity 0 is not a list"),
         ("vertexSet", [[1]], "entity 0 has a mention 1 that is not an object"),
         ("labels", "none", "field 'labels' is not a list"),
+        ("title", 5, "field 'title' is not a string"),
+        ("vertexSet", [[{"name": "Ada", "sent_id": 0, "pos": [0, 1],
+                         "type": 5}],
+                       [{"name": "math", "sent_id": 1, "pos": [2, 3],
+                         "type": "Y"}]],
+         "entity 0 has a type 5 that is not a string"),
     ])
     def test_wrong_json_type_names_file_and_doc(self, tmp_path, field, value,
                                                 message):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps([dict(MINIMAL_DOC, **{field: value})]))
+        doc = value if field == "title" else "'mini'"
         with pytest.raises(CorpusError,
-                           match=rf"typed\.json: doc 'mini': {message}"):
+                           match=rf"typed\.json: doc {doc}: {message}"):
             parse_corpus(path)
 
     @pytest.mark.parametrize("brk", ["\n", "\r"])

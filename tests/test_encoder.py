@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from structrel.autodiff import Parameter, ParameterStore, Tensor, grad_check
+from structrel.config import ModelConfig
 from structrel.encoder import (
     BiasRecord,
     BiasRecorder,
-    EncoderConfig,
-    Transformation,
-    TransformationError,
     attend,
     bias_param_prefix,
     encoder_forward,
     export_bias_heatmap,
     init_encoder_params,
     project_qkv,
-    raw_scores,
     structured_scores,
     type_bias,
 )
@@ -27,12 +24,19 @@ from structrel.structure import (
     build_structure_matrix,
 )
 
-from conftest import random_document
+from conftest import random_document, raw_scores
 
 D = DependencyType
 
 
-def make_store(cfg: EncoderConfig, seed: int = 0) -> ParameterStore:
+def encoder_config(mode="none", layers=1, heads=1, d_model=4,
+                   structured_layers="all", **toggles) -> ModelConfig:
+    return ModelConfig(layers=layers, heads=heads, d_model=d_model,
+                       mode=mode, structured_layers=structured_layers,
+                       **toggles)
+
+
+def make_store(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     store = ParameterStore()
     init_encoder_params(store, np.random.default_rng(seed), cfg)
     return store
@@ -66,7 +70,7 @@ def decomp_bias(q, k, qvec=None, kvec=None, b=None):
     return out
 
 
-def dense_bias(store, q, k, layer, head, tf, codes):
+def dense_bias(store, q, k, layer, head, cfg, codes):
     total = np.zeros(codes.shape)
     for dep in STRUCTURED_TYPES:
         prefix = f"layer{layer}.head{head}.bias.{dep.name.lower()}"
@@ -74,12 +78,13 @@ def dense_bias(store, q, k, layer, head, tf, codes):
         def param(suffix, on):
             return store[f"{prefix}.{suffix}"].values if on else None
 
-        if tf.biaffine_core:
-            term = biaffine_bias(q, k, param("A", True), param("b", tf.prior))
+        if cfg.bias_core:
+            term = biaffine_bias(q, k, param("A", True),
+                                 param("b", cfg.bias_prior))
         else:
-            term = decomp_bias(q, k, param("qvec", tf.query_conditioned),
-                               param("kvec", tf.key_conditioned),
-                               param("b", tf.prior))
+            term = decomp_bias(q, k, param("qvec", cfg.bias_query),
+                               param("kvec", cfg.bias_key),
+                               param("b", cfg.bias_prior))
         total += (codes == dep.value) * term
     return total
 
@@ -95,13 +100,6 @@ def randomize_bias_params(store, rng, scale=0.5):
             p.tensor.values = rng.normal(size=p.values.shape) * scale
 
 
-def single_head_store(tf: Transformation, d: int) -> ParameterStore:
-    cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=d, transformation=tf,
-                        structured_layers=frozenset({0}) if tf.active
-                        else frozenset())
-    return make_store(cfg)
-
-
 def set_param(store, dep, suffix, values):
     store[f"layer0.head0.bias.{dep.name.lower()}.{suffix}"].tensor.values = (
         np.asarray(values, dtype=float)
@@ -114,39 +112,47 @@ def one_cell(dep: DependencyType):
 
 
 BIAS_FORMS = [
-    Transformation.biaffine(core=True, prior=True),
-    Transformation.biaffine(core=True, prior=False),
-    Transformation.biaffine(core=False, prior=True),
+    dict(mode="biaffine", bias_core=True, bias_prior=True),
+    dict(mode="biaffine", bias_core=True, bias_prior=False),
+    dict(mode="biaffine", bias_core=False, bias_prior=True),
 ] + [
-    Transformation.decomp(query=qc, key=kc, prior=pr)
+    dict(mode="decomp", bias_query=qc, bias_key=kc, bias_prior=pr)
     for qc in (False, True) for kc in (False, True) for pr in (False, True)
     if qc or kc or pr
 ]
 
 
+def form_id(form: dict) -> str:
+    return "-".join(f"{k}={v}" for k, v in form.items())
+
+
 class TestTransformation:
     def test_mode_none_forces_toggles_off(self):
-        with pytest.raises(TransformationError):
-            Transformation("none", prior=True)
+        with pytest.raises(ValueError, match="admits no bias terms"):
+            ModelConfig(mode="none", bias_prior=True)
 
     def test_mode_term_compatibility(self):
-        with pytest.raises(TransformationError):
-            Transformation("biaffine", query_conditioned=True)
-        with pytest.raises(TransformationError):
-            Transformation("decomp", biaffine_core=True)
-        with pytest.raises(TransformationError):
-            Transformation("weird")
+        with pytest.raises(ValueError, match="belong to decomp"):
+            ModelConfig(mode="biaffine", bias_query=True)
+        with pytest.raises(ValueError, match="belongs to biaffine"):
+            ModelConfig(mode="decomp", bias_core=True)
+        with pytest.raises(ValueError, match="unknown transformation mode"):
+            ModelConfig(mode="weird")
 
     def test_active_flag(self):
-        assert not Transformation.none().active
-        assert Transformation.biaffine().active
-        assert not Transformation("biaffine").active  # no terms enabled
+        # a layer receives bias parameters only when some term is on
+        def has_bias(cfg):
+            return any(".bias." in p.name for p in make_store(cfg))
+
+        assert not has_bias(encoder_config("none"))
+        assert has_bias(encoder_config("biaffine"))
+        assert not has_bias(encoder_config("biaffine", bias_core=False,
+                                           bias_prior=False))
 
 
 class TestProjections:
     def test_identity_slice_projection(self):
-        cfg = EncoderConfig(n_layers=1, n_heads=2, d_model=4)
-        store = make_store(cfg)
+        store = make_store(encoder_config(heads=2, d_model=4))
         eye_slice = np.zeros((4, 2))
         eye_slice[0, 0] = eye_slice[1, 1] = 1.0
         store["layer0.head0.wq"].tensor.values = eye_slice.copy()
@@ -155,35 +161,35 @@ class TestProjections:
         assert np.array_equal(q.values, x.values[:, :2])
 
     def test_zero_input_gives_zero_qkv(self):
-        cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=4)
-        store = make_store(cfg)
+        store = make_store(encoder_config(d_model=4))
         q, k, v = project_qkv(store, Tensor(np.zeros((3, 4))), 0, 0)
         assert not q.values.any() and not k.values.any() and not v.values.any()
 
     def test_shapes(self):
-        cfg = EncoderConfig(n_layers=1, n_heads=2, d_model=8)
-        store = make_store(cfg)
+        store = make_store(encoder_config(heads=2, d_model=8))
         q, k, v = project_qkv(store, Tensor(np.random.default_rng(0).normal(size=(5, 8))), 0, 1)
         assert q.shape == k.shape == v.shape == (5, 4)
 
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            EncoderConfig(n_layers=1, n_heads=3, d_model=8)
-
 
 class TestRawScores:
+    # Without structure the scores are the scaled dot products.
+    @staticmethod
+    def scores(q, k):
+        cfg = encoder_config(d_model=q.shape[1])
+        return structured_scores(make_store(cfg), Tensor(q), Tensor(k),
+                                 all_na(q.shape[0]), 0, 0, cfg).values
+
     def test_zero_vectors(self):
-        e = raw_scores(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
-        assert not e.values.any()
+        assert not self.scores(np.zeros((2, 4)), np.zeros((2, 4))).any()
 
     def test_all_ones_d4(self):
-        q = Tensor(np.ones((1, 4)))
-        assert raw_scores(q, q).values[0, 0] == pytest.approx(2.0)
+        q = np.ones((1, 4))
+        assert self.scores(q, q)[0, 0] == pytest.approx(2.0)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(3)
         q, k = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        e = raw_scores(Tensor(q), Tensor(k)).values
+        e = self.scores(q, k)
         for i in range(5):
             for j in range(5):
                 assert e[i, j] == pytest.approx(
@@ -193,34 +199,34 @@ class TestRawScores:
 
 class TestBiasForms:
     def test_biaffine_zero_parameters(self):
-        tf = Transformation.biaffine()
-        store = single_head_store(tf, 2)
+        cfg = encoder_config("biaffine", d_model=2)
+        store = make_store(cfg)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
         for dep in STRUCTURED_TYPES:
-            out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+            out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
             assert out.values.tolist() == [0.0]
 
     def test_biaffine_identity_reduces_to_dot(self):
-        tf = Transformation.biaffine()
-        store = single_head_store(tf, 2)
+        cfg = encoder_config("biaffine", d_model=2)
+        store = make_store(cfg)
         dep = D.INTER_COREF
         set_param(store, dep, "A", np.eye(2))
         set_param(store, dep, "b", 0.5)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+        out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
         assert out.values[0] == pytest.approx(11.5)
 
     def test_biaffine_matches_triple_loop(self):
         rng = np.random.default_rng(9)
-        tf = Transformation.biaffine()
-        store = single_head_store(tf, 3)
+        cfg = encoder_config("biaffine", d_model=3)
+        store = make_store(cfg)
         randomize_bias_params(store, rng, scale=1.0)
         q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         codes = rng.integers(1, 6, size=(4, 4)).astype(np.int8)
         S = StructureMatrix("s", codes)
-        out = type_bias(store, Tensor(q), Tensor(k), 0, 0, S.cells, tf).values
+        out = type_bias(store, Tensor(q), Tensor(k), 0, 0, S.cells, cfg).values
         for c, (i, j) in enumerate(zip(*S.cells[:2])):
-            prefix = f"layer0.head0.bias.{S.dep(i, j).name.lower()}"
+            prefix = f"layer0.head0.bias.{D(codes[i, j]).name.lower()}"
             A, b = store[f"{prefix}.A"].values, store[f"{prefix}.b"].values
             expect = sum(
                 q[i, a] * A[a, e] * k[j, e]
@@ -230,98 +236,98 @@ class TestBiasForms:
             assert out[c] == pytest.approx(expect, rel=1e-12)
 
     def test_decomp_all_zero(self):
-        tf = Transformation.decomp()
-        store = single_head_store(tf, 2)
+        cfg = encoder_config("decomp", d_model=2)
+        store = make_store(cfg)
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
         for dep in STRUCTURED_TYPES:
-            out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+            out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
             assert out.values.tolist() == [0.0]
 
     def test_decomp_worked_example(self):
         # query side dotted with [1,1], key side with [0,1]:
         # (1 + 2) + 4 + 0 = 7
-        tf = Transformation.decomp()
-        store = single_head_store(tf, 2)
+        cfg = encoder_config("decomp", d_model=2)
+        store = make_store(cfg)
         dep = D.INTRA_NE
         set_param(store, dep, "qvec", [[1.0], [1.0]])
         set_param(store, dep, "kvec", [[0.0], [1.0]])
         q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = type_bias(store, q, k, 0, 0, one_cell(dep), tf)
+        out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
         assert out.values[0] == pytest.approx(7.0)
 
     def test_decomp_prior_only_is_constant(self):
         rng = np.random.default_rng(1)
-        tf = Transformation.decomp(query=False, key=False, prior=True)
-        store = single_head_store(tf, 2)
+        cfg = encoder_config("decomp", d_model=2, bias_query=False,
+                             bias_key=False)
+        store = make_store(cfg)
         for dep in STRUCTURED_TYPES:
             set_param(store, dep, "b", 0.3)
         q, k = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
         S = StructureMatrix("s", rng.integers(1, 6, size=(3, 3)))
-        out = type_bias(store, q, k, 0, 0, S.cells, tf)
+        out = type_bias(store, q, k, 0, 0, S.cells, cfg)
         assert out.shape == (9,)
         assert out.values == pytest.approx(0.3)
 
     def test_decomp_without_any_term_rejected(self):
-        tf = Transformation("decomp")
-        store = single_head_store(tf, 2)
-        with pytest.raises(TransformationError):
+        cfg = encoder_config("decomp", d_model=2, bias_query=False,
+                             bias_key=False, bias_prior=False)
+        store = make_store(cfg)
+        with pytest.raises(ValueError, match="no term enabled"):
             type_bias(store, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), 0, 0,
-                      one_cell(D.INTRA_NE), tf)
+                      one_cell(D.INTRA_NE), cfg)
 
     def test_na_rejected(self, monkeypatch):
         # NA cells never reach type_bias: it sees exactly the non-NA cells,
         # each with its own type index
         import structrel.encoder as encoder_module
 
-        tf = Transformation.biaffine()
-        store = single_head_store(tf, 4)
+        cfg = encoder_config("biaffine", d_model=4)
+        store = make_store(cfg)
         rng = np.random.default_rng(4)
         codes = random_symmetric_codes(rng, 7)
         codes[0, :] = codes[:, 0] = D.NA
         S = StructureMatrix("s", codes)
         seen = []
 
-        def spy(store, q, k, layer, head, cells, tf):
+        def spy(store, q, k, layer, head, cells, cfg):
             seen.append(cells)
-            return type_bias(store, q, k, layer, head, cells, tf)
+            return type_bias(store, q, k, layer, head, cells, cfg)
 
         monkeypatch.setattr(encoder_module, "type_bias", spy)
         q = Tensor(rng.normal(size=(7, 4)))
-        structured_scores(store, q, q, S, 0, 0, tf)
+        structured_scores(store, q, q, S, 0, 0, cfg)
         (rows, cols, types), = seen
         assert rows.size == np.count_nonzero(codes)
         assert np.all(codes[rows, cols] != D.NA)
         assert np.array_equal(codes[rows, cols], types + 1)
-        with pytest.raises(TransformationError, match="NA"):
+        with pytest.raises(ValueError, match="NA"):
             bias_param_prefix(0, 0, D.NA)
 
 
 class TestStructuredScores:
-    def _setup(self, mode: Transformation, seed=0, n=6, d=4):
-        cfg = EncoderConfig(
-            n_layers=1, n_heads=1, d_model=d, transformation=mode,
-            structured_layers=frozenset({0}) if mode.active else frozenset(),
-        )
+    def _setup(self, mode: str, seed=0, n=6, d=4):
+        cfg = encoder_config(mode, d_model=d)
         store = make_store(cfg, seed)
         rng = np.random.default_rng(seed + 100)
         q = Tensor(rng.normal(size=(n, d)))
         k = Tensor(rng.normal(size=(n, d)))
-        return store, q, k, StructureMatrix("s", random_symmetric_codes(rng, n))
+        S = StructureMatrix("s", random_symmetric_codes(rng, n))
+        return cfg, store, q, k, S
 
     def test_mode_none_equals_raw(self):
-        store, q, k, S = self._setup(Transformation.none())
-        scores = structured_scores(store, q, k, S, 0, 0, Transformation.none())
-        assert scores.values.tobytes() == raw_scores(q, k).values.tobytes()
+        cfg, store, q, k, S = self._setup("none")
+        scores = structured_scores(store, q, k, S, 0, 0, cfg)
+        assert scores.values.tobytes() == raw_scores(q.values,
+                                                     k.values).tobytes()
 
     def test_zero_init_parameters_equal_raw(self):
-        store, q, k, S = self._setup(Transformation.biaffine())
-        scores = structured_scores(store, q, k, S, 0, 0,
-                                   Transformation.biaffine())
-        assert scores.values.tobytes() == raw_scores(q, k).values.tobytes()
+        cfg, store, q, k, S = self._setup("biaffine")
+        scores = structured_scores(store, q, k, S, 0, 0, cfg)
+        assert scores.values.tobytes() == raw_scores(q.values,
+                                                     k.values).tobytes()
 
     def test_all_na_bypasses_trained_parameters(self):
-        tf = Transformation.biaffine()
-        store, q, k, _ = self._setup(tf)
+        cfg, store, q, k, _ = self._setup("biaffine")
         rng = np.random.default_rng(77)
         for dep in STRUCTURED_TYPES:
             store[f"layer0.head0.bias.{dep.name.lower()}.A"].tensor.values = (
@@ -330,49 +336,47 @@ class TestStructuredScores:
             store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values = (
                 np.array(rng.normal())
             )
-        scores = structured_scores(store, q, k, all_na(6), 0, 0, tf)
-        assert scores.values.tobytes() == raw_scores(q, k).values.tobytes()
+        scores = structured_scores(store, q, k, all_na(6), 0, 0, cfg)
+        assert scores.values.tobytes() == raw_scores(q.values,
+                                                     k.values).tobytes()
 
     def test_bias_lands_only_on_matching_cells(self):
-        tf = Transformation.biaffine()
-        store, q, k, S = self._setup(tf, seed=5)
-        base = structured_scores(store, q, k, S, 0, 0, tf).values
+        cfg, store, q, k, S = self._setup("biaffine", seed=5)
+        base = structured_scores(store, q, k, S, 0, 0, cfg).values
         delta = 0.37
         dep = D.INTRA_RELATE
         store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values += delta
-        bumped = structured_scores(store, q, k, S, 0, 0, tf).values
+        bumped = structured_scores(store, q, k, S, 0, 0, cfg).values
         diff = bumped - base
         mask = S.codes == dep.value
         assert np.allclose(diff[mask], delta / math.sqrt(4))
         assert np.allclose(diff[~mask], 0.0)
 
-    @pytest.mark.parametrize("tf", BIAS_FORMS, ids=lambda tf: repr(tf))
-    def test_matches_dense_reference(self, tf):
+    @pytest.mark.parametrize("form", BIAS_FORMS, ids=form_id)
+    def test_matches_dense_reference(self, form):
         for seed in range(4):
             rng = np.random.default_rng(seed)
             n, d = int(rng.integers(3, 12)), 6
-            cfg = EncoderConfig(n_layers=2, n_heads=2, d_model=2 * d,
-                                transformation=tf,
-                                structured_layers=frozenset({1}))
+            cfg = encoder_config(layers=2, heads=2, d_model=2 * d,
+                                 structured_layers="1", **form)
             store = make_store(cfg, seed)
             randomize_bias_params(store, rng)
             codes = random_symmetric_codes(rng, n)
             q, k = rng.normal(size=(n, d)), rng.normal(size=(n, d))
             got = structured_scores(store, Tensor(q), Tensor(k),
-                                    StructureMatrix("s", codes), 1, 1, tf)
-            expect = (q @ k.T + dense_bias(store, q, k, 1, 1, tf, codes)) / (
+                                    StructureMatrix("s", codes), 1, 1, cfg)
+            expect = (q @ k.T + dense_bias(store, q, k, 1, 1, cfg, codes)) / (
                 math.sqrt(d))
             np.testing.assert_allclose(got.values, expect, rtol=1e-12,
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("tf", [Transformation.biaffine(),
-                                    Transformation.decomp()])
-    def test_recorder_means_match_dense(self, tf):
-        store, q, k, S = self._setup(tf, seed=3, n=9)
+    @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
+    def test_recorder_means_match_dense(self, mode):
+        cfg, store, q, k, S = self._setup(mode, seed=3, n=9)
         randomize_bias_params(store, np.random.default_rng(8))
         recorder = BiasRecorder()
-        structured_scores(store, q, k, S, 0, 0, tf, recorder=recorder)
-        dense = dense_bias(store, q.values, k.values, 0, 0, tf, S.codes)
+        structured_scores(store, q, k, S, 0, 0, cfg, recorder=recorder)
+        dense = dense_bias(store, q.values, k.values, 0, 0, cfg, S.codes)
         present = [dep for dep in STRUCTURED_TYPES
                    if np.any(S.codes == dep.value)]
         assert [rec.dependency for rec in recorder.records] == present
@@ -383,10 +387,9 @@ class TestStructuredScores:
                                                   rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        store, q, k, _ = self._setup(Transformation.none())
+        cfg, store, q, k, _ = self._setup("none")
         with pytest.raises(ValueError, match="tokens"):
-            structured_scores(store, q, k, all_na(3), 0, 0,
-                              Transformation.none())
+            structured_scores(store, q, k, all_na(3), 0, 0, cfg)
 
 
 class TestAttend:
@@ -416,7 +419,7 @@ class TestEncoderForward:
     def test_single_block_hand_trace(self):
         # one layer, one head, bias mode off, FFN forced to zero: the output
         # must equal LN(LN(x + attention(x))) computed with plain numpy
-        cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=2)
+        cfg = encoder_config(d_model=2)
         store = make_store(cfg, seed=4)
         for name in ("ffn.w1", "ffn.w2", "ffn.b1", "ffn.b2"):
             store[f"layer0.{name}"].tensor.values[...] = 0.0
@@ -444,12 +447,9 @@ class TestEncoderForward:
         S = fixture_structure(two_sentence_doc)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(S.n, 8))
-        cfg_none = EncoderConfig(n_layers=2, n_heads=2, d_model=8)
-        cfg_empty = EncoderConfig(
-            n_layers=2, n_heads=2, d_model=8,
-            transformation=Transformation.biaffine(),
-            structured_layers=frozenset(),
-        )
+        cfg_none = encoder_config(layers=2, heads=2, d_model=8)
+        cfg_empty = encoder_config("biaffine", layers=2, heads=2, d_model=8,
+                                   structured_layers="none")
         out_none = encoder_forward(make_store(cfg_none, 3), Tensor(x), S,
                                    cfg_none).values
         out_empty = encoder_forward(make_store(cfg_empty, 3), Tensor(x), S,
@@ -460,12 +460,9 @@ class TestEncoderForward:
         # mode none / zero-init biaffine / all-NA structure with trained
         # parameters agree bitwise on random inputs
         S = fixture_structure(two_sentence_doc)
-        cfg_none = EncoderConfig(n_layers=2, n_heads=2, d_model=8)
-        cfg_bi = EncoderConfig(
-            n_layers=2, n_heads=2, d_model=8,
-            transformation=Transformation.biaffine(),
-            structured_layers=frozenset({0, 1}),
-        )
+        cfg_none = encoder_config(layers=2, heads=2, d_model=8)
+        cfg_bi = encoder_config("biaffine", layers=2, heads=2, d_model=8,
+                                structured_layers="0,1")
         store_none = make_store(cfg_none, 12)
         store_zero = make_store(cfg_bi, 12)
         store_trained = make_store(cfg_bi, 12)
@@ -483,11 +480,8 @@ class TestEncoderForward:
 
     def test_only_structured_layers_emit_records(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
-        cfg = EncoderConfig(
-            n_layers=3, n_heads=2, d_model=8,
-            transformation=Transformation.biaffine(),
-            structured_layers=frozenset({2}),
-        )
+        cfg = encoder_config("biaffine", layers=3, heads=2, d_model=8,
+                             structured_layers="2")
         store = make_store(cfg, 2)
         recorder = BiasRecorder()
         encoder_forward(store, Tensor(np.zeros((S.n, 8))), S, cfg,
@@ -497,11 +491,8 @@ class TestEncoderForward:
 
     def test_permutation_consistency(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
-        cfg = EncoderConfig(
-            n_layers=2, n_heads=2, d_model=8,
-            transformation=Transformation.biaffine(),
-            structured_layers=frozenset({0, 1}),
-        )
+        cfg = encoder_config("biaffine", layers=2, heads=2, d_model=8,
+                             structured_layers="0,1")
         store = make_store(cfg, 21)
         rng = np.random.default_rng(31)
         for p in store:
@@ -519,11 +510,9 @@ class TestEncoderForward:
 
         S = fixture_structure(two_sentence_doc)
         readout = np.random.default_rng(55).normal(size=(S.n, 8))
-        for tf in (Transformation.biaffine(), Transformation.decomp()):
-            cfg = EncoderConfig(
-                n_layers=2, n_heads=2, d_model=8, transformation=tf,
-                structured_layers=frozenset({0, 1}),
-            )
+        for mode in ("biaffine", "decomp"):
+            cfg = encoder_config(mode, layers=2, heads=2, d_model=8,
+                                 structured_layers="0,1")
             store = make_store(cfg, 33)
             rng = np.random.default_rng(44)
             for p in store:
@@ -537,7 +526,7 @@ class TestEncoderForward:
                 return sum_all(mul(out, constant(readout)))
 
             err = grad_check(build, params, max_elements_per_param=6)
-            assert err < 1e-4, f"{tf.mode}: {err}"
+            assert err < 1e-4, f"{mode}: {err}"
 
 
 class TestBiasRecordsAndHeatmap:
@@ -568,11 +557,8 @@ class TestBiasRecordsAndHeatmap:
 
     def test_zero_init_model_records_all_zero(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
-        cfg = EncoderConfig(
-            n_layers=2, n_heads=2, d_model=8,
-            transformation=Transformation.biaffine(),
-            structured_layers=frozenset({0, 1}),
-        )
+        cfg = encoder_config("biaffine", layers=2, heads=2, d_model=8,
+                             structured_layers="0,1")
         store = make_store(cfg, 1)
         recorder = BiasRecorder()
         encoder_forward(store, Tensor(np.ones((S.n, 8))), S, cfg,

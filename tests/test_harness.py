@@ -5,17 +5,17 @@ import zlib
 import numpy as np
 import pytest
 
-from structrel.autodiff import Tensor
+from structrel.autodiff import Tensor, add
 from structrel.batching import TruncationWarning
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
-from structrel.encoder import Transformation
 from structrel.harness import (
     DivergenceError,
     _backward_batch,
     _encode,
     _forward_docs,
     _gold_facts,
+    ablate_bias_terms,
     ablate_dependencies,
     ablate_layers,
     build_model,
@@ -31,6 +31,8 @@ from structrel.metrics import evaluate_facts, f1_score
 from structrel.model import PredictedFact, RelationExtractor
 from structrel.synth import SynthSpec, generate_synthetic
 
+from conftest import raw_scores
+
 A = ("docA", 0, 1, "r0")
 B = ("docA", 1, 2, "r0")
 C = ("docB", 0, 1, "r1")
@@ -42,6 +44,10 @@ def small_config(**kwargs) -> ModelConfig:
                     mode="biaffine")
     defaults.update(kwargs)
     return ModelConfig(**defaults)
+
+
+def toggles(cfg: ModelConfig) -> tuple[bool, bool, bool, bool]:
+    return cfg.bias_core, cfg.bias_query, cfg.bias_key, cfg.bias_prior
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +159,7 @@ class TestPerDocumentBackward:
                   for enc in encodings]
         total = losses[0]
         for extra in losses[1:]:
-            total = total + extra
+            total = add(total, extra)
         mean_loss = total * (1.0 / len(losses))
         mean_loss.backward()
         expect = {p.name: p.tensor.grad.copy() for p in optimizer.params}
@@ -500,16 +506,42 @@ class TestAblations:
         with pytest.raises(ValueError):
             ablate_layers(small_config(), train_docs, dev_docs, ks=[5])
 
+    def test_term_rows_take_the_mode_defaults(self, monkeypatch):
+        # Each row states only the toggles it turns off; the rest take the
+        # mode's default, whatever the base config says.
+        import structrel.harness as harness_module
+
+        monkeypatch.setattr(harness_module, "_run_row",
+                            lambda cfg, *args: cfg)
+        rows = ablate_bias_terms(small_config(mode="decomp", bias_key=False),
+                                 [], [])
+        assert {label: toggles(cfg) for label, cfg in rows} == {
+            "baseline": (False, False, False, False),
+            "prior": (False, False, False, True),
+            "key_conditioned": (False, False, True, False),
+            "query_conditioned": (False, True, False, False),
+            "decomp": (False, True, True, True),
+            "biaffine_core": (True, False, False, False),
+            "biaffine": (True, False, False, True),
+        }
+
+    def test_bad_k_rejected_before_any_training(self, tiny_corpus,
+                                                monkeypatch):
+        import structrel.harness as harness_module
+
+        calls = []
+        monkeypatch.setattr(harness_module, "train",
+                            lambda *args, **kwargs: calls.append(args))
+        train_docs, dev_docs = tiny_corpus
+        with pytest.raises(ValueError, match="top:5 exceeds"):
+            ablate_layers(small_config(), train_docs, dev_docs, ks=[0, 5])
+        assert calls == []
+
 
 class TestBiasTermLinearity:
     def test_full_decomp_equals_sum_of_single_terms(self, two_sentence_doc):
         from structrel.autodiff import ParameterStore
-        from structrel.encoder import (
-            EncoderConfig,
-            init_encoder_params,
-            raw_scores,
-            structured_scores,
-        )
+        from structrel.encoder import init_encoder_params, structured_scores
         from structrel.structure import build_structure_matrix
 
         S = build_structure_matrix(two_sentence_doc)
@@ -517,10 +549,9 @@ class TestBiasTermLinearity:
         q = Tensor(rng.normal(size=(S.n, 4)))
         k = Tensor(rng.normal(size=(S.n, 4)))
 
-        def bias_matrix(tf):
-            cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=4,
-                                transformation=tf,
-                                structured_layers=frozenset({0}))
+        def bias_matrix(**terms):
+            cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
+                              **terms)
             store = ParameterStore()
             init_encoder_params(store, np.random.default_rng(0), cfg)
             prng = np.random.default_rng(123)
@@ -530,46 +561,38 @@ class TestBiasTermLinearity:
                 qv = prng.normal(size=(4, 1))
                 kv = prng.normal(size=(4, 1))
                 b = prng.normal()
-                if tf.query_conditioned:
+                if cfg.bias_query:
                     store[f"{prefix}.qvec"].tensor.values = qv
-                if tf.key_conditioned:
+                if cfg.bias_key:
                     store[f"{prefix}.kvec"].tensor.values = kv
-                if tf.prior:
+                if cfg.bias_prior:
                     store[f"{prefix}.b"].tensor.values = np.array(b)
-            scores = structured_scores(store, q, k, S, 0, 0, tf)
-            return (scores.values - raw_scores(q, k).values) * math.sqrt(4)
+            scores = structured_scores(store, q, k, S, 0, 0, cfg)
+            raw = raw_scores(q.values, k.values)
+            return (scores.values - raw) * math.sqrt(4)
 
-        full = bias_matrix(Transformation.decomp())
-        q_only = bias_matrix(Transformation.decomp(query=True, key=False,
-                                                   prior=False))
-        k_only = bias_matrix(Transformation.decomp(query=False, key=True,
-                                                   prior=False))
-        p_only = bias_matrix(Transformation.decomp(query=False, key=False,
-                                                   prior=True))
+        full = bias_matrix()
+        q_only = bias_matrix(bias_key=False, bias_prior=False)
+        k_only = bias_matrix(bias_query=False, bias_prior=False)
+        p_only = bias_matrix(bias_query=False, bias_key=False)
         assert np.allclose(full, q_only + k_only + p_only, atol=1e-12)
 
     def test_prior_frozen_at_zero_equals_baseline(self, two_sentence_doc):
         from structrel.autodiff import ParameterStore
-        from structrel.encoder import (
-            EncoderConfig,
-            init_encoder_params,
-            raw_scores,
-            structured_scores,
-        )
+        from structrel.encoder import init_encoder_params, structured_scores
         from structrel.structure import build_structure_matrix
 
         S = build_structure_matrix(two_sentence_doc)
         rng = np.random.default_rng(2)
         q = Tensor(rng.normal(size=(S.n, 4)))
         k = Tensor(rng.normal(size=(S.n, 4)))
-        tf = Transformation.decomp(query=False, key=False, prior=True)
-        cfg = EncoderConfig(n_layers=1, n_heads=1, d_model=4,
-                            transformation=tf,
-                            structured_layers=frozenset({0}))
+        cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
+                          bias_query=False, bias_key=False)
         store = ParameterStore()
         init_encoder_params(store, np.random.default_rng(0), cfg)
-        scores = structured_scores(store, q, k, S, 0, 0, tf)
-        assert scores.values.tobytes() == raw_scores(q, k).values.tobytes()
+        scores = structured_scores(store, q, k, S, 0, 0, cfg)
+        assert scores.values.tobytes() == raw_scores(q.values,
+                                                     k.values).tobytes()
 
 
 class TestRunDirectory:
@@ -612,12 +635,38 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("layers = abc",
+         r"config\.txt:2: layers: invalid literal for int\(\)"),
+        ("threshold = 2",
+         r"config\.txt: threshold must lie in \(0, 1\), got 2\.0"),
+        ("structured_layers = 0,,1",
+         r"config\.txt: structured_layers: malformed spec '0,,1'"),
+        ("structured_layers = top:x",
+         r"config\.txt: structured_layers: malformed spec 'top:x'"),
+    ])
+    def test_bad_value_names_file_and_place(self, tmp_path, line, message):
+        path = tmp_path / "config.txt"
+        path.write_text(f"mode = decomp\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+    @pytest.mark.parametrize("spec", ["0,,1", "top:x", "top:"])
+    def test_malformed_structured_layers_names_field_and_spec(self, spec):
+        with pytest.raises(ValueError,
+                           match=f"structured_layers: malformed spec {spec!r}"):
+            ModelConfig(structured_layers=spec)
+
     def test_mode_defaults(self):
-        assert ModelConfig(mode="none").transformation() == Transformation.none()
-        biaffine = ModelConfig(mode="biaffine").transformation()
-        assert biaffine.biaffine_core and biaffine.prior
-        decomp = ModelConfig(mode="decomp").transformation()
-        assert decomp.query_conditioned and decomp.key_conditioned and decomp.prior
+        assert toggles(ModelConfig(mode="none")) == (False,) * 4
+        assert toggles(ModelConfig(mode="biaffine")) == (True, False, False,
+                                                         True)
+        assert toggles(ModelConfig(mode="decomp")) == (False, True, True,
+                                                       True)
+
+    def test_indivisible_heads_rejected(self):
+        with pytest.raises(ValueError, match="divisible"):
+            ModelConfig(heads=3, d_model=8)
 
     def test_structured_layer_parsing(self):
         cfg = ModelConfig(layers=4, structured_layers="top:2")
