@@ -88,12 +88,12 @@ def build_structure_matrix(doc) -> StructureMatrix:
     validate_document(doc)
     sent = np.repeat(np.arange(len(doc.sentences)),
                      [len(s) for s in doc.sentences])
-    ent = np.full(doc.token_count(), -1, dtype=np.int64)
+    n = doc.token_count()
+    ent = np.full(n, -1, dtype=np.int64)
     for e_idx, entity in enumerate(doc.entities):
         for mention in entity.mentions:
             lo, hi = doc.global_span(mention)
             ent[lo:hi] = e_idx
-    n = len(ent)
     in_mention = ent >= 0
 
     same_sent = sent[:, None] == sent[None, :]

@@ -651,12 +651,6 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=message):
             load_config(path)
 
-    @pytest.mark.parametrize("spec", ["0,,1", "top:x", "top:"])
-    def test_malformed_structured_layers_names_field_and_spec(self, spec):
-        with pytest.raises(ValueError,
-                           match=f"structured_layers: malformed spec {spec!r}"):
-            ModelConfig(structured_layers=spec)
-
     def test_mode_defaults(self):
         assert toggles(ModelConfig(mode="none")) == (False,) * 4
         assert toggles(ModelConfig(mode="biaffine")) == (True, False, False,
