@@ -12,6 +12,7 @@ finite-difference checks tight.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -156,17 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    out = Tensor(a.values * factor, (a,))
-
-    def _backward(grad):
-        a._accumulate(grad * factor)
-
-    out._backward = _backward
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(
@@ -179,18 +169,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _backward(grad):
         a._accumulate(grad @ b.values.T)
         b._accumulate(a.values.T @ grad)
-
-    out._backward = _backward
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {a.shape}")
-    out = Tensor(a.values.T, (a,))
-
-    def _backward(grad):
-        a._accumulate(grad.T)
 
     out._backward = _backward
     return out
@@ -256,23 +234,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis of a matrix."""
-    if a.values.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got {a.shape}")
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    values = exp / exp.sum(axis=-1, keepdims=True)
-    out = Tensor(values, (a,))
-
-    def _backward(grad):
-        inner = (grad * values).sum(axis=-1, keepdims=True)
-        a._accumulate(values * (grad - inner))
-
-    out._backward = _backward
-    return out
-
-
 def take_rows(table: Tensor, indices) -> Tensor:
     """Row gather (embedding lookup); backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -292,71 +253,6 @@ def take_rows(table: Tensor, indices) -> Tensor:
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
         g = np.bincount(flat, weights=grad.ravel(), minlength=rows * width)
         table._accumulate(g.reshape(rows, width))
-
-    out._backward = _backward
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.values.reshape(shape), (a,))
-
-    def _backward(grad):
-        a._accumulate(grad.reshape(a.shape))
-
-    out._backward = _backward
-    return out
-
-
-def _cell_index(op: str, shape: tuple[int, ...], rows, cols) -> np.ndarray:
-    """Flat row-major positions of the cells ``(rows[i], cols[i])``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if len(shape) != 2:
-        raise ShapeError(f"{op} expects a matrix, got {shape}")
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ShapeError(
-            f"{op}: rows {rows.shape} and cols {cols.shape} must be equal 1-d"
-        )
-    if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
-                      or cols.min() < 0 or cols.max() >= shape[1]):
-        raise ShapeError(f"{op}: cell out of range for a {shape} matrix")
-    return rows * shape[1] + cols
-
-
-def take_cells(table: Tensor, rows, cols) -> Tensor:
-    """Gather ``table[rows[i], cols[i]]`` into a vector; backward
-    scatter-adds, so cells may repeat."""
-    flat = _cell_index("take_cells", table.shape, rows, cols)
-    out = Tensor(table.values.reshape(-1)[flat], (table,))
-
-    def _backward(grad):
-        g = np.bincount(flat, weights=grad, minlength=table.values.size)
-        table._accumulate(g.reshape(table.shape))
-
-    out._backward = _backward
-    return out
-
-
-def scatter_cells(values: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
-    """Place ``values[i]`` at ``(rows[i], cols[i])`` of a zero matrix.
-
-    The cells must be distinct; backward gathers them.
-    """
-    flat = _cell_index("scatter_cells", shape, rows, cols)
-    if values.shape != flat.shape:
-        raise ShapeError(
-            f"scatter_cells: {values.shape} values for {flat.size} cells"
-        )
-    hit = np.zeros(shape[0] * shape[1], dtype=bool)
-    hit[flat] = True
-    if np.count_nonzero(hit) != flat.size:
-        raise ShapeError("scatter_cells: cells repeat")
-    dense = np.zeros(shape[0] * shape[1])
-    dense[flat] = values.values
-    out = Tensor(dense.reshape(shape), (values,))
-
-    def _backward(grad):
-        values._accumulate(grad.reshape(-1)[flat])
 
     out._backward = _backward
     return out
@@ -625,7 +521,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: entry name is not UTF-8") from exc
             shape = tuple(read_u32() for _ in range(read_u32()))
-            n_items = int(np.prod(shape)) if shape else 1
+            n_items = math.prod(shape)
             data = read(n_items * 8)
             arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return arrays

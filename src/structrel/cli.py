@@ -198,13 +198,23 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _flag_int(flag: str, text: str) -> int:
+    """One integer of a comma-list flag; a part that is not one names the
+    flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text.strip()!r} is not an integer") from None
+
+
 def _cmd_synth(args) -> int:
     lo, _, hi = args.sentence_len.partition(",")
     spec = SynthSpec(
         n_docs=args.n_docs,
         vocab_size=args.vocab_size,
         entities_per_doc=args.entities,
-        sentence_len=(int(lo), int(hi or lo)),
+        sentence_len=(_flag_int("--sentence-len", lo),
+                      _flag_int("--sentence-len", hi or lo)),
         bridge_fraction=args.bridge_fraction,
         seed=args.seed,
     )
@@ -241,7 +251,8 @@ def _cmd_ablate_terms(args) -> int:
 
 def _cmd_ablate_layers(args) -> int:
     config = _resolve_config(args)
-    ks = [int(part) for part in args.ks.split(",") if part.strip()]
+    ks = [_flag_int("--ks", part) for part in args.ks.split(",")
+          if part.strip()]
     curve = harness.ablate_layers(
         config, parse_corpus(args.train_path), parse_corpus(args.dev_path), ks
     )

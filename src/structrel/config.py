@@ -14,6 +14,7 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
+from .corpus import read_text
 from .structure import DependencyType
 
 #: Per transformation mode, the value each bias-term toggle takes when it
@@ -186,21 +187,20 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
     take precedence."""
     types = field_types()
     kwargs: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                kwargs[key] = _parse_value(value, types[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            kwargs[key] = _parse_value(value, types[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if overrides:
         for key in overrides:
             if key not in types:

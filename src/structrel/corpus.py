@@ -102,6 +102,25 @@ class Document:
         return out
 
 
+def read_text(path) -> str:
+    """A text file's contents, decoded as UTF-8 with universal newlines
+    (``\r\n`` and ``\r`` read as ``\n``), as ``open`` in text mode reads.
+
+    A byte sequence that is not UTF-8 raises a :class:`CorpusError`
+    naming the file, the byte and its offset.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(
+            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is "
+            f"not UTF-8 ({exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> None:
     """Check span bounds, mention disjointness, and fact indices.
 
@@ -206,7 +225,7 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
                         name=str(m.get("name", "")),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusError(f"{where}: malformed mention {m!r}") from exc
         entities.append(Entity(etype=etype, mentions=tuple(parsed)))
     facts = []
@@ -215,7 +234,7 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
             facts.append(
                 RelationFact(h=int(label["h"]), t=int(label["t"]), r=str(label["r"]))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"{where}: malformed label {label!r}") from exc
     _reject_line_breaks(where, (
         ("title", [doc_id]),
@@ -240,8 +259,7 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
     label.  Document ids must be unique within the file, because gold and
     predicted facts are keyed by them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     stripped = text.lstrip()
     if not stripped:
         return []
@@ -258,7 +276,10 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}: document {i} is not a JSON object")
         doc = _document_from_json(obj, i, path)
-        validate_document(doc, schema)
+        try:
+            validate_document(doc, schema)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
         if doc.doc_id in first_index:
             raise CorpusError(
                 f"{path}: documents {first_index[doc.doc_id]} and {i} share "

@@ -7,17 +7,36 @@ by that dependency type.  Two bias parameterizations are supported, a
 bilinear (biaffine) form ``q A_s k^T + b_s`` and a decomposed linear form
 ``q K_s + Q_s k + b_s`` whose three terms can be toggled independently.
 
-The bias is computed only where there is structure.  For each layer and
-head the five types' parameters are concatenated, every non-NA cell
-gathers its query row, key row and type slot, and one scatter places the
-cell biases into the score matrix.  NA cells carry no parameters and are
-never computed, so a model whose structure is all NA computes the same
-function as the unstructured baseline.
+The attention of a layer, all heads together, is one graph node
+(:func:`structured_attention`).  Its forward stacks the heads'
+projections and runs over (H, n, d_h) arrays with numpy's batched ``@``,
+in which every head's product keeps the shape it has on its own:
+:func:`project_qkv`, then :func:`structured_scores`, then :func:`attend`,
+each once per layer.  The node's value is the heads side by side, (n, d);
+the output projection and the feed-forward network stay ordinary graph
+operations.  Its backward is written out by hand in the same layout, as
+FlashAttention does without the tiling (Dao et al., arXiv 2205.14135):
+the value, softmax and score gradients, then the bias terms' gradients,
+summed per query or key token and type with ``np.add.reduceat`` over the
+cells grouped once per structure (:attr:`StructureMatrix.row_groups`,
+:attr:`~StructureMatrix.col_groups`); every head's slices of the stacked
+gradients then go to the parameters they came from.  Each head's forward
+products are those of the head computed alone, so the outputs are
+bit-equal to a per-head graph; gradients agree to rounding.
 
-Bias parameters are owned per layer, per head, and per dependency type;
-they are never shared.  Every function here reads the model's
-:class:`~structrel.config.ModelConfig`: the stack shape, the four
-``bias_*`` term toggles and the structured-layer range.
+The bias is computed only where there is structure.  Every non-NA cell
+gathers its query row, key row and type slot from the five types'
+parameters laid side by side, for all heads at once, and the cell biases
+are added into the scores at those cells (the gather of Shaw et al.,
+arXiv 1803.02155).  NA cells carry no parameters and are never computed,
+so a model whose structure is all NA computes the same function as the
+unstructured baseline.
+
+Parameters are owned per layer and head (and the bias ones per
+dependency type); they are never shared and are stored one array each,
+so names and checkpoints do not depend on the stacking.  Every function
+here reads the model's :class:`~structrel.config.ModelConfig`: the stack
+shape, the four ``bias_*`` term toggles and the structured-layer range.
 """
 from __future__ import annotations
 
@@ -31,25 +50,23 @@ from .autodiff import (
     ParameterStore,
     Tensor,
     add,
-    concat,
     layer_norm,
     matmul,
-    mul,
     relu,
-    reshape,
-    scale,
-    scatter_cells,
-    softmax_rows,
-    sum_axis,
-    take_cells,
-    take_rows,
-    transpose,
     xavier_uniform,
 )
-from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
+from .structure import (
+    STRUCTURED_TYPES,
+    CellGroups,
+    DependencyType,
+    StructureMatrix,
+)
 
 if TYPE_CHECKING:
     from .config import ModelConfig
+
+N_TYPES = len(STRUCTURED_TYPES)
+PROJECTIONS = ("wq", "wk", "wv")
 
 
 @dataclass(frozen=True)
@@ -70,10 +87,13 @@ class BiasRecord:
             raise ValueError("a bias record requires at least one cell")
 
 
+_DEP_NAMES = {dep: dep.name.lower() for dep in DependencyType}
+
+
 def dep_name(dep: DependencyType) -> str:
     """The lower-case name of a dependency type, as parameter names,
     exclusion lists and reports spell it."""
-    return dep.name.lower()
+    return _DEP_NAMES[dep]
 
 
 def bias_param_prefix(layer: int, head: int, dep: DependencyType) -> str:
@@ -101,7 +121,7 @@ def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
     structured = _bias_layers(cfg)
     for l in range(cfg.layers):
         for h in range(cfg.heads):
-            for name in ("wq", "wk", "wv"):
+            for name in PROJECTIONS:
                 store.create(
                     f"layer{l}.head{h}.{name}",
                     xavier_uniform(rng, d, dh, (d, dh)),
@@ -130,65 +150,192 @@ def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
         store.create(f"layer{l}.ln2.bias", np.zeros(d))
 
 
-def project_qkv(store: ParameterStore, x: Tensor, layer: int,
-                head: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Project token representations into query/key/value, no biases."""
-    q = matmul(x, store[f"layer{layer}.head{head}.wq"].tensor)
-    k = matmul(x, store[f"layer{layer}.head{head}.wk"].tensor)
-    v = matmul(x, store[f"layer{layer}.head{head}.wv"].tensor)
-    return q, k, v
+def projection_params(store: ParameterStore, layer: int,
+                      heads: int) -> list[Tensor]:
+    """A layer's projections in stacking order: every head's ``wq``, then
+    every head's ``wk``, then every head's ``wv``."""
+    return [store[f"layer{layer}.head{h}.{name}"].tensor
+            for name in PROJECTIONS for h in range(heads)]
 
 
-def type_bias(store: ParameterStore, q: Tensor, k: Tensor, layer: int,
-              head: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-              cfg: ModelConfig) -> Tensor:
-    """The attentive bias of one layer and head at its structured cells.
+def project_qkv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Queries, keys and values of every head, no biases.
 
-    ``cells`` is ``(rows, cols, types)`` as given by
-    :attr:`StructureMatrix.cells`; entry ``c`` of the returned vector is
-    the bias of type ``STRUCTURED_TYPES[types[c]]`` between query
-    ``rows[c]`` and key ``cols[c]``.  The five types' parameters are
-    concatenated so each term is one gather:
+    ``w`` stacks the (d, d_h) projections as :func:`projection_params`
+    orders them, (3H, d, d_h); the result is (3H, n, d_h), one
+    (n, d) @ (d, d_h) product per slice.
+    """
+    return np.matmul(x, w)
+
+
+def _stack_types(store: ParameterStore, layer: int, heads: int,
+                 suffix: str) -> tuple[list[Tensor], np.ndarray]:
+    """The five types' ``suffix`` parameters of every head of a layer.
+
+    Returns the parameters head-major and type-minor, and their values
+    side by side per head: (H, d_h, 5w) for (d_h, w) matrices, with type
+    ``s`` in columns ``s*w`` to ``(s+1)*w``, or (H, 5) for scalars.
+    """
+    params = [store[f"{bias_param_prefix(layer, h, dep)}.{suffix}"].tensor
+              for h in range(heads) for dep in STRUCTURED_TYPES]
+    values = np.stack([p.values for p in params])
+    if values.ndim == 1:
+        return params, values.reshape(heads, N_TYPES)
+    _, dh, w = values.shape
+    return params, (values.reshape(heads, N_TYPES, dh, w)
+                    .transpose(0, 2, 1, 3).reshape(heads, dh, N_TYPES * w))
+
+
+def _unstack_types(params: Sequence[Tensor], grad: np.ndarray) -> None:
+    """Hand each parameter its slice of a gradient laid out as
+    :func:`_stack_types` lays out the values."""
+    if grad.ndim == 3:
+        heads, dh, width = grad.shape
+        w = width // N_TYPES
+        grad = grad.reshape(heads, dh, N_TYPES, w).transpose(0, 2, 1, 3)
+    for p, g in zip(params, grad.reshape(len(params), *params[0].shape)):
+        p._accumulate(g)
+
+
+def _segment_sum(values: np.ndarray, groups: CellGroups,
+                 n_slots: int) -> np.ndarray:
+    """Sum ``values`` (H, c, w), whose cells are in ``groups.order``, over
+    each slot's run: (H, n_slots, w), zero at slots without cells.
+
+    A run's cells keep their order, as a scatter-add in cell order would
+    take them.
+    """
+    heads, _, w = values.shape
+    out = np.zeros((heads, n_slots, w))
+    out[:, groups.slots] = np.add.reduceat(values, groups.starts, axis=1)
+    return out
+
+
+@dataclass
+class CellBias:
+    """One layer's attentive bias at the structured cells, for all heads.
+
+    ``values[h, c]`` is head ``h``'s bias at cell ``c`` of
+    ``structure.cells``.  ``terms`` maps each enabled term's parameter
+    suffix (``A``, ``qvec``, ``kvec``, ``b``) to its parameters and
+    stacked values, as :func:`_stack_types` returns them.  ``k_cells`` holds
+    the biaffine core's key rows, (H, c, d_h), cells in
+    ``structure.row_groups.order``; :meth:`backward` overwrites them with
+    their gradient terms.
+    """
+
+    values: np.ndarray
+    structure: StructureMatrix
+    terms: dict[str, tuple[list[Tensor], np.ndarray]]
+    k_cells: Optional[np.ndarray] = None
+
+    @property
+    def params(self) -> list[Tensor]:
+        return [p for params, _ in self.terms.values() for p in params]
+
+    def backward(self, grad: np.ndarray, q: np.ndarray, k: np.ndarray,
+                 dq: np.ndarray, dk: np.ndarray) -> None:
+        """Given ``grad`` (H, c) at the cell biases, add the query and key
+        gradients into ``dq`` and ``dk`` (H, n, d_h) and accumulate the
+        parameters' gradients.
+
+        Each side's gradient is a segment sum over the cells grouped by
+        that side's token and type, ``token * 5 + type``: for the core
+        ``dq_i += sum_s (sum_{j} g_ijs k_j) A_s^T`` and
+        ``dk_j += sum_s (sum_{i} g_ijs q_i) A_s``.
+        """
+        rows, _, types = self.structure.cells
+        heads, n, dh = q.shape
+        n_slots = n * N_TYPES
+        by_row, by_col = self.structure.row_groups, self.structure.col_groups
+        g_row = np.take(grad, by_row.order, axis=1)[:, :, None]
+        g_col = np.take(grad, by_col.order, axis=1)[:, :, None]
+        if "A" in self.terms:
+            params, a_cat = self.terms["A"]
+            self.k_cells *= g_row
+            d_qa = _segment_sum(self.k_cells, by_row, n_slots)
+            d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
+            q_cells = np.take(q, rows[by_col.order], axis=1)
+            q_cells *= g_col
+            d_kq = _segment_sum(q_cells, by_col,
+                                n_slots).reshape(heads, n, N_TYPES * dh)
+            a_rows = (a_cat.reshape(heads, dh, N_TYPES, dh)
+                      .transpose(0, 2, 1, 3).reshape(heads, N_TYPES * dh, dh))
+            dq += np.matmul(d_qa, a_cat.transpose(0, 2, 1))
+            dk += np.matmul(d_kq, a_rows)
+            _unstack_types(params, np.matmul(q.transpose(0, 2, 1), d_qa))
+        for suffix, groups, g, side, d_side in (
+                ("qvec", by_row, g_row, q, dq), ("kvec", by_col, g_col, k, dk)):
+            if suffix in self.terms:
+                params, vec_cat = self.terms[suffix]
+                d_t = _segment_sum(g, groups, n_slots)
+                d_t = d_t.reshape(heads, n, N_TYPES)
+                d_side += np.matmul(d_t, vec_cat.transpose(0, 2, 1))
+                _unstack_types(params,
+                               np.matmul(side.transpose(0, 2, 1), d_t))
+        if "b" in self.terms:
+            params, _ = self.terms["b"]
+            slot = np.arange(heads)[:, None] * N_TYPES + types
+            _unstack_types(params, np.bincount(slot.ravel(),
+                                               weights=grad.ravel(),
+                                               minlength=heads * N_TYPES))
+
+
+def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
+              layer: int, structure: StructureMatrix,
+              cfg: ModelConfig) -> CellBias:
+    """The attentive bias of every head of one layer at the structure's
+    cells.
+
+    ``q`` and ``k`` are (H, n, d_h).  The cells are
+    :attr:`StructureMatrix.cells`, ``(rows, cols, types)``; entry ``[h, c]``
+    of the returned values is head ``h``'s bias of type
+    ``STRUCTURED_TYPES[types[c]]`` between query ``rows[c]`` and key
+    ``cols[c]``.  Each head's five types' parameters lie side by side, so
+    each term is one gather:
 
     * biaffine core ``q_i A_s k_j``: row ``i*5 + s`` of ``q A_cat``
-      reshaped to (5n, dh), dotted with ``k_j``;
+      reshaped to (5n, d_h), dotted with ``k_j``;
     * query-conditioned ``q_i K_s``: cell ``(i, s)`` of ``q qvec_cat``;
     * key-conditioned ``Q_s k_j``: cell ``(j, s)`` of ``k kvec_cat``;
     * prior ``b_s``: slot ``s`` of ``b_cat``.
 
-    Only the terms whose ``bias_*`` toggle is on are computed.  Nothing is
-    computed for NA cells, which are never passed in.
+    Only the terms whose ``bias_*`` toggle is on are computed, and they
+    are summed in that order.  Nothing is computed for NA cells.
     """
-    rows, cols, types = cells
-    n_types = len(STRUCTURED_TYPES)
-
-    def stacked(suffix: str) -> list[Tensor]:
-        return [store[f"{bias_param_prefix(layer, head, dep)}.{suffix}"].tensor
-                for dep in STRUCTURED_TYPES]
-
-    terms: list[Tensor] = []
+    rows, cols, types = structure.cells
+    heads, n, dh = q.shape
+    terms: dict[str, tuple[list[Tensor], np.ndarray]] = {}
+    parts: list[np.ndarray] = []
+    k_cells = None
     if cfg.bias_core:
-        n, dh = q.shape
-        qa = reshape(matmul(q, concat(stacked("A"), axis=1)), (n * n_types, dh))
-        terms.append(sum_axis(mul(take_rows(qa, rows * n_types + types),
-                                  take_rows(k, cols)), axis=1))
-    if cfg.bias_query:
-        terms.append(take_cells(matmul(q, concat(stacked("qvec"), axis=1)),
-                                rows, types))
-    if cfg.bias_key:
-        terms.append(take_cells(matmul(k, concat(stacked("kvec"), axis=1)),
-                                cols, types))
+        # gathered in row-group order, which the gradient sums over
+        order = structure.row_groups.order
+        terms["A"] = _stack_types(store, layer, heads, "A")
+        qa = np.matmul(q, terms["A"][1]).reshape(heads, n * N_TYPES, dh)
+        k_cells = np.take(k, cols[order], axis=1)
+        qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1)
+        core = np.empty((heads, rows.size))
+        core[:, order] = (qa_cells * k_cells).sum(axis=-1)
+        parts.append(core)
+    for suffix, side, token, on in (("qvec", q, rows, cfg.bias_query),
+                                    ("kvec", k, cols, cfg.bias_key)):
+        if on:
+            terms[suffix] = _stack_types(store, layer, heads, suffix)
+            table = np.matmul(side, terms[suffix][1])
+            parts.append(np.take(table.reshape(heads, n * N_TYPES),
+                                 token * N_TYPES + types, axis=1))
     if cfg.bias_prior:
-        prior = concat([reshape(b, (1, 1)) for b in stacked("b")], axis=1)
-        terms.append(take_cells(prior, np.zeros_like(types), types))
-    if not terms:
+        terms["b"] = _stack_types(store, layer, heads, "b")
+        parts.append(np.take(terms["b"][1], types, axis=1))
+    if not parts:
         raise ValueError(
             f"mode {cfg.mode!r} with no term enabled produces no bias"
         )
-    out = terms[0]
-    for term in terms[1:]:
-        out = add(out, term)
-    return out
+    values = parts[0]
+    for part in parts[1:]:
+        values = values + part
+    return CellBias(values, structure, terms, k_cells)
 
 
 class BiasRecorder:
@@ -202,9 +349,8 @@ class BiasRecorder:
         """Record one mean per dependency type present among the cells;
         ``types`` and ``bias`` are one layer and head's cell types and
         biases, as :func:`type_bias` pairs them."""
-        n_types = len(STRUCTURED_TYPES)
-        counts = np.bincount(types, minlength=n_types)
-        sums = np.bincount(types, weights=bias, minlength=n_types)
+        counts = np.bincount(types, minlength=N_TYPES)
+        sums = np.bincount(types, weights=bias, minlength=N_TYPES)
         for s, dep in enumerate(STRUCTURED_TYPES):
             if counts[s]:
                 self.records.append(
@@ -218,37 +364,109 @@ class BiasRecorder:
                 )
 
 
-def structured_scores(store: ParameterStore, q: Tensor, k: Tensor,
-                      structure: StructureMatrix, layer: int, head: int,
+def structured_scores(store: ParameterStore, q: np.ndarray, k: np.ndarray,
+                      structure: StructureMatrix, layer: int,
                       cfg: ModelConfig,
-                      recorder: Optional[BiasRecorder] = None) -> Tensor:
-    """Attention scores with structural bias: ``(q k^T + bias) / sqrt(d)``.
+                      recorder: Optional[BiasRecorder] = None,
+                      ) -> tuple[np.ndarray, Optional[CellBias]]:
+    """Every head's attention scores with structural bias,
+    ``(q k^T + bias) / sqrt(d_h)``, as (H, n, n); and the bias.
 
     The bias is computed by :func:`type_bias` only at the structure's
-    non-NA cells and placed into the (n, n) score matrix with one scatter;
-    NA cells receive nothing, and a structure without cells, or a layer
-    outside :func:`_bias_layers`, leaves the raw scores untouched.
+    non-NA cells and added into the scores there; NA cells receive
+    nothing, and a structure without cells, or a layer outside
+    :func:`_bias_layers`, leaves the raw scores untouched and returns no
+    bias.
     """
-    n = q.shape[0]
+    heads, n, dh = q.shape
     if structure.n != n:
         raise ValueError(
             f"structure matrix is {structure.n}x{structure.n} but the "
             f"document has {n} tokens"
         )
-    scores = matmul(q, transpose(k))
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    bias = None
     if layer in _bias_layers(cfg):
-        rows, cols, types = cells = structure.cells
+        rows, cols, types = structure.cells
         if rows.size:
-            bias = type_bias(store, q, k, layer, head, cells, cfg)
+            bias = type_bias(store, q, k, layer, structure, cfg)
             if recorder is not None:
-                recorder.add(layer, head, types, bias.values)
-            scores = add(scores, scatter_cells(bias, rows, cols, (n, n)))
-    return scale(scores, 1.0 / math.sqrt(q.shape[-1]))
+                for h in range(heads):
+                    recorder.add(layer, h, types, bias.values[h])
+            scores.reshape(heads, n * n)[:, rows * n + cols] += bias.values
+    scores *= 1.0 / math.sqrt(dh)
+    return scores, bias
 
 
-def attend(scores: Tensor, v: Tensor) -> Tensor:
-    """Softmax over keys, then aggregate values."""
-    return matmul(softmax_rows(scores), v)
+def attend(scores: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over keys, in place, then aggregate values.
+
+    Returns the attention weights, which are ``scores`` overwritten, and
+    the heads' outputs ``weights @ v``.
+    """
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores, np.matmul(scores, v)
+
+
+def structured_attention(store: ParameterStore, x: Tensor,
+                         structure: StructureMatrix, layer: int,
+                         cfg: ModelConfig,
+                         recorder: Optional[BiasRecorder] = None) -> Tensor:
+    """All heads of one layer's structured self-attention as one graph
+    node: the heads' outputs side by side, (n, d).
+
+    The node's parents are ``x``, the layer's projections and, when the
+    layer is biased and the structure has cells, its bias parameters.  Its
+    backward reuses the attention weights' and the gathered keys' storage,
+    so it runs once per forward, as one ``Tensor.backward`` runs it.
+    """
+    heads = cfg.heads
+    w_params = projection_params(store, layer, heads)
+    w = np.stack([p.values for p in w_params])
+    qkv = project_qkv(x.values, w)
+    q, k, v = qkv[:heads], qkv[heads:2 * heads], qkv[2 * heads:]
+    scores, bias = structured_scores(store, q, k, structure, layer, cfg,
+                                     recorder=recorder)
+    probs, out = attend(scores, v)
+    n, dh = x.shape[0], w.shape[-1]
+    factor = 1.0 / math.sqrt(dh)
+    parents = (x, *w_params, *(bias.params if bias is not None else ()))
+    spent = False
+
+    def _backward(grad):
+        nonlocal spent
+        if spent:
+            raise RuntimeError("the attention's saved arrays are spent; "
+                               "build the graph again to run backward again")
+        spent = True
+        g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
+        d_qkv = np.empty_like(qkv)
+        dq, dk, dv = (d_qkv[:heads], d_qkv[heads:2 * heads],
+                      d_qkv[2 * heads:])
+        np.matmul(probs.transpose(0, 2, 1), g, out=dv)
+        d_scores = np.matmul(g, v.transpose(0, 2, 1))
+        # softmax backward, P * dP - P * sum(P * dP), then the 1/sqrt(d_h)
+        # scale; the weights are spent, so they hold P * sum(P * dP)
+        d_scores *= probs
+        np.multiply(probs, d_scores.sum(axis=-1, keepdims=True), out=probs)
+        d_scores -= probs
+        d_scores *= factor
+        np.matmul(d_scores, k, out=dq)
+        np.matmul(d_scores.transpose(0, 2, 1), q, out=dk)
+        if bias is not None:
+            rows, cols, _ = structure.cells
+            bias.backward(np.take(d_scores.reshape(heads, n * n),
+                                  rows * n + cols, axis=1), q, k, dq, dk)
+        for p, dw in zip(w_params, np.matmul(x.values.T, d_qkv)):
+            p._accumulate(dw)
+        # every slice's dq_g @ w_g^T, summed as one (n, 3H*d_h) product
+        x._accumulate(d_qkv.transpose(1, 0, 2).reshape(n, -1)
+                      @ w.transpose(0, 2, 1).reshape(-1, w.shape[1]))
+
+    return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), parents,
+                  _backward)
 
 
 def encoder_forward(store: ParameterStore, x: Tensor,
@@ -260,13 +478,9 @@ def encoder_forward(store: ParameterStore, x: Tensor,
     block is post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.
     """
     for l in range(cfg.layers):
-        heads = []
-        for h in range(cfg.heads):
-            q, k, v = project_qkv(store, x, l, h)
-            scores = structured_scores(store, q, k, structure, l, h, cfg,
-                                       recorder=recorder)
-            heads.append(attend(scores, v))
-        merged = matmul(concat(heads, axis=1), store[f"layer{l}.wo"].tensor)
+        heads = structured_attention(store, x, structure, l, cfg,
+                                     recorder=recorder)
+        merged = matmul(heads, store[f"layer{l}.wo"].tensor)
         x = layer_norm(add(x, merged), store[f"layer{l}.ln1.gain"].tensor,
                        store[f"layer{l}.ln1.bias"].tensor)
         hidden = relu(add(matmul(x, store[f"layer{l}.ffn.w1"].tensor),

@@ -21,6 +21,7 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     entity_type_labels,
+    read_text,
 )
 from .encoder import BiasRecorder, dep_name, export_bias_heatmap
 from .metrics import (
@@ -439,11 +440,21 @@ def load_run(run_dir) -> RelationExtractor:
     words = _read_lines(os.path.join(run_dir, VOCAB_FILE))
     vocab = Vocabulary({w: i for i, w in enumerate(words)})
     etypes = _read_lines(os.path.join(run_dir, ETYPES_FILE))
-    schema = _read_lines(os.path.join(run_dir, SCHEMA_FILE))
-    model = RelationExtractor(config, vocab, etypes, schema)
-    arrays = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE))
+    schema_path = os.path.join(run_dir, SCHEMA_FILE)
+    schema = _read_lines(schema_path)
+    try:
+        model = RelationExtractor(config, vocab, etypes, schema)
+    except ValueError as exc:
+        raise ValueError(f"{schema_path}: {exc}") from None
+    checkpoint = os.path.join(run_dir, CHECKPOINT_FILE)
+    arrays = load_checkpoint(checkpoint)
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    model.load_parameter_arrays(params)
+    try:
+        model.load_parameter_arrays(params)
+    except (KeyError, ValueError) as exc:
+        # a parameter the run's config, vocabulary, entity types or schema
+        # call for is missing from the checkpoint or has another shape
+        raise ValueError(f"{checkpoint}: {exc.args[0]}") from None
     return model
 
 
@@ -472,5 +483,5 @@ def _write_lines(path, lines) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    lines = read_text(path).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines

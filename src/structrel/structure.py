@@ -76,6 +76,39 @@ class StructureMatrix:
             arr.setflags(write=False)
         return rows, cols, types
 
+    @cached_property
+    def row_groups(self) -> CellGroups:
+        """The cells grouped by query token and type."""
+        rows, _, types = self.cells
+        return CellGroups.of(rows * len(STRUCTURED_TYPES) + types)
+
+    @cached_property
+    def col_groups(self) -> CellGroups:
+        """The cells grouped by key token and type."""
+        _, cols, types = self.cells
+        return CellGroups.of(cols * len(STRUCTURED_TYPES) + types)
+
+
+@dataclass(frozen=True)
+class CellGroups:
+    """Cells grouped by a slot ``token * 5 + type``, for segment sums.
+
+    ``order`` is the stable permutation of :attr:`StructureMatrix.cells`
+    that sorts them by slot, ``starts`` the position in that order where
+    each slot's run begins, and ``slots`` the distinct slots, ascending.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def of(cls, slot: np.ndarray) -> CellGroups:
+        order = np.argsort(slot, kind="stable")
+        ordered = slot[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        return cls(order, starts, ordered[starts])
+
 
 def build_structure_matrix(doc) -> StructureMatrix:
     """Materialize the dependency grid for a document.

@@ -93,3 +93,23 @@ def test_training_holds_one_document_graph_at_a_time(monkeypatch):
         gc.enable()
     assert len(alive_at_start) == 12
     assert alive_at_start == [0] * 12
+
+
+@pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
+def test_attention_is_one_node_per_layer_whatever_the_heads(mode):
+    # The heads of a layer share one graph node, so one forward builds as
+    # many nodes with four heads as with one, and the attention spans run
+    # once per layer.
+    docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
+    totals = {}
+    for heads in (1, 4):
+        config = small_config(layers=3, heads=heads, d_model=16, mode=mode)
+        model = harness.build_model(config, docs)
+        enc = harness._encode(model, docs[0])
+        with spans.Tracer() as tracer:
+            tracer.measure("model.forward", "infer", model.forward, enc)
+        totals[heads] = tracer.totals("infer")
+        for name in ("project_qkv", "structured_scores", "attend"):
+            assert totals[heads][f"encoder.{name}.calls"] == config.layers
+    assert totals[1]["autodiff.nodes"] == totals[4]["autodiff.nodes"]
+    assert totals[1]["autodiff.nodes"] > 0

@@ -127,3 +127,36 @@ def test_malformed_corpus_is_one_error_line(tmp_path, capsys, command,
     assert err.startswith(f"error: {path}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, data, offset", [
+    ("stats", b"[]\n\xff\n", 3),
+    ("train", b"layers = 1\n\xff\n", 11),
+])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command, data,
+                                          offset):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(data)
+    argv = {
+        "stats": ["stats", "--docs", path],
+        "train": ["train", "--train", path, "--config", path,
+                  "--out", tmp_path / "run"],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: byte 0xff at offset {offset} is not "
+                   f"UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ablate-layers", "--ks", "0,a"], "--ks: 'a' is not an integer"),
+    (["synth", "--sentence-len", "5,x"],
+     "--sentence-len: 'x' is not an integer"),
+])
+def test_integer_list_flag_names_flag(corpus, tmp_path, capsys, argv,
+                                      message):
+    _, train, dev = corpus
+    extra = (["--train", train, "--dev", dev] if argv[0] == "ablate-layers"
+             else [])
+    assert run(argv + extra + ["--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -149,6 +149,22 @@ class TestParse:
         with pytest.raises(CorpusError, match=r"'mini'.*'Ada'.*\[-1, 1\)"):
             parse_corpus(path)
 
+    def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'[{"title": "a\xffb"}]')
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}: byte 0xff at offset 13 is not UTF-8")):
+            parse_corpus(path)
+
+    def test_span_error_names_file(self, tmp_path):
+        bad = json.loads(json.dumps(MINIMAL_DOC))
+        bad["vertexSet"][0][0]["sent_id"] = 7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([bad]))
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}: doc 'mini': mention 'Ada' names sentence 7")):
+            parse_corpus(path)
+
     def test_non_object_entry_names_file_and_index(self, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps([MINIMAL_DOC, 3]))

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from structrel.autodiff import Parameter, ParameterStore, Tensor, grad_check
+from structrel.autodiff import (
+    Parameter,
+    ParameterStore,
+    Tensor,
+    grad_check,
+    mul,
+    sum_all,
+)
 from structrel.config import ModelConfig
 from structrel.encoder import (
     BiasRecord,
@@ -14,6 +21,8 @@ from structrel.encoder import (
     export_bias_heatmap,
     init_encoder_params,
     project_qkv,
+    projection_params,
+    structured_attention,
     structured_scores,
     type_bias,
 )
@@ -106,9 +115,8 @@ def set_param(store, dep, suffix, values):
     )
 
 
-def one_cell(dep: DependencyType):
-    return (np.array([0]), np.array([0]),
-            np.array([STRUCTURED_TYPES.index(dep)]))
+def one_cell(dep: DependencyType) -> StructureMatrix:
+    return StructureMatrix("one", [[dep]])
 
 
 BIAS_FORMS = [
@@ -150,25 +158,46 @@ class TestTransformation:
                                            bias_prior=False))
 
 
+def head_scores(store, q, k, structure, cfg, layer=0, recorder=None):
+    """One head's structured scores, its (n, d_h) query and key passed as a
+    one-head stack."""
+    scores, _ = structured_scores(store, q[None], k[None], structure, layer,
+                                  cfg, recorder=recorder)
+    return scores[0]
+
+
+def head_bias(store, q, k, structure, cfg):
+    """One head's cell biases, its query and key passed as a one-head
+    stack."""
+    return type_bias(store, q[None], k[None], 0, structure, cfg).values[0]
+
+
 class TestProjections:
     def test_identity_slice_projection(self):
         store = make_store(encoder_config(heads=2, d_model=4))
         eye_slice = np.zeros((4, 2))
         eye_slice[0, 0] = eye_slice[1, 1] = 1.0
         store["layer0.head0.wq"].tensor.values = eye_slice.copy()
-        x = Tensor(np.arange(8, dtype=float).reshape(2, 4))
-        q, _, _ = project_qkv(store, x, 0, 0)
-        assert np.array_equal(q.values, x.values[:, :2])
+        x = np.arange(8, dtype=float).reshape(2, 4)
+        w = np.stack([p.values for p in projection_params(store, 0, 2)])
+        q = project_qkv(x, w)[0]
+        assert np.array_equal(q, x[:, :2])
 
     def test_zero_input_gives_zero_qkv(self):
         store = make_store(encoder_config(d_model=4))
-        q, k, v = project_qkv(store, Tensor(np.zeros((3, 4))), 0, 0)
-        assert not q.values.any() and not k.values.any() and not v.values.any()
+        w = np.stack([p.values for p in projection_params(store, 0, 1)])
+        assert not project_qkv(np.zeros((3, 4)), w).any()
 
     def test_shapes(self):
         store = make_store(encoder_config(heads=2, d_model=8))
-        q, k, v = project_qkv(store, Tensor(np.random.default_rng(0).normal(size=(5, 8))), 0, 1)
-        assert q.shape == k.shape == v.shape == (5, 4)
+        params = projection_params(store, 0, 2)
+        assert params == [store[f"layer0.head{h}.{name}"].tensor
+                          for name in ("wq", "wk", "wv") for h in (0, 1)]
+        x = np.random.default_rng(0).normal(size=(5, 8))
+        qkv = project_qkv(x, np.stack([p.values for p in params]))
+        assert qkv.shape == (6, 5, 4)
+        for p, slab in zip(params, qkv):
+            assert slab.tobytes() == (x @ p.values).tobytes()
 
 
 class TestRawScores:
@@ -176,8 +205,7 @@ class TestRawScores:
     @staticmethod
     def scores(q, k):
         cfg = encoder_config(d_model=q.shape[1])
-        return structured_scores(make_store(cfg), Tensor(q), Tensor(k),
-                                 all_na(q.shape[0]), 0, 0, cfg).values
+        return head_scores(make_store(cfg), q, k, all_na(q.shape[0]), cfg)
 
     def test_zero_vectors(self):
         assert not self.scores(np.zeros((2, 4)), np.zeros((2, 4))).any()
@@ -201,10 +229,9 @@ class TestBiasForms:
     def test_biaffine_zero_parameters(self):
         cfg = encoder_config("biaffine", d_model=2)
         store = make_store(cfg)
-        q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
+        q, k = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
         for dep in STRUCTURED_TYPES:
-            out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
-            assert out.values.tolist() == [0.0]
+            assert head_bias(store, q, k, one_cell(dep), cfg).tolist() == [0.0]
 
     def test_biaffine_identity_reduces_to_dot(self):
         cfg = encoder_config("biaffine", d_model=2)
@@ -212,9 +239,9 @@ class TestBiasForms:
         dep = D.INTER_COREF
         set_param(store, dep, "A", np.eye(2))
         set_param(store, dep, "b", 0.5)
-        q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
-        assert out.values[0] == pytest.approx(11.5)
+        q, k = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
+        out = head_bias(store, q, k, one_cell(dep), cfg)
+        assert out[0] == pytest.approx(11.5)
 
     def test_biaffine_matches_triple_loop(self):
         rng = np.random.default_rng(9)
@@ -224,7 +251,7 @@ class TestBiasForms:
         q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         codes = rng.integers(1, 6, size=(4, 4)).astype(np.int8)
         S = StructureMatrix("s", codes)
-        out = type_bias(store, Tensor(q), Tensor(k), 0, 0, S.cells, cfg).values
+        out = head_bias(store, q, k, S, cfg)
         for c, (i, j) in enumerate(zip(*S.cells[:2])):
             prefix = f"layer0.head0.bias.{D(codes[i, j]).name.lower()}"
             A, b = store[f"{prefix}.A"].values, store[f"{prefix}.b"].values
@@ -235,13 +262,28 @@ class TestBiasForms:
             ) + b
             assert out[c] == pytest.approx(expect, rel=1e-12)
 
+    def test_heads_read_their_own_parameters(self):
+        # every head's values equal that head computed alone
+        rng = np.random.default_rng(12)
+        for form in BIAS_FORMS:
+            cfg = encoder_config(heads=3, d_model=6, **form)
+            store = make_store(cfg)
+            randomize_bias_params(store, rng)
+            q, k = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5, 2))
+            S = StructureMatrix("s", random_symmetric_codes(rng, 5))
+            out = type_bias(store, q, k, 0, S, cfg).values
+            assert out.shape == (3, S.cells[0].size)
+            for h in range(3):
+                expect = dense_bias(store, q[h], k[h], 0, h, cfg, S.codes)
+                np.testing.assert_allclose(out[h], expect[S.cells[:2]],
+                                           rtol=1e-12, atol=1e-12)
+
     def test_decomp_all_zero(self):
         cfg = encoder_config("decomp", d_model=2)
         store = make_store(cfg)
-        q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
+        q, k = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
         for dep in STRUCTURED_TYPES:
-            out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
-            assert out.values.tolist() == [0.0]
+            assert head_bias(store, q, k, one_cell(dep), cfg).tolist() == [0.0]
 
     def test_decomp_worked_example(self):
         # query side dotted with [1,1], key side with [0,1]:
@@ -251,9 +293,9 @@ class TestBiasForms:
         dep = D.INTRA_NE
         set_param(store, dep, "qvec", [[1.0], [1.0]])
         set_param(store, dep, "kvec", [[0.0], [1.0]])
-        q, k = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = type_bias(store, q, k, 0, 0, one_cell(dep), cfg)
-        assert out.values[0] == pytest.approx(7.0)
+        q, k = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
+        out = head_bias(store, q, k, one_cell(dep), cfg)
+        assert out[0] == pytest.approx(7.0)
 
     def test_decomp_prior_only_is_constant(self):
         rng = np.random.default_rng(1)
@@ -262,18 +304,18 @@ class TestBiasForms:
         store = make_store(cfg)
         for dep in STRUCTURED_TYPES:
             set_param(store, dep, "b", 0.3)
-        q, k = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
+        q, k = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         S = StructureMatrix("s", rng.integers(1, 6, size=(3, 3)))
-        out = type_bias(store, q, k, 0, 0, S.cells, cfg)
+        out = head_bias(store, q, k, S, cfg)
         assert out.shape == (9,)
-        assert out.values == pytest.approx(0.3)
+        assert out == pytest.approx(0.3)
 
     def test_decomp_without_any_term_rejected(self):
         cfg = encoder_config("decomp", d_model=2, bias_query=False,
                              bias_key=False, bias_prior=False)
         store = make_store(cfg)
         with pytest.raises(ValueError, match="no term enabled"):
-            type_bias(store, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), 0, 0,
+            head_bias(store, np.ones((1, 2)), np.ones((1, 2)),
                       one_cell(D.INTRA_NE), cfg)
 
     def test_na_rejected(self, monkeypatch):
@@ -289,13 +331,13 @@ class TestBiasForms:
         S = StructureMatrix("s", codes)
         seen = []
 
-        def spy(store, q, k, layer, head, cells, cfg):
-            seen.append(cells)
-            return type_bias(store, q, k, layer, head, cells, cfg)
+        def spy(store, q, k, layer, structure, cfg):
+            seen.append(structure.cells)
+            return type_bias(store, q, k, layer, structure, cfg)
 
         monkeypatch.setattr(encoder_module, "type_bias", spy)
-        q = Tensor(rng.normal(size=(7, 4)))
-        structured_scores(store, q, q, S, 0, 0, cfg)
+        q = rng.normal(size=(7, 4))
+        head_scores(store, q, q, S, cfg)
         (rows, cols, types), = seen
         assert rows.size == np.count_nonzero(codes)
         assert np.all(codes[rows, cols] != D.NA)
@@ -309,22 +351,20 @@ class TestStructuredScores:
         cfg = encoder_config(mode, d_model=d)
         store = make_store(cfg, seed)
         rng = np.random.default_rng(seed + 100)
-        q = Tensor(rng.normal(size=(n, d)))
-        k = Tensor(rng.normal(size=(n, d)))
+        q = rng.normal(size=(n, d))
+        k = rng.normal(size=(n, d))
         S = StructureMatrix("s", random_symmetric_codes(rng, n))
         return cfg, store, q, k, S
 
     def test_mode_none_equals_raw(self):
         cfg, store, q, k, S = self._setup("none")
-        scores = structured_scores(store, q, k, S, 0, 0, cfg)
-        assert scores.values.tobytes() == raw_scores(q.values,
-                                                     k.values).tobytes()
+        scores = head_scores(store, q, k, S, cfg)
+        assert scores.tobytes() == raw_scores(q, k).tobytes()
 
     def test_zero_init_parameters_equal_raw(self):
         cfg, store, q, k, S = self._setup("biaffine")
-        scores = structured_scores(store, q, k, S, 0, 0, cfg)
-        assert scores.values.tobytes() == raw_scores(q.values,
-                                                     k.values).tobytes()
+        scores = head_scores(store, q, k, S, cfg)
+        assert scores.tobytes() == raw_scores(q, k).tobytes()
 
     def test_all_na_bypasses_trained_parameters(self):
         cfg, store, q, k, _ = self._setup("biaffine")
@@ -336,17 +376,18 @@ class TestStructuredScores:
             store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values = (
                 np.array(rng.normal())
             )
-        scores = structured_scores(store, q, k, all_na(6), 0, 0, cfg)
-        assert scores.values.tobytes() == raw_scores(q.values,
-                                                     k.values).tobytes()
+        scores, bias = structured_scores(store, q[None], k[None], all_na(6),
+                                         0, cfg)
+        assert bias is None
+        assert scores[0].tobytes() == raw_scores(q, k).tobytes()
 
     def test_bias_lands_only_on_matching_cells(self):
         cfg, store, q, k, S = self._setup("biaffine", seed=5)
-        base = structured_scores(store, q, k, S, 0, 0, cfg).values
+        base = head_scores(store, q, k, S, cfg)
         delta = 0.37
         dep = D.INTRA_RELATE
         store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values += delta
-        bumped = structured_scores(store, q, k, S, 0, 0, cfg).values
+        bumped = head_scores(store, q, k, S, cfg)
         diff = bumped - base
         mask = S.codes == dep.value
         assert np.allclose(diff[mask], delta / math.sqrt(4))
@@ -362,21 +403,23 @@ class TestStructuredScores:
             store = make_store(cfg, seed)
             randomize_bias_params(store, rng)
             codes = random_symmetric_codes(rng, n)
-            q, k = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-            got = structured_scores(store, Tensor(q), Tensor(k),
-                                    StructureMatrix("s", codes), 1, 1, cfg)
-            expect = (q @ k.T + dense_bias(store, q, k, 1, 1, cfg, codes)) / (
-                math.sqrt(d))
-            np.testing.assert_allclose(got.values, expect, rtol=1e-12,
-                                       atol=1e-12)
+            q, k = rng.normal(size=(2, n, d)), rng.normal(size=(2, n, d))
+            got, _ = structured_scores(store, q, k,
+                                       StructureMatrix("s", codes), 1, cfg)
+            for h in range(2):
+                expect = (q[h] @ k[h].T
+                          + dense_bias(store, q[h], k[h], 1, h, cfg, codes)
+                          ) / math.sqrt(d)
+                np.testing.assert_allclose(got[h], expect, rtol=1e-12,
+                                           atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
     def test_recorder_means_match_dense(self, mode):
         cfg, store, q, k, S = self._setup(mode, seed=3, n=9)
         randomize_bias_params(store, np.random.default_rng(8))
         recorder = BiasRecorder()
-        structured_scores(store, q, k, S, 0, 0, cfg, recorder=recorder)
-        dense = dense_bias(store, q.values, k.values, 0, 0, cfg, S.codes)
+        head_scores(store, q, k, S, cfg, recorder=recorder)
+        dense = dense_bias(store, q, k, 0, 0, cfg, S.codes)
         present = [dep for dep in STRUCTURED_TYPES
                    if np.any(S.codes == dep.value)]
         assert [rec.dependency for rec in recorder.records] == present
@@ -389,30 +432,163 @@ class TestStructuredScores:
     def test_dimension_mismatch_rejected(self):
         cfg, store, q, k, _ = self._setup("none")
         with pytest.raises(ValueError, match="tokens"):
-            structured_scores(store, q, k, all_na(3), 0, 0, cfg)
+            head_scores(store, q, k, all_na(3), cfg)
 
 
 class TestAttend:
+    @staticmethod
+    def attend_one(scores, v):
+        return attend(np.array(scores, dtype=float)[None],
+                      np.array(v, dtype=float)[None])[1][0]
+
+    def test_softmax_uniform_case(self):
+        weights, _ = attend(np.zeros((1, 1, 2)), np.zeros((1, 2, 1)))
+        assert np.allclose(weights, [[[0.5, 0.5]]])
+
+    def test_softmax_rows_sum_to_one(self):
+        rng = np.random.default_rng(0)
+        weights, _ = attend(rng.normal(size=(2, 6, 9)) * 10,
+                            np.zeros((2, 9, 1)))
+        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+
+    def test_softmax_shift_invariance(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(1, 4, 5))
+        v = np.zeros((1, 5, 1))
+        base, _ = attend(x.copy(), v)
+        shifted, _ = attend(x + 123.456, v)
+        assert np.allclose(base, shifted, atol=1e-12)
+
     def test_uniform_scores_average_values(self):
-        v = Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))
-        z = attend(Tensor(np.zeros((2, 2))), v)
-        assert np.allclose(z.values, [[2.0, 4.0], [2.0, 4.0]])
+        z = self.attend_one(np.zeros((2, 2)), [[1.0, 3.0], [3.0, 5.0]])
+        assert np.allclose(z, [[2.0, 4.0], [2.0, 4.0]])
 
     def test_dominant_score_selects_value(self):
-        scores = Tensor(np.array([[0.0, 200.0], [0.0, 0.0]]))
-        v = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        z = attend(scores, v)
-        assert z.values[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+        z = self.attend_one([[0.0, 200.0], [0.0, 0.0]],
+                            [[1.0, 0.0], [0.0, 1.0]])
+        assert z[0] == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(8)
         scores, v = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
-        z = attend(Tensor(scores), Tensor(v)).values
+        z = self.attend_one(scores, v)
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
         for i in range(4):
             expect = sum(weights[i, j] * v[j] for j in range(4))
             assert np.allclose(z[i], expect)
+
+    def test_softmax_overwrites_the_scores(self):
+        scores = np.random.default_rng(2).normal(size=(2, 3, 3))
+        weights, _ = attend(scores, np.ones((2, 3, 1)))
+        assert weights is scores
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+
+
+def softmax(scores):
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def layer_norm_ref(m, gain, bias):
+    mu = m.mean(axis=-1, keepdims=True)
+    var = ((m - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (m - mu) / np.sqrt(var + 1e-5) * gain + bias
+
+
+def reference_encoder(store, x, codes, cfg):
+    """Per-head numpy reference of ``encoder_forward``: every head of every
+    layer on its own, with the dense bias of the structured layers."""
+    on = cfg.bias_core or cfg.bias_query or cfg.bias_key or cfg.bias_prior
+    structured = cfg.resolve_structured_layers() if on else frozenset()
+
+    def w(name):
+        return store[name].values
+
+    for l in range(cfg.layers):
+        heads = []
+        for h in range(cfg.heads):
+            q, k, v = (x @ w(f"layer{l}.head{h}.{name}")
+                       for name in ("wq", "wk", "wv"))
+            scores = q @ k.T
+            if l in structured:
+                scores = scores + dense_bias(store, q, k, l, h, cfg, codes)
+            heads.append(softmax(scores / math.sqrt(q.shape[1])) @ v)
+        merged = np.concatenate(heads, axis=1) @ w(f"layer{l}.wo")
+        x = layer_norm_ref(x + merged, w(f"layer{l}.ln1.gain"),
+                           w(f"layer{l}.ln1.bias"))
+        hidden = np.maximum(x @ w(f"layer{l}.ffn.w1") + w(f"layer{l}.ffn.b1"),
+                            0.0)
+        ffn = hidden @ w(f"layer{l}.ffn.w2") + w(f"layer{l}.ffn.b2")
+        x = layer_norm_ref(x + ffn, w(f"layer{l}.ln2.gain"),
+                           w(f"layer{l}.ln2.bias"))
+    return x
+
+
+class TestStructuredAttention:
+    @pytest.mark.parametrize("form", [dict(mode="none")] + BIAS_FORMS,
+                             ids=form_id)
+    def test_forward_matches_per_head_reference(self, form):
+        for seed, layers in enumerate(("all", "1", "all")):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 12))
+            cfg = encoder_config(layers=2, heads=2, d_model=8,
+                                 structured_layers=layers, **form)
+            store = make_store(cfg, seed)
+            randomize_bias_params(store, rng)
+            codes = random_symmetric_codes(rng, n)
+            x = rng.normal(size=(n, 8))
+            got = encoder_forward(store, Tensor(x),
+                                  StructureMatrix("s", codes), cfg).values
+            np.testing.assert_allclose(got, reference_encoder(store, x, codes,
+                                                              cfg),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("form", BIAS_FORMS, ids=form_id)
+    def test_grad_check_every_parameter(self, form):
+        # x is a parameter too, so the gradient a block hands to the block
+        # below is checked along with the weights'
+        rng = np.random.default_rng(7)
+        n = 5
+        cfg = encoder_config(layers=2, heads=2, d_model=4, ffn_mult=1,
+                             **form)
+        store = make_store(cfg, 3)
+        randomize_bias_params(store, rng)
+        S = StructureMatrix("s", random_symmetric_codes(rng, n))
+        x = Parameter("x", Tensor(rng.normal(size=(n, 4))))
+        readout = Tensor(rng.normal(size=(n, 4)))
+
+        def build():
+            return sum_all(mul(encoder_forward(store, x.tensor, S, cfg),
+                               readout))
+
+        err = grad_check(build, [x, *store], step=1e-5,
+                         max_elements_per_param=3)
+        assert err < 1e-5
+
+    def test_second_backward_through_one_node_is_refused(self,
+                                                          two_sentence_doc):
+        # the backward reuses the saved weights' storage
+        S = fixture_structure(two_sentence_doc)
+        cfg = encoder_config("biaffine", heads=2, d_model=8)
+        store = make_store(cfg, 5)
+        loss = sum_all(structured_attention(store, Tensor(np.ones((S.n, 8))),
+                                            S, 0, cfg))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="spent"):
+            loss.backward()
+
+    def test_one_node_per_layer_with_all_parents(self, two_sentence_doc):
+        S = fixture_structure(two_sentence_doc)
+        cfg = encoder_config("decomp", layers=1, heads=2, d_model=8)
+        store = make_store(cfg, 5)
+        x = Tensor(np.ones((S.n, 8)))
+        node = structured_attention(store, x, S, 0, cfg)
+        assert node.shape == (S.n, 8)
+        expect = [x] + [p.tensor for p in store
+                        if p.name.startswith("layer0.head")]
+        assert {id(t) for t in node._parents} == {id(t) for t in expect}
+        assert len(node._parents) == len(expect)
 
 
 class TestEncoderForward:

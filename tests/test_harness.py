@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import zlib
 
 import numpy as np
@@ -546,8 +547,8 @@ class TestBiasTermLinearity:
 
         S = build_structure_matrix(two_sentence_doc)
         rng = np.random.default_rng(10)
-        q = Tensor(rng.normal(size=(S.n, 4)))
-        k = Tensor(rng.normal(size=(S.n, 4)))
+        q = rng.normal(size=(1, S.n, 4))
+        k = rng.normal(size=(1, S.n, 4))
 
         def bias_matrix(**terms):
             cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
@@ -567,9 +568,8 @@ class TestBiasTermLinearity:
                     store[f"{prefix}.kvec"].tensor.values = kv
                 if cfg.bias_prior:
                     store[f"{prefix}.b"].tensor.values = np.array(b)
-            scores = structured_scores(store, q, k, S, 0, 0, cfg)
-            raw = raw_scores(q.values, k.values)
-            return (scores.values - raw) * math.sqrt(4)
+            scores, _ = structured_scores(store, q, k, S, 0, cfg)
+            return (scores[0] - raw_scores(q[0], k[0])) * math.sqrt(4)
 
         full = bias_matrix()
         q_only = bias_matrix(bias_key=False, bias_prior=False)
@@ -584,15 +584,14 @@ class TestBiasTermLinearity:
 
         S = build_structure_matrix(two_sentence_doc)
         rng = np.random.default_rng(2)
-        q = Tensor(rng.normal(size=(S.n, 4)))
-        k = Tensor(rng.normal(size=(S.n, 4)))
+        q = rng.normal(size=(1, S.n, 4))
+        k = rng.normal(size=(1, S.n, 4))
         cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
                           bias_query=False, bias_key=False)
         store = ParameterStore()
         init_encoder_params(store, np.random.default_rng(0), cfg)
-        scores = structured_scores(store, q, k, S, 0, 0, cfg)
-        assert scores.values.tobytes() == raw_scores(q.values,
-                                                     k.values).tobytes()
+        scores, _ = structured_scores(store, q, k, S, 0, cfg)
+        assert scores[0].tobytes() == raw_scores(q[0], k[0]).tobytes()
 
 
 class TestRunDirectory:
@@ -611,6 +610,28 @@ class TestRunDirectory:
         assert rep_orig == rep_load
         assert preds_orig == preds_load
 
+    def test_non_utf8_vocabulary_names_file_and_offset(self, tiny_corpus,
+                                                       tmp_path):
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        vocab = run_dir / "vocab.txt"
+        vocab.write_bytes(b"<pad>\n<unk>\n\xe9t\xe9\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{vocab}: byte 0xe9 at offset 12 is not UTF-8")):
+            load_run(run_dir)
+
+    def test_checkpoint_missing_a_parameter_names_file(self, tiny_corpus,
+                                                       tmp_path):
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        config = run_dir / "config.txt"
+        config.write_text(config.read_text().replace("layers = 1",
+                                                     "layers = 2"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{run_dir / 'checkpoint.bin'}: checkpoint is missing "
+                f"parameter 'layer1.head0.wq'")):
+            load_run(run_dir)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -628,6 +649,13 @@ class TestConfigFile:
         assert loaded.epochs == 9
         assert loaded.mode == "none"
         assert loaded.bias_core is False
+
+    def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"layers = 2\nmode = \xffnone\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: byte 0xff at offset 18 is not UTF-8")):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
