@@ -200,17 +200,6 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.values.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def _backward(grad):
-        g = grad if keepdims else np.expand_dims(grad, axis)
-        a._accumulate(np.broadcast_to(g, a.values.shape).copy())
-
-    out._backward = _backward
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.values, 0.0), (a,))
 

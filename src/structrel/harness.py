@@ -436,12 +436,13 @@ def save_run(run_dir, result: TrainResult) -> None:
 
 def load_run(run_dir) -> RelationExtractor:
     """Rebuild the model from a run directory and load its checkpoint."""
-    config = load_config(os.path.join(run_dir, CONFIG_FILE))
-    words = _read_lines(os.path.join(run_dir, VOCAB_FILE))
+    config_path = os.path.join(run_dir, CONFIG_FILE)
+    config = load_config(config_path)
+    words = _read_names(os.path.join(run_dir, VOCAB_FILE))
     vocab = Vocabulary({w: i for i, w in enumerate(words)})
-    etypes = _read_lines(os.path.join(run_dir, ETYPES_FILE))
+    etypes = _read_names(os.path.join(run_dir, ETYPES_FILE))
     schema_path = os.path.join(run_dir, SCHEMA_FILE)
-    schema = _read_lines(schema_path)
+    schema = _read_names(schema_path)
     try:
         model = RelationExtractor(config, vocab, etypes, schema)
     except ValueError as exc:
@@ -454,7 +455,10 @@ def load_run(run_dir) -> RelationExtractor:
     except (KeyError, ValueError) as exc:
         # a parameter the run's config, vocabulary, entity types or schema
         # call for is missing from the checkpoint or has another shape
-        raise ValueError(f"{checkpoint}: {exc.args[0]}") from None
+        raise ValueError(
+            f"{checkpoint}: {exc.args[0]}; the model was built from "
+            f"{config_path} with {VOCAB_FILE}, {ETYPES_FILE} and "
+            f"{SCHEMA_FILE}") from None
     return model
 
 
@@ -482,6 +486,15 @@ def _write_lines(path, lines) -> None:
             fh.write(f"{line}\n")
 
 
-def _read_lines(path) -> list[str]:
+def _read_names(path) -> list[str]:
+    """The lines of a file that lists each name once, in index order."""
     lines = read_text(path).split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+    if lines[-1] == "":
+        lines.pop()
+    first: dict[str, int] = {}
+    for number, line in enumerate(lines, 1):
+        if line in first:
+            raise ValueError(f"{path}: line {number} repeats line "
+                             f"{first[line]}, {line!r}")
+        first[line] = number
+    return lines

@@ -7,6 +7,27 @@ their mention tokens.  Every ordered entity pair (subject != object) gets
 its two vectors augmented with a signed-distance bucket embedding and is
 scored against every relation with an independent bilinear form followed
 by a sigmoid.
+
+The bilinear forms of all relations are one graph node
+(:func:`bilinear_scores`), so a document's graph has as many nodes
+whatever the size of the schema.  Each relation keeps its own (d_e, d_e)
+parameter, so names and checkpoints do not depend on the stacking.  The
+node walks the relations in chunks: a chunk's weights side by side,
+(d_e, k*d_e), give ``t = e_s @ W`` for k relations in one product, and a
+batched row product with ``e_o`` gives their k columns of scores.  The
+backward computes ``t`` again rather than keeping it, and handles one
+chunk at a time: ``e_o``'s gradient from ``t``, ``e_s``'s and the
+weights' from the upstream gradient spread over ``e_o``.
+
+Chunks are sized so that no temporary of a chunk exceeds
+``HEAD_CHUNK_BYTES`` (64 KiB), unless one relation's alone does.  That is
+what makes the node pay: the whole head at once needs several arrays of
+1-2 MB per document on a 96-relation schema, which the C allocator
+serves from fresh pages and hands back to the system when they are
+freed, so every training document faulted them in again (minor page
+faults per benchmark run rose five- to tenfold) and training ran about a
+fifth slower than in chunks.  Arrays of 64 KiB are reused from the
+process heap.
 """
 from __future__ import annotations
 
@@ -24,10 +45,8 @@ from .autodiff import (
     concat,
     constant,
     matmul,
-    mul,
     sigmoid,
     sum_all,
-    sum_axis,
     take_rows,
     xavier_uniform,
 )
@@ -41,6 +60,10 @@ from .encoder import BiasRecorder, encoder_forward, init_encoder_params
 DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
 
+#: Bound on each temporary array of one chunk of the relation head, in
+#: bytes; see the module docstring.
+HEAD_CHUNK_BYTES = 64 * 1024
+
 
 _BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
 
@@ -51,6 +74,56 @@ def distance_bucket(distance):
     d = np.asarray(distance)
     level = np.searchsorted(_BOUNDARIES, np.abs(d), side="right")
     return len(DISTANCE_BOUNDARIES) + np.sign(d) * level
+
+
+def head_chunk(rows: int, d_e: int) -> int:
+    """Relations per chunk of :func:`bilinear_scores`: as many as keep
+    each chunk's (rows, k*d_e) and (d_e, k*d_e) arrays within
+    ``HEAD_CHUNK_BYTES``, and at least one."""
+    per_relation = 8 * max(rows, d_e) * d_e  # float64
+    return max(1, HEAD_CHUNK_BYTES // per_relation)
+
+
+def bilinear_scores(e_s: Tensor, e_o: Tensor,
+                    weights: Sequence[Tensor]) -> Tensor:
+    """Every relation's bilinear form ``e_s W_r e_o`` over the pairs, as
+    one graph node: (P, M), column r from ``weights[r]``.
+
+    The relations run in chunks of :func:`head_chunk`; the forward keeps
+    no chunk array, and the backward computes each chunk's ``e_s @ W``
+    again.
+    """
+    a, b = e_s.values, e_o.values
+    rows, d_e = a.shape
+    k = head_chunk(rows, d_e)
+    chunks = [(lo, weights[lo:lo + k]) for lo in range(0, len(weights), k)]
+
+    def products(chunk):
+        """The chunk's weights side by side and ``e_s @ W``, (P, k, d_e)."""
+        w = np.concatenate([p.values for p in chunk], axis=1)
+        return w, (a @ w).reshape(rows, len(chunk), d_e)
+
+    scores = np.empty((rows, len(weights)))
+    for lo, chunk in chunks:
+        _, t = products(chunk)
+        scores[:, lo:lo + len(chunk)] = (t @ b[:, :, None])[..., 0]
+
+    def _backward(grad):
+        da = np.zeros_like(a)
+        db = np.zeros_like(b)
+        for lo, chunk in chunks:
+            w, t = products(chunk)
+            g = grad[:, lo:lo + len(chunk)]
+            db += (g[:, None, :] @ t)[:, 0, :]
+            gb = (g[:, :, None] * b[:, None, :]).reshape(rows, -1)
+            da += gb @ w.T
+            dw = a.T @ gb
+            for j, p in enumerate(chunk):
+                p._accumulate(dw[:, j * d_e:(j + 1) * d_e])
+        e_s._accumulate(da)
+        e_o._accumulate(db)
+
+    return Tensor(scores, (e_s, e_o, *weights), _backward)
 
 
 @dataclass(frozen=True)
@@ -153,11 +226,8 @@ class RelationExtractor:
 
     def score_relations(self, e_s: Tensor, e_o: Tensor) -> Tensor:
         """Sigmoid of the bilinear form per relation; (P, M)."""
-        cols = []
-        for r in self.schema:
-            w = self.store[f"head.rel.{r}.W"].tensor
-            cols.append(sum_axis(mul(matmul(e_s, w), e_o), axis=1, keepdims=True))
-        return sigmoid(concat(cols, axis=1))
+        weights = [self.store[f"head.rel.{r}.W"].tensor for r in self.schema]
+        return sigmoid(bilinear_scores(e_s, e_o, weights))
 
     def forward(self, enc: EncodedDocument,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:

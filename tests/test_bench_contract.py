@@ -113,3 +113,23 @@ def test_attention_is_one_node_per_layer_whatever_the_heads(mode):
             assert totals[heads][f"encoder.{name}.calls"] == config.layers
     assert totals[1]["autodiff.nodes"] == totals[4]["autodiff.nodes"]
     assert totals[1]["autodiff.nodes"] > 0
+
+
+def test_relation_head_is_one_node_whatever_the_schema():
+    # The relation head is one graph node for all relations, so one
+    # forward builds as many nodes with 40 relations as with one, and
+    # ``score_relations`` runs once per forward.
+    docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
+    config = small_config(layers=2, mode="decomp")
+    totals = {}
+    for width in (1, 40):
+        schema = [f"r{i}" for i in range(width)]
+        model = harness.build_model(config, docs, schema)
+        enc = harness._encode(model, docs[0])
+        assert enc.n_entities >= 2
+        with spans.Tracer() as tracer:
+            tracer.measure("model.forward", "infer", model.forward, enc)
+        totals[width] = tracer.totals("infer")
+        assert totals[width]["model.score_relations.calls"] == 1
+    assert totals[1]["autodiff.nodes"] == totals[40]["autodiff.nodes"]
+    assert totals[1]["autodiff.nodes"] > 0

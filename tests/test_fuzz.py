@@ -1,8 +1,10 @@
 """Seeded fuzzing of every reader: a valid file is cut short at seeded
 offsets and has seeded bytes flipped.  A reader may accept the result;
 if it rejects it, only a ``CorpusError`` or ``ValueError`` may escape, and
-its message must name the file."""
+its message must name the file.  A run directory's name lists also get
+one line repeated, which ``load_run`` must reject naming that list."""
 import json
+import re
 import shutil
 
 import numpy as np
@@ -91,3 +93,24 @@ def test_load_run(tmp_path, docs):
         target = run_dir / path.name
         check_reader(lambda: load_run(run_dir), target, run_dir,
                      target.read_bytes(), seed=10 + i, count=12)
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "etypes.txt", "schema.txt"])
+def test_load_run_repeated_line(tmp_path, docs, name):
+    # A list file with one of its lines copied to a seeded place, in
+    # addition or in place of another line, is rejected naming that file.
+    run_dir = tmp_path / "run"
+    save_run(run_dir, train(small_config(epochs=1, d_model=8), docs))
+    path = run_dir / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        source, target = rng.integers(0, len(lines), size=2)
+        mutated = list(lines)
+        if source != target and rng.random() < 0.5:
+            mutated[target] = lines[source]
+        else:
+            mutated.insert(target, lines[source])
+        path.write_text("\n".join(mutated) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line ")):
+            load_run(run_dir)

@@ -632,6 +632,36 @@ class TestRunDirectory:
                 f"parameter 'layer1.head0.wq'")):
             load_run(run_dir)
 
+    @pytest.mark.parametrize("name", ["vocab.txt", "etypes.txt"])
+    def test_repeated_line_names_file_and_both_lines(self, tiny_corpus,
+                                                     tmp_path, name):
+        # Read into a dict, a repeated word or type would collapse, and
+        # the checkpoint would misfit or the indices silently shift.
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        path = run_dir / name
+        lines = path.read_text().splitlines()
+        lines.append(lines[0])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {len(lines)} repeats line 1, {lines[0]!r}")):
+            load_run(run_dir)
+
+    def test_checkpoint_shape_names_checkpoint_and_config(self, tiny_corpus,
+                                                          tmp_path):
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        config = run_dir / "config.txt"
+        config.write_text(config.read_text().replace("max_len = 32",
+                                                     "max_len = 64"))
+        with pytest.raises(ValueError) as caught:
+            load_run(run_dir)
+        message = str(caught.value)
+        assert message.startswith(
+            f"{run_dir / 'checkpoint.bin'}: parameter 'embed.pos': "
+            f"checkpoint shape (32, 16) does not match model shape (64, 16)")
+        assert str(config) in message
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from structrel.autodiff import Tensor, grad_check
+from structrel import model as model_module
+from structrel.autodiff import (
+    Parameter,
+    Tensor,
+    concat,
+    constant,
+    grad_check,
+    matmul,
+    mul,
+    sum_all,
+)
 from structrel.batching import encode_document
 from structrel.config import ModelConfig
 from structrel.corpus import (
@@ -19,7 +29,9 @@ from structrel.model import (
     DISTANCE_BOUNDARIES,
     N_DISTANCE_BUCKETS,
     RelationExtractor,
+    bilinear_scores,
     distance_bucket,
+    head_chunk,
 )
 
 
@@ -259,6 +271,74 @@ class TestScoring:
         result = model.forward(enc)
         assert result.probabilities is None
         assert float(model.compute_loss(result, enc).values) == 0.0
+
+
+def loop_scores(e_s: Tensor, e_o: Tensor, weights) -> Tensor:
+    """The per-relation loop the head node replaced: one graph of three
+    nodes per relation, the row sum taken as a product with ones."""
+    ones = constant(np.ones((e_s.shape[1], 1)))
+    return concat([matmul(mul(matmul(e_s, w), e_o), ones) for w in weights],
+                  axis=1)
+
+
+class TestRelationHeadNode:
+    P, D_E, M = 7, 6, 5
+
+    @pytest.fixture
+    def head(self, monkeypatch):
+        """Pair features and five relations' weights, run in chunks of
+        two relations: 2, 2 and 1."""
+        monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
+                            2 * 8 * self.P * self.D_E)
+        assert head_chunk(self.P, self.D_E) == 2
+        rng = np.random.default_rng(11)
+        e_s = Parameter("e_s", Tensor(rng.normal(size=(self.P, self.D_E))))
+        e_o = Parameter("e_o", Tensor(rng.normal(size=(self.P, self.D_E))))
+        weights = [Parameter(f"W{r}",
+                             Tensor(rng.normal(size=(self.D_E, self.D_E))))
+                   for r in range(self.M)]
+        upstream = constant(rng.normal(size=(self.P, self.M)))
+        return e_s, e_o, weights, upstream
+
+    def test_chunk_sizes_at_the_benchmark_shapes(self):
+        assert head_chunk(56, 40) == 3      # wide-decomp
+        assert head_chunk(132, 72) == 1     # large-biaffine
+        assert head_chunk(10_000, 72) == 1  # never fewer than one
+
+    def test_gradients_pass_finite_differences(self, head):
+        e_s, e_o, weights, upstream = head
+
+        def build():
+            scores = bilinear_scores(e_s.tensor, e_o.tensor,
+                                     [w.tensor for w in weights])
+            return sum_all(mul(scores, upstream))
+
+        err = grad_check(build, [e_s, e_o, *weights])
+        assert err < 1e-5, err
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_matches_the_per_relation_loop(self, head, monkeypatch, chunk):
+        e_s, e_o, weights, upstream = head
+        monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
+                            chunk * 8 * self.P * self.D_E)
+        params = [e_s, e_o, *weights]
+        results = []
+        for score in (bilinear_scores, loop_scores):
+            for p in params:
+                p.tensor.grad = None
+            scores = score(e_s.tensor, e_o.tensor,
+                           [w.tensor for w in weights])
+            sum_all(mul(scores, upstream)).backward()
+            results.append((scores.values,
+                            [p.tensor.grad.copy() for p in params]))
+        (node, node_grads), (loop, loop_grads) = results
+
+        def close(got, expect):
+            return np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+        assert close(node, loop)
+        for p, got, expect in zip(params, node_grads, loop_grads):
+            assert close(got, expect), p.name
 
 
 class TestLoss:
