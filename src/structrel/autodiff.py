@@ -363,8 +363,7 @@ class ParameterStore:
 class Adam:
     """Adaptive moment estimation with bias correction.
 
-    Moment state persists between steps and is keyed by parameter name so
-    it can round-trip through checkpoints.
+    Moment state persists between steps, keyed by parameter name.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
@@ -398,23 +397,6 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
             p.tensor.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        state = {"adam.t": np.array(float(self.t))}
-        for name in self.m:
-            state[f"adam.m.{name}"] = self.m[name].copy()
-            state[f"adam.v.{name}"] = self.v[name].copy()
-        return state
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if "adam.t" in arrays:
-            self.t = int(arrays["adam.t"])
-        for p in self.params:
-            mk, vk = f"adam.m.{p.name}", f"adam.v.{p.name}"
-            if mk in arrays:
-                self.m[p.name] = np.asarray(arrays[mk], dtype=np.float64).copy()
-            if vk in arrays:
-                self.v[p.name] = np.asarray(arrays[vk], dtype=np.float64).copy()
 
 
 def grad_check(build: Callable[[], Tensor], params: Sequence[Parameter],
@@ -464,7 +446,10 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 CHECKPOINT_MAGIC = b"SRELCKPT"
-CHECKPOINT_VERSION = 1
+#: Version 2 stores each layer's attention parameters stacked (``wqkv``,
+#: ``bias.A`` and so on) and no optimizer state; version 1 stored them one
+#: array per head, projection and dependency type, with Adam's moments.
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
@@ -502,7 +487,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: not a checkpoint file")
         version = read_u32()
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise ValueError(f"{path}: unsupported checkpoint version "
+                             f"{version}, expected {CHECKPOINT_VERSION}")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(read_u32()):
             try:

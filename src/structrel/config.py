@@ -120,9 +120,10 @@ class ModelConfig:
             try:
                 dep = DependencyType[part.upper()]
             except KeyError:
-                raise ValueError(f"unknown dependency type {part!r}")
+                raise ValueError(f"excluded_deps: unknown dependency type "
+                                 f"{part!r}") from None
             if dep == DependencyType.NA:
-                raise ValueError("NA cannot be excluded")
+                raise ValueError("excluded_deps: NA cannot be excluded")
             out.add(dep)
         return frozenset(out)
 
@@ -132,7 +133,7 @@ class ModelConfig:
         return dataclasses.replace(self, **_switch_mode(self.mode, changes))
 
 
-def _switch_mode(mode: Optional[str], changes: dict) -> dict:
+def _switch_mode(mode: str, changes: dict) -> dict:
     """``changes``, plus a reset to the new mode's default for every
     bias-term toggle they leave out when they switch away from ``mode``."""
     if "mode" in changes and changes["mode"] != mode:
@@ -184,7 +185,8 @@ def save_config(cfg: ModelConfig, path) -> None:
 
 def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
     """Read a flat ``key = value`` file; ``overrides`` (already typed)
-    take precedence."""
+    take precedence.  An overriding ``mode`` switches away from the file's
+    mode, or from the default mode when the file names none."""
     types = field_types()
     kwargs: dict = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), 1):
@@ -205,7 +207,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
         for key in overrides:
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-        kwargs.update(_switch_mode(kwargs.get("mode"), overrides))
+        kwargs.update(_switch_mode(kwargs.get("mode", ModelConfig.mode),
+                                   overrides))
     try:
         return ModelConfig(**kwargs)
     except ValueError as exc:

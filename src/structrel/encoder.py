@@ -8,21 +8,20 @@ bilinear (biaffine) form ``q A_s k^T + b_s`` and a decomposed linear form
 ``q K_s + Q_s k + b_s`` whose three terms can be toggled independently.
 
 The attention of a layer, all heads together, is one graph node
-(:func:`structured_attention`).  Its forward stacks the heads'
-projections and runs over (H, n, d_h) arrays with numpy's batched ``@``,
-in which every head's product keeps the shape it has on its own:
-:func:`project_qkv`, then :func:`structured_scores`, then :func:`attend`,
-each once per layer.  The node's value is the heads side by side, (n, d);
-the output projection and the feed-forward network stay ordinary graph
-operations.  Its backward is written out by hand in the same layout, as
-FlashAttention does without the tiling (Dao et al., arXiv 2205.14135):
-the value, softmax and score gradients, then the bias terms' gradients,
-summed per query or key token and type with ``np.add.reduceat`` over the
-cells grouped once per structure (:attr:`StructureMatrix.row_groups`,
-:attr:`~StructureMatrix.col_groups`); every head's slices of the stacked
-gradients then go to the parameters they came from.  Each head's forward
-products are those of the head computed alone, so the outputs are
-bit-equal to a per-head graph; gradients agree to rounding.
+(:func:`structured_attention`).  Its forward runs over (H, n, d_h) arrays
+with numpy's batched ``@``, in which every head's product keeps the shape
+it has on its own: :func:`project_qkv`, then :func:`structured_scores`,
+then :func:`attend`, each once per layer.  The node's value is the heads
+side by side, (n, d); the output projection and the feed-forward network
+stay ordinary graph operations.  Its backward is written out by hand in
+the same layout, as FlashAttention does without the tiling (Dao et al.,
+arXiv 2205.14135): the value, softmax and score gradients, then the bias
+terms' gradients, summed per query or key token and type with
+``np.add.reduceat`` over the cells grouped once per structure
+(:attr:`StructureMatrix.row_groups`, :attr:`~StructureMatrix.col_groups`).
+Each head's forward products are those of the head computed alone, so
+the outputs are bit-equal to a per-head graph; gradients agree to
+rounding.
 
 The bias is computed only where there is structure.  Every non-NA cell
 gathers its query row, key row and type slot from the five types'
@@ -32,11 +31,15 @@ arXiv 1803.02155).  NA cells carry no parameters and are never computed,
 so a model whose structure is all NA computes the same function as the
 unstructured baseline.
 
-Parameters are owned per layer and head (and the bias ones per
-dependency type); they are never shared and are stored one array each,
-so names and checkpoints do not depend on the stacking.  Every function
-here reads the model's :class:`~structrel.config.ModelConfig`: the stack
-shape, the four ``bias_*`` term toggles and the structured-layer range.
+Each layer stores its attention parameters in the layout the node
+computes with (:func:`init_encoder_params`): one (3H, d, d_h) array of
+every head's query, key and value projections, and per enabled bias term
+one array holding every head's five types side by side.  The forward
+reads these arrays as they are and the backward accumulates into them
+whole; nothing is stacked or split per step.  Parameters are never
+shared between layers.  Every function here reads the model's
+:class:`~structrel.config.ModelConfig`: the stack shape, the four
+``bias_*`` term toggles and the structured-layer range.
 """
 from __future__ import annotations
 
@@ -66,7 +69,6 @@ if TYPE_CHECKING:
     from .config import ModelConfig
 
 N_TYPES = len(STRUCTURED_TYPES)
-PROJECTIONS = ("wq", "wk", "wv")
 
 
 @dataclass(frozen=True)
@@ -91,21 +93,24 @@ _DEP_NAMES = {dep: dep.name.lower() for dep in DependencyType}
 
 
 def dep_name(dep: DependencyType) -> str:
-    """The lower-case name of a dependency type, as parameter names,
-    exclusion lists and reports spell it."""
+    """The lower-case name of a dependency type, as exclusion lists and
+    reports spell it."""
     return _DEP_NAMES[dep]
 
 
-def bias_param_prefix(layer: int, head: int, dep: DependencyType) -> str:
-    if dep == DependencyType.NA:
-        raise ValueError("NA carries no bias parameters")
-    return f"layer{layer}.head{head}.bias.{dep_name(dep)}"
+def _bias_terms(cfg: ModelConfig) -> list[str]:
+    """The parameter suffixes of the bias terms ``cfg`` turns on, in the
+    order :func:`type_bias` sums them."""
+    return [suffix for suffix, on in (("A", cfg.bias_core),
+                                      ("qvec", cfg.bias_query),
+                                      ("kvec", cfg.bias_key),
+                                      ("b", cfg.bias_prior)) if on]
 
 
 def _bias_layers(cfg: ModelConfig) -> frozenset[int]:
     """The blocks that receive structural bias: the structured-layer range,
     or none when every bias term is off (as mode ``none`` forces)."""
-    if cfg.bias_core or cfg.bias_query or cfg.bias_key or cfg.bias_prior:
+    if _bias_terms(cfg):
         return cfg.resolve_structured_layers()
     return frozenset()
 
@@ -114,29 +119,29 @@ def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
                         cfg: ModelConfig) -> None:
     """Create all encoder parameters.
 
-    Projections are Xavier-uniform; bias-transformation parameters start at
-    zero so an untrained structured model is exactly the baseline.
+    Layer ``l``'s projections are ``layer{l}.wqkv``, (3H, d, d_h): every
+    head's query projection, then every head's key projection, then every
+    head's value projection.  They are Xavier-uniform, drawn head by head
+    in (query, key, value) order.  A structured layer has one array per
+    enabled bias term, each head's five types side by side in
+    ``STRUCTURED_TYPES`` order: ``layer{l}.bias.A`` (H, d_h, 5 d_h), type
+    ``s`` in columns ``s*d_h`` to ``(s+1)*d_h``; ``.qvec`` and ``.kvec``
+    (H, d_h, 5); ``.b`` (H, 5).  They start at zero, so an untrained
+    structured model is exactly the baseline.
     """
-    d, dh = cfg.d_model, cfg.d_model // cfg.heads
+    d, heads = cfg.d_model, cfg.heads
+    dh = d // heads
+    shapes = {"A": (heads, dh, N_TYPES * dh), "qvec": (heads, dh, N_TYPES),
+              "kvec": (heads, dh, N_TYPES), "b": (heads, N_TYPES)}
     structured = _bias_layers(cfg)
     for l in range(cfg.layers):
-        for h in range(cfg.heads):
-            for name in PROJECTIONS:
-                store.create(
-                    f"layer{l}.head{h}.{name}",
-                    xavier_uniform(rng, d, dh, (d, dh)),
-                )
-            if l in structured:
-                for dep in STRUCTURED_TYPES:
-                    prefix = bias_param_prefix(l, h, dep)
-                    if cfg.bias_core:
-                        store.create(f"{prefix}.A", np.zeros((dh, dh)))
-                    if cfg.bias_query:
-                        store.create(f"{prefix}.qvec", np.zeros((dh, 1)))
-                    if cfg.bias_key:
-                        store.create(f"{prefix}.kvec", np.zeros((dh, 1)))
-                    if cfg.bias_prior:
-                        store.create(f"{prefix}.b", np.zeros(()))
+        w = xavier_uniform(rng, d, dh, (heads, 3, d, dh))
+        store.create(f"layer{l}.wqkv",
+                     w.transpose(1, 0, 2, 3).reshape(3 * heads, d, dh))
+        if l in structured:
+            for suffix in _bias_terms(cfg):
+                store.create(f"layer{l}.bias.{suffix}",
+                             np.zeros(shapes[suffix]))
         store.create(f"layer{l}.wo", xavier_uniform(rng, d, d, (d, d)))
         store.create(f"layer{l}.ln1.gain", np.ones(d))
         store.create(f"layer{l}.ln1.bias", np.zeros(d))
@@ -150,51 +155,13 @@ def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
         store.create(f"layer{l}.ln2.bias", np.zeros(d))
 
 
-def projection_params(store: ParameterStore, layer: int,
-                      heads: int) -> list[Tensor]:
-    """A layer's projections in stacking order: every head's ``wq``, then
-    every head's ``wk``, then every head's ``wv``."""
-    return [store[f"layer{layer}.head{h}.{name}"].tensor
-            for name in PROJECTIONS for h in range(heads)]
-
-
 def project_qkv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Queries, keys and values of every head, no biases.
 
-    ``w`` stacks the (d, d_h) projections as :func:`projection_params`
-    orders them, (3H, d, d_h); the result is (3H, n, d_h), one
-    (n, d) @ (d, d_h) product per slice.
+    ``w`` is a layer's ``wqkv``, (3H, d, d_h); the result is (3H, n, d_h),
+    one (n, d) @ (d, d_h) product per slice.
     """
     return np.matmul(x, w)
-
-
-def _stack_types(store: ParameterStore, layer: int, heads: int,
-                 suffix: str) -> tuple[list[Tensor], np.ndarray]:
-    """The five types' ``suffix`` parameters of every head of a layer.
-
-    Returns the parameters head-major and type-minor, and their values
-    side by side per head: (H, d_h, 5w) for (d_h, w) matrices, with type
-    ``s`` in columns ``s*w`` to ``(s+1)*w``, or (H, 5) for scalars.
-    """
-    params = [store[f"{bias_param_prefix(layer, h, dep)}.{suffix}"].tensor
-              for h in range(heads) for dep in STRUCTURED_TYPES]
-    values = np.stack([p.values for p in params])
-    if values.ndim == 1:
-        return params, values.reshape(heads, N_TYPES)
-    _, dh, w = values.shape
-    return params, (values.reshape(heads, N_TYPES, dh, w)
-                    .transpose(0, 2, 1, 3).reshape(heads, dh, N_TYPES * w))
-
-
-def _unstack_types(params: Sequence[Tensor], grad: np.ndarray) -> None:
-    """Hand each parameter its slice of a gradient laid out as
-    :func:`_stack_types` lays out the values."""
-    if grad.ndim == 3:
-        heads, dh, width = grad.shape
-        w = width // N_TYPES
-        grad = grad.reshape(heads, dh, N_TYPES, w).transpose(0, 2, 1, 3)
-    for p, g in zip(params, grad.reshape(len(params), *params[0].shape)):
-        p._accumulate(g)
 
 
 def _segment_sum(values: np.ndarray, groups: CellGroups,
@@ -217,21 +184,17 @@ class CellBias:
 
     ``values[h, c]`` is head ``h``'s bias at cell ``c`` of
     ``structure.cells``.  ``terms`` maps each enabled term's parameter
-    suffix (``A``, ``qvec``, ``kvec``, ``b``) to its parameters and
-    stacked values, as :func:`_stack_types` returns them.  ``k_cells`` holds
-    the biaffine core's key rows, (H, c, d_h), cells in
+    suffix (``A``, ``qvec``, ``kvec``, ``b``) to the layer's parameter of
+    that term, laid out as :func:`init_encoder_params` lays it out.
+    ``k_cells`` holds the biaffine core's key rows, (H, c, d_h), cells in
     ``structure.row_groups.order``; :meth:`backward` overwrites them with
     their gradient terms.
     """
 
     values: np.ndarray
     structure: StructureMatrix
-    terms: dict[str, tuple[list[Tensor], np.ndarray]]
+    terms: dict[str, Tensor]
     k_cells: Optional[np.ndarray] = None
-
-    @property
-    def params(self) -> list[Tensor]:
-        return [p for params, _ in self.terms.values() for p in params]
 
     def backward(self, grad: np.ndarray, q: np.ndarray, k: np.ndarray,
                  dq: np.ndarray, dk: np.ndarray) -> None:
@@ -251,7 +214,8 @@ class CellBias:
         g_row = np.take(grad, by_row.order, axis=1)[:, :, None]
         g_col = np.take(grad, by_col.order, axis=1)[:, :, None]
         if "A" in self.terms:
-            params, a_cat = self.terms["A"]
+            a = self.terms["A"]
+            a_cat = a.values
             self.k_cells *= g_row
             d_qa = _segment_sum(self.k_cells, by_row, n_slots)
             d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
@@ -263,22 +227,20 @@ class CellBias:
                       .transpose(0, 2, 1, 3).reshape(heads, N_TYPES * dh, dh))
             dq += np.matmul(d_qa, a_cat.transpose(0, 2, 1))
             dk += np.matmul(d_kq, a_rows)
-            _unstack_types(params, np.matmul(q.transpose(0, 2, 1), d_qa))
+            a._accumulate(np.matmul(q.transpose(0, 2, 1), d_qa))
         for suffix, groups, g, side, d_side in (
                 ("qvec", by_row, g_row, q, dq), ("kvec", by_col, g_col, k, dk)):
             if suffix in self.terms:
-                params, vec_cat = self.terms[suffix]
+                vec = self.terms[suffix]
                 d_t = _segment_sum(g, groups, n_slots)
                 d_t = d_t.reshape(heads, n, N_TYPES)
-                d_side += np.matmul(d_t, vec_cat.transpose(0, 2, 1))
-                _unstack_types(params,
-                               np.matmul(side.transpose(0, 2, 1), d_t))
+                d_side += np.matmul(d_t, vec.values.transpose(0, 2, 1))
+                vec._accumulate(np.matmul(side.transpose(0, 2, 1), d_t))
         if "b" in self.terms:
-            params, _ = self.terms["b"]
             slot = np.arange(heads)[:, None] * N_TYPES + types
-            _unstack_types(params, np.bincount(slot.ravel(),
-                                               weights=grad.ravel(),
-                                               minlength=heads * N_TYPES))
+            self.terms["b"]._accumulate(
+                np.bincount(slot.ravel(), weights=grad.ravel(),
+                            minlength=heads * N_TYPES).reshape(heads, N_TYPES))
 
 
 def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
@@ -291,8 +253,9 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     :attr:`StructureMatrix.cells`, ``(rows, cols, types)``; entry ``[h, c]``
     of the returned values is head ``h``'s bias of type
     ``STRUCTURED_TYPES[types[c]]`` between query ``rows[c]`` and key
-    ``cols[c]``.  Each head's five types' parameters lie side by side, so
-    each term is one gather:
+    ``cols[c]``.  Each term's parameter holds every head's five types side
+    by side (``A_cat`` and so on, see :func:`init_encoder_params`), so each
+    term is one gather:
 
     * biaffine core ``q_i A_s k_j``: row ``i*5 + s`` of ``q A_cat``
       reshaped to (5n, d_h), dotted with ``k_j``;
@@ -305,29 +268,26 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     """
     rows, cols, types = structure.cells
     heads, n, dh = q.shape
-    terms: dict[str, tuple[list[Tensor], np.ndarray]] = {}
+    terms = {suffix: store[f"layer{layer}.bias.{suffix}"].tensor
+             for suffix in _bias_terms(cfg)}
     parts: list[np.ndarray] = []
     k_cells = None
-    if cfg.bias_core:
+    if "A" in terms:
         # gathered in row-group order, which the gradient sums over
         order = structure.row_groups.order
-        terms["A"] = _stack_types(store, layer, heads, "A")
-        qa = np.matmul(q, terms["A"][1]).reshape(heads, n * N_TYPES, dh)
+        qa = np.matmul(q, terms["A"].values).reshape(heads, n * N_TYPES, dh)
         k_cells = np.take(k, cols[order], axis=1)
         qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1)
         core = np.empty((heads, rows.size))
         core[:, order] = (qa_cells * k_cells).sum(axis=-1)
         parts.append(core)
-    for suffix, side, token, on in (("qvec", q, rows, cfg.bias_query),
-                                    ("kvec", k, cols, cfg.bias_key)):
-        if on:
-            terms[suffix] = _stack_types(store, layer, heads, suffix)
-            table = np.matmul(side, terms[suffix][1])
+    for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
+        if suffix in terms:
+            table = np.matmul(side, terms[suffix].values)
             parts.append(np.take(table.reshape(heads, n * N_TYPES),
                                  token * N_TYPES + types, axis=1))
-    if cfg.bias_prior:
-        terms["b"] = _stack_types(store, layer, heads, "b")
-        parts.append(np.take(terms["b"][1], types, axis=1))
+    if "b" in terms:
+        parts.append(np.take(terms["b"].values, types, axis=1))
     if not parts:
         raise ValueError(
             f"mode {cfg.mode!r} with no term enabled produces no bias"
@@ -417,14 +377,14 @@ def structured_attention(store: ParameterStore, x: Tensor,
     """All heads of one layer's structured self-attention as one graph
     node: the heads' outputs side by side, (n, d).
 
-    The node's parents are ``x``, the layer's projections and, when the
-    layer is biased and the structure has cells, its bias parameters.  Its
+    The node's parents are ``x``, the layer's ``wqkv`` and, when the layer
+    is biased and the structure has cells, its bias parameters.  Its
     backward reuses the attention weights' and the gathered keys' storage,
     so it runs once per forward, as one ``Tensor.backward`` runs it.
     """
     heads = cfg.heads
-    w_params = projection_params(store, layer, heads)
-    w = np.stack([p.values for p in w_params])
+    w_param = store[f"layer{layer}.wqkv"].tensor
+    w = w_param.values
     qkv = project_qkv(x.values, w)
     q, k, v = qkv[:heads], qkv[heads:2 * heads], qkv[2 * heads:]
     scores, bias = structured_scores(store, q, k, structure, layer, cfg,
@@ -432,7 +392,8 @@ def structured_attention(store: ParameterStore, x: Tensor,
     probs, out = attend(scores, v)
     n, dh = x.shape[0], w.shape[-1]
     factor = 1.0 / math.sqrt(dh)
-    parents = (x, *w_params, *(bias.params if bias is not None else ()))
+    parents = (x, w_param,
+               *(bias.terms.values() if bias is not None else ()))
     spent = False
 
     def _backward(grad):
@@ -459,8 +420,7 @@ def structured_attention(store: ParameterStore, x: Tensor,
             rows, cols, _ = structure.cells
             bias.backward(np.take(d_scores.reshape(heads, n * n),
                                   rows * n + cols, axis=1), q, k, dq, dk)
-        for p, dw in zip(w_params, np.matmul(x.values.T, d_qkv)):
-            p._accumulate(dw)
+        w_param._accumulate(np.matmul(x.values.T, d_qkv))
         # every slice's dq_g @ w_g^T, summed as one (n, 3H*d_h) product
         x._accumulate(d_qkv.transpose(1, 0, 2).reshape(n, -1)
                       @ w.transpose(0, 2, 1).reshape(-1, w.shape[1]))

@@ -2,7 +2,8 @@
 
 Runs are deterministic given a config and seed: batch order, parameter
 initialization, and optimizer state all derive from the seed, so repeating
-a run reproduces checkpoints and reports byte for byte.
+a run reproduces checkpoints and reports byte for byte.  A checkpoint
+holds the parameters only; training always starts from the seed.
 """
 from __future__ import annotations
 
@@ -51,17 +52,11 @@ class EpochLog:
 @dataclass
 class TrainResult:
     model: RelationExtractor
-    best_arrays: dict[str, np.ndarray]
-    best_epoch: int
-    best_dev_f1: float
+    best_arrays: dict[str, np.ndarray]  # the parameters of the best epoch
     log: list[EpochLog] = field(default_factory=list)
 
     def restore_best(self) -> None:
-        params = {
-            name: arr for name, arr in self.best_arrays.items()
-            if not name.startswith("adam.")
-        }
-        self.model.load_parameter_arrays(params)
+        self.model.load_parameter_arrays(self.best_arrays)
 
 
 def resolve_schema(config: ModelConfig,
@@ -229,11 +224,10 @@ def _backward_batch(model: RelationExtractor,
 def train(config: ModelConfig, train_docs: Sequence[Document],
           dev_docs: Sequence[Document] = (),
           schema: Optional[Sequence[str]] = None,
-          eval_every: int = 1,
-          stop_train_f1: Optional[float] = None,
           quiet: bool = True) -> TrainResult:
     """Epochs of batched forward/loss/backward/update with best-checkpoint
-    tracking on dev F1.
+    tracking on dev F1: with dev documents, every epoch is evaluated and
+    the best one's parameters kept; without, the last epoch's.
 
     Each training document is truncated and encoded once, before the
     first epoch; every epoch shuffles those encodings into batches with
@@ -246,15 +240,13 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     backward through the summed batch loss (its docstring says why).
 
     Raises :class:`DivergenceError` the moment a document's loss goes
-    non-finite, before its batch's optimizer step.  ``stop_train_f1``
-    stops early once the training-set F1 reaches the target (checked at
-    the eval cadence).
+    non-finite, before its batch's optimizer step.
     """
     model = build_model(config, train_docs, schema)
     optimizer = model.make_optimizer()
     encodings = [_encode(model, doc) for doc in train_docs]
-    best_arrays = {**model.parameter_arrays(), **optimizer.state_arrays()}
-    best_dev, best_epoch = -1.0, -1
+    best_arrays: Optional[dict[str, np.ndarray]] = None
+    best_dev = -1.0
     log: list[EpochLog] = []
     step = 0
     for epoch in range(config.epochs):
@@ -270,45 +262,21 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
             epoch_loss += value * len(batch)
             n_docs += len(batch)
         entry = EpochLog(epoch=epoch, train_loss=epoch_loss / max(n_docs, 1))
-        if (epoch + 1) % eval_every == 0 or epoch == config.epochs - 1:
-            if dev_docs:
-                report, _ = evaluate(model, dev_docs, train_docs=train_docs)
-                entry.dev_f1 = report.f1
-                entry.dev_precision = report.precision
-                entry.dev_recall = report.recall
-                if report.f1 > best_dev:
-                    best_dev = report.f1
-                    best_epoch = epoch
-                    best_arrays = {
-                        **model.parameter_arrays(),
-                        **optimizer.state_arrays(),
-                    }
-            if stop_train_f1 is not None:
-                train_report, _ = evaluate(model, train_docs)
-                if train_report.f1 >= stop_train_f1:
-                    log.append(entry)
-                    if not dev_docs:
-                        best_arrays = {
-                            **model.parameter_arrays(),
-                            **optimizer.state_arrays(),
-                        }
-                        best_epoch = epoch
-                    break
+        if dev_docs:
+            report, _ = evaluate(model, dev_docs, train_docs=train_docs)
+            entry.dev_f1 = report.f1
+            entry.dev_precision = report.precision
+            entry.dev_recall = report.recall
+            if report.f1 > best_dev:
+                best_dev = report.f1
+                best_arrays = model.parameter_arrays()
         log.append(entry)
         if not quiet:
             dev_text = "" if entry.dev_f1 is None else f"  dev F1 {entry.dev_f1:.4f}"
             print(f"epoch {epoch}  loss {entry.train_loss:.6f}{dev_text}")
-    if not dev_docs and best_epoch < 0:
-        best_arrays = {**model.parameter_arrays(), **optimizer.state_arrays()}
-        best_epoch = config.epochs - 1
-        best_dev = 0.0
-    return TrainResult(
-        model=model,
-        best_arrays=best_arrays,
-        best_epoch=best_epoch,
-        best_dev_f1=best_dev,
-        log=log,
-    )
+    if best_arrays is None:  # no dev documents, or no epoch
+        best_arrays = model.parameter_arrays()
+    return TrainResult(model=model, best_arrays=best_arrays, log=log)
 
 
 # ---- ablation suites -----------------------------------------------------
@@ -449,9 +417,8 @@ def load_run(run_dir) -> RelationExtractor:
         raise ValueError(f"{schema_path}: {exc}") from None
     checkpoint = os.path.join(run_dir, CHECKPOINT_FILE)
     arrays = load_checkpoint(checkpoint)
-    params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
     try:
-        model.load_parameter_arrays(params)
+        model.load_parameter_arrays(arrays)
     except (KeyError, ValueError) as exc:
         # a parameter the run's config, vocabulary, entity types or schema
         # call for is missing from the checkpoint or has another shape

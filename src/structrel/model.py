@@ -10,14 +10,13 @@ by a sigmoid.
 
 The bilinear forms of all relations are one graph node
 (:func:`bilinear_scores`), so a document's graph has as many nodes
-whatever the size of the schema.  Each relation keeps its own (d_e, d_e)
-parameter, so names and checkpoints do not depend on the stacking.  The
-node walks the relations in chunks: a chunk's weights side by side,
-(d_e, k*d_e), give ``t = e_s @ W`` for k relations in one product, and a
-batched row product with ``e_o`` gives their k columns of scores.  The
-backward computes ``t`` again rather than keeping it, and handles one
-chunk at a time: ``e_o``'s gradient from ``t``, ``e_s``'s and the
-weights' from the upstream gradient spread over ``e_o``.
+whatever the size of the schema.  The node walks the relations in
+chunks: a chunk's weights side by side, (d_e, k*d_e), give
+``t = e_s @ W`` for k relations in one product, and a batched row
+product with ``e_o`` gives their k columns of scores.  The backward
+computes ``t`` again rather than keeping it, and handles one chunk at a
+time: ``e_o``'s gradient from ``t``, ``e_s``'s and the weights' from the
+upstream gradient spread over ``e_o``.
 
 Chunks are sized so that no temporary of a chunk exceeds
 ``HEAD_CHUNK_BYTES`` (64 KiB), unless one relation's alone does.  That is
@@ -28,6 +27,14 @@ freed, so every training document faulted them in again (minor page
 faults per benchmark run rose five- to tenfold) and training ran about a
 fifth slower than in chunks.  Arrays of 64 KiB are reused from the
 process heap.
+
+For the same reason each relation keeps its own (d_e, d_e) parameter,
+where the encoder stores each layer's attention parameters stacked.  The
+head stored as one (d_e, M*d_e) array computes bit-identical results,
+but on a 96-relation schema that array is 1.2 MB, and Adam's update and
+``zero_grad`` make full-size temporaries of it on every step: minor page
+faults per 8 s wide-decomp benchmark run doubled (106k to 227k), and
+training speed gained nothing steady.
 """
 from __future__ import annotations
 

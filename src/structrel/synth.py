@@ -24,7 +24,6 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -109,11 +108,9 @@ def default_relation_rule(doc: Document) -> tuple[RelationFact, ...]:
     return tuple(facts)
 
 
-def generate_synthetic(
-    spec: SynthSpec,
-    rule: Callable[[Document], tuple[RelationFact, ...]] = default_relation_rule,
-) -> list[Document]:
-    """Build a corpus whose gold facts are exactly ``rule(doc)``."""
+def generate_synthetic(spec: SynthSpec) -> list[Document]:
+    """Build a corpus whose gold facts are exactly
+    :func:`default_relation_rule` of each document."""
     rng = np.random.default_rng(spec.seed)
     vocab = [f"w{i}" for i in range(spec.vocab_size)]
     docs = []
@@ -181,6 +178,7 @@ def generate_synthetic(
             facts=(),
         )
         docs.append(
-            Document(doc.doc_id, doc.sentences, doc.entities, rule(doc))
+            Document(doc.doc_id, doc.sentences, doc.entities,
+                     default_relation_rule(doc))
         )
     return docs

@@ -288,14 +288,13 @@ class TestParameterStore:
 
 
 class TestCheckpoint:
-    def test_round_trip_including_moments(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         arrays = {
             "embed.word": rng.normal(size=(7, 3)),
-            "layer0.head0.wq": rng.normal(size=(3, 3)),
+            "layer0.wqkv": rng.normal(size=(6, 4, 2)),
+            "layer0.bias.b": rng.normal(size=(2, 5)),
             "scalar.b": np.array(0.25),
-            "adam.t": np.array(12.0),
-            "adam.m.embed.word": rng.normal(size=(7, 3)),
         }
         path = tmp_path / "model.bin"
         save_checkpoint(path, arrays)

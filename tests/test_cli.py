@@ -148,6 +148,31 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command, data,
                    f"UTF-8 (invalid start byte)\n")
 
 
+def test_unknown_excluded_dependency_names_the_field(corpus, tmp_path,
+                                                    capsys):
+    _, train, _ = corpus
+    assert run(["train", "--train", train, "--out", tmp_path / "run",
+                "--excluded-deps", "foo"] + MODEL_FLAGS) == 1
+    assert capsys.readouterr().err == (
+        "error: excluded_deps: unknown dependency type 'foo'\n")
+
+
+@pytest.mark.parametrize("mode, toggles", [
+    # the file names no mode, so it is in the default mode, biaffine
+    ("biaffine", (True, False, False, False)),
+    ("decomp", (False, True, True, True)),
+])
+def test_mode_flag_over_a_config_without_mode(tmp_path, mode, toggles):
+    path = tmp_path / "c.txt"
+    path.write_text("bias_prior = false\n")
+    args = cli.build_parser().parse_args(
+        ["train", "--train", "t.json", "--out", "run", "--config", str(path),
+         "--mode", mode])
+    cfg = cli._resolve_config(args)
+    assert (cfg.bias_core, cfg.bias_query, cfg.bias_key,
+            cfg.bias_prior) == toggles
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ablate-layers", "--ks", "0,a"], "--ks: 'a' is not an integer"),
     (["synth", "--sentence-len", "5,x"],

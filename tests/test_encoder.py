@@ -15,13 +15,12 @@ from structrel.config import ModelConfig
 from structrel.encoder import (
     BiasRecord,
     BiasRecorder,
+    N_TYPES,
     attend,
-    bias_param_prefix,
     encoder_forward,
     export_bias_heatmap,
     init_encoder_params,
     project_qkv,
-    projection_params,
     structured_attention,
     structured_scores,
     type_bias,
@@ -79,13 +78,30 @@ def decomp_bias(q, k, qvec=None, kvec=None, b=None):
     return out
 
 
+def bias_view(store, layer, head, dep, suffix):
+    """One head's parameter of one dependency type, a view into the layer's
+    stacked array: ``A`` (d_h, d_h), ``qvec`` and ``kvec`` (d_h, 1), ``b``
+    a 0-d array."""
+    s = STRUCTURED_TYPES.index(dep)
+    stacked = store[f"layer{layer}.bias.{suffix}"].values[head]
+    if suffix == "b":
+        return stacked[s, ...]
+    width = stacked.shape[1] // N_TYPES
+    return stacked[:, s * width:(s + 1) * width]
+
+
+def projection(store, layer, head, heads, name):
+    """One head's (d, d_h) projection, a view into the layer's ``wqkv``."""
+    return store[f"layer{layer}.wqkv"].values[
+        ("wq", "wk", "wv").index(name) * heads + head]
+
+
 def dense_bias(store, q, k, layer, head, cfg, codes):
     total = np.zeros(codes.shape)
     for dep in STRUCTURED_TYPES:
-        prefix = f"layer{layer}.head{head}.bias.{dep.name.lower()}"
 
         def param(suffix, on):
-            return store[f"{prefix}.{suffix}"].values if on else None
+            return bias_view(store, layer, head, dep, suffix) if on else None
 
         if cfg.bias_core:
             term = biaffine_bias(q, k, param("A", True),
@@ -110,9 +126,7 @@ def randomize_bias_params(store, rng, scale=0.5):
 
 
 def set_param(store, dep, suffix, values):
-    store[f"layer0.head0.bias.{dep.name.lower()}.{suffix}"].tensor.values = (
-        np.asarray(values, dtype=float)
-    )
+    bias_view(store, 0, 0, dep, suffix)[...] = np.asarray(values, dtype=float)
 
 
 def one_cell(dep: DependencyType) -> StructureMatrix:
@@ -177,27 +191,43 @@ class TestProjections:
         store = make_store(encoder_config(heads=2, d_model=4))
         eye_slice = np.zeros((4, 2))
         eye_slice[0, 0] = eye_slice[1, 1] = 1.0
-        store["layer0.head0.wq"].tensor.values = eye_slice.copy()
+        projection(store, 0, 0, 2, "wq")[...] = eye_slice
         x = np.arange(8, dtype=float).reshape(2, 4)
-        w = np.stack([p.values for p in projection_params(store, 0, 2)])
-        q = project_qkv(x, w)[0]
+        q = project_qkv(x, store["layer0.wqkv"].values)[0]
         assert np.array_equal(q, x[:, :2])
 
     def test_zero_input_gives_zero_qkv(self):
         store = make_store(encoder_config(d_model=4))
-        w = np.stack([p.values for p in projection_params(store, 0, 1)])
-        assert not project_qkv(np.zeros((3, 4)), w).any()
+        assert not project_qkv(np.zeros((3, 4)),
+                               store["layer0.wqkv"].values).any()
 
     def test_shapes(self):
         store = make_store(encoder_config(heads=2, d_model=8))
-        params = projection_params(store, 0, 2)
-        assert params == [store[f"layer0.head{h}.{name}"].tensor
-                          for name in ("wq", "wk", "wv") for h in (0, 1)]
+        w = store["layer0.wqkv"].values
+        assert w.shape == (6, 8, 4)
         x = np.random.default_rng(0).normal(size=(5, 8))
-        qkv = project_qkv(x, np.stack([p.values for p in params]))
+        qkv = project_qkv(x, w)
         assert qkv.shape == (6, 5, 4)
-        for p, slab in zip(params, qkv):
-            assert slab.tobytes() == (x @ p.values).tobytes()
+        for slab, w_slice in zip(qkv, w):
+            assert slab.tobytes() == (x @ w_slice).tobytes()
+
+    def test_bias_terms_stacked_per_layer(self):
+        # one zero-initialised array per enabled term, every head's five
+        # types side by side, and none in an unstructured layer
+        for form in BIAS_FORMS:
+            cfg = encoder_config(layers=2, heads=3, d_model=6,
+                                 structured_layers="1", **form)
+            store = make_store(cfg)
+            shapes = {"A": (3, 2, 10), "qvec": (3, 2, 5), "kvec": (3, 2, 5),
+                      "b": (3, 5)}
+            on = {"A": cfg.bias_core, "qvec": cfg.bias_query,
+                  "kvec": cfg.bias_key, "b": cfg.bias_prior}
+            biases = {p.name: p.values for p in store if ".bias." in p.name}
+            assert biases.keys() == {f"layer1.bias.{s}" for s in shapes
+                                     if on[s]}
+            for name, values in biases.items():
+                assert values.shape == shapes[name.rsplit(".", 1)[1]]
+                assert not values.any()
 
 
 class TestRawScores:
@@ -253,8 +283,9 @@ class TestBiasForms:
         S = StructureMatrix("s", codes)
         out = head_bias(store, q, k, S, cfg)
         for c, (i, j) in enumerate(zip(*S.cells[:2])):
-            prefix = f"layer0.head0.bias.{D(codes[i, j]).name.lower()}"
-            A, b = store[f"{prefix}.A"].values, store[f"{prefix}.b"].values
+            dep = D(codes[i, j])
+            A = bias_view(store, 0, 0, dep, "A")
+            b = bias_view(store, 0, 0, dep, "b")
             expect = sum(
                 q[i, a] * A[a, e] * k[j, e]
                 for a in range(3)
@@ -342,8 +373,6 @@ class TestBiasForms:
         assert rows.size == np.count_nonzero(codes)
         assert np.all(codes[rows, cols] != D.NA)
         assert np.array_equal(codes[rows, cols], types + 1)
-        with pytest.raises(ValueError, match="NA"):
-            bias_param_prefix(0, 0, D.NA)
 
 
 class TestStructuredScores:
@@ -370,12 +399,8 @@ class TestStructuredScores:
         cfg, store, q, k, _ = self._setup("biaffine")
         rng = np.random.default_rng(77)
         for dep in STRUCTURED_TYPES:
-            store[f"layer0.head0.bias.{dep.name.lower()}.A"].tensor.values = (
-                rng.normal(size=(4, 4))
-            )
-            store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values = (
-                np.array(rng.normal())
-            )
+            set_param(store, dep, "A", rng.normal(size=(4, 4)))
+            set_param(store, dep, "b", rng.normal())
         scores, bias = structured_scores(store, q[None], k[None], all_na(6),
                                          0, cfg)
         assert bias is None
@@ -386,7 +411,7 @@ class TestStructuredScores:
         base = head_scores(store, q, k, S, cfg)
         delta = 0.37
         dep = D.INTRA_RELATE
-        store[f"layer0.head0.bias.{dep.name.lower()}.b"].tensor.values += delta
+        bias_view(store, 0, 0, dep, "b")[...] += delta
         bumped = head_scores(store, q, k, S, cfg)
         diff = bumped - base
         mask = S.codes == dep.value
@@ -508,7 +533,7 @@ def reference_encoder(store, x, codes, cfg):
     for l in range(cfg.layers):
         heads = []
         for h in range(cfg.heads):
-            q, k, v = (x @ w(f"layer{l}.head{h}.{name}")
+            q, k, v = (x @ projection(store, l, h, cfg.heads, name)
                        for name in ("wq", "wk", "wv"))
             scores = q @ k.T
             if l in structured:
@@ -586,7 +611,9 @@ class TestStructuredAttention:
         node = structured_attention(store, x, S, 0, cfg)
         assert node.shape == (S.n, 8)
         expect = [x] + [p.tensor for p in store
-                        if p.name.startswith("layer0.head")]
+                        if p.name == "layer0.wqkv"
+                        or p.name.startswith("layer0.bias.")]
+        assert len(expect) == 5  # x, wqkv, qvec, kvec, b
         assert {id(t) for t in node._parents} == {id(t) for t in expect}
         assert len(node._parents) == len(expect)
 
@@ -602,9 +629,7 @@ class TestEncoderForward:
         x = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
         out = encoder_forward(store, Tensor(x), all_na(3), cfg).values
 
-        wq = store["layer0.head0.wq"].values
-        wk = store["layer0.head0.wk"].values
-        wv = store["layer0.head0.wv"].values
+        wq, wk, wv = store["layer0.wqkv"].values
         wo = store["layer0.wo"].values
         scores = (x @ wq) @ (x @ wk).T / math.sqrt(2)
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))

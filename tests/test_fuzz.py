@@ -69,8 +69,8 @@ def test_load_checkpoint(tmp_path):
     path = tmp_path / "checkpoint.bin"
     rng = np.random.default_rng(0)
     save_checkpoint(path, {"embed.word": rng.normal(size=(3, 2)),
-                           "layer0.head0.bias.intra_ne.b": np.array(0.5),
-                           "adam.t": np.array(1.0)})
+                           "layer0.bias.b": rng.normal(size=(1, 5)),
+                           "scalar": np.array(0.5)})
     check_reader(lambda: load_checkpoint(path), path, path,
                  path.read_bytes(), seed=2, count=150)
 

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from structrel.autodiff import Tensor, add
+from structrel.autodiff import Tensor, add, load_checkpoint
 from structrel.batching import TruncationWarning
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
@@ -556,18 +556,17 @@ class TestBiasTermLinearity:
             store = ParameterStore()
             init_encoder_params(store, np.random.default_rng(0), cfg)
             prng = np.random.default_rng(123)
-            for dep in ("intra_ne", "inter_relate", "intra_relate",
-                        "inter_coref", "intra_coref"):
-                prefix = f"layer0.head0.bias.{dep}"
+            # type s of the one head: column s of qvec and kvec, slot s of b
+            for s in range(5):
                 qv = prng.normal(size=(4, 1))
                 kv = prng.normal(size=(4, 1))
                 b = prng.normal()
                 if cfg.bias_query:
-                    store[f"{prefix}.qvec"].tensor.values = qv
+                    store["layer0.bias.qvec"].values[0, :, s:s + 1] = qv
                 if cfg.bias_key:
-                    store[f"{prefix}.kvec"].tensor.values = kv
+                    store["layer0.bias.kvec"].values[0, :, s:s + 1] = kv
                 if cfg.bias_prior:
-                    store[f"{prefix}.b"].tensor.values = np.array(b)
+                    store["layer0.bias.b"].values[0, s] = b
             scores, _ = structured_scores(store, q, k, S, 0, cfg)
             return (scores[0] - raw_scores(q[0], k[0])) * math.sqrt(4)
 
@@ -629,8 +628,31 @@ class TestRunDirectory:
                                                      "layers = 2"))
         with pytest.raises(ValueError, match=re.escape(
                 f"{run_dir / 'checkpoint.bin'}: checkpoint is missing "
-                f"parameter 'layer1.head0.wq'")):
+                f"parameter 'layer1.wqkv'")):
             load_run(run_dir)
+
+    def test_version_1_checkpoint_names_file_and_version(self, tiny_corpus,
+                                                         tmp_path):
+        # Version 1 stored the attention parameters one array per head and
+        # type; such a run directory must be retrained.
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        checkpoint = run_dir / "checkpoint.bin"
+        blob = bytearray(checkpoint.read_bytes())
+        blob[8:12] = (1).to_bytes(4, "little")
+        checkpoint.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: unsupported checkpoint version 1, "
+                f"expected 2")):
+            load_run(run_dir)
+
+    def test_checkpoint_holds_the_parameters_only(self, tiny_corpus,
+                                                  tmp_path):
+        result = train(small_config(epochs=1), tiny_corpus[0])
+        assert result.best_arrays.keys() == set(result.model.store.names())
+        save_run(tmp_path / "run", result)
+        saved = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert list(saved) == result.model.store.names()
 
     @pytest.mark.parametrize("name", ["vocab.txt", "etypes.txt"])
     def test_repeated_line_names_file_and_both_lines(self, tiny_corpus,
@@ -679,6 +701,20 @@ class TestConfigFile:
         assert loaded.epochs == 9
         assert loaded.mode == "none"
         assert loaded.bias_core is False
+
+    def test_default_mode_override_keeps_the_files_toggles(self, tmp_path):
+        # A file without a mode line is in the default mode, biaffine, so
+        # overriding the mode with biaffine switches nothing.
+        path = tmp_path / "config.txt"
+        path.write_text("bias_prior = false\n")
+        loaded = load_config(path, overrides={"mode": "biaffine"})
+        assert toggles(loaded) == (True, False, False, False)
+
+    def test_mode_switch_resets_the_files_toggles(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("bias_prior = false\n")
+        loaded = load_config(path, overrides={"mode": "decomp"})
+        assert toggles(loaded) == (False, True, True, True)
 
     def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
         path = tmp_path / "config.txt"

@@ -13,6 +13,7 @@ from structrel.autodiff import (
     matmul,
     mul,
     sum_all,
+    xavier_uniform,
 )
 from structrel.batching import encode_document
 from structrel.config import ModelConfig
@@ -464,3 +465,34 @@ class TestBaselineEquivalenceWithLoss:
         zero_init = first_loss("biaffine")
         na_only = first_loss("biaffine", frozenset(STRUCTURED_TYPES))
         assert baseline == zero_init == na_only
+
+
+class TestParameterInit:
+    def test_stacked_projections_equal_per_head_draws(self):
+        # Every head's wq, wk and wv drawn one at a time in (head,
+        # projection) order, with the embedding tables before them and each
+        # layer's wo and FFN after: the stacked wqkv holds the same values,
+        # and the draws after it are unchanged.
+        seed, layers, heads, d, d_dist = 11, 2, 4, 8, 4
+        model, _ = make_model(layers=layers, heads=heads, d_model=d,
+                              d_dist=d_dist, seed=seed)
+        cfg, dh = model.cfg, d // heads
+        rng = np.random.default_rng(seed)
+        for name, rows in (("word", len(model.vocab)), ("pos", cfg.max_len),
+                           ("etype", len(model.etype_labels) + 1),
+                           ("coref", cfg.coref_cap + 1)):
+            expect = xavier_uniform(rng, rows, d, (rows, d))
+            assert np.array_equal(model.store[f"embed.{name}"].values, expect)
+        for l in range(layers):
+            drawn = {(h, name): xavier_uniform(rng, d, dh, (d, dh))
+                     for h in range(heads) for name in ("wq", "wk", "wv")}
+            expect = np.stack([drawn[h, name] for name in ("wq", "wk", "wv")
+                               for h in range(heads)])
+            assert np.array_equal(model.store[f"layer{l}.wqkv"].values, expect)
+            assert np.array_equal(model.store[f"layer{l}.wo"].values,
+                                  xavier_uniform(rng, d, d, (d, d)))
+            hidden = d * cfg.ffn_mult
+            assert np.array_equal(model.store[f"layer{l}.ffn.w1"].values,
+                                  xavier_uniform(rng, d, hidden, (d, hidden)))
+            assert np.array_equal(model.store[f"layer{l}.ffn.w2"].values,
+                                  xavier_uniform(rng, hidden, d, (hidden, d)))
