@@ -9,6 +9,12 @@ added into it.  An inner node's gradient is released as soon as its own
 backward rule has consumed it; only leaves (parameters and constants)
 keep theirs.  Storage is float64 throughout: double precision keeps
 finite-difference checks tight.
+
+:func:`scratch` hands out views of process-wide buffers for temporaries
+that die inside the call that makes them.  Full-size temporaries taken
+from the C allocator are served from fresh pages and handed back to the
+system when freed, so a training loop would fault them in again on every
+document; a scratch buffer is faulted in once and reused.
 """
 from __future__ import annotations
 
@@ -23,6 +29,26 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
+
+
+_SCRATCH: dict[str, np.ndarray] = {}
+
+
+def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 view of shape ``shape`` into the buffer
+    ``name``, which lives as long as the process and only grows.
+
+    The view's contents are whatever the last user left.  The rule for
+    using one: the array dies inside the call that asks for it; it is
+    never a graph value or gradient, never saved for a backward and never
+    returned.  One name serves one temporary at a time, so two arrays
+    alive together need two names, and the buffers are not for threads.
+    """
+    size = math.prod(shape)
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _as_array(values) -> np.ndarray:
@@ -360,10 +386,20 @@ class ParameterStore:
             p.tensor.values = incoming.copy()
 
 
+#: Elements per block of :meth:`Adam.step`: its two work arrays are
+#: scratch of this size, whatever the size of the largest parameter.
+ADAM_BLOCK = 16 * 1024
+
+
 class Adam:
     """Adaptive moment estimation with bias correction.
 
-    Moment state persists between steps, keyed by parameter name.
+    Moment state persists between steps, keyed by parameter name.  The
+    update runs in place, in blocks of ``ADAM_BLOCK`` elements, with the
+    operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    and ``p -= lr m_hat / (sqrt(v_hat) + eps)`` in that order, so it is
+    bit-equal to the same formula on whole arrays.  Parameters must be
+    C-contiguous, as the store creates and loads them.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
@@ -373,30 +409,52 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.values) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.values) for p in self.params}
+        self.m = {p.name: np.zeros(p.values.shape) for p in self.params}
+        self.v = {p.name: np.zeros(p.values.shape) for p in self.params}
 
     def zero_grad(self) -> None:
+        """Zero every gradient in place; a parameter without one gets a
+        zero array."""
         for p in self.params:
-            p.tensor.grad = np.zeros_like(p.values)
+            if p.tensor.grad is None:
+                p.tensor.grad = np.zeros_like(p.values)
+            else:
+                p.tensor.grad.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for p in self.params:
             g = p.tensor.grad
             if g is None:
                 raise ValueError(
                     f"parameter {p.name!r} has no gradient; call backward first"
                 )
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.tensor.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not p.values.flags.c_contiguous:
+                raise ValueError(f"parameter {p.name!r} is not C-contiguous")
+            flat = p.values.reshape(-1)
+            g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
+                       self.v[p.name].reshape(-1))
+            for lo in range(0, flat.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, flat.size)
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                w1 = scratch("adam.w1", (hi - lo,))
+                w2 = scratch("adam.w2", (hi - lo,))
+                mb *= b1
+                np.multiply(1.0 - b1, gb, out=w1)
+                mb += w1
+                vb *= b2
+                np.multiply(1.0 - b2, gb, out=w1)
+                w1 *= gb
+                vb += w1
+                np.divide(mb, c1, out=w1)
+                np.multiply(self.lr, w1, out=w1)
+                np.divide(vb, c2, out=w2)
+                np.sqrt(w2, out=w2)
+                w2 += self.eps
+                w1 /= w2
+                flat[lo:hi] -= w1
 
 
 def grad_check(build: Callable[[], Tensor], params: Sequence[Parameter],
@@ -446,10 +504,12 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 CHECKPOINT_MAGIC = b"SRELCKPT"
-#: Version 2 stores each layer's attention parameters stacked (``wqkv``,
-#: ``bias.A`` and so on) and no optimizer state; version 1 stored them one
-#: array per head, projection and dependency type, with Adam's moments.
-CHECKPOINT_VERSION = 2
+#: Version 3 stores the relation head as one array, ``head.rel.W``;
+#: version 2 stored it one array per relation.  Version 2 also first
+#: stored each layer's attention parameters stacked (``wqkv``, ``bias.A``
+#: and so on) and no optimizer state; version 1 stored them one array per
+#: head, projection and dependency type, with Adam's moments.
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:

@@ -23,6 +23,17 @@ Each head's forward products are those of the head computed alone, so
 the outputs are bit-equal to a per-head graph; gradients agree to
 rounding.
 
+Temporaries that die inside the forward or the backward call (the
+biaffine core's ``q A`` table and gathered rows, the score and
+projection gradients, the gathered query rows, the segment sums) are
+:func:`~structrel.autodiff.scratch` arrays, reused from document to
+document instead of faulted in afresh.  Nothing saved for the backward
+is scratch: another graph's forward may run before it.  The buffers are
+process-wide, so the encoder is single-threaded.  Their gathers use
+``np.take(..., mode="clip")``, which writes into ``out`` directly where
+``mode="raise"`` would take a buffer of its own; the indices come from a
+structure whose size is checked against the document's first.
+
 The bias is computed only where there is structure.  Every non-NA cell
 gathers its query row, key row and type slot from the five types'
 parameters laid side by side, for all heads at once, and the cell biases
@@ -56,6 +67,7 @@ from .autodiff import (
     layer_norm,
     matmul,
     relu,
+    scratch,
     xavier_uniform,
 )
 from .structure import (
@@ -174,7 +186,9 @@ def _segment_sum(values: np.ndarray, groups: CellGroups,
     """
     heads, _, w = values.shape
     out = np.zeros((heads, n_slots, w))
-    out[:, groups.slots] = np.add.reduceat(values, groups.starts, axis=1)
+    out[:, groups.slots] = np.add.reduceat(
+        values, groups.starts, axis=1,
+        out=scratch("attn.reduceat", (heads, groups.starts.size, w)))
     return out
 
 
@@ -219,7 +233,8 @@ class CellBias:
             self.k_cells *= g_row
             d_qa = _segment_sum(self.k_cells, by_row, n_slots)
             d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
-            q_cells = np.take(q, rows[by_col.order], axis=1)
+            q_cells = np.take(q, rows[by_col.order], axis=1, mode="clip",
+                              out=scratch("attn.cells", self.k_cells.shape))
             q_cells *= g_col
             d_kq = _segment_sum(q_cells, by_col,
                                 n_slots).reshape(heads, n, N_TYPES * dh)
@@ -275,11 +290,16 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     if "A" in terms:
         # gathered in row-group order, which the gradient sums over
         order = structure.row_groups.order
-        qa = np.matmul(q, terms["A"].values).reshape(heads, n * N_TYPES, dh)
+        qa = np.matmul(q, terms["A"].values,
+                       out=scratch("attn.qa", (heads, n, N_TYPES * dh)))
+        qa = qa.reshape(heads, n * N_TYPES, dh)
         k_cells = np.take(k, cols[order], axis=1)
-        qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1)
+        qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1,
+                           mode="clip", out=scratch("attn.cells",
+                                                    k_cells.shape))
+        qa_cells *= k_cells
         core = np.empty((heads, rows.size))
-        core[:, order] = (qa_cells * k_cells).sum(axis=-1)
+        core[:, order] = qa_cells.sum(axis=-1)
         parts.append(core)
     for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
         if suffix in terms:
@@ -403,11 +423,12 @@ def structured_attention(store: ParameterStore, x: Tensor,
                                "build the graph again to run backward again")
         spent = True
         g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
-        d_qkv = np.empty_like(qkv)
+        d_qkv = scratch("attn.d_qkv", qkv.shape)
         dq, dk, dv = (d_qkv[:heads], d_qkv[heads:2 * heads],
                       d_qkv[2 * heads:])
         np.matmul(probs.transpose(0, 2, 1), g, out=dv)
-        d_scores = np.matmul(g, v.transpose(0, 2, 1))
+        d_scores = np.matmul(g, v.transpose(0, 2, 1),
+                             out=scratch("attn.d_scores", probs.shape))
         # softmax backward, P * dP - P * sum(P * dP), then the 1/sqrt(d_h)
         # scale; the weights are spent, so they hold P * sum(P * dP)
         d_scores *= probs

@@ -8,6 +8,7 @@ unchanged.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -93,18 +94,16 @@ def evaluate_facts(
     ign_denom = len(predicted) - in_train
     ign_precision = (correct - in_train) / ign_denom if ign_denom else 0.0
 
-    relations = sorted(
-        {fact[3] for fact in predicted} | {fact[3] for fact in gold}
-    )
+    # one pass over each set, not one per relation
+    p_n = Counter(fact[3] for fact in predicted)
+    g_n = Counter(fact[3] for fact in gold)
+    c_n = Counter(fact[3] for fact in correct_set)
     per_relation = {}
-    for r in relations:
-        p_r = {fact for fact in predicted if fact[3] == r}
-        g_r = {fact for fact in gold if fact[3] == r}
-        c_r = len(p_r & g_r)
-        pr = c_r / len(p_r) if p_r else 0.0
-        rc = c_r / len(g_r) if g_r else 0.0
+    for r in sorted(p_n.keys() | g_n.keys()):
+        pr = c_n[r] / p_n[r] if p_n[r] else 0.0
+        rc = c_n[r] / g_n[r] if g_n[r] else 0.0
         per_relation[r] = RelationScores(
-            gold=len(g_r), predicted=len(p_r), correct=c_r,
+            gold=g_n[r], predicted=p_n[r], correct=c_n[r],
             precision=pr, recall=rc, f1=f1_score(pr, rc),
         )
     return EvalReport(

@@ -10,31 +10,25 @@ by a sigmoid.
 
 The bilinear forms of all relations are one graph node
 (:func:`bilinear_scores`), so a document's graph has as many nodes
-whatever the size of the schema.  The node walks the relations in
-chunks: a chunk's weights side by side, (d_e, k*d_e), give
-``t = e_s @ W`` for k relations in one product, and a batched row
-product with ``e_o`` gives their k columns of scores.  The backward
-computes ``t`` again rather than keeping it, and handles one chunk at a
-time: ``e_o``'s gradient from ``t``, ``e_s``'s and the weights' from the
-upstream gradient spread over ``e_o``.
+whatever the size of the schema, and their weights are one parameter,
+``head.rel.W`` (d_e, M*d_e), relation ``r`` in columns ``r*d_e`` to
+``(r+1)*d_e``.  The node walks the relations in chunks: a chunk's columns
+of ``W``, a view, give ``t = e_s @ W`` for k relations in one product,
+and a batched row product with ``e_o`` gives their k columns of scores.
+The backward computes ``t`` again rather than keeping it, and handles
+one chunk at a time: ``e_o``'s gradient from ``t``, ``e_s``'s from the
+upstream gradient spread over ``e_o``, and ``W``'s added straight into
+the chunk's columns of the one gradient.
 
-Chunks are sized so that no temporary of a chunk exceeds
-``HEAD_CHUNK_BYTES`` (64 KiB), unless one relation's alone does.  That is
-what makes the node pay: the whole head at once needs several arrays of
-1-2 MB per document on a 96-relation schema, which the C allocator
-serves from fresh pages and hands back to the system when they are
-freed, so every training document faulted them in again (minor page
-faults per benchmark run rose five- to tenfold) and training ran about a
-fifth slower than in chunks.  Arrays of 64 KiB are reused from the
-process heap.
-
-For the same reason each relation keeps its own (d_e, d_e) parameter,
-where the encoder stores each layer's attention parameters stacked.  The
-head stored as one (d_e, M*d_e) array computes bit-identical results,
-but on a 96-relation schema that array is 1.2 MB, and Adam's update and
-``zero_grad`` make full-size temporaries of it on every step: minor page
-faults per 8 s wide-decomp benchmark run doubled (106k to 227k), and
-training speed gained nothing steady.
+A chunk's ``t`` and spread gradient are :func:`~structrel.autodiff.scratch`
+arrays: they die inside the call, so one buffer each serves every chunk
+of every document.  Taken from the C allocator, arrays of 1-2 MB per
+document on a 96-relation schema come from fresh pages and go back to
+the system when freed, so every training document would fault them in
+again.  ``HEAD_CHUNK_BYTES`` sizes the chunks for speed alone: on a
+96-relation schema 64 KiB chunks trained and evaluated slower than
+256 KiB ones, and larger chunks gained nothing steady but resident
+memory.
 """
 from __future__ import annotations
 
@@ -46,12 +40,14 @@ import numpy as np
 from .autodiff import (
     Adam,
     ParameterStore,
+    ShapeError,
     Tensor,
     add,
     binary_cross_entropy,
     concat,
     constant,
     matmul,
+    scratch,
     sigmoid,
     sum_all,
     take_rows,
@@ -69,7 +65,7 @@ N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
 
 #: Bound on each temporary array of one chunk of the relation head, in
 #: bytes; see the module docstring.
-HEAD_CHUNK_BYTES = 64 * 1024
+HEAD_CHUNK_BYTES = 256 * 1024
 
 
 _BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
@@ -91,46 +87,54 @@ def head_chunk(rows: int, d_e: int) -> int:
     return max(1, HEAD_CHUNK_BYTES // per_relation)
 
 
-def bilinear_scores(e_s: Tensor, e_o: Tensor,
-                    weights: Sequence[Tensor]) -> Tensor:
+def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor) -> Tensor:
     """Every relation's bilinear form ``e_s W_r e_o`` over the pairs, as
-    one graph node: (P, M), column r from ``weights[r]``.
+    one graph node: (P, M), column r from columns ``r*d_e`` to
+    ``(r+1)*d_e`` of ``w`` (d_e, M*d_e).
 
     The relations run in chunks of :func:`head_chunk`; the forward keeps
     no chunk array, and the backward computes each chunk's ``e_s @ W``
     again.
     """
-    a, b = e_s.values, e_o.values
+    a, b, wv = e_s.values, e_o.values, w.values
     rows, d_e = a.shape
+    if wv.shape[0] != d_e or wv.shape[1] % d_e:
+        raise ShapeError(f"bilinear_scores: weights of shape {wv.shape} for "
+                         f"pair features of width {d_e}")
+    n_rel = wv.shape[1] // d_e
     k = head_chunk(rows, d_e)
-    chunks = [(lo, weights[lo:lo + k]) for lo in range(0, len(weights), k)]
+    chunks = [(lo, min(lo + k, n_rel)) for lo in range(0, n_rel, k)]
 
-    def products(chunk):
-        """The chunk's weights side by side and ``e_s @ W``, (P, k, d_e)."""
-        w = np.concatenate([p.values for p in chunk], axis=1)
-        return w, (a @ w).reshape(rows, len(chunk), d_e)
+    def products(lo, hi):
+        """The chunk's columns of ``w``, a view, and ``e_s @ W`` as
+        (P, hi - lo, d_e), in scratch."""
+        cols = wv[:, lo * d_e:hi * d_e]
+        t = np.matmul(a, cols, out=scratch("head.t", (rows, cols.shape[1])))
+        return cols, t.reshape(rows, hi - lo, d_e)
 
-    scores = np.empty((rows, len(weights)))
-    for lo, chunk in chunks:
-        _, t = products(chunk)
-        scores[:, lo:lo + len(chunk)] = (t @ b[:, :, None])[..., 0]
+    scores = np.empty((rows, n_rel))
+    for lo, hi in chunks:
+        _, t = products(lo, hi)
+        scores[:, lo:hi] = (t @ b[:, :, None])[..., 0]
 
     def _backward(grad):
         da = np.zeros_like(a)
         db = np.zeros_like(b)
-        for lo, chunk in chunks:
-            w, t = products(chunk)
-            g = grad[:, lo:lo + len(chunk)]
+        if w.grad is None:
+            w.grad = np.zeros_like(wv)
+        for lo, hi in chunks:
+            cols, t = products(lo, hi)
+            g = grad[:, lo:hi]
             db += (g[:, None, :] @ t)[:, 0, :]
-            gb = (g[:, :, None] * b[:, None, :]).reshape(rows, -1)
-            da += gb @ w.T
-            dw = a.T @ gb
-            for j, p in enumerate(chunk):
-                p._accumulate(dw[:, j * d_e:(j + 1) * d_e])
+            gb = scratch("head.gb", (rows, hi - lo, d_e))
+            np.multiply(g[:, :, None], b[:, None, :], out=gb)
+            gb = gb.reshape(rows, -1)
+            da += gb @ cols.T
+            w.grad[:, lo * d_e:hi * d_e] += a.T @ gb
         e_s._accumulate(da)
         e_o._accumulate(db)
 
-    return Tensor(scores, (e_s, e_o, *weights), _backward)
+    return Tensor(scores, (e_s, e_o, w), _backward)
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,12 @@ class RelationExtractor:
             xavier_uniform(rng, N_DISTANCE_BUCKETS, cfg.d_dist,
                            (N_DISTANCE_BUCKETS, cfg.d_dist)),
         )
-        d_e = d + cfg.d_dist
-        for r in self.schema:
-            self.store.create(f"head.rel.{r}.W",
-                              xavier_uniform(rng, d_e, d_e, (d_e, d_e)))
+        # relation r's (d_e, d_e) form in columns r*d_e to (r+1)*d_e,
+        # drawn in relation order as one form per relation would be
+        d_e, m = d + cfg.d_dist, len(self.schema)
+        w = xavier_uniform(rng, d_e, d_e, (m, d_e, d_e))
+        self.store.create("head.rel.W",
+                          w.transpose(1, 0, 2).reshape(d_e, m * d_e))
 
     # ---- forward pieces -------------------------------------------------
 
@@ -233,8 +239,8 @@ class RelationExtractor:
 
     def score_relations(self, e_s: Tensor, e_o: Tensor) -> Tensor:
         """Sigmoid of the bilinear form per relation; (P, M)."""
-        weights = [self.store[f"head.rel.{r}.W"].tensor for r in self.schema]
-        return sigmoid(bilinear_scores(e_s, e_o, weights))
+        return sigmoid(bilinear_scores(e_s, e_o,
+                                       self.store["head.rel.W"].tensor))
 
     def forward(self, enc: EncodedDocument,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:

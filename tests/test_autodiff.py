@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from structrel.autodiff import (
+    ADAM_BLOCK,
     Adam,
     Parameter,
     ParameterStore,
@@ -18,6 +19,7 @@ from structrel.autodiff import (
     mul,
     relu,
     save_checkpoint,
+    scratch,
     sigmoid,
     sum_all,
     take_rows,
@@ -260,6 +262,90 @@ class TestAdam:
             return w.values.copy()
 
         assert run().tobytes() == run().tobytes()
+
+
+def whole_array_adam_step(opt, moments):
+    """Adam's update as first written, on whole arrays: the reference
+    the blocked in-place step must equal bit for bit."""
+    for p in opt.params:
+        g = p.tensor.grad
+        m, v = moments[p.name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        m_hat = m / (1.0 - opt.beta1 ** opt.t)
+        v_hat = v / (1.0 - opt.beta2 ** opt.t)
+        p.tensor.values -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+class TestBlockedAdam:
+    SHAPES = {"small": (3, 4), "scalar": (), "blocks": (2 * ADAM_BLOCK + 5,)}
+
+    def test_bit_equal_to_the_whole_array_formula(self):
+        rng = np.random.default_rng(21)
+        stores = [ParameterStore(), ParameterStore()]
+        init = {name: rng.normal(size=shape)
+                for name, shape in self.SHAPES.items()}
+        for store in stores:
+            for name, values in init.items():
+                store.create(name, values.copy())
+        blocked = Adam(stores[0], lr=0.05, betas=(0.8, 0.99), eps=1e-6)
+        whole = Adam(stores[1], lr=0.05, betas=(0.8, 0.99), eps=1e-6)
+        moments = {name: (np.zeros(shape), np.zeros(shape))
+                   for name, shape in self.SHAPES.items()}
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+                     for name, shape in self.SHAPES.items()}
+            for store in stores:
+                for p in store:
+                    p.tensor.grad = grads[p.name].copy()
+            blocked.step()
+            whole.t += 1
+            whole_array_adam_step(whole, moments)
+            for name in self.SHAPES:
+                assert (stores[0][name].values.tobytes()
+                        == stores[1][name].values.tobytes()), name
+                assert blocked.m[name].tobytes() == moments[name][0].tobytes()
+                assert blocked.v[name].tobytes() == moments[name][1].tobytes()
+
+    def test_zero_grad_keeps_each_gradient_object(self):
+        store = ParameterStore()
+        for name, shape in self.SHAPES.items():
+            store.create(name, np.ones(shape))
+        opt = Adam(store)
+        opt.zero_grad()
+        grads = [p.tensor.grad for p in store]
+        for g in grads:
+            g += 3.0
+        opt.zero_grad()
+        assert all(p.tensor.grad is g for p, g in zip(store, grads))
+        assert all(not g.any() for g in grads)
+
+    def test_non_contiguous_parameter_is_refused(self):
+        store = ParameterStore()
+        p = store.create("p", np.zeros((3, 4)))
+        p.tensor.values = np.ones((4, 3)).T
+        opt = Adam(store)
+        opt.zero_grad()
+        with pytest.raises(ValueError, match="'p' is not C-contiguous"):
+            opt.step()
+
+
+class TestScratch:
+    def test_views_reuse_one_buffer_that_only_grows(self):
+        small = scratch("test.grow", (2, 3))
+        again = scratch("test.grow", (3,))
+        assert again.base is small.base
+        big = scratch("test.grow", (4, 5))
+        assert big.shape == (4, 5) and big.flags.c_contiguous
+        assert big.base is not small.base
+        assert scratch("test.grow", (6,)).base is big.base
+
+    def test_names_do_not_share_memory(self):
+        a = scratch("test.a", (8,))
+        b = scratch("test.b", (8,))
+        assert not np.shares_memory(a, b)
 
 
 class TestParameterStore:

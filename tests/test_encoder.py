@@ -603,6 +603,19 @@ class TestStructuredAttention:
         with pytest.raises(RuntimeError, match="spent"):
             loss.backward()
 
+    @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_structure_of_another_size_is_refused(self, two_sentence_doc,
+                                                  mode, delta):
+        # The cell gathers clip their indices into range, so this check is
+        # what keeps a structure of another document from being read.
+        S = fixture_structure(two_sentence_doc)
+        cfg = encoder_config(mode, heads=2, d_model=8)
+        store = make_store(cfg, 5)
+        x = Tensor(np.ones((S.n + delta, 8)))
+        with pytest.raises(ValueError, match="tokens"):
+            structured_attention(store, x, S, 0, cfg)
+
     def test_one_node_per_layer_with_all_parents(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
         cfg = encoder_config("decomp", layers=1, heads=2, d_model=8)

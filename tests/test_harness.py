@@ -104,6 +104,36 @@ class TestEvaluateFacts:
         assert report.per_relation["r0"].correct == 1
         assert report.per_relation["r1"].f1 == 1.0
 
+    @staticmethod
+    def rescanned_per_relation(predicted, gold):
+        """The per-relation scores as first written: every relation
+        rescans both sets."""
+        relations = sorted({f[3] for f in predicted} | {f[3] for f in gold})
+        out = {}
+        for r in relations:
+            p_r = {fact for fact in predicted if fact[3] == r}
+            g_r = {fact for fact in gold if fact[3] == r}
+            c_r = len(p_r & g_r)
+            pr = c_r / len(p_r) if p_r else 0.0
+            rc = c_r / len(g_r) if g_r else 0.0
+            out[r] = (len(g_r), len(p_r), c_r, pr, rc, f1_score(pr, rc))
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_relation_matches_a_rescan(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rel = int(rng.integers(1, 12))
+        universe = [(f"d{d}", h, t, f"r{j}") for d in range(4)
+                    for h in range(3) for t in range(3) if h != t
+                    for j in range(n_rel)]
+        predicted = {f for f in universe if rng.random() < 0.3}
+        gold = {f for f in universe if rng.random() < 0.1}
+        report = evaluate_facts(predicted, gold)
+        got = {r: (s.gold, s.predicted, s.correct, s.precision, s.recall,
+                   s.f1) for r, s in report.per_relation.items()}
+        assert list(got) == sorted(got)
+        assert got == self.rescanned_per_relation(predicted, gold)
+
 
 class TestTrain:
     def test_zero_learning_rate_changes_nothing(self, tiny_corpus):
@@ -631,19 +661,33 @@ class TestRunDirectory:
                 f"parameter 'layer1.wqkv'")):
             load_run(run_dir)
 
-    def test_version_1_checkpoint_names_file_and_version(self, tiny_corpus,
-                                                         tmp_path):
-        # Version 1 stored the attention parameters one array per head and
-        # type; such a run directory must be retrained.
+    @staticmethod
+    def rewrite_version(tiny_corpus, tmp_path, version):
         run_dir = tmp_path / "run"
         save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
         checkpoint = run_dir / "checkpoint.bin"
         blob = bytearray(checkpoint.read_bytes())
-        blob[8:12] = (1).to_bytes(4, "little")
+        blob[8:12] = version.to_bytes(4, "little")
         checkpoint.write_bytes(bytes(blob))
+        return run_dir, checkpoint
+
+    def test_version_1_checkpoint_names_file_and_version(self, tiny_corpus,
+                                                         tmp_path):
+        # Version 1 stored the attention parameters one array per head and
+        # type; such a run directory must be retrained.
+        run_dir, checkpoint = self.rewrite_version(tiny_corpus, tmp_path, 1)
         with pytest.raises(ValueError, match=re.escape(
                 f"{checkpoint}: unsupported checkpoint version 1, "
-                f"expected 2")):
+                f"expected 3")):
+            load_run(run_dir)
+
+    def test_version_2_checkpoint_names_file_and_version(self, tiny_corpus,
+                                                         tmp_path):
+        # Version 2 stored the relation head one array per relation.
+        run_dir, checkpoint = self.rewrite_version(tiny_corpus, tmp_path, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: unsupported checkpoint version 2, "
+                f"expected 3")):
             load_run(run_dir)
 
     def test_checkpoint_holds_the_parameters_only(self, tiny_corpus,

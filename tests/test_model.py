@@ -6,6 +6,7 @@ import pytest
 from structrel import model as model_module
 from structrel.autodiff import (
     Parameter,
+    ShapeError,
     Tensor,
     concat,
     constant,
@@ -46,6 +47,12 @@ def pair_doc() -> Document:
         ),
         (RelationFact(0, 1, "knows"),),
     )
+
+
+def relation_form(w: np.ndarray, r: int) -> np.ndarray:
+    """Relation r's (d_e, d_e) form: its columns of the head's weights."""
+    d_e = w.shape[0]
+    return w[:, r * d_e:(r + 1) * d_e]
 
 
 def make_model(doc=None, schema=("knows", "likes"), **cfg_kwargs) -> tuple:
@@ -210,15 +217,14 @@ class TestPooling:
 class TestScoring:
     def test_zero_weights_give_half(self):
         model, enc = make_model()
-        for r in model.schema:
-            model.store[f"head.rel.{r}.W"].tensor.values = np.zeros((12, 12))
+        model.store["head.rel.W"].values[:] = 0.0
         result = model.forward(enc)
         assert np.allclose(result.probabilities.values, 0.5)
 
     def test_worked_bilinear_example(self):
         # e_s = [1, 0], e_o = [0, 1], W = [[0, 2], [0, 0]] scores sigmoid(2)
         model, _ = make_model(d_model=2, d_dist=0, schema=("only",))
-        model.store["head.rel.only.W"].tensor.values = np.array(
+        model.store["head.rel.W"].tensor.values = np.array(
             [[0.0, 2.0], [0.0, 0.0]]
         )
         probs = model.score_relations(
@@ -255,8 +261,8 @@ class TestScoring:
             e_o = np.concatenate(
                 [entities[o], dist[distance_bucket(starts[o] - starts[s])]]
             )
-            for j, r in enumerate(model.schema):
-                W = model.store[f"head.rel.{r}.W"].values
+            for j in range(len(model.schema)):
+                W = relation_form(model.store["head.rel.W"].values, j)
                 logit = float(e_s @ W @ e_o)
                 expect = 1.0 / (1.0 + math.exp(-logit))
                 assert result.probabilities.values[i, j] == pytest.approx(
@@ -295,58 +301,80 @@ class TestRelationHeadNode:
         rng = np.random.default_rng(11)
         e_s = Parameter("e_s", Tensor(rng.normal(size=(self.P, self.D_E))))
         e_o = Parameter("e_o", Tensor(rng.normal(size=(self.P, self.D_E))))
-        weights = [Parameter(f"W{r}",
-                             Tensor(rng.normal(size=(self.D_E, self.D_E))))
-                   for r in range(self.M)]
+        w = Parameter("W", Tensor(rng.normal(size=(self.D_E,
+                                                   self.M * self.D_E))))
         upstream = constant(rng.normal(size=(self.P, self.M)))
-        return e_s, e_o, weights, upstream
+        return e_s, e_o, w, upstream
 
     def test_chunk_sizes_at_the_benchmark_shapes(self):
-        assert head_chunk(56, 40) == 3      # wide-decomp
-        assert head_chunk(132, 72) == 1     # large-biaffine
+        assert head_chunk(56, 40) == 14     # wide-decomp
+        assert head_chunk(132, 72) == 3     # large-biaffine
         assert head_chunk(10_000, 72) == 1  # never fewer than one
 
     def test_gradients_pass_finite_differences(self, head):
-        e_s, e_o, weights, upstream = head
+        e_s, e_o, w, upstream = head
 
         def build():
-            scores = bilinear_scores(e_s.tensor, e_o.tensor,
-                                     [w.tensor for w in weights])
+            scores = bilinear_scores(e_s.tensor, e_o.tensor, w.tensor)
             return sum_all(mul(scores, upstream))
 
-        err = grad_check(build, [e_s, e_o, *weights])
+        err = grad_check(build, [e_s, e_o, w])
         assert err < 1e-5, err
+
+    def test_weights_must_hold_whole_relations(self, head):
+        e_s, e_o, w, _ = head
+        with pytest.raises(ShapeError, match="weights of shape"):
+            bilinear_scores(e_s.tensor, e_o.tensor,
+                            Tensor(w.values[:, :-1]))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_matches_the_per_relation_loop(self, head, monkeypatch, chunk):
-        e_s, e_o, weights, upstream = head
+        e_s, e_o, w, upstream = head
         monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
                             chunk * 8 * self.P * self.D_E)
-        params = [e_s, e_o, *weights]
+        # the loop's weights are column views of the head's one array
+        columns = [Tensor(relation_form(w.values, r)) for r in range(self.M)]
         results = []
-        for score in (bilinear_scores, loop_scores):
-            for p in params:
-                p.tensor.grad = None
-            scores = score(e_s.tensor, e_o.tensor,
-                           [w.tensor for w in weights])
+        for score, weights, w_grads in (
+                (bilinear_scores, w.tensor, lambda: w.tensor.grad),
+                (loop_scores, columns,
+                 lambda: np.concatenate([c.grad for c in columns], axis=1))):
+            for t in (e_s.tensor, e_o.tensor, w.tensor, *columns):
+                t.grad = None
+            scores = score(e_s.tensor, e_o.tensor, weights)
             sum_all(mul(scores, upstream)).backward()
-            results.append((scores.values,
-                            [p.tensor.grad.copy() for p in params]))
+            results.append((scores.values, [e_s.tensor.grad, e_o.tensor.grad,
+                                             w_grads()]))
         (node, node_grads), (loop, loop_grads) = results
 
         def close(got, expect):
             return np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
         assert close(node, loop)
-        for p, got, expect in zip(params, node_grads, loop_grads):
-            assert close(got, expect), p.name
+        for name, got, expect in zip(("e_s", "e_o", "W"), node_grads,
+                                     loop_grads):
+            assert close(got, expect), name
+
+    def test_one_parameter_whatever_the_schema(self):
+        counts = {len(make_model(schema=[f"r{i}" for i in range(width)])[0]
+                      .store) for width in (1, 40)}
+        assert len(counts) == 1
+
+    def test_forms_drawn_in_relation_order(self):
+        # Relation r's form is the r-th (d_e, d_e) block of the one draw,
+        # as the r-th of one draw per relation was: a longer schema
+        # leaves the earlier relations' forms as they are.
+        one = make_model(schema=("knows",))[0].store["head.rel.W"].values
+        two = make_model()[0].store["head.rel.W"].values
+        assert two.shape == (12, 24)
+        assert np.array_equal(relation_form(two, 0), one)
+        assert not np.array_equal(relation_form(two, 1), one)
 
 
 class TestLoss:
     def test_uniform_probabilities_give_pairs_times_relations_ln2(self):
         model, enc = make_model()
-        for r in model.schema:
-            model.store[f"head.rel.{r}.W"].tensor.values = np.zeros((12, 12))
+        model.store["head.rel.W"].values[:] = 0.0
         result = model.forward(enc)
         loss = float(model.compute_loss(result, enc).values)
         assert loss == pytest.approx(2 * 2 * math.log(2), rel=1e-12)
