@@ -425,6 +425,8 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        work1 = scratch("adam.w1", (ADAM_BLOCK,))
+        work2 = scratch("adam.w2", (ADAM_BLOCK,))
         for p in self.params:
             g = p.tensor.grad
             if g is None:
@@ -437,10 +439,9 @@ class Adam:
             g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
                        self.v[p.name].reshape(-1))
             for lo in range(0, flat.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, flat.size)
-                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                w1 = scratch("adam.w1", (hi - lo,))
-                w2 = scratch("adam.w2", (hi - lo,))
+                hi = lo + ADAM_BLOCK
+                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
+                w1, w2 = work1[:pb.size], work2[:pb.size]
                 mb *= b1
                 np.multiply(1.0 - b1, gb, out=w1)
                 mb += w1
@@ -454,7 +455,7 @@ class Adam:
                 np.sqrt(w2, out=w2)
                 w2 += self.eps
                 w1 /= w2
-                flat[lo:hi] -= w1
+                pb -= w1
 
 
 def grad_check(build: Callable[[], Tensor], params: Sequence[Parameter],
