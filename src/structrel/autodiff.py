@@ -435,13 +435,14 @@ class Adam:
                 )
             if not p.values.flags.c_contiguous:
                 raise ValueError(f"parameter {p.name!r} is not C-contiguous")
-            flat = p.values.reshape(-1)
-            g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
-                       self.v[p.name].reshape(-1))
-            for lo in range(0, flat.size, ADAM_BLOCK):
-                hi = lo + ADAM_BLOCK
-                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
-                w1, w2 = work1[:pb.size], work2[:pb.size]
+            blocks = [(p.values, g, self.m[p.name], self.v[p.name])]
+            if p.values.size > ADAM_BLOCK:
+                flat = [a.reshape(-1) for a in blocks[0]]
+                blocks = [[a[lo:lo + ADAM_BLOCK] for a in flat]
+                          for lo in range(0, p.values.size, ADAM_BLOCK)]
+            for pb, gb, mb, vb in blocks:
+                w1 = work1[:pb.size].reshape(pb.shape)
+                w2 = work2[:pb.size].reshape(pb.shape)
                 mb *= b1
                 np.multiply(1.0 - b1, gb, out=w1)
                 mb += w1
