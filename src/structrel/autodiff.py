@@ -386,7 +386,8 @@ class ParameterStore:
             p.tensor.values = incoming.copy()
 
 
-#: Elements per block of :meth:`Adam.step`: its two work arrays are
+#: Elements per block of :meth:`Adam.step`: a larger parameter is
+#: updated in flat blocks of this size, and the step's two work arrays are
 #: scratch of this size, whatever the size of the largest parameter.
 ADAM_BLOCK = 16 * 1024
 
@@ -395,8 +396,8 @@ class Adam:
     """Adaptive moment estimation with bias correction.
 
     Moment state persists between steps, keyed by parameter name.  The
-    update runs in place, in blocks of ``ADAM_BLOCK`` elements, with the
-    operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    update runs in place, on a parameter whole or, above ``ADAM_BLOCK``
+    elements, in flat blocks of that many, with the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``p -= lr m_hat / (sqrt(v_hat) + eps)`` in that order, so it is
     bit-equal to the same formula on whole arrays.  Parameters must be
     C-contiguous, as the store creates and loads them.
@@ -409,8 +410,8 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros(p.values.shape) for p in self.params}
-        self.v = {p.name: np.zeros(p.values.shape) for p in self.params}
+        self.m = {p.name: np.zeros_like(p.values) for p in self.params}
+        self.v = {p.name: np.zeros_like(p.values) for p in self.params}
 
     def zero_grad(self) -> None:
         """Zero every gradient in place; a parameter without one gets a
