@@ -386,9 +386,9 @@ class ParameterStore:
             p.tensor.values = incoming.copy()
 
 
-#: Elements per block of :meth:`Adam.step`: a larger parameter is
-#: updated in flat blocks of this size, and the step's two work arrays are
-#: scratch of this size, whatever the size of the largest parameter.
+#: Elements per block of :meth:`Adam.step`: every parameter is updated in
+#: flat blocks of this size, and the step's two work arrays are scratch of
+#: this size, whatever the size of the largest parameter.
 ADAM_BLOCK = 16 * 1024
 
 
@@ -396,8 +396,8 @@ class Adam:
     """Adaptive moment estimation with bias correction.
 
     Moment state persists between steps, keyed by parameter name.  The
-    update runs in place, on a parameter whole or, above ``ADAM_BLOCK``
-    elements, in flat blocks of that many, with the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    update runs in place, in flat blocks of ``ADAM_BLOCK`` elements, with
+    the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``p -= lr m_hat / (sqrt(v_hat) + eps)`` in that order, so it is
     bit-equal to the same formula on whole arrays.  Parameters must be
     C-contiguous, as the store creates and loads them.
@@ -436,14 +436,13 @@ class Adam:
                 )
             if not p.values.flags.c_contiguous:
                 raise ValueError(f"parameter {p.name!r} is not C-contiguous")
-            blocks = [(p.values, g, self.m[p.name], self.v[p.name])]
-            if p.values.size > ADAM_BLOCK:
-                flat = [a.reshape(-1) for a in blocks[0]]
-                blocks = [[a[lo:lo + ADAM_BLOCK] for a in flat]
-                          for lo in range(0, p.values.size, ADAM_BLOCK)]
-            for pb, gb, mb, vb in blocks:
-                w1 = work1[:pb.size].reshape(pb.shape)
-                w2 = work2[:pb.size].reshape(pb.shape)
+            flat = p.values.reshape(-1)
+            g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
+                       self.v[p.name].reshape(-1))
+            for lo in range(0, flat.size, ADAM_BLOCK):
+                hi = lo + ADAM_BLOCK
+                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
+                w1, w2 = work1[:pb.size], work2[:pb.size]
                 mb *= b1
                 np.multiply(1.0 - b1, gb, out=w1)
                 mb += w1
