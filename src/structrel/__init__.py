@@ -33,21 +33,18 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .encoder import (
-    BiasRecord,
-    BiasRecorder,
-    encoder_forward,
-    export_bias_heatmap,
-)
+from .encoder import BiasRecorder, encoder_forward, export_bias_heatmap
 from .harness import (
     DivergenceError,
     TrainResult,
-    ablate_bias_terms,
-    ablate_dependencies,
-    ablate_layers,
+    dependency_rows,
     evaluate,
+    layer_rows,
     load_run,
+    render_ablation_table,
+    run_ablation,
     save_run,
+    term_rows,
     train,
     tune_threshold,
 )
@@ -64,4 +61,4 @@ from .structure import (
     build_structure_matrix,
     write_grid,
 )
-from .synth import SYNTH_SCHEMA, SynthSpec, default_relation_rule, generate_synthetic
+from .synth import SynthSpec, default_relation_rule, generate_synthetic

@@ -53,12 +53,7 @@ def encode_document(doc: Document, vocab: Vocabulary,
                     excluded: frozenset[DependencyType] = frozenset(),
                     ) -> EncodedDocument:
     """Truncate a document to ``max_len`` tokens and encode what is left."""
-    # an entity survives truncation with any mention inside the cut
-    ordinals = tuple(
-        e for e, entity in enumerate(doc.entities)
-        if any(doc.global_span(m)[1] <= max_len for m in entity.mentions)
-    )
-    doc = truncate_document(doc, max_len)
+    doc, ordinals = truncate_document(doc, max_len)
     n = doc.token_count()
     word_idx = np.array([vocab.index(tok) for tok in doc.tokens()], dtype=np.int64)
     etype_idx = np.zeros(n, dtype=np.int64)
@@ -97,15 +92,17 @@ def encode_document(doc: Document, vocab: Vocabulary,
     )
 
 
-def truncate_document(doc: Document, max_len: int) -> Document:
-    """Cut a document to its first ``max_len`` tokens.
+def truncate_document(doc: Document,
+                      max_len: int) -> tuple[Document, tuple[int, ...]]:
+    """Cut a document to its first ``max_len`` tokens; return it and the
+    original ordinals of the entities it keeps.
 
     Mentions that cross or fall beyond the cut are dropped, entities left
     with no mention disappear, and facts touching a removed entity are
     dropped; every loss is warned.
     """
     if doc.token_count() <= max_len:
-        return doc
+        return doc, tuple(range(len(doc.entities)))
     sentences: list[tuple[str, ...]] = []
     budget = max_len
     for sent in doc.sentences:
@@ -147,7 +144,9 @@ def truncate_document(doc: Document, max_len: int) -> Document:
                 f"{fact.r!r}); an endpoint was truncated away",
                 TruncationWarning,
             )
-    return Document(doc.doc_id, tuple(sentences), tuple(entities), tuple(facts))
+    return (Document(doc.doc_id, tuple(sentences), tuple(entities),
+                     tuple(facts)),
+            tuple(remap))
 
 
 def make_batches(encodings: Sequence[EncodedDocument], batch_size: int,

@@ -3,6 +3,8 @@
 Subcommands: train, eval, tune-threshold, build-structure, stats, synth,
 ablate-deps, ablate-terms, ablate-layers, export-bias.  Every model flag
 mirrors a config field (kebab-case) and overrides the ``--config`` file.
+The ablation subcommands differ only in their rows; one handler trains
+them with :func:`harness.run_ablation` and writes one table.
 """
 from __future__ import annotations
 
@@ -19,6 +21,13 @@ from .structure import build_structure_matrix, write_grid
 from .synth import SynthSpec, generate_synthetic
 
 _CONFIG_TYPES = field_types()
+
+#: The ablation subcommands and their help; one handler serves them all.
+_ABLATIONS = {
+    "ablate-deps": "retrain with each dependency excluded",
+    "ablate-terms": "retrain per bias-term toggle",
+    "ablate-layers": "F1 versus number of structured top layers",
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,26 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="min,max tokens per sentence")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("ablate-deps",
-                       help="retrain with each dependency excluded")
-    p.add_argument("--train", required=True, dest="train_path")
-    p.add_argument("--dev", required=True, dest="dev_path")
-    p.add_argument("--out", required=True, help="report file")
-    _add_config_flags(p)
-
-    p = sub.add_parser("ablate-terms", help="retrain per bias-term toggle")
-    p.add_argument("--train", required=True, dest="train_path")
-    p.add_argument("--dev", required=True, dest="dev_path")
-    p.add_argument("--out", required=True, help="report file")
-    _add_config_flags(p)
-
-    p = sub.add_parser("ablate-layers",
-                       help="F1 versus number of structured top layers")
-    p.add_argument("--train", required=True, dest="train_path")
-    p.add_argument("--dev", required=True, dest="dev_path")
-    p.add_argument("--ks", required=True, help="comma list, e.g. 0,1,2")
-    p.add_argument("--out", required=True, help="report file")
-    _add_config_flags(p)
+    for name, help_text in _ABLATIONS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--train", required=True, dest="train_path")
+        p.add_argument("--dev", required=True, dest="dev_path")
+        if name == "ablate-layers":
+            p.add_argument("--ks", required=True, help="comma list, e.g. 0,1,2")
+        p.add_argument("--out", required=True, help="report file")
+        _add_config_flags(p)
 
     p = sub.add_parser("export-bias",
                        help="mean attentive bias per layer and dependency")
@@ -121,6 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True)
     p.add_argument("--out", required=True, help="heatmap file")
     return parser
+
+
+def _write_report(out_dir, report, predictions) -> None:
+    with open(os.path.join(out_dir, harness.REPORT_FILE), "w",
+              encoding="utf-8") as fh:
+        fh.write(report.render())
+    harness.write_predictions(
+        os.path.join(out_dir, harness.PREDICTIONS_FILE), predictions)
 
 
 def _cmd_train(args) -> int:
@@ -135,12 +140,7 @@ def _cmd_train(args) -> int:
         report, predictions = harness.evaluate(
             result.model, dev_docs, train_docs=train_docs
         )
-        with open(os.path.join(args.out, harness.REPORT_FILE), "w",
-                  encoding="utf-8") as fh:
-            fh.write(report.render())
-        harness.write_predictions(
-            os.path.join(args.out, harness.PREDICTIONS_FILE), predictions
-        )
+        _write_report(args.out, report, predictions)
         print(f"dev F1 {report.f1:.4f} (Ign {report.ign_f1:.4f})")
     print(f"run saved to {args.out}")
     return 0
@@ -156,12 +156,7 @@ def _cmd_eval(args) -> int:
     print(report.render(), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, harness.REPORT_FILE), "w",
-                  encoding="utf-8") as fh:
-            fh.write(report.render())
-        harness.write_predictions(
-            os.path.join(args.out, harness.PREDICTIONS_FILE), predictions
-        )
+        _write_report(args.out, report, predictions)
     return 0
 
 
@@ -225,38 +220,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_ablate_deps(args) -> int:
+def _cmd_ablate(args) -> int:
     config = _resolve_config(args)
-    rows = harness.ablate_dependencies(
-        config, parse_corpus(args.train_path), parse_corpus(args.dev_path)
-    )
-    table = harness.render_ablation_table(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    print(table, end="")
-    return 0
-
-
-def _cmd_ablate_terms(args) -> int:
-    config = _resolve_config(args)
-    rows = harness.ablate_bias_terms(
-        config, parse_corpus(args.train_path), parse_corpus(args.dev_path)
-    )
-    table = harness.render_ablation_table(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    print(table, end="")
-    return 0
-
-
-def _cmd_ablate_layers(args) -> int:
-    config = _resolve_config(args)
-    ks = [_flag_int("--ks", part) for part in args.ks.split(",")
-          if part.strip()]
-    curve = harness.ablate_layers(
-        config, parse_corpus(args.train_path), parse_corpus(args.dev_path), ks
-    )
-    table = harness.render_layer_curve(curve)
+    if args.command == "ablate-deps":
+        rows = harness.dependency_rows(config)
+    elif args.command == "ablate-terms":
+        rows = harness.term_rows(config)
+    else:
+        ks = [_flag_int("--ks", part) for part in args.ks.split(",")
+              if part.strip()]
+        rows = harness.layer_rows(config, ks)
+    table = harness.render_ablation_table(harness.run_ablation(
+        rows, parse_corpus(args.train_path), parse_corpus(args.dev_path)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
@@ -280,9 +255,7 @@ _COMMANDS = {
     "build-structure": _cmd_build_structure,
     "stats": _cmd_stats,
     "synth": _cmd_synth,
-    "ablate-deps": _cmd_ablate_deps,
-    "ablate-terms": _cmd_ablate_terms,
-    "ablate-layers": _cmd_ablate_layers,
+    **dict.fromkeys(_ABLATIONS, _cmd_ablate),
     "export-bias": _cmd_export_bias,
 }
 

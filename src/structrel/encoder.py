@@ -42,6 +42,11 @@ arXiv 1803.02155).  NA cells carry no parameters and are never computed,
 so a model whose structure is all NA computes the same function as the
 unstructured baseline.
 
+A forward given a :class:`BiasRecorder` adds every biased layer's cell
+biases, all heads at once, into one running sum and count per layer and
+dependency type; :func:`export_bias_heatmap` renders their ratios, the
+mean bias by layer and type.  Nothing is kept per document or head.
+
 Each layer stores its attention parameters in the layout the node
 computes with (:func:`init_encoder_params`): one (3H, d, d_h) array of
 every head's query, key and value projections, and per enabled bias term
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -83,31 +88,10 @@ if TYPE_CHECKING:
 N_TYPES = len(STRUCTURED_TYPES)
 
 
-@dataclass(frozen=True)
-class BiasRecord:
-    """Mean attentive bias over one document's cells of one dependency
-    type, for one layer and head."""
-
-    layer: int
-    head: int
-    dependency: DependencyType
-    mean_bias: float
-    count: int
-
-    def __post_init__(self):
-        if self.dependency == DependencyType.NA:
-            raise ValueError("NA cells are never recorded")
-        if self.count <= 0:
-            raise ValueError("a bias record requires at least one cell")
-
-
-_DEP_NAMES = {dep: dep.name.lower() for dep in DependencyType}
-
-
 def dep_name(dep: DependencyType) -> str:
     """The lower-case name of a dependency type, as exclusion lists and
     reports spell it."""
-    return _DEP_NAMES[dep]
+    return dep.name.lower()
 
 
 def _bias_terms(cfg: ModelConfig) -> list[str]:
@@ -319,29 +303,20 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
 
 
 class BiasRecorder:
-    """Accumulates per-(layer, head, dependency) mean biases per document."""
+    """Layer ``l``'s biases at the cells of type ``STRUCTURED_TYPES[s]``,
+    pooled over heads and documents: their sum ``sums[l, s]`` and their
+    number ``counts[l, s]``, one per (head, cell)."""
 
-    def __init__(self):
-        self.records: list[BiasRecord] = []
+    def __init__(self, layers: int):
+        self.sums = np.zeros((layers, N_TYPES))
+        self.counts = np.zeros((layers, N_TYPES), dtype=np.int64)
 
-    def add(self, layer: int, head: int, types: np.ndarray,
-            bias: np.ndarray) -> None:
-        """Record one mean per dependency type present among the cells;
-        ``types`` and ``bias`` are one layer and head's cell types and
-        biases, as :func:`type_bias` pairs them."""
-        counts = np.bincount(types, minlength=N_TYPES)
-        sums = np.bincount(types, weights=bias, minlength=N_TYPES)
-        for s, dep in enumerate(STRUCTURED_TYPES):
-            if counts[s]:
-                self.records.append(
-                    BiasRecord(
-                        layer=layer,
-                        head=head,
-                        dependency=dep,
-                        mean_bias=float(sums[s] / counts[s]),
-                        count=int(counts[s]),
-                    )
-                )
+    def add(self, layer: int, types: np.ndarray, bias: np.ndarray) -> None:
+        """Add one layer's cell biases, (H, c), whose cells have the type
+        indices ``types``, (c,), as :func:`type_bias` pairs them."""
+        self.counts[layer] += len(bias) * np.bincount(types, minlength=N_TYPES)
+        self.sums[layer] += np.bincount(types, weights=bias.sum(axis=0),
+                                        minlength=N_TYPES)
 
 
 def structured_scores(store: ParameterStore, q: np.ndarray, k: np.ndarray,
@@ -371,8 +346,7 @@ def structured_scores(store: ParameterStore, q: np.ndarray, k: np.ndarray,
         if rows.size:
             bias = type_bias(store, q, k, layer, structure, cfg)
             if recorder is not None:
-                for h in range(heads):
-                    recorder.add(layer, h, types, bias.values[h])
+                recorder.add(layer, types, bias.values)
             scores.reshape(heads, n * n)[:, rows * n + cols] += bias.values
     scores *= 1.0 / math.sqrt(dh)
     return scores, bias
@@ -473,35 +447,18 @@ def encoder_forward(store: ParameterStore, x: Tensor,
     return x
 
 
-def aggregate_bias_records(
-    records: Sequence[BiasRecord],
-) -> dict[tuple[int, DependencyType], tuple[float, int]]:
-    """Cell-count weighted mean bias per (layer, dependency), pooled over
-    heads and documents."""
-    sums: dict[tuple[int, DependencyType], float] = {}
-    counts: dict[tuple[int, DependencyType], int] = {}
-    for rec in records:
-        key = (rec.layer, rec.dependency)
-        sums[key] = sums.get(key, 0.0) + rec.mean_bias * rec.count
-        counts[key] = counts.get(key, 0) + rec.count
-    return {key: (sums[key] / counts[key], counts[key]) for key in sums}
-
-
-def export_bias_heatmap(records: Sequence[BiasRecord], n_layers: int) -> str:
+def export_bias_heatmap(recorder: BiasRecorder) -> str:
     """Render the layer-by-dependency mean-bias grid as tab-separated text.
 
     Every layer emits one row per dependency type including NA, which is
     structurally zero with no samples.
     """
-    if not records:
+    if not recorder.counts.any():
         raise ValueError("no bias records to export")
-    grid = aggregate_bias_records(records)
     lines = ["layer\tdependency\tmean_bias\tcount"]
-    for l in range(n_layers):
-        for dep in DependencyType:
-            if dep == DependencyType.NA:
-                mean, count = 0.0, 0
-            else:
-                mean, count = grid.get((l, dep), (0.0, 0))
-            lines.append(f"{l}\t{dep_name(dep)}\t{mean:.10g}\t{count}")
+    for l, (sums, counts) in enumerate(zip(recorder.sums, recorder.counts)):
+        lines.append(f"{l}\t{dep_name(DependencyType.NA)}\t0\t0")
+        for s, dep in enumerate(STRUCTURED_TYPES):
+            mean = sums[s] / counts[s] if counts[s] else 0.0
+            lines.append(f"{l}\t{dep_name(dep)}\t{mean:.10g}\t{counts[s]}")
     return "\n".join(lines) + "\n"

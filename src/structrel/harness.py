@@ -62,20 +62,22 @@ class TrainResult:
 def resolve_schema(config: ModelConfig,
                    train_docs: Sequence[Document]) -> list[str]:
     """Schema file when configured, otherwise the sorted relation names
-    observed in the training corpus."""
-    if config.schema_path:
-        with open(config.schema_path, "r", encoding="utf-8") as fh:
-            schema = [line.strip() for line in fh if line.strip()]
-        if not schema:
-            raise ValueError(f"{config.schema_path}: empty relation schema")
-        return schema
+    observed in the training corpus.  The file lists each relation once,
+    and must hold every training fact's relation."""
     names = sorted({f.r for doc in train_docs for f in doc.facts})
-    if not names:
-        raise ValueError(
-            "training corpus has no relation labels and no schema file "
-            "was configured"
-        )
-    return names
+    path = config.schema_path
+    if not path:
+        if not names:
+            raise ValueError("training corpus has no relation labels and no "
+                             "schema file was configured")
+        return names
+    schema = _read_names(path, strip=True)
+    if not schema:
+        raise ValueError(f"{path}: empty relation schema")
+    unlisted = sorted(set(names) - set(schema))
+    if unlisted:
+        raise ValueError(f"{path}: training relations {unlisted} are not listed")
+    return schema
 
 
 def build_model(config: ModelConfig, train_docs: Sequence[Document],
@@ -282,31 +284,14 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
 # ---- ablation suites -----------------------------------------------------
 
 
-def _run_row(config: ModelConfig, train_docs, dev_docs,
-             schema: Optional[Sequence[str]]) -> EvalReport:
-    result = train(config, train_docs, dev_docs, schema=schema)
-    result.restore_best()
-    report, _ = evaluate(result.model, dev_docs, train_docs=train_docs)
-    return report
-
-
-def ablate_dependencies(config: ModelConfig, train_docs, dev_docs,
-                        schema: Optional[Sequence[str]] = None,
-                        ) -> list[tuple[str, EvalReport]]:
-    """Retrain with each dependency type excluded, plus the all-excluded
-    run that degenerates to the unstructured baseline."""
-    rows = [("full", config)]
-    for dep in STRUCTURED_TYPES:
-        rows.append(
-            (f"-{dep_name(dep)}", config.replace(excluded_deps=dep_name(dep)))
-        )
-    rows.append(
-        ("-all",
-         config.replace(
-             excluded_deps=",".join(dep_name(d) for d in STRUCTURED_TYPES)))
-    )
-    return [(label, _run_row(cfg, train_docs, dev_docs, schema))
-            for label, cfg in rows]
+def dependency_rows(config: ModelConfig) -> list[tuple[str, ModelConfig]]:
+    """The full config, each dependency type excluded, and all of them
+    excluded, which degenerates to the unstructured baseline."""
+    names = [dep_name(dep) for dep in STRUCTURED_TYPES]
+    return ([("full", config)]
+            + [(f"-{name}", config.replace(excluded_deps=name))
+               for name in names]
+            + [("-all", config.replace(excluded_deps=",".join(names)))])
 
 
 #: Per row, the mode and the bias-term toggles it turns off; every other
@@ -324,28 +309,35 @@ TERM_ROWS = (
 )
 
 
-def ablate_bias_terms(config: ModelConfig, train_docs, dev_docs,
-                      schema: Optional[Sequence[str]] = None,
-                      ) -> list[tuple[str, EvalReport]]:
-    """One run per bias-term configuration, from the unbiased baseline to
+def term_rows(config: ModelConfig) -> list[tuple[str, ModelConfig]]:
+    """One row per bias-term configuration, from the unbiased baseline to
     the full biaffine and decomposed forms."""
     unset = dict.fromkeys(TOGGLES)
-    return [
-        (label, _run_row(config.replace(**{**unset, **changes}), train_docs,
-                         dev_docs, schema))
-        for label, changes in TERM_ROWS
-    ]
+    return [(label, config.replace(**{**unset, **changes}))
+            for label, changes in TERM_ROWS]
 
 
-def ablate_layers(config: ModelConfig, train_docs, dev_docs,
-                  ks: Sequence[int],
-                  schema: Optional[Sequence[str]] = None,
-                  ) -> list[tuple[int, float]]:
-    """F1 when only the top k blocks receive structural bias.  Every row's
-    config is built, and so checked, before the first row trains."""
-    rows = [(k, config.replace(structured_layers=f"top:{k}")) for k in ks]
-    return [(k, _run_row(cfg, train_docs, dev_docs, schema).f1)
-            for k, cfg in rows]
+def layer_rows(config: ModelConfig,
+               ks: Sequence[int]) -> list[tuple[str, ModelConfig]]:
+    """One row per k, with structural bias in the top k blocks only."""
+    return [(f"top:{k}", config.replace(structured_layers=f"top:{k}"))
+            for k in ks]
+
+
+def run_ablation(rows: Sequence[tuple[str, ModelConfig]], train_docs,
+                 dev_docs, schema: Optional[Sequence[str]] = None,
+                 ) -> list[tuple[str, EvalReport]]:
+    """Train each row's config, restore its best epoch and evaluate it on
+    the dev documents.  A row builder (:func:`dependency_rows`,
+    :func:`term_rows`, :func:`layer_rows`) builds, and so validates, every
+    config before the first one trains."""
+    reports = []
+    for label, config in rows:
+        result = train(config, train_docs, dev_docs, schema=schema)
+        result.restore_best()
+        report, _ = evaluate(result.model, dev_docs, train_docs=train_docs)
+        reports.append((label, report))
+    return reports
 
 
 def render_ablation_table(rows: list[tuple[str, EvalReport]]) -> str:
@@ -355,13 +347,6 @@ def render_ablation_table(rows: list[tuple[str, EvalReport]]) -> str:
             f"{label}\t{report.ign_f1:.6f}\t{report.f1:.6f}\t"
             f"{report.precision:.6f}\t{report.recall:.6f}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def render_layer_curve(curve: list[tuple[int, float]]) -> str:
-    lines = ["structured_top_k\tf1"]
-    for k, f1 in curve:
-        lines.append(f"{k}\t{f1:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -398,8 +383,7 @@ def save_run(run_dir, result: TrainResult) -> None:
             else "-\t-\t-"
         )
         lines.append(f"{entry.epoch}\t{entry.train_loss:.6f}\t{dev}")
-    with open(os.path.join(run_dir, LOG_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(run_dir, LOG_FILE), lines)
 
 
 def load_run(run_dir) -> RelationExtractor:
@@ -433,18 +417,17 @@ def write_predictions(path, predictions: Sequence[PredictedFact]) -> None:
     lines = ["doc_id\th\tt\tr\tprobability"]
     for p in predictions:
         lines.append(f"{p.doc_id}\t{p.h}\t{p.t}\t{p.r}\t{p.probability:.6f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def collect_bias_heatmap(model: RelationExtractor,
                          docs: Sequence[Document]) -> str:
     """Run the encoder over a corpus with bias recording on and render the
     layer-by-dependency grid."""
-    recorder = BiasRecorder()
+    recorder = BiasRecorder(model.cfg.layers)
     for _ in _forward_docs(model, docs, recorder):
         pass
-    return export_bias_heatmap(recorder.records, model.cfg.layers)
+    return export_bias_heatmap(recorder)
 
 
 def _write_lines(path, lines) -> None:
@@ -453,15 +436,20 @@ def _write_lines(path, lines) -> None:
             fh.write(f"{line}\n")
 
 
-def _read_names(path) -> list[str]:
-    """The lines of a file that lists each name once, in index order."""
+def _read_names(path, strip: bool = False) -> list[str]:
+    """The lines of a file that lists each name once, in index order.
+    With ``strip``, each line is stripped and blank lines are skipped."""
     lines = read_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()
     first: dict[str, int] = {}
     for number, line in enumerate(lines, 1):
+        if strip:
+            line = line.strip()
+            if not line:
+                continue
         if line in first:
             raise ValueError(f"{path}: line {number} repeats line "
                              f"{first[line]}, {line!r}")
         first[line] = number
-    return lines
+    return list(first)

@@ -31,7 +31,6 @@ from .corpus import Document, Entity, Mention, RelationFact
 
 RELATION_CO_OCCUR = "r0"
 RELATION_BRIDGE = "r1"
-SYNTH_SCHEMA = (RELATION_CO_OCCUR, RELATION_BRIDGE)
 SENTENCE_END = "."
 ENTITY_TYPE = "ENT"
 

@@ -148,6 +148,22 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command, data,
                    f"UTF-8 (invalid start byte)\n")
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"r0\nr1\xff\n",
+     "byte 0xff at offset 5 is not UTF-8 (invalid start byte)"),
+    (b"r0\nr1\n\n r0 \n", "line 4 repeats line 1, 'r0'"),
+    (b"r0\n", "training relations ['r1'] are not listed"),
+], ids=["non-utf8", "repeat", "unlisted"])
+def test_schema_file_errors_name_the_file(corpus, tmp_path, capsys, data,
+                                          message):
+    _, train, _ = corpus
+    path = tmp_path / "schema.txt"
+    path.write_bytes(data)
+    assert run(["train", "--train", train, "--out", tmp_path / "run",
+                "--schema-path", path] + MODEL_FLAGS) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_unknown_excluded_dependency_names_the_field(corpus, tmp_path,
                                                     capsys):
     _, train, _ = corpus

@@ -321,10 +321,11 @@ class TestBatching:
             (RelationFact(0, 1, "r0"),),
         )
         with pytest.warns(TruncationWarning):
-            cut = truncate_document(doc, 8)
+            cut, kept = truncate_document(doc, 8)
         assert cut.token_count() == 8
         assert len(cut.entities) == 1
         assert cut.facts == ()
+        assert kept == (0,)
 
     def test_encoding_truncates_and_keeps_original_ordinals(self):
         doc = Document(
@@ -349,7 +350,12 @@ class TestBatching:
 
     def test_truncation_noop_below_limit(self):
         doc = Document("short", (("a", "b"),), (), ())
-        assert truncate_document(doc, 8) is doc
+        cut, kept = truncate_document(doc, 8)
+        assert cut is doc
+        assert kept == ()
+        doc = Document("short", (("a", "b"),),
+                       (Entity("ENT", (Mention(0, 1, 2, "b"),)),), ())
+        assert truncate_document(doc, 2) == (doc, (0,))
 
     def test_encode_rejects_overflowing_coref_table(self):
         doc = Document(

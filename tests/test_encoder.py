@@ -13,7 +13,6 @@ from structrel.autodiff import (
 )
 from structrel.config import ModelConfig
 from structrel.encoder import (
-    BiasRecord,
     BiasRecorder,
     N_TYPES,
     attend,
@@ -440,19 +439,30 @@ class TestStructuredScores:
 
     @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
     def test_recorder_means_match_dense(self, mode):
-        cfg, store, q, k, S = self._setup(mode, seed=3, n=9)
-        randomize_bias_params(store, np.random.default_rng(8))
-        recorder = BiasRecorder()
-        head_scores(store, q, k, S, cfg, recorder=recorder)
-        dense = dense_bias(store, q, k, 0, 0, cfg, S.codes)
-        present = [dep for dep in STRUCTURED_TYPES
-                   if np.any(S.codes == dep.value)]
-        assert [rec.dependency for rec in recorder.records] == present
-        for rec in recorder.records:
-            mask = S.codes == rec.dependency.value
-            assert rec.count == int(mask.sum())
-            assert rec.mean_bias == pytest.approx(dense[mask].mean(),
-                                                  rel=1e-12, abs=1e-12)
+        # per layer and type: the mean over every head's cells of that type,
+        # and their number, against the dense bias of each head
+        heads, n, dh = 3, 9, 4
+        cfg = encoder_config(mode, layers=2, heads=heads, d_model=heads * dh)
+        store = make_store(cfg, 3)
+        rng = np.random.default_rng(8)
+        randomize_bias_params(store, rng)
+        S = StructureMatrix("s", random_symmetric_codes(rng, n))
+        q, k = rng.normal(size=(2, heads, n, dh))
+        recorder = BiasRecorder(cfg.layers)
+        for layer in range(cfg.layers):
+            structured_scores(store, q, k, S, layer, cfg, recorder=recorder)
+        for layer in range(cfg.layers):
+            dense = [dense_bias(store, q[h], k[h], layer, h, cfg, S.codes)
+                     for h in range(heads)]
+            for s, dep in enumerate(STRUCTURED_TYPES):
+                mask = S.codes == dep.value
+                assert recorder.counts[layer, s] == heads * int(mask.sum())
+                if mask.any():
+                    expect = np.mean([d[mask] for d in dense])
+                    got = recorder.sums[layer, s] / recorder.counts[layer, s]
+                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                else:
+                    assert recorder.sums[layer, s] == 0.0
 
     def test_dimension_mismatch_rejected(self):
         cfg, store, q, k, _ = self._setup("none")
@@ -697,11 +707,12 @@ class TestEncoderForward:
         cfg = encoder_config("biaffine", layers=3, heads=2, d_model=8,
                              structured_layers="2")
         store = make_store(cfg, 2)
-        recorder = BiasRecorder()
+        recorder = BiasRecorder(cfg.layers)
         encoder_forward(store, Tensor(np.zeros((S.n, 8))), S, cfg,
                         recorder=recorder)
-        assert recorder.records
-        assert {rec.layer for rec in recorder.records} == {2}
+        assert recorder.counts[2].any()
+        assert not recorder.counts[:2].any()
+        assert not recorder.sums[:2].any()
 
     def test_permutation_consistency(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
@@ -743,29 +754,31 @@ class TestEncoderForward:
             assert err < 1e-4, f"{mode}: {err}"
 
 
-class TestBiasRecordsAndHeatmap:
-    def test_record_invariants(self):
-        with pytest.raises(ValueError):
-            BiasRecord(0, 0, D.NA, 0.0, 1)
-        with pytest.raises(ValueError):
-            BiasRecord(0, 0, D.INTRA_COREF, 0.0, 0)
+def heatmap_rows(text: str) -> list[list[str]]:
+    return [line.split("\t") for line in text.strip().splitlines()[1:]]
 
-    def test_single_record_grid_cell(self):
-        text = export_bias_heatmap(
-            [BiasRecord(0, 0, D.INTRA_COREF, 1.0, 4)], n_layers=1
-        )
-        rows = [line.split("\t") for line in text.strip().splitlines()[1:]]
+
+class TestBiasRecorderAndHeatmap:
+    def test_recorder_starts_empty(self):
+        recorder = BiasRecorder(3)
+        assert recorder.sums.shape == recorder.counts.shape == (3, N_TYPES)
+        assert not recorder.counts.any() and not recorder.sums.any()
+
+    def test_single_cell_type(self):
+        recorder = BiasRecorder(1)
+        # one head, four cells of type intra_coref (index 4), bias 1 each
+        recorder.add(0, np.full(4, 4), np.ones((1, 4)))
+        rows = heatmap_rows(export_bias_heatmap(recorder))
         assert len(rows) == 6  # one layer, six dependency rows
         cell = next(r for r in rows if r[1] == "intra_coref")
         assert float(cell[2]) == 1.0 and int(cell[3]) == 4
 
     def test_two_heads_average(self):
-        records = [
-            BiasRecord(3, 0, D.INTER_COREF, 1.0, 10),
-            BiasRecord(3, 1, D.INTER_COREF, 3.0, 10),
-        ]
-        text = export_bias_heatmap(records, n_layers=4)
-        rows = [line.split("\t") for line in text.strip().splitlines()[1:]]
+        recorder = BiasRecorder(4)
+        # inter_coref (index 3): head 0 biases 1, head 1 biases 3
+        bias = np.repeat([[1.0], [3.0]], 10, axis=1)
+        recorder.add(3, np.full(10, 3), bias)
+        rows = heatmap_rows(export_bias_heatmap(recorder))
         cell = next(r for r in rows if r[0] == "3" and r[1] == "inter_coref")
         assert float(cell[2]) == 2.0 and int(cell[3]) == 20
 
@@ -774,18 +787,22 @@ class TestBiasRecordsAndHeatmap:
         cfg = encoder_config("biaffine", layers=2, heads=2, d_model=8,
                              structured_layers="0,1")
         store = make_store(cfg, 1)
-        recorder = BiasRecorder()
+        recorder = BiasRecorder(cfg.layers)
         encoder_forward(store, Tensor(np.ones((S.n, 8))), S, cfg,
                         recorder=recorder)
-        assert recorder.records
-        assert all(rec.mean_bias == 0.0 for rec in recorder.records)
+        assert recorder.counts.any()
+        assert not recorder.sums.any()
 
-    def test_empty_records_rejected(self):
+    def test_empty_recorder_rejected(self):
         with pytest.raises(ValueError, match="no bias records"):
-            export_bias_heatmap([], n_layers=2)
+            export_bias_heatmap(BiasRecorder(2))
 
     def test_grid_is_layers_by_six(self):
-        records = [BiasRecord(0, 0, D.INTRA_NE, 0.5, 2)]
-        text = export_bias_heatmap(records, n_layers=3)
-        rows = text.strip().splitlines()[1:]
+        recorder = BiasRecorder(3)
+        recorder.add(0, np.zeros(2, dtype=np.int64), np.full((1, 2), 0.5))
+        rows = heatmap_rows(export_bias_heatmap(recorder))
         assert len(rows) == 3 * 6
+        assert [r[1] for r in rows[:6]] == [
+            "na", "intra_ne", "inter_relate", "intra_relate", "inter_coref",
+            "intra_coref"]
+        assert rows[0][2:] == ["0", "0"]

@@ -10,26 +10,29 @@ from structrel.autodiff import Tensor, add, load_checkpoint
 from structrel.batching import TruncationWarning
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
+from structrel.encoder import BiasRecorder, export_bias_heatmap
 from structrel.harness import (
     DivergenceError,
     _backward_batch,
     _encode,
     _forward_docs,
     _gold_facts,
-    ablate_bias_terms,
-    ablate_dependencies,
-    ablate_layers,
     build_model,
     collect_bias_heatmap,
+    dependency_rows,
     evaluate,
+    layer_rows,
     load_run,
     render_ablation_table,
+    run_ablation,
     save_run,
+    term_rows,
     train,
     tune_threshold,
 )
 from structrel.metrics import evaluate_facts, f1_score
 from structrel.model import PredictedFact, RelationExtractor
+from structrel.structure import STRUCTURED_TYPES, DependencyType
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import raw_scores
@@ -507,9 +510,8 @@ class TestAblations:
 
     def test_dependency_table_has_seven_rows(self, tiny_corpus):
         train_docs, dev_docs = tiny_corpus
-        rows = ablate_dependencies(
-            small_config(epochs=1), train_docs[:4], dev_docs[:2]
-        )
+        rows = run_ablation(dependency_rows(small_config(epochs=1)),
+                            train_docs[:4], dev_docs[:2])
         labels = [label for label, _ in rows]
         assert labels[0] == "full"
         assert labels[-1] == "-all"
@@ -520,7 +522,8 @@ class TestAblations:
     def test_layer_curve_endpoints(self, tiny_corpus):
         train_docs, dev_docs = tiny_corpus
         cfg = small_config(epochs=1, layers=2)
-        curve = ablate_layers(cfg, train_docs[:4], dev_docs[:2], ks=[0, 2])
+        curve = run_ablation(layer_rows(cfg, [0, 2]), train_docs[:4],
+                             dev_docs[:2])
         baseline = train(cfg.replace(mode="none"), train_docs[:4],
                          dev_docs[:2])
         rep_base, _ = evaluate(baseline.model, dev_docs[:2],
@@ -529,23 +532,17 @@ class TestAblations:
                      dev_docs[:2])
         rep_full, _ = evaluate(full.model, dev_docs[:2],
                                train_docs=train_docs[:4])
-        assert curve[0] == (0, rep_base.f1)
-        assert curve[1] == (2, rep_full.f1)
+        assert [(label, rep.f1) for label, rep in curve] == [
+            ("top:0", rep_base.f1), ("top:2", rep_full.f1)]
 
-    def test_invalid_layer_range_rejected(self, tiny_corpus):
-        train_docs, dev_docs = tiny_corpus
+    def test_invalid_layer_range_rejected(self):
         with pytest.raises(ValueError):
-            ablate_layers(small_config(), train_docs, dev_docs, ks=[5])
+            layer_rows(small_config(), [5])
 
-    def test_term_rows_take_the_mode_defaults(self, monkeypatch):
+    def test_term_rows_take_the_mode_defaults(self):
         # Each row states only the toggles it turns off; the rest take the
         # mode's default, whatever the base config says.
-        import structrel.harness as harness_module
-
-        monkeypatch.setattr(harness_module, "_run_row",
-                            lambda cfg, *args: cfg)
-        rows = ablate_bias_terms(small_config(mode="decomp", bias_key=False),
-                                 [], [])
+        rows = term_rows(small_config(mode="decomp", bias_key=False))
         assert {label: toggles(cfg) for label, cfg in rows} == {
             "baseline": (False, False, False, False),
             "prior": (False, False, False, True),
@@ -565,8 +562,107 @@ class TestAblations:
                             lambda *args, **kwargs: calls.append(args))
         train_docs, dev_docs = tiny_corpus
         with pytest.raises(ValueError, match="top:5 exceeds"):
-            ablate_layers(small_config(), train_docs, dev_docs, ks=[0, 5])
+            run_ablation(layer_rows(small_config(), [0, 5]), train_docs,
+                         dev_docs)
         assert calls == []
+
+    @pytest.mark.parametrize("build, n_built", [
+        (dependency_rows, 6),  # the "full" row is the base config itself
+        (term_rows, 7),
+        (lambda cfg: layer_rows(cfg, [0, 1, 2]), 3),
+    ], ids=["deps", "terms", "layers"])
+    def test_every_row_is_validated_before_the_first_trains(
+            self, monkeypatch, build, n_built):
+        import structrel.harness as harness_module
+
+        base = small_config(layers=2)
+        events = []
+        validate = ModelConfig.__post_init__
+
+        def counted(cfg):
+            events.append("validate")
+            validate(cfg)
+
+        class FirstTraining(Exception):
+            pass
+
+        def first_train(*args, **kwargs):
+            events.append("train")
+            raise FirstTraining
+
+        monkeypatch.setattr(ModelConfig, "__post_init__", counted)
+        monkeypatch.setattr(harness_module, "train", first_train)
+        with pytest.raises(FirstTraining):
+            run_ablation(build(base), [], [])
+        assert events == ["validate"] * n_built + ["train"]
+
+
+def test_unlisted_relation_refused_before_training(tiny_corpus, tmp_path,
+                                                  monkeypatch):
+    path = tmp_path / "schema.txt"
+    path.write_text("r0\n")
+    calls = []
+    monkeypatch.setattr(RelationExtractor, "forward",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: training relations ['r1'] are not listed")):
+        train(small_config(schema_path=str(path)), tiny_corpus[0])
+    assert calls == []
+
+
+def per_head_heatmap(records, n_layers):
+    """The heatmap as it was pooled from one record per document, layer,
+    head and type: that record's mean bias and cell count, weighted back
+    to a sum per (layer, type) over heads and documents."""
+    sums, counts = {}, {}
+    for layer, dep, mean, count in records:
+        sums[layer, dep] = sums.get((layer, dep), 0.0) + mean * count
+        counts[layer, dep] = counts.get((layer, dep), 0) + count
+    lines = ["layer\tdependency\tmean_bias\tcount"]
+    for l in range(n_layers):
+        for dep in DependencyType:
+            mean, count = 0.0, 0
+            if (l, dep) in sums:
+                count = counts[l, dep]
+                mean = sums[l, dep] / count
+            lines.append(f"{l}\t{dep.name.lower()}\t{mean:.10g}\t{count}")
+    return "\n".join(lines) + "\n"
+
+
+class PerHeadRecorder(BiasRecorder):
+    """Also keeps the per-head records the heatmap was once pooled from."""
+
+    def __init__(self, layers):
+        super().__init__(layers)
+        self.records = []
+
+    def add(self, layer, types, bias):
+        super().add(layer, types, bias)
+        counts = np.bincount(types, minlength=len(STRUCTURED_TYPES))
+        for head_bias in bias:
+            sums = np.bincount(types, weights=head_bias,
+                               minlength=len(STRUCTURED_TYPES))
+            for s, dep in enumerate(STRUCTURED_TYPES):
+                if counts[s]:
+                    self.records.append((layer, dep, float(sums[s] / counts[s]),
+                                         int(counts[s])))
+
+
+@pytest.mark.parametrize("mode", ["biaffine", "decomp"])
+def test_heatmap_equals_per_head_pooling(mode):
+    docs = generate_synthetic(SynthSpec(n_docs=8, seed=4))
+    model = build_model(small_config(layers=3, heads=4, mode=mode), docs)
+    rng = np.random.default_rng(9)
+    for p in model.store:
+        if ".bias." in p.name:
+            p.values[...] = rng.normal(size=p.values.shape)
+    recorder = PerHeadRecorder(3)
+    for _ in _forward_docs(model, docs, recorder):
+        pass
+    expect = per_head_heatmap(recorder.records, 3)
+    assert len(recorder.records) > 3 * 4 * len(docs)
+    assert export_bias_heatmap(recorder) == expect
+    assert collect_bias_heatmap(model, docs) == expect
 
 
 class TestBiasTermLinearity:
