@@ -129,15 +129,6 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None
 
-    def __mul__(self, other):
-        """Elementwise product; a non-tensor operand is wrapped as a
-        constant."""
-        return mul(self, _wrap(other))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def constant(values) -> Tensor:
     return Tensor(values)
@@ -236,17 +227,11 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    values = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(values, (a,))
-
-    def _backward(grad):
-        a._accumulate(grad * values * (1.0 - values))
-
-    out._backward = _backward
-    return out
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, from ``exp(-|x|)``, which
+    cannot overflow; a plain numpy function, not a graph op."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def take_rows(table: Tensor, indices) -> Tensor:
@@ -301,32 +286,23 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-BCE_CLIP = 1e-7
-
-
-def binary_cross_entropy(p: Tensor, targets) -> Tensor:
-    """Elementwise cross entropy against 0/1 targets.
-
-    Probabilities are clipped to [BCE_CLIP, 1 - BCE_CLIP]; the gradient is
-    zero where the clip binds.
-    """
+def bce_with_logits(z: Tensor, targets) -> Tensor:
+    """Elementwise sigmoid cross entropy of logits against 0/1 targets,
+    ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for any finite ``z``;
+    its gradient is ``sigmoid(z) - y``."""
     y = _as_array(targets)
-    if y.shape != p.values.shape:
+    if y.shape != z.values.shape:
         raise ShapeError(
-            f"binary_cross_entropy: target shape {y.shape} does not match "
-            f"{p.shape}"
+            f"bce_with_logits: target shape {y.shape} does not match "
+            f"{z.shape}"
         )
-    pc = np.clip(p.values, BCE_CLIP, 1.0 - BCE_CLIP)
-    values = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-    out = Tensor(values, (p,))
-    unclipped = (p.values > BCE_CLIP) & (p.values < 1.0 - BCE_CLIP)
+    x = z.values
+    values = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
     def _backward(grad):
-        dp = (-(y / pc) + (1.0 - y) / (1.0 - pc)) * unclipped
-        p._accumulate(grad * dp)
+        z._accumulate(grad * (sigmoid(x) - y))
 
-    out._backward = _backward
-    return out
+    return Tensor(values, (z,), _backward)
 
 
 @dataclass

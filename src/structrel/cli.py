@@ -17,6 +17,7 @@ import sys
 from . import harness
 from .config import ModelConfig, _parse_value, field_types, load_config
 from .corpus import CorpusError, corpus_stats, parse_corpus, write_corpus
+from .encoder import unbiased_setting
 from .structure import build_structure_matrix, write_grid
 from .synth import SynthSpec, generate_synthetic
 
@@ -240,8 +241,17 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_export_bias(args) -> int:
     model = harness.load_run(args.run)
+    setting = unbiased_setting(model.cfg)
+    if setting is not None:
+        raise ValueError(f"{os.path.join(args.run, harness.CONFIG_FILE)}: "
+                         f"{setting} gives no layer a structural bias to "
+                         f"export")
     docs = parse_corpus(args.docs)
-    heatmap = harness.collect_bias_heatmap(model, docs)
+    try:
+        heatmap = harness.collect_bias_heatmap(model, docs)
+    except ValueError as exc:
+        # some layer is biased, so it is the corpus that has no cell for it
+        raise ValueError(f"{args.docs}: {exc}") from None
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(heatmap)
     print(f"wrote bias heatmap to {args.out}")

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class CorpusError(ValueError):
@@ -121,11 +121,8 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> None:
-    """Check span bounds, mention disjointness, and fact indices.
-
-    ``schema``, when given, restricts admissible relation names.
-    """
+def validate_document(doc: Document) -> None:
+    """Check span bounds, mention disjointness, and fact indices."""
     claimed: dict[int, str] = {}
     for entity in doc.entities:
         for mention in entity.mentions:
@@ -156,10 +153,6 @@ def validate_document(doc: Document, schema: Optional[Sequence[str]] = None) -> 
                     f"doc {doc.doc_id!r}: fact {fact.r!r} {side} index {idx} "
                     f"out of range for {len(doc.entities)} entities"
                 )
-        if schema is not None and fact.r not in schema:
-            raise CorpusError(
-                f"doc {doc.doc_id!r}: unknown relation {fact.r!r} in labels"
-            )
 
 
 def _reject_line_breaks(where: str, fields) -> None:
@@ -251,7 +244,7 @@ def _document_from_json(obj: dict, index: int, path) -> Document:
     return doc
 
 
-def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]:
+def parse_corpus(path) -> list[Document]:
     """Load and validate a corpus file.
 
     Accepts a JSON array or one JSON object per line.  Every document is
@@ -277,7 +270,7 @@ def parse_corpus(path, schema: Optional[Sequence[str]] = None) -> list[Document]
             raise CorpusError(f"{path}: document {i} is not a JSON object")
         doc = _document_from_json(obj, i, path)
         try:
-            validate_document(doc, schema)
+            validate_document(doc)
         except CorpusError as exc:
             raise CorpusError(f"{path}: {exc}") from None
         if doc.doc_id in first_index:

@@ -111,6 +111,20 @@ def _bias_layers(cfg: ModelConfig) -> frozenset[int]:
     return frozenset()
 
 
+def unbiased_setting(cfg: ModelConfig) -> Optional[str]:
+    """The setting, as ``key = value``, by which no layer of ``cfg`` puts
+    a structural bias on any cell; None when some layer can."""
+    if cfg.mode == "none":
+        return "mode = none"
+    if not _bias_terms(cfg):
+        return f"mode = {cfg.mode} with every bias term false"
+    if not cfg.resolve_structured_layers():
+        return f"structured_layers = {cfg.structured_layers}"
+    if cfg.excluded_dependency_set() == frozenset(STRUCTURED_TYPES):
+        return f"excluded_deps = {cfg.excluded_deps}"
+    return None
+
+
 def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
                         cfg: ModelConfig) -> None:
     """Create all encoder parameters.
@@ -454,7 +468,8 @@ def export_bias_heatmap(recorder: BiasRecorder) -> str:
     structurally zero with no samples.
     """
     if not recorder.counts.any():
-        raise ValueError("no bias records to export")
+        raise ValueError("no document has a structured cell in a biased "
+                         "layer; no bias records to export")
     lines = ["layer\tdependency\tmean_bias\tcount"]
     for l, (sums, counts) in enumerate(zip(recorder.sums, recorder.counts)):
         lines.append(f"{l}\t{dep_name(DependencyType.NA)}\t0\t0")

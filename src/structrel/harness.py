@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import constant, load_checkpoint, save_checkpoint
+from .autodiff import constant, load_checkpoint, mul, save_checkpoint, sigmoid
 from .batching import EncodedDocument, encode_document, make_batches
 from .config import TOGGLES, ModelConfig, load_config, save_config
 from .corpus import (
@@ -153,16 +153,16 @@ def tune_threshold(model: RelationExtractor,
     prob_parts: list[np.ndarray] = [np.empty(0)]
     flag_parts: list[np.ndarray] = [np.empty(0, dtype=bool)]
     for doc, result in zip(dev_docs, _forward_docs(model, dev_docs)):
-        if result.probabilities is None:
+        if result.logits is None:
             continue
-        hit = np.zeros(result.probabilities.shape, dtype=bool)
+        hit = np.zeros(result.logits.shape, dtype=bool)
         row_of = {pair: i for i, pair in enumerate(result.pairs)}
         for fact in doc.facts:
             row = row_of.get((fact.h, fact.t))
             col = model.rel_to_index.get(fact.r)
             if row is not None and col is not None:
                 hit[row, col] = True
-        prob_parts.append(result.probabilities.values.ravel())
+        prob_parts.append(sigmoid(result.logits.values).ravel())
         flag_parts.append(hit.ravel())
     flags = np.concatenate(flag_parts)
     if not flags.any():
@@ -217,7 +217,7 @@ def _backward_batch(model: RelationExtractor,
             raise DivergenceError(
                 f"non-finite loss at step {step} (epoch {epoch})"
             )
-        (loss * weight).backward()
+        mul(loss, weight).backward()
         total += value
         del loss  # free this document's graph before the next forward
     return total * share

@@ -5,8 +5,11 @@ Input embeddings sum word, learned absolute position, entity-type, and
 coreference-ordinal tables.  Entity representations are the mean of all
 their mention tokens.  Every ordered entity pair (subject != object) gets
 its two vectors augmented with a signed-distance bucket embedding and is
-scored against every relation with an independent bilinear form followed
-by a sigmoid.
+scored against every relation with an independent bilinear form.  The
+forms' values are logits: training takes the sigmoid cross entropy of them
+in one op (:func:`~structrel.autodiff.bce_with_logits`), and only
+prediction turns them into probabilities, with
+:func:`~structrel.autodiff.sigmoid`.
 
 The bilinear forms of all relations are one graph node
 (:func:`bilinear_scores`), so a document's graph has as many nodes
@@ -43,7 +46,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    binary_cross_entropy,
+    bce_with_logits,
     concat,
     constant,
     matmul,
@@ -150,7 +153,7 @@ class PredictedFact:
 class ForwardResult:
     doc_id: str
     pairs: list[tuple[int, int]]
-    probabilities: Optional[Tensor]  # (P, M), None when < 2 entities
+    logits: Optional[Tensor]  # (P, M), None when < 2 entities
     hidden: Tensor
 
 
@@ -238,9 +241,9 @@ class RelationExtractor:
         return e_s, e_o, pairs
 
     def score_relations(self, e_s: Tensor, e_o: Tensor) -> Tensor:
-        """Sigmoid of the bilinear form per relation; (P, M)."""
-        return sigmoid(bilinear_scores(e_s, e_o,
-                                       self.store["head.rel.W"].tensor))
+        """The logits of every pair and relation, each relation's bilinear
+        form; (P, M)."""
+        return bilinear_scores(e_s, e_o, self.store["head.rel.W"].tensor)
 
     def forward(self, enc: EncodedDocument,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:
@@ -251,15 +254,15 @@ class RelationExtractor:
             return ForwardResult(enc.doc.doc_id, [], None, hidden)
         entities = self.pool_entities(hidden, enc)
         e_s, e_o, pairs = self.pair_features(entities, enc)
-        probs = self.score_relations(e_s, e_o)
-        return ForwardResult(enc.doc.doc_id, pairs, probs, hidden)
+        logits = self.score_relations(e_s, e_o)
+        return ForwardResult(enc.doc.doc_id, pairs, logits, hidden)
 
     # ---- training and prediction ----------------------------------------
 
     def compute_loss(self, result: ForwardResult, enc: EncodedDocument) -> Tensor:
-        """Summed binary cross entropy over every ordered pair and every
-        relation of one document."""
-        if result.probabilities is None:
+        """Summed sigmoid cross entropy of the logits over every ordered
+        pair and every relation of one document."""
+        if result.logits is None:
             return constant(0.0)
         targets = np.zeros((len(result.pairs), len(self.schema)))
         row_of = {pair: i for i, pair in enumerate(result.pairs)}
@@ -270,7 +273,7 @@ class RelationExtractor:
                     f"the schema"
                 )
             targets[row_of[(fact.h, fact.t)], self.rel_to_index[fact.r]] = 1.0
-        return sum_all(binary_cross_entropy(result.probabilities, targets))
+        return sum_all(bce_with_logits(result.logits, targets))
 
     def predict(self, result: ForwardResult,
                 threshold: float) -> list[PredictedFact]:
@@ -278,9 +281,9 @@ class RelationExtractor:
         the comparison is inclusive."""
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        if result.probabilities is None:
+        if result.logits is None:
             return []
-        values = result.probabilities.values
+        values = sigmoid(result.logits.values)
         rows, cols = np.nonzero(values >= threshold)  # pair-major order
         return [
             PredictedFact(result.doc_id, *result.pairs[i], self.schema[j],

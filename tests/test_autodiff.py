@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from structrel.autodiff import (
     ShapeError,
     Tensor,
     add,
-    binary_cross_entropy,
+    bce_with_logits,
     concat,
     constant,
     grad_check,
@@ -36,9 +38,8 @@ class TestForward:
     def test_relu_and_sigmoid_values(self):
         assert np.array_equal(relu(Tensor([-1.0, 0.0, 2.0])).values,
                               [0.0, 0.0, 2.0])
-        assert np.allclose(sigmoid(Tensor([0.0])).values, [0.5])
-        assert sigmoid(Tensor([800.0])).values[0] == pytest.approx(1.0)
-        assert sigmoid(Tensor([-800.0])).values[0] == pytest.approx(0.0)
+        assert np.array_equal(sigmoid(np.array([-800.0, 0.0, 800.0])),
+                              [0.0, 0.5, 1.0])
 
     def test_take_rows(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -74,13 +75,14 @@ class TestBackward:
         sum_all(x).backward()
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
-    def test_sigmoid_of_dot_at_zero_weight(self):
-        # d sigmoid(w.x)/dw at w=0 is 0.25 * x
-        x_vals = np.array([[0.7, -1.2, 2.0]])
+    def test_logit_loss_of_dot_at_zero_weight(self):
+        # d bce(w.x, y)/dw at w=0 is (sigmoid(0) - y) x = (0.5 - y) x
+        x_vals = np.array([[0.7, -1.2, 2.0], [1.5, 0.5, -0.25]])
+        y = np.array([[1.0], [0.0]])
         w = Tensor(np.zeros((3, 1)))
-        out = sum_all(sigmoid(matmul(Tensor(x_vals), w)))
+        out = sum_all(bce_with_logits(matmul(Tensor(x_vals), w), y))
         out.backward()
-        assert np.allclose(w.grad, 0.25 * x_vals.T)
+        assert np.allclose(w.grad, x_vals.T @ (0.5 - y))
 
     def test_non_scalar_backward_rejected(self):
         with pytest.raises(ShapeError):
@@ -107,7 +109,7 @@ class TestBackward:
         # The walk runs add(a, b) before a * 2, so a's second gradient
         # arrives after a and b adopted the same one.
         a, b = Tensor(np.zeros(2)), Tensor(np.zeros(2))
-        sum_all(add(add(a, b), a * 2.0)).backward()
+        sum_all(add(add(a, b), mul(a, constant(2.0)))).backward()
         assert np.array_equal(a.grad, [3.0, 3.0])
         assert np.array_equal(b.grad, [1.0, 1.0])
 
@@ -155,7 +157,7 @@ class TestFiniteDifferences:
         def build():
             h = relu(matmul(a.tensor, b.tensor))
             h = add(h, c.tensor)
-            h = sigmoid(h)
+            h = bce_with_logits(h, np.eye(3))
             return sum_all(mul(h, h))
 
         _finite_diff_check(build, [a, b, c], tol=1e-5)
@@ -168,6 +170,7 @@ class TestFiniteDifferences:
         gain = Parameter("gain", Tensor(rng.normal(size=(5,)) + 1.0))
         bias = Parameter("bias", Tensor(rng.normal(size=(5,))))
         idx = rng.integers(0, 4, size=6)
+        y = np.arange(20).reshape(4, 5) % 2
 
         cases = {
             "add": lambda: sum_all(add(p.tensor, q.tensor)),
@@ -178,10 +181,10 @@ class TestFiniteDifferences:
                     concat([q.tensor, p.tensor], axis=0))
             ),
             "concat1": lambda: sum_all(
-                mul(sigmoid(concat([p.tensor, q.tensor], axis=1)),
+                mul(bce_with_logits(concat([p.tensor, q.tensor], axis=1),
+                                    np.concatenate([y, 1 - y], axis=1)),
                     concat([q.tensor, p.tensor], axis=1))
             ),
-            "sigmoid": lambda: sum_all(mul(sigmoid(p.tensor), q.tensor)),
             "relu": lambda: sum_all(mul(relu(p.tensor), q.tensor)),
             "layer_norm": lambda: sum_all(
                 mul(layer_norm(p.tensor, gain.tensor, bias.tensor), q.tensor)
@@ -190,17 +193,105 @@ class TestFiniteDifferences:
                 mul(take_rows(p.tensor, idx), take_rows(q.tensor, idx))
             ),
             "broadcast_add": lambda: sum_all(
-                sigmoid(add(matmul(p.tensor, constant(np.ones((5, 1)))),
-                            take_rows(q.tensor, [0])))
+                bce_with_logits(
+                    add(matmul(p.tensor, constant(np.ones((5, 1)))),
+                        take_rows(q.tensor, [0])), y)
             ),
-            "bce": lambda: sum_all(
-                binary_cross_entropy(sigmoid(p.tensor),
-                                     (np.arange(20).reshape(4, 5) % 2))
+            "bce_with_logits": lambda: sum_all(
+                mul(bce_with_logits(p.tensor, y), q.tensor)
             ),
         }
         for name, build in cases.items():
             err = grad_check(build, [p, q, r, gain, bias])
             assert err < 1e-5, f"{name}: max relative error {err}"
+
+
+def old_sigmoid(x):
+    """The sigmoid graph op's forward value before the loss took logits:
+    the reference :func:`sigmoid` must equal bit for bit."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+BCE_CLIP = 1e-7
+
+
+def clipped_bce(p, y):
+    """The cross entropy of probabilities that the logit loss replaced:
+    value and gradient in ``p``, clipped to [BCE_CLIP, 1 - BCE_CLIP] with
+    a zero gradient where the clip binds."""
+    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    value = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+    unclipped = (p > BCE_CLIP) & (p < 1.0 - BCE_CLIP)
+    return value, (-(y / pc) + (1.0 - y) / (1.0 - pc)) * unclipped
+
+
+def logit_loss(z, y):
+    """Value and gradient in ``z`` of ``bce_with_logits``, elementwise."""
+    zt = Tensor(z)
+    out = bce_with_logits(zt, y)
+    sum_all(out).backward()
+    return out.values, zt.grad
+
+
+class TestLogitLoss:
+    def test_grad_check(self):
+        rng = np.random.default_rng(8)
+        z = Parameter("z", Tensor(rng.normal(scale=3.0, size=(6, 7))))
+        y = rng.integers(0, 2, size=(6, 7))
+        err = grad_check(lambda: sum_all(bce_with_logits(z.tensor, y)), [z])
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("target", [0.0, 1.0])
+    def test_equals_the_clipped_loss_where_the_clip_does_not_bind(self,
+                                                                  target):
+        z = np.linspace(-17.0, 17.0, 6801)
+        p = sigmoid(z)
+        z = z[(p > BCE_CLIP) & (p < 1.0 - BCE_CLIP)]
+        y = np.full_like(z, target)
+        old, old_dp = clipped_bce(sigmoid(z), y)
+        new, dz = logit_loss(z, y)
+        assert z.min() < -15.0 and z.max() > 15.0
+        near = np.abs(z) <= 8.0
+        assert np.abs(new - old)[near].max() <= 1e-12
+        # Farther out the reference rounds 1 - p, an error of up to an
+        # ulp of 1 in a number near exp(-|z|).
+        assert np.all(np.abs(new - old)
+                      <= 1e-12 + np.finfo(float).eps * np.exp(np.abs(z)))
+        # the chain rule through the sigmoid, p (1 - p) dp, is sigmoid - y
+        p = sigmoid(z)
+        assert np.allclose(dz, p * (1.0 - p) * old_dp, rtol=1e-6, atol=1e-12)
+
+    def test_saturated_wrong_logit_still_learns(self):
+        z, y = np.array([-40.0]), np.array([1.0])
+        _, old_dp = clipped_bce(sigmoid(z), y)
+        assert old_dp[0] == 0.0
+        value, dz = logit_loss(z, y)
+        assert dz[0] == -1.0
+        assert value[0] == 40.0
+
+    def test_extreme_logits_are_finite_without_warnings(self):
+        z = np.array([-800.0, -800.0, 800.0, 800.0])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, dz = logit_loss(z, y)
+        assert np.array_equal(value, [0.0, 800.0, 800.0, 0.0])
+        assert np.array_equal(dz, [0.0, -1.0, 1.0, 0.0])
+
+    def test_targets_must_match_the_logits(self):
+        with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
+            bce_with_logits(Tensor(np.zeros(3)), np.zeros(2))
+
+    def test_sigmoid_is_bit_equal_to_the_old_op(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                   5e-324, -5e-324, 36.7, -36.7, 710.0, -745.2]
+        x = np.concatenate([special, np.linspace(-60.0, 60.0, 24001),
+                            np.random.default_rng(3).normal(scale=20.0,
+                                                            size=5000)])
+        assert sigmoid(x).tobytes() == old_sigmoid(x).tobytes()
+        grid = x.reshape(-1, 7)
+        assert sigmoid(grid).tobytes() == old_sigmoid(grid).tobytes()
 
 
 class TestAdam:
@@ -256,7 +347,8 @@ class TestAdam:
             x = rng.normal(size=(8, 4))
             for _ in range(15):
                 opt.zero_grad()
-                out = sum_all(sigmoid(matmul(Tensor(x), w.tensor)))
+                out = sum_all(bce_with_logits(matmul(Tensor(x), w.tensor),
+                                              np.eye(8, 4)))
                 out.backward()
                 opt.step()
             return w.values.copy()

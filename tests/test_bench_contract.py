@@ -1,6 +1,8 @@
 """The benchmark tracer in ``benchmark/spans.py`` patches functions by the
-names their callers look them up by.  A rename under ``src/`` must fail
-here rather than break ``benchmark/run.py --trace 1``."""
+names their callers look them up by, and ``benchmark/run.py`` builds its
+workloads from ``ModelConfig`` and ``SynthSpec``, parses the step out of a
+``DivergenceError`` and sums ``Parameter.trainable``.  A change under
+``src/`` that breaks either must fail here rather than in the benchmark."""
 import gc
 import sys
 import weakref
@@ -10,8 +12,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 from structrel import autodiff, encoder, harness, model  # noqa: E402
+from structrel.config import ModelConfig  # noqa: E402
 from structrel.synth import SynthSpec, generate_synthetic  # noqa: E402
 
 from test_harness import small_config  # noqa: E402
@@ -133,3 +137,55 @@ def test_relation_head_is_one_node_whatever_the_schema():
         assert totals[width]["model.score_relations.calls"] == 1
     assert totals[1]["autodiff.nodes"] == totals[40]["autodiff.nodes"]
     assert totals[1]["autodiff.nodes"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_every_workload_builds_its_inputs(name, tmp_path):
+    # make_inputs builds the workload's SynthSpec and ModelConfig and
+    # raises unless every probe is longer than max_len.
+    wl = run.WORKLOADS[name]
+    inputs = run.make_inputs(wl, 0, tmp_path)
+    assert isinstance(inputs.config, ModelConfig)
+    assert len(inputs.docs) == wl.n_train + wl.n_dev + wl.n_test
+    assert all(p.token_count() > inputs.config.max_len for p in inputs.probes)
+    built = harness.build_model(inputs.config, inputs.docs[:wl.n_train])
+    assert len(built.schema) == 2 + wl.unobserved_relations
+
+
+def bench_inputs(docs, config):
+    return run.Inputs(None, None, None, len(docs), 0, len(docs), docs=docs,
+                      probes=[], config=config)
+
+
+def test_divergence_counts_the_steps_never_taken(monkeypatch):
+    # Six documents in batches of 4 and 2 are two steps an epoch; the
+    # eleventh loss is the first of step 3, after 10 documents trained.
+    docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
+    config = small_config(epochs=3, batch_size=4)
+    calls = []
+    compute_loss = model.RelationExtractor.compute_loss
+
+    def diverging(self, result, enc):
+        calls.append(enc)
+        if len(calls) == 11:
+            return autodiff.constant(float("nan"))
+        return compute_loss(self, result, enc)
+
+    monkeypatch.setattr(model.RelationExtractor, "compute_loss", diverging)
+    out = run.Outcome()
+    assert run.train(bench_inputs(docs, config), docs, out) is None
+    assert out.failed == 3 * 6 - 10
+    assert out.problems == ["training diverged: non-finite loss at step 3 "
+                            "(epoch 1)"]
+
+
+def test_every_store_entry_has_the_flag_the_benchmark_sums():
+    docs = generate_synthetic(SynthSpec(n_docs=4, seed=2))
+    out = run.Outcome()
+    trained = run.train(bench_inputs(docs, small_config(epochs=1)), docs, out)
+    assert out.problems == []
+    entries = list(trained.store)
+    assert entries
+    assert all(isinstance(p, autodiff.Parameter)
+               and isinstance(p.trainable, bool) for p in entries)
+    assert out.n_params == sum(p.trainable for p in entries) == len(entries)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from structrel import cli
+from structrel.encoder import dep_name
+from structrel.model import RelationExtractor
+from structrel.structure import STRUCTURED_TYPES
 
 # One epoch of a one-layer, d_model 8 model keeps each training short.
 MODEL_FLAGS = ["--epochs", "1", "--layers", "1", "--d-model", "8",
@@ -93,6 +96,49 @@ def test_export_bias(corpus, run_dir, tmp_path):
     assert run(["export-bias", "--run", run_dir, "--docs", corpus[2],
                 "--out", out]) == 0
     assert len(out.read_text().splitlines()) == 1 + 6
+
+
+ALL_DEPS = ",".join(dep_name(dep) for dep in STRUCTURED_TYPES)
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--mode", "none"], "mode = none"),
+    (["--mode", "decomp", "--bias-query", "false", "--bias-key", "false",
+      "--bias-prior", "false"], "mode = decomp with every bias term false"),
+    (["--structured-layers", "none"], "structured_layers = none"),
+    (["--excluded-deps", ALL_DEPS], f"excluded_deps = {ALL_DEPS}"),
+], ids=["mode", "terms", "layers", "deps"])
+def test_export_bias_of_an_unbiased_run_names_config_and_setting(
+        corpus, tmp_path, capsys, monkeypatch, flags, setting):
+    _, train, dev = corpus
+    out = tmp_path / "run"
+    assert run(["train", "--train", train, "--out", out]
+               + MODEL_FLAGS + flags) == 0
+    capsys.readouterr()
+    # refused before any forward pass
+    monkeypatch.setattr(RelationExtractor, "forward", None)
+    heatmap = tmp_path / "heatmap.tsv"
+    assert run(["export-bias", "--run", out, "--docs", dev,
+                "--out", heatmap]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'config.txt'}: {setting} gives no layer a "
+        f"structural bias to export\n")
+    assert not heatmap.exists()
+
+
+def test_export_bias_over_a_corpus_without_structure_names_the_corpus(
+        run_dir, tmp_path, capsys):
+    # no entity, so every token pair is NA
+    docs = tmp_path / "plain.json"
+    docs.write_text(json.dumps([{"title": "plain", "sents": [["a", "b"]],
+                                 "vertexSet": [], "labels": []}]))
+    heatmap = tmp_path / "heatmap.tsv"
+    assert run(["export-bias", "--run", run_dir, "--docs", docs,
+                "--out", heatmap]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {docs}: no document has a structured cell in a biased "
+        f"layer; no bias records to export\n")
+    assert not heatmap.exists()
 
 
 MALFORMED = {

@@ -181,19 +181,6 @@ class TestParse:
         with pytest.raises(CorpusError, match="overlaps"):
             parse_corpus(path)
 
-    def test_unknown_relation_rejected_under_schema(self, tmp_path):
-        bad = json.loads(json.dumps(MINIMAL_DOC))
-        bad["vertexSet"].append(
-            [{"name": "math", "sent_id": 1, "pos": [2, 3], "type": "SUBJ"}]
-        )
-        bad["labels"] = [{"h": 0, "t": 1, "r": "mystery"}]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps([bad]))
-        with pytest.raises(CorpusError, match="mystery"):
-            parse_corpus(path, schema=["loves"])
-        # without a schema the label is accepted
-        assert parse_corpus(path)[0].facts[0].r == "mystery"
-
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("[{not json")

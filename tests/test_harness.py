@@ -6,7 +6,14 @@ import zlib
 import numpy as np
 import pytest
 
-from structrel.autodiff import Tensor, add, load_checkpoint
+from structrel.autodiff import (
+    Tensor,
+    add,
+    constant,
+    load_checkpoint,
+    mul,
+    sigmoid,
+)
 from structrel.batching import TruncationWarning
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
@@ -194,7 +201,7 @@ class TestPerDocumentBackward:
         total = losses[0]
         for extra in losses[1:]:
             total = add(total, extra)
-        mean_loss = total * (1.0 / len(losses))
+        mean_loss = mul(total, constant(1.0 / len(losses)))
         mean_loss.backward()
         expect = {p.name: p.tensor.grad.copy() for p in optimizer.params}
 
@@ -271,15 +278,15 @@ class TestTuneThreshold:
 
         def rigged(self, enc, recorder=None):
             out = original_forward(self, enc, recorder)
-            if out.probabilities is None:
+            if out.logits is None:
                 return out
             gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
-            values = np.full_like(out.probabilities.values, 0.1)
+            values = np.full_like(out.logits.values, 0.1)
             for i, (s, o) in enumerate(out.pairs):
                 for j, r in enumerate(self.schema):
                     if (s, o, r) in gold:
                         values[i, j] = 0.9
-            out.probabilities.values = values
+            out.logits.values = logits_of(values)
             return out
 
         monkeypatch.setattr(RelationExtractor, "forward", rigged)
@@ -289,14 +296,22 @@ class TestTuneThreshold:
         assert report.f1 == 1.0
 
 
+def logits_of(probabilities):
+    """The logits whose sigmoid gives ``probabilities`` (to rounding),
+    -inf at 0 and inf at 1."""
+    p = np.asarray(probabilities, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
+
+
 def reference_tune_threshold(model, dev_docs):
     """The per-cell sweep that the vectorised one replaced."""
     gold = _gold_facts(dev_docs)
     probs, flags = [], []
     for result in _forward_docs(model, dev_docs):
-        if result.probabilities is None:
+        if result.logits is None:
             continue
-        for (s, o), row in zip(result.pairs, result.probabilities.values):
+        for (s, o), row in zip(result.pairs, sigmoid(result.logits.values)):
             for r, p in zip(model.schema, row):
                 probs.append(float(p))
                 flags.append((result.doc_id, s, o, r) in gold)
@@ -321,7 +336,7 @@ def reference_tune_threshold(model, dev_docs):
 def reference_predict(model, result, threshold):
     """The per-cell loop that the vectorised ``predict`` replaced."""
     out = []
-    values = result.probabilities.values
+    values = sigmoid(result.logits.values)
     for i, (s, o) in enumerate(result.pairs):
         for j, r in enumerate(model.schema):
             if values[i, j] >= threshold:
@@ -332,15 +347,16 @@ def reference_predict(model, result, threshold):
 
 def quantised_forward(levels):
     """A forward whose probabilities are drawn per document from
-    ``levels`` values in [0, 1], both ends included, so cells tie."""
+    ``levels`` values in [0, 1], both ends included, so cells tie; the
+    logits are infinite at the ends."""
     original_forward = RelationExtractor.forward
 
     def rigged(self, enc, recorder=None):
         out = original_forward(self, enc, recorder)
-        if out.probabilities is not None:
+        if out.logits is not None:
             rng = np.random.default_rng(zlib.crc32(enc.doc.doc_id.encode()))
-            draws = rng.integers(0, levels, size=out.probabilities.shape)
-            out.probabilities.values = draws / (levels - 1)
+            draws = rng.integers(0, levels, size=out.logits.shape)
+            out.logits.values = logits_of(draws / (levels - 1))
         return out
 
     return rigged
@@ -385,15 +401,17 @@ class TestVectorisedSweep:
             out = original_forward(self, enc, recorder)
             assert out.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
                                  (2, 1)]
-            values = np.full(out.probabilities.shape, 0.1)
+            values = np.full(out.logits.shape, 0.1)
             values[0, 0], values[3, 0], values[1, 1] = 0.95, 0.75, 0.05
             values[0, 1], values[1, 0], values[2, 0] = 0.9, 0.85, 0.8
-            out.probabilities.values = values
+            out.logits.values = logits_of(values)
             return out
 
         monkeypatch.setattr(RelationExtractor, "forward", rigged)
-        assert tune_threshold(model, [doc]) == 0.95
-        assert reference_tune_threshold(model, [doc]) == 0.95
+        best = float(sigmoid(logits_of(0.95)))
+        assert best == pytest.approx(0.95, rel=1e-14)
+        assert tune_threshold(model, [doc]) == best
+        assert reference_tune_threshold(model, [doc]) == best
 
     def test_no_gold_keeps_the_configured_threshold(self, model, tiny_corpus):
         bare = [dataclasses.replace(doc, facts=()) for doc in tiny_corpus[1]]
@@ -452,7 +470,7 @@ class TestOverLengthInference:
         def rigged(self, enc, recorder=None):
             out = original_forward(self, enc, recorder)
             assert out.pairs == [(0, 1), (1, 0)]
-            out.probabilities.values = np.array([[0.9, 0.8], [0.6, 0.7]])
+            out.logits.values = logits_of([[0.9, 0.8], [0.6, 0.7]])
             return out
 
         monkeypatch.setattr(RelationExtractor, "forward", rigged)

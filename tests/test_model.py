@@ -13,6 +13,7 @@ from structrel.autodiff import (
     grad_check,
     matmul,
     mul,
+    sigmoid,
     sum_all,
     xavier_uniform,
 )
@@ -219,17 +220,21 @@ class TestScoring:
         model, enc = make_model()
         model.store["head.rel.W"].values[:] = 0.0
         result = model.forward(enc)
-        assert np.allclose(result.probabilities.values, 0.5)
+        assert not result.logits.values.any()
+        assert np.all(sigmoid(result.logits.values) == 0.5)
 
     def test_worked_bilinear_example(self):
-        # e_s = [1, 0], e_o = [0, 1], W = [[0, 2], [0, 0]] scores sigmoid(2)
+        # e_s = [1, 0], e_o = [0, 1], W = [[0, 2], [0, 0]] scores logit 2,
+        # probability sigmoid(2)
         model, _ = make_model(d_model=2, d_dist=0, schema=("only",))
         model.store["head.rel.W"].tensor.values = np.array(
             [[0.0, 2.0], [0.0, 0.0]]
         )
-        probs = model.score_relations(
+        logits = model.score_relations(
             Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])
         ).values
+        assert logits.tolist() == [[2.0]]
+        probs = sigmoid(logits)
         assert probs[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
         assert probs[0, 0] == pytest.approx(0.8808, abs=1e-4)
 
@@ -246,7 +251,7 @@ class TestScoring:
         model, enc = make_model(doc=doc)
         result = model.forward(enc)
         assert result.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        assert result.probabilities.shape == (6, 2)
+        assert result.logits.shape == (6, 2)
 
     def test_scores_match_triple_loop(self):
         model, enc = make_model()
@@ -264,9 +269,8 @@ class TestScoring:
             for j in range(len(model.schema)):
                 W = relation_form(model.store["head.rel.W"].values, j)
                 logit = float(e_s @ W @ e_o)
-                expect = 1.0 / (1.0 + math.exp(-logit))
-                assert result.probabilities.values[i, j] == pytest.approx(
-                    expect, rel=1e-10
+                assert result.logits.values[i, j] == pytest.approx(
+                    logit, rel=1e-10, abs=1e-12
                 )
 
     def test_single_entity_document_scores_nothing(self):
@@ -276,7 +280,7 @@ class TestScoring:
         )
         model, enc = make_model(doc=doc)
         result = model.forward(enc)
-        assert result.probabilities is None
+        assert result.logits is None
         assert float(model.compute_loss(result, enc).values) == 0.0
 
 
@@ -382,13 +386,13 @@ class TestLoss:
     def test_confident_correct_predictions_near_zero_loss(self):
         model, enc = make_model()
         result = model.forward(enc)
-        probs = np.full_like(result.probabilities.values, 1e-9)
+        logits = np.full_like(result.logits.values, -40.0)
         row = result.pairs.index((0, 1))
-        probs[row, model.rel_to_index["knows"]] = 1.0 - 1e-9
-        result.probabilities.values = probs
+        logits[row, model.rel_to_index["knows"]] = 40.0
+        result.logits.values = logits
         loss = float(model.compute_loss(result, enc).values)
-        # clipped at 1e-7, so each of the 4 cells contributes about 1e-7
-        assert 0.0 < loss < 1e-5
+        # nothing is clipped: each of the 4 cells adds log1p(exp(-40))
+        assert loss == pytest.approx(4 * math.exp(-40.0), rel=1e-12)
 
     def test_matches_brute_force_bce(self):
         model, enc = make_model()
@@ -398,7 +402,7 @@ class TestLoss:
         expect = 0.0
         for i, (s, o) in enumerate(result.pairs):
             for j, r in enumerate(model.schema):
-                p = float(result.probabilities.values[i, j])
+                p = 1.0 / (1.0 + math.exp(-result.logits.values[i, j]))
                 y = 1.0 if (s, o, r) in gold else 0.0
                 expect += -(y * math.log(p) + (1 - y) * math.log(1 - p))
         assert loss == pytest.approx(expect, rel=1e-9)
@@ -422,18 +426,14 @@ class TestPredict:
     def test_threshold_is_inclusive(self):
         model, enc = make_model()
         result = model.forward(enc)
-        result.probabilities.values = np.full_like(
-            result.probabilities.values, 0.5
-        )
+        result.logits.values = np.zeros_like(result.logits.values)
         facts = model.predict(result, threshold=0.5)
         assert len(facts) == len(result.pairs) * len(model.schema)
 
     def test_high_threshold_empties_predictions(self):
         model, enc = make_model()
         result = model.forward(enc)
-        result.probabilities.values = np.full_like(
-            result.probabilities.values, 0.5
-        )
+        result.logits.values = np.zeros_like(result.logits.values)
         assert model.predict(result, threshold=1.0 - 1e-9) == []
 
     def test_raising_threshold_never_adds_predictions(self):

@@ -117,7 +117,7 @@ def test_interleaved_graphs_give_the_sequential_gradients(mode):
 
 
 def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
-    """Losses of two Adam steps, then the trained model's probabilities;
+    """Losses of two Adam steps, then the trained model's logits;
     the gradients of each step; the trained parameters."""
     model, encs = setup(mode)
     optimizer = model.make_optimizer()
@@ -131,7 +131,7 @@ def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
         grads.append(parameter_grads(model))
         optimizer.step()
     for enc in encs:
-        outputs.append(model.forward(enc).probabilities.values.tobytes())
+        outputs.append(model.forward(enc).logits.values.tobytes())
     return outputs, grads, model.parameter_arrays()
 
 
