@@ -7,8 +7,16 @@ reachable node.  A node's first gradient is stored as a copy (backward
 rules may hand one array to two parents, or pass views), later ones are
 added into it.  An inner node's gradient is released as soon as its own
 backward rule has consumed it; only leaves (parameters and constants)
-keep theirs.  Storage is float64 throughout: double precision keeps
-finite-difference checks tight.
+keep theirs.
+
+A node's values keep their own dtype when it is float32 or float64, and
+anything else becomes float64; gradients take the dtype of their node.
+A :class:`ParameterStore` casts every parameter to its dtype, so a model
+computes in the dtype its store was given: float32 for training and
+inference, float64 where results must be exact, as in the
+finite-difference checks of :func:`grad_check`, which refuse anything
+else.  :func:`sigmoid` alone computes in float64 whatever its input, so
+that probabilities near 1 stay distinct.
 
 :func:`scratch` hands out views of process-wide buffers for temporaries
 that die inside the call that makes them.  Full-size temporaries taken
@@ -31,12 +39,13 @@ class ShapeError(ValueError):
     pass
 
 
-_SCRATCH: dict[str, np.ndarray] = {}
+_SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
 
 
-def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous float64 view of shape ``shape`` into the buffer
-    ``name``, which lives as long as the process and only grows.
+def scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous view of shape ``shape`` and dtype ``dtype`` into the
+    buffer ``(name, dtype)``, which lives as long as the process and only
+    grows.
 
     The view's contents are whatever the last user left.  The rule for
     using one: the array dies inside the call that asks for it; it is
@@ -45,14 +54,22 @@ def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     alive together need two names, and the buffers are not for threads.
     """
     size = math.prod(shape)
-    buf = _SCRATCH.get(name)
+    key = (name, np.dtype(dtype))
+    buf = _SCRATCH.get(key)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[name] = np.empty(size)
+        buf = _SCRATCH[key] = np.empty(size, dtype=key[1])
     return buf[:size].reshape(shape)
 
 
+#: The dtypes a graph value keeps; any other input becomes float64.
+FLOAT_DTYPES = (np.float32, np.float64)
+
+
 def _as_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype.type in FLOAT_DTYPES:
+        return values
+    return values.astype(np.float64)
 
 
 class Tensor:
@@ -130,8 +147,9 @@ class Tensor:
                 node.grad = None
 
 
-def constant(values) -> Tensor:
-    return Tensor(values)
+def constant(values, dtype=None) -> Tensor:
+    """A leaf holding ``values``, cast to ``dtype`` when one is given."""
+    return Tensor(values if dtype is None else np.asarray(values, dtype))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -229,7 +247,13 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function of an array, from ``exp(-|x|)``, which
-    cannot overflow; a plain numpy function, not a graph op."""
+    cannot overflow; a plain numpy function, not a graph op.
+
+    It computes in float64 whatever the input's dtype: in float32 every
+    logit above about 16.6 would give exactly 1.0, and probabilities
+    that tie there cannot be ranked or thresholded apart.
+    """
+    x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
@@ -319,14 +343,20 @@ class Parameter:
 
 
 class ParameterStore:
-    """Ordered, uniquely named parameter registry."""
+    """Ordered, uniquely named parameter registry.  Every parameter it
+    creates or loads is cast to its ``dtype``, float32 or float64."""
 
-    def __init__(self):
+    def __init__(self, dtype="float64"):
+        self.dtype = np.dtype(dtype)
+        if self.dtype.type not in FLOAT_DTYPES:
+            raise ValueError(f"parameter dtype must be float32 or float64, "
+                             f"got {self.dtype}")
         self._params: dict[str, Parameter] = {}
 
     def create(self, name: str, values, trainable: bool = True) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
+        values = np.asarray(values, dtype=self.dtype, order="C")
         param = Parameter(name, Tensor(values), trainable)
         self._params[name] = param
         return param
@@ -353,7 +383,7 @@ class ParameterStore:
         for p in self:
             if p.name not in arrays:
                 raise KeyError(f"checkpoint is missing parameter {p.name!r}")
-            incoming = np.asarray(arrays[p.name], dtype=np.float64)
+            incoming = np.asarray(arrays[p.name], dtype=self.dtype)
             if incoming.shape != p.values.shape:
                 raise ShapeError(
                     f"parameter {p.name!r}: checkpoint shape {incoming.shape} "
@@ -376,7 +406,8 @@ class Adam:
     the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``p -= lr m_hat / (sqrt(v_hat) + eps)`` in that order, so it is
     bit-equal to the same formula on whole arrays.  Parameters must be
-    C-contiguous, as the store creates and loads them.
+    C-contiguous, as the store creates and loads them.  Moments and work
+    arrays take each parameter's dtype.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
@@ -402,8 +433,6 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        work1 = scratch("adam.w1", (ADAM_BLOCK,))
-        work2 = scratch("adam.w2", (ADAM_BLOCK,))
         for p in self.params:
             g = p.tensor.grad
             if g is None:
@@ -413,6 +442,8 @@ class Adam:
             if not p.values.flags.c_contiguous:
                 raise ValueError(f"parameter {p.name!r} is not C-contiguous")
             flat = p.values.reshape(-1)
+            work1 = scratch("adam.w1", (ADAM_BLOCK,), flat.dtype)
+            work2 = scratch("adam.w2", (ADAM_BLOCK,), flat.dtype)
             g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
                        self.v[p.name].reshape(-1))
             for lo in range(0, flat.size, ADAM_BLOCK):
@@ -444,7 +475,14 @@ def grad_check(build: Callable[[], Tensor], params: Sequence[Parameter],
     ``build`` must construct a fresh scalar loss from the parameters'
     current values.  Returns the max over checked elements of
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
+
+    Every parameter must be float64: in float32 a central difference at
+    a step like 1e-6 measures rounding, not the gradient.
     """
+    for p in params:
+        if p.values.dtype != np.float64:
+            raise ValueError(f"grad_check: parameter {p.name!r} is "
+                             f"{p.values.dtype}, not float64")
     for p in params:
         p.tensor.grad = np.zeros_like(p.values)
     loss = build()
@@ -492,7 +530,8 @@ CHECKPOINT_VERSION = 3
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     """Write a named-array archive: versioned header, then per entry the
-    name, shape, and raw little-endian doubles."""
+    name, shape, and raw little-endian doubles, which hold float32
+    values exactly."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

@@ -16,7 +16,13 @@ import sys
 
 from . import harness
 from .config import ModelConfig, _parse_value, field_types, load_config
-from .corpus import CorpusError, corpus_stats, parse_corpus, write_corpus
+from .corpus import (
+    CorpusError,
+    corpus_stats,
+    entity_type_labels,
+    parse_corpus,
+    write_corpus,
+)
 from .encoder import unbiased_setting
 from .structure import build_structure_matrix, write_grid
 from .synth import SynthSpec, generate_synthetic
@@ -121,6 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _training_corpora(args, config: ModelConfig) -> tuple:
+    """The training and dev corpora of ``args``, each checked against a
+    model of ``config`` built from the training corpus."""
+    train_docs = parse_corpus(args.train_path)
+    dev_docs = parse_corpus(args.dev_path) if args.dev_path else ()
+    etypes = entity_type_labels(train_docs)
+    for path, docs in ((args.train_path, train_docs),
+                       (args.dev_path, dev_docs)):
+        harness.check_corpus(path, docs, config, etypes, args.train_path)
+    return train_docs, dev_docs
+
+
+def _run_corpus(model, run_dir, path) -> list:
+    """The corpus at ``path``, checked against the model of ``run_dir``."""
+    docs = parse_corpus(path)
+    harness.check_corpus(path, docs, model.cfg, model.etype_labels,
+                         os.path.join(run_dir, harness.ETYPES_FILE))
+    return docs
+
+
 def _write_report(out_dir, report, predictions) -> None:
     with open(os.path.join(out_dir, harness.REPORT_FILE), "w",
               encoding="utf-8") as fh:
@@ -131,8 +157,7 @@ def _write_report(out_dir, report, predictions) -> None:
 
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
-    train_docs = parse_corpus(args.train_path)
-    dev_docs = parse_corpus(args.dev_path) if args.dev_path else ()
+    train_docs, dev_docs = _training_corpora(args, config)
     result = harness.train(config, train_docs, dev_docs,
                            quiet=not args.verbose)
     result.restore_best()
@@ -149,7 +174,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = harness.load_run(args.run)
-    docs = parse_corpus(args.docs)
+    docs = _run_corpus(model, args.run, args.docs)
     train_docs = parse_corpus(args.train_docs) if args.train_docs else ()
     report, predictions = harness.evaluate(
         model, docs, train_docs=train_docs, threshold=args.threshold
@@ -163,7 +188,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_tune_threshold(args) -> int:
     model = harness.load_run(args.run)
-    dev_docs = parse_corpus(args.dev_path)
+    dev_docs = _run_corpus(model, args.run, args.dev_path)
     theta = harness.tune_threshold(model, dev_docs)
     print(f"{theta:.6f}")
     if args.out:
@@ -232,7 +257,7 @@ def _cmd_ablate(args) -> int:
               if part.strip()]
         rows = harness.layer_rows(config, ks)
     table = harness.render_ablation_table(harness.run_ablation(
-        rows, parse_corpus(args.train_path), parse_corpus(args.dev_path)))
+        rows, *_training_corpora(args, config)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
@@ -246,7 +271,7 @@ def _cmd_export_bias(args) -> int:
         raise ValueError(f"{os.path.join(args.run, harness.CONFIG_FILE)}: "
                          f"{setting} gives no layer a structural bias to "
                          f"export")
-    docs = parse_corpus(args.docs)
+    docs = _run_corpus(model, args.run, args.docs)
     try:
         heatmap = harness.collect_bias_heatmap(model, docs)
     except ValueError as exc:

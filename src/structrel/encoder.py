@@ -183,10 +183,11 @@ def _segment_sum(values: np.ndarray, groups: CellGroups,
     take them.
     """
     heads, _, w = values.shape
-    out = np.zeros((heads, n_slots, w))
+    out = np.zeros((heads, n_slots, w), dtype=values.dtype)
     out[:, groups.slots] = np.add.reduceat(
         values, groups.starts, axis=1,
-        out=scratch("attn.reduceat", (heads, groups.starts.size, w)))
+        out=scratch("attn.reduceat", (heads, groups.starts.size, w),
+                    values.dtype))
     return out
 
 
@@ -232,7 +233,8 @@ class CellBias:
             d_qa = _segment_sum(self.k_cells, by_row, n_slots)
             d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
             q_cells = np.take(q, rows[by_col.order], axis=1, mode="clip",
-                              out=scratch("attn.cells", self.k_cells.shape))
+                              out=scratch("attn.cells", self.k_cells.shape,
+                                          q.dtype))
             q_cells *= g_col
             d_kq = _segment_sum(q_cells, by_col,
                                 n_slots).reshape(heads, n, N_TYPES * dh)
@@ -289,14 +291,15 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
         # gathered in row-group order, which the gradient sums over
         order = structure.row_groups.order
         qa = np.matmul(q, terms["A"].values,
-                       out=scratch("attn.qa", (heads, n, N_TYPES * dh)))
+                       out=scratch("attn.qa", (heads, n, N_TYPES * dh),
+                                   q.dtype))
         qa = qa.reshape(heads, n * N_TYPES, dh)
         k_cells = np.take(k, cols[order], axis=1)
         qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1,
                            mode="clip", out=scratch("attn.cells",
-                                                    k_cells.shape))
+                                                    k_cells.shape, q.dtype))
         qa_cells *= k_cells
-        core = np.empty((heads, rows.size))
+        core = np.empty((heads, rows.size), dtype=q.dtype)
         core[:, order] = qa_cells.sum(axis=-1)
         parts.append(core)
     for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
@@ -411,12 +414,13 @@ def structured_attention(store: ParameterStore, x: Tensor,
                                "build the graph again to run backward again")
         spent = True
         g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
-        d_qkv = scratch("attn.d_qkv", qkv.shape)
+        d_qkv = scratch("attn.d_qkv", qkv.shape, qkv.dtype)
         dq, dk, dv = (d_qkv[:heads], d_qkv[heads:2 * heads],
                       d_qkv[2 * heads:])
         np.matmul(probs.transpose(0, 2, 1), g, out=dv)
         d_scores = np.matmul(g, v.transpose(0, 2, 1),
-                             out=scratch("attn.d_scores", probs.shape))
+                             out=scratch("attn.d_scores", probs.shape,
+                                         probs.dtype))
         # softmax backward, P * dP - P * sum(P * dP), then the 1/sqrt(d_h)
         # scale; the weights are spent, so they hold P * sum(P * dP)
         d_scores *= probs

@@ -89,6 +89,29 @@ def build_model(config: ModelConfig, train_docs: Sequence[Document],
     return RelationExtractor(config, vocab, etypes, list(schema))
 
 
+def check_corpus(path, docs: Sequence[Document], config: ModelConfig,
+                 etypes: Sequence[str], etypes_from) -> None:
+    """Refuse, naming the corpus file ``path`` and the document, a corpus
+    that a model of ``config`` with the entity types ``etypes``, read
+    from ``etypes_from``, cannot encode: an entity of another type, or
+    more entities left after the ``max_len`` cut than ``coref_cap``
+    ordinals.  The cut keeps an entity with a mention that ends within
+    it, as :func:`~structrel.batching.truncate_document` does."""
+    known = set(etypes)
+    for doc in docs:
+        for entity in doc.entities:
+            if entity.etype not in known:
+                raise ValueError(f"{path}: doc {doc.doc_id!r}: entity type "
+                                 f"{entity.etype!r} is not in {etypes_from}")
+        kept = sum(any(doc.global_span(m)[1] <= config.max_len
+                       for m in entity.mentions) for entity in doc.entities)
+        if kept > config.coref_cap:
+            raise ValueError(
+                f"{path}: doc {doc.doc_id!r}: {kept} entities within "
+                f"max_len = {config.max_len} exceed coref_cap = "
+                f"{config.coref_cap}")
+
+
 def _encode(model: RelationExtractor, doc: Document) -> EncodedDocument:
     cfg = model.cfg
     return encode_document(doc, model.vocab, model.etype_to_index,
@@ -208,7 +231,7 @@ def _backward_batch(model: RelationExtractor,
     and that constant.
     """
     share = 1.0 / len(batch)
-    weight = constant(share)
+    weight = constant(share, model.store.dtype)
     total = 0.0
     for enc in batch:
         loss = model.compute_loss(model.forward(enc), enc)

@@ -28,10 +28,16 @@ arrays: they die inside the call, so one buffer each serves every chunk
 of every document.  Taken from the C allocator, arrays of 1-2 MB per
 document on a 96-relation schema come from fresh pages and go back to
 the system when freed, so every training document would fault them in
-again.  ``HEAD_CHUNK_BYTES`` sizes the chunks for speed alone: on a
-96-relation schema 64 KiB chunks trained and evaluated slower than
-256 KiB ones, and larger chunks gained nothing steady but resident
-memory.
+again.  ``HEAD_CHUNK_BYTES`` sizes the chunks for speed alone, in bytes,
+so a float32 model's chunks hold twice the relations of a float64
+model's: in float64, on a 96-relation schema, 64 KiB chunks trained and
+evaluated slower than 256 KiB ones, and larger chunks gained nothing
+steady but resident memory.
+
+Every float array made here takes the dtype of its operands: the
+model computes in ``cfg.dtype``, the dtype of its parameter store.
+Only :func:`~structrel.autodiff.sigmoid`, and so every probability,
+is float64.
 """
 from __future__ import annotations
 
@@ -82,11 +88,11 @@ def distance_bucket(distance):
     return len(DISTANCE_BOUNDARIES) + np.sign(d) * level
 
 
-def head_chunk(rows: int, d_e: int) -> int:
+def head_chunk(rows: int, d_e: int, itemsize: int) -> int:
     """Relations per chunk of :func:`bilinear_scores`: as many as keep
-    each chunk's (rows, k*d_e) and (d_e, k*d_e) arrays within
-    ``HEAD_CHUNK_BYTES``, and at least one."""
-    per_relation = 8 * max(rows, d_e) * d_e  # float64
+    each chunk's (rows, k*d_e) and (d_e, k*d_e) arrays, of elements of
+    ``itemsize`` bytes, within ``HEAD_CHUNK_BYTES``, and at least one."""
+    per_relation = itemsize * max(rows, d_e) * d_e
     return max(1, HEAD_CHUNK_BYTES // per_relation)
 
 
@@ -105,17 +111,18 @@ def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"bilinear_scores: weights of shape {wv.shape} for "
                          f"pair features of width {d_e}")
     n_rel = wv.shape[1] // d_e
-    k = head_chunk(rows, d_e)
+    k = head_chunk(rows, d_e, a.itemsize)
     chunks = [(lo, min(lo + k, n_rel)) for lo in range(0, n_rel, k)]
 
     def products(lo, hi):
         """The chunk's columns of ``w``, a view, and ``e_s @ W`` as
         (P, hi - lo, d_e), in scratch."""
         cols = wv[:, lo * d_e:hi * d_e]
-        t = np.matmul(a, cols, out=scratch("head.t", (rows, cols.shape[1])))
+        t = np.matmul(a, cols,
+                      out=scratch("head.t", (rows, cols.shape[1]), a.dtype))
         return cols, t.reshape(rows, hi - lo, d_e)
 
-    scores = np.empty((rows, n_rel))
+    scores = np.empty((rows, n_rel), dtype=a.dtype)
     for lo, hi in chunks:
         _, t = products(lo, hi)
         scores[:, lo:hi] = (t @ b[:, :, None])[..., 0]
@@ -129,7 +136,7 @@ def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor) -> Tensor:
             cols, t = products(lo, hi)
             g = grad[:, lo:hi]
             db += (g[:, None, :] @ t)[:, 0, :]
-            gb = scratch("head.gb", (rows, hi - lo, d_e))
+            gb = scratch("head.gb", (rows, hi - lo, d_e), a.dtype)
             np.multiply(g[:, :, None], b[:, None, :], out=gb)
             gb = gb.reshape(rows, -1)
             da += gb @ cols.T
@@ -172,7 +179,7 @@ class RelationExtractor:
         self.etype_to_index = {t: i for i, t in enumerate(self.etype_labels)}
         self.schema = list(schema)
         self.rel_to_index = {r: i for i, r in enumerate(self.schema)}
-        self.store = ParameterStore()
+        self.store = ParameterStore(cfg.dtype)
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d_model
         self.store.create("embed.word",
@@ -217,7 +224,7 @@ class RelationExtractor:
     def pool_entities(self, hidden: Tensor, enc: EncodedDocument) -> Tensor:
         """Average each entity's mention tokens; (N, d_model)."""
         n, N = enc.n, enc.n_entities
-        pool = np.zeros((N, n))
+        pool = np.zeros((N, n), dtype=hidden.values.dtype)
         for e, tokens in enumerate(enc.entity_tokens):
             pool[e, list(tokens)] = 1.0 / len(tokens)
         return matmul(constant(pool), hidden)
@@ -263,8 +270,9 @@ class RelationExtractor:
         """Summed sigmoid cross entropy of the logits over every ordered
         pair and every relation of one document."""
         if result.logits is None:
-            return constant(0.0)
-        targets = np.zeros((len(result.pairs), len(self.schema)))
+            return constant(0.0, self.store.dtype)
+        targets = np.zeros((len(result.pairs), len(self.schema)),
+                           dtype=result.logits.values.dtype)
         row_of = {pair: i for i, pair in enumerate(result.pairs)}
         for fact in enc.doc.facts:
             if fact.r not in self.rel_to_index:

@@ -190,7 +190,7 @@ class TestPerDocumentBackward:
     @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
     def test_equals_one_backward_of_the_summed_batch(self, tiny_corpus, mode):
         docs = tiny_corpus[0][:4]
-        model = build_model(small_config(mode=mode), docs)
+        model = build_model(small_config(mode=mode, dtype="float64"), docs)
         encodings = [_encode(model, doc) for doc in docs]
         optimizer = model.make_optimizer()
 
@@ -669,7 +669,8 @@ class PerHeadRecorder(BiasRecorder):
 @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
 def test_heatmap_equals_per_head_pooling(mode):
     docs = generate_synthetic(SynthSpec(n_docs=8, seed=4))
-    model = build_model(small_config(layers=3, heads=4, mode=mode), docs)
+    model = build_model(small_config(layers=3, heads=4, mode=mode,
+                                     dtype="float64"), docs)
     rng = np.random.default_rng(9)
     for p in model.store:
         if ".bias." in p.name:

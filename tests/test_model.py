@@ -254,7 +254,7 @@ class TestScoring:
         assert result.logits.shape == (6, 2)
 
     def test_scores_match_triple_loop(self):
-        model, enc = make_model()
+        model, enc = make_model(dtype="float64")
         result = model.forward(enc)
         entities = model.pool_entities(result.hidden, enc).values
         dist = model.store["head.dist"].values
@@ -301,7 +301,7 @@ class TestRelationHeadNode:
         two relations: 2, 2 and 1."""
         monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
                             2 * 8 * self.P * self.D_E)
-        assert head_chunk(self.P, self.D_E) == 2
+        assert head_chunk(self.P, self.D_E, 8) == 2
         rng = np.random.default_rng(11)
         e_s = Parameter("e_s", Tensor(rng.normal(size=(self.P, self.D_E))))
         e_o = Parameter("e_o", Tensor(rng.normal(size=(self.P, self.D_E))))
@@ -311,9 +311,13 @@ class TestRelationHeadNode:
         return e_s, e_o, w, upstream
 
     def test_chunk_sizes_at_the_benchmark_shapes(self):
-        assert head_chunk(56, 40) == 14     # wide-decomp
-        assert head_chunk(132, 72) == 3     # large-biaffine
-        assert head_chunk(10_000, 72) == 1  # never fewer than one
+        assert head_chunk(56, 40, 8) == 14     # wide-decomp, float64
+        assert head_chunk(132, 72, 8) == 3     # large-biaffine, float64
+        assert head_chunk(10_000, 72, 8) == 1  # never fewer than one
+        # float32 elements: twice the relations in the same bytes
+        assert head_chunk(56, 40, 4) == 29
+        assert head_chunk(132, 72, 4) == 6
+        assert head_chunk(10_000, 72, 4) == 1
 
     def test_gradients_pass_finite_differences(self, head):
         e_s, e_o, w, upstream = head
@@ -377,7 +381,7 @@ class TestRelationHeadNode:
 
 class TestLoss:
     def test_uniform_probabilities_give_pairs_times_relations_ln2(self):
-        model, enc = make_model()
+        model, enc = make_model(dtype="float64")
         model.store["head.rel.W"].values[:] = 0.0
         result = model.forward(enc)
         loss = float(model.compute_loss(result, enc).values)
@@ -395,7 +399,7 @@ class TestLoss:
         assert loss == pytest.approx(4 * math.exp(-40.0), rel=1e-12)
 
     def test_matches_brute_force_bce(self):
-        model, enc = make_model()
+        model, enc = make_model(dtype="float64")
         result = model.forward(enc)
         loss = float(model.compute_loss(result, enc).values)
         gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
@@ -457,7 +461,8 @@ class TestPredict:
 
 class TestFullModelGradients:
     def test_loss_gradient_passes_finite_differences(self):
-        model, enc = make_model(layers=2, heads=2, d_model=8, mode="biaffine")
+        model, enc = make_model(layers=2, heads=2, d_model=8, mode="biaffine",
+                                dtype="float64")
         rng = np.random.default_rng(3)
         for p in model.store:
             if ".bias." in p.name:
@@ -496,31 +501,38 @@ class TestBaselineEquivalenceWithLoss:
 
 
 class TestParameterInit:
-    def test_stacked_projections_equal_per_head_draws(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stacked_projections_equal_per_head_draws(self, dtype):
         # Every head's wq, wk and wv drawn one at a time in (head,
         # projection) order, with the embedding tables before them and each
         # layer's wo and FFN after: the stacked wqkv holds the same values,
-        # and the draws after it are unchanged.
+        # and the draws after it are unchanged.  A float32 model holds the
+        # float64 draws rounded.
         seed, layers, heads, d, d_dist = 11, 2, 4, 8, 4
         model, _ = make_model(layers=layers, heads=heads, d_model=d,
-                              d_dist=d_dist, seed=seed)
+                              d_dist=d_dist, seed=seed, dtype=dtype)
         cfg, dh = model.cfg, d // heads
         rng = np.random.default_rng(seed)
+
+        def same(got, expect):
+            return (got.dtype == dtype
+                    and np.array_equal(got, expect.astype(dtype)))
+
         for name, rows in (("word", len(model.vocab)), ("pos", cfg.max_len),
                            ("etype", len(model.etype_labels) + 1),
                            ("coref", cfg.coref_cap + 1)):
             expect = xavier_uniform(rng, rows, d, (rows, d))
-            assert np.array_equal(model.store[f"embed.{name}"].values, expect)
+            assert same(model.store[f"embed.{name}"].values, expect)
         for l in range(layers):
             drawn = {(h, name): xavier_uniform(rng, d, dh, (d, dh))
                      for h in range(heads) for name in ("wq", "wk", "wv")}
             expect = np.stack([drawn[h, name] for name in ("wq", "wk", "wv")
                                for h in range(heads)])
-            assert np.array_equal(model.store[f"layer{l}.wqkv"].values, expect)
-            assert np.array_equal(model.store[f"layer{l}.wo"].values,
-                                  xavier_uniform(rng, d, d, (d, d)))
+            assert same(model.store[f"layer{l}.wqkv"].values, expect)
+            assert same(model.store[f"layer{l}.wo"].values,
+                        xavier_uniform(rng, d, d, (d, d)))
             hidden = d * cfg.ffn_mult
-            assert np.array_equal(model.store[f"layer{l}.ffn.w1"].values,
-                                  xavier_uniform(rng, d, hidden, (d, hidden)))
-            assert np.array_equal(model.store[f"layer{l}.ffn.w2"].values,
-                                  xavier_uniform(rng, hidden, d, (hidden, d)))
+            assert same(model.store[f"layer{l}.ffn.w1"].values,
+                        xavier_uniform(rng, d, hidden, (d, hidden)))
+            assert same(model.store[f"layer{l}.ffn.w2"].values,
+                        xavier_uniform(rng, hidden, d, (hidden, d)))

@@ -13,11 +13,12 @@ from structrel.synth import SynthSpec, generate_synthetic
 from test_harness import small_config
 
 MODES = ["biaffine", "decomp"]
+DTYPES = ["float32", "float64"]
 
 
-def setup(mode: str):
+def setup(mode: str, dtype: str = "float32"):
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
-    config = small_config(layers=2, heads=2, mode=mode)
+    config = small_config(layers=2, heads=2, mode=mode, dtype=dtype)
     model = harness.build_model(config, docs)
     encs = [harness._encode(model, doc) for doc in docs]
     encs = [enc for enc in encs if enc.n_entities >= 2]
@@ -60,9 +61,10 @@ def assert_same(got: dict, expect: dict) -> None:
             assert got[name].tobytes() == expect[name].tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_nothing_kept_lives_in_a_scratch_buffer(mode, monkeypatch):
-    model, encs = setup(mode)
+def test_nothing_kept_lives_in_a_scratch_buffer(mode, dtype, monkeypatch):
+    model, encs = setup(mode, dtype)
     optimizer = model.make_optimizer()
     optimizer.zero_grad()
     accumulated = []
@@ -87,9 +89,9 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, monkeypatch):
             "attn.d_scores", "attn.reduceat"}
     if mode == "biaffine":
         used |= {"attn.qa", "attn.cells"}
-    assert used <= autodiff._SCRATCH.keys()
-    for name, buf in autodiff._SCRATCH.items():
-        assert not any(np.shares_memory(a, buf) for a in kept), name
+    assert {(name, np.dtype(dtype)) for name in used} <= autodiff._SCRATCH.keys()
+    for key, buf in autodiff._SCRATCH.items():
+        assert not any(np.shares_memory(a, buf) for a in kept), key
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -116,10 +118,10 @@ def test_interleaved_graphs_give_the_sequential_gradients(mode):
     assert_same(parameter_grads(model), alone["a"][1])
 
 
-def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
+def two_steps(mode: str, dtype: str) -> tuple[list[bytes], list[dict], dict]:
     """Losses of two Adam steps, then the trained model's logits;
     the gradients of each step; the trained parameters."""
-    model, encs = setup(mode)
+    model, encs = setup(mode, dtype)
     optimizer = model.make_optimizer()
     outputs, grads = [], []
     for _ in range(2):
@@ -135,21 +137,22 @@ def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
     return outputs, grads, model.parameter_arrays()
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_nan_filled_scratch_changes_nothing(mode, monkeypatch):
-    clean = two_steps(mode)
+def test_nan_filled_scratch_changes_nothing(mode, dtype, monkeypatch):
+    clean = two_steps(mode, dtype)
     real = autodiff.scratch
     handed = []
 
-    def poisoned(name, shape):
-        view = real(name, shape)
-        autodiff._SCRATCH[name].fill(np.nan)
+    def poisoned(name, shape, dtype):
+        view = real(name, shape, dtype)
+        autodiff._SCRATCH[name, np.dtype(dtype)].fill(np.nan)
         handed.append(name)
         return view
 
     for owner in (autodiff, encoder, model_module):
         monkeypatch.setattr(owner, "scratch", poisoned)
-    outputs, grads, params = two_steps(mode)
+    outputs, grads, params = two_steps(mode, dtype)
     assert {"head.t", "adam.w1", "attn.d_scores"} <= set(handed)
     assert outputs == clean[0]
     for got, expect in zip(grads, clean[1]):
