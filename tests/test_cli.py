@@ -247,3 +247,93 @@ def test_integer_list_flag_names_flag(corpus, tmp_path, capsys, argv,
              else [])
     assert run(argv + extra + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def with_entity_type(src, dest, etype):
+    """A copy of the corpus ``src`` whose first document's second entity
+    has the type ``etype``; returns that document's title."""
+    docs = json.loads(src.read_text())
+    for mention in docs[0]["vertexSet"][1]:
+        mention["type"] = etype
+    dest.write_text(json.dumps(docs))
+    return docs[0]["title"]
+
+
+@pytest.mark.parametrize("command", ["eval", "tune-threshold", "export-bias"])
+def test_unseen_entity_type_names_corpus_document_and_run(
+        corpus, run_dir, tmp_path, capsys, command):
+    path = tmp_path / "loc.json"
+    title = with_entity_type(corpus[2], path, "LOC")
+    argv = {
+        "eval": ["eval", "--run", run_dir, "--docs", path],
+        "tune-threshold": ["tune-threshold", "--run", run_dir, "--dev", path],
+        "export-bias": ["export-bias", "--run", run_dir, "--docs", path,
+                        "--out", tmp_path / "heatmap.tsv"],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: doc {title!r}: entity type 'LOC' is not in "
+        f"{run_dir / 'etypes.txt'}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate-deps"])
+def test_dev_entity_type_unseen_in_training_names_both_corpora(
+        corpus, tmp_path, capsys, monkeypatch, command):
+    _, train, dev = corpus
+    path = tmp_path / "loc.json"
+    title = with_entity_type(dev, path, "LOC")
+    # refused before any training
+    monkeypatch.setattr(RelationExtractor, "forward", None)
+    assert run([command, "--train", train, "--dev", path,
+                "--out", tmp_path / "out"] + MODEL_FLAGS) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: doc {title!r}: entity type 'LOC' is not in "
+        f"{train}\n")
+
+
+def test_more_entities_than_coref_cap_names_corpus_and_setting(tmp_path,
+                                                              capsys):
+    # 70 one-token entities on the even tokens of one 140-token sentence
+    tokens = [f"w{i % 30}" for i in range(140)]
+    path = tmp_path / "crowded.json"
+    path.write_text(json.dumps([{
+        "title": "crowded", "sents": [tokens],
+        "vertexSet": [[{"name": tokens[2 * i], "sent_id": 0,
+                        "pos": [2 * i, 2 * i + 1], "type": "ENT"}]
+                      for i in range(70)],
+        "labels": [{"h": 0, "t": 1, "r": "r0"}]}]))
+    argv = ["train", "--train", path, "--out", tmp_path / "run"] + MODEL_FLAGS
+    assert run(argv + ["--max-len", 400]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: doc 'crowded': 70 entities within max_len = 400 "
+        f"exceed coref_cap = 64\n")
+    # the cut at 100 tokens leaves the first 50 entities
+    assert run(argv + ["--max-len", 100, "--coref-cap", 49]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: doc 'crowded': 50 entities within max_len = 100 "
+        f"exceed coref_cap = 49\n")
+    with pytest.warns(UserWarning):
+        assert run(argv + ["--max-len", 100, "--coref-cap", 50]) == 0
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_of_a_saved_run_repeats_the_training_report(corpus, tmp_path,
+                                                         dtype):
+    _, train, dev = corpus
+    out = tmp_path / "run"
+    assert run(["train", "--train", train, "--dev", dev, "--out", out,
+                "--dtype", dtype] + MODEL_FLAGS) == 0
+    assert f"dtype = {dtype}" in (out / "config.txt").read_text().splitlines()
+    again = tmp_path / "eval"
+    assert run(["eval", "--run", out, "--docs", dev, "--train-docs", train,
+                "--out", again]) == 0
+    for name in ("dev_report.txt", "predictions.tsv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_dtype_flag_accepts_only_float32_and_float64(corpus, tmp_path,
+                                                     capsys):
+    assert run(["train", "--train", corpus[1], "--out", tmp_path / "run",
+                "--dtype", "float16"] + MODEL_FLAGS) == 1
+    assert capsys.readouterr().err == (
+        "error: dtype: expected one of float32, float64, got 'float16'\n")

@@ -754,6 +754,30 @@ class TestRunDirectory:
         assert rep_orig == rep_load
         assert preds_orig == preds_load
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_saved_parameters_load_bit_identical(self, tiny_corpus, tmp_path,
+                                                 dtype):
+        result = train(small_config(epochs=2, dtype=dtype), tiny_corpus[0])
+        save_run(tmp_path / "run", result)
+        loaded = load_run(tmp_path / "run")
+        assert loaded.cfg == result.model.cfg
+        for p in result.model.store:
+            got = loaded.store[p.name].values
+            assert got.dtype == dtype and p.values.dtype == dtype, p.name
+            assert got.tobytes() == p.values.tobytes(), p.name
+
+    def test_config_without_dtype_loads_in_float32(self, tiny_corpus,
+                                                   tmp_path):
+        # run directories written before the dtype setting have no line
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1, dtype="float64"),
+                                tiny_corpus[0]))
+        config = run_dir / "config.txt"
+        lines = config.read_text().splitlines()
+        config.write_text("\n".join(l for l in lines
+                                     if not l.startswith("dtype")) + "\n")
+        assert load_run(run_dir).store.dtype == np.float32
+
     def test_non_utf8_vocabulary_names_file_and_offset(self, tiny_corpus,
                                                        tmp_path):
         run_dir = tmp_path / "run"
@@ -897,6 +921,9 @@ class TestConfigFile:
          r"config\.txt: structured_layers: malformed spec '0,,1'"),
         ("structured_layers = top:x",
          r"config\.txt: structured_layers: malformed spec 'top:x'"),
+        ("dtype = float16",
+         r"config\.txt:2: dtype: expected one of float32, float64, "
+         r"got 'float16'"),
     ])
     def test_bad_value_names_file_and_place(self, tmp_path, line, message):
         path = tmp_path / "config.txt"

@@ -319,6 +319,23 @@ class TestRelationHeadNode:
         assert head_chunk(132, 72, 4) == 6
         assert head_chunk(10_000, 72, 4) == 1
 
+    @pytest.mark.parametrize("dtype, relations", [
+        ("float64", [2, 2, 1]), ("float32", [4, 1])])
+    def test_chunks_hold_as_many_bytes_in_either_dtype(self, head,
+                                                       monkeypatch, dtype,
+                                                       relations):
+        real, widths = model_module.scratch, []
+
+        def watched(name, shape, dt):
+            if name == "head.t":
+                widths.append(shape[1])
+            return real(name, shape, dt)
+
+        monkeypatch.setattr(model_module, "scratch", watched)
+        e_s, e_o, w = (Tensor(p.values.astype(dtype)) for p in head[:3])
+        assert bilinear_scores(e_s, e_o, w).values.dtype == dtype
+        assert widths == [k * self.D_E for k in relations]
+
     def test_gradients_pass_finite_differences(self, head):
         e_s, e_o, w, upstream = head
 

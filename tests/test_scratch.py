@@ -16,7 +16,7 @@ MODES = ["biaffine", "decomp"]
 DTYPES = ["float32", "float64"]
 
 
-def setup(mode: str, dtype: str = "float32"):
+def setup(mode: str, dtype: str):
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
     config = small_config(layers=2, heads=2, mode=mode, dtype=dtype)
     model = harness.build_model(config, docs)
@@ -94,9 +94,10 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, dtype, monkeypatch):
         assert not any(np.shares_memory(a, buf) for a in kept), key
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_interleaved_graphs_give_the_sequential_gradients(mode):
-    model, encs = setup(mode)
+def test_interleaved_graphs_give_the_sequential_gradients(mode, dtype):
+    model, encs = setup(mode, dtype)
     a, b = encs[:2]
     alone = {}
     for name, enc in (("a", a), ("b", b)):
