@@ -346,7 +346,7 @@ class ParameterStore:
     """Ordered, uniquely named parameter registry.  Every parameter it
     creates or loads is cast to its ``dtype``, float32 or float64."""
 
-    def __init__(self, dtype="float64"):
+    def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         if self.dtype.type not in FLOAT_DTYPES:
             raise ValueError(f"parameter dtype must be float32 or float64, "

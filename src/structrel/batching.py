@@ -114,20 +114,18 @@ def truncate_document(doc: Document,
     remap: dict[int, int] = {}
     entities: list[Entity] = []
     for e_ord, entity in enumerate(doc.entities):
-        kept_mentions: list[Mention] = []
+        kept = kept_mentions(doc, entity, max_len)
         for m in entity.mentions:
-            lo, hi = doc.global_span(m)
-            if hi <= max_len:
-                kept_mentions.append(m)
-            else:
+            if m not in kept:
+                lo, hi = doc.global_span(m)
                 warnings.warn(
                     f"doc {doc.doc_id!r}: dropping mention {m.name!r} at "
                     f"[{lo}, {hi}) beyond the {max_len}-token cut",
                     TruncationWarning,
                 )
-        if kept_mentions:
+        if kept:
             remap[e_ord] = len(entities)
-            entities.append(Entity(entity.etype, tuple(kept_mentions)))
+            entities.append(Entity(entity.etype, kept))
         else:
             warnings.warn(
                 f"doc {doc.doc_id!r}: entity {e_ord} lost all mentions to "
@@ -147,6 +145,14 @@ def truncate_document(doc: Document,
     return (Document(doc.doc_id, tuple(sentences), tuple(entities),
                      tuple(facts)),
             tuple(remap))
+
+
+def kept_mentions(doc: Document, entity: Entity,
+                  max_len: int) -> tuple[Mention, ...]:
+    """The mentions of ``entity`` that a cut of ``doc`` to ``max_len``
+    tokens keeps: those that end within the cut."""
+    return tuple(m for m in entity.mentions
+                 if doc.global_span(m)[1] <= max_len)
 
 
 def make_batches(encodings: Sequence[EncodedDocument], batch_size: int,

@@ -2,10 +2,10 @@
 
 :class:`ModelConfig` is the only config type: the encoder, the model and
 the training loop all read it, and its ``__post_init__`` is the one
-validator.  Its ``dtype`` is the precision the model computes in.  The
-bias-term defaults of each transformation mode are stated once, in
-``_MODE_DEFAULTS``.  Configs round-trip through a flat ``key = value``
-text format; the CLI mirrors every field as a kebab-case flag.
+validator.  The bias-term defaults of each transformation mode are stated
+once, in ``_MODE_DEFAULTS``.  Configs round-trip through a flat
+``key = value`` text format; the CLI mirrors every field as a kebab-case
+flag.
 """
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ _MODE_DEFAULTS = {
                    bias_prior=True),
 }
 TOGGLES = tuple(_MODE_DEFAULTS["none"])
-
-#: The compute dtypes a model can take.
-DTYPES = ("float32", "float64")
 
 
 @dataclass
@@ -61,8 +58,6 @@ class ModelConfig:
     adam_eps: float = 1e-8
     epochs: int = 100
     batch_size: int = 4
-    # the compute precision: float32, or float64 for exact comparisons
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.mode not in _MODE_DEFAULTS:
@@ -84,8 +79,6 @@ class ModelConfig:
             )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype: {_dtype_error(self.dtype)}")
         self.resolve_structured_layers()  # validates the range spec
         self.excluded_dependency_set()    # validates the exclusion list
 
@@ -159,10 +152,6 @@ def field_types() -> dict[str, type]:
     return out
 
 
-def _dtype_error(value: str) -> str:
-    return f"expected one of {', '.join(DTYPES)}, got {value!r}"
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -212,8 +201,6 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             kwargs[key] = _parse_value(value, types[key])
-            if key == "dtype" and kwargs[key] not in DTYPES:
-                raise ValueError(_dtype_error(kwargs[key]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if overrides:

@@ -15,7 +15,12 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import constant, load_checkpoint, mul, save_checkpoint, sigmoid
-from .batching import EncodedDocument, encode_document, make_batches
+from .batching import (
+    EncodedDocument,
+    encode_document,
+    kept_mentions,
+    make_batches,
+)
 from .config import TOGGLES, ModelConfig, load_config, save_config
 from .corpus import (
     Document,
@@ -93,21 +98,21 @@ def check_corpus(path, docs: Sequence[Document], config: ModelConfig,
                  etypes: Sequence[str], etypes_from) -> None:
     """Refuse, naming the corpus file ``path`` and the document, a corpus
     that a model of ``config`` with the entity types ``etypes``, read
-    from ``etypes_from``, cannot encode: an entity of another type, or
-    more entities left after the ``max_len`` cut than ``coref_cap``
-    ordinals.  The cut keeps an entity with a mention that ends within
-    it, as :func:`~structrel.batching.truncate_document` does."""
+    from ``etypes_from``, cannot encode: an entity that the ``max_len``
+    cut keeps has another type, or the cut keeps more than ``coref_cap``
+    entities.  Entities beyond the cut are not checked: encoding drops
+    them with a :class:`~structrel.batching.TruncationWarning`."""
     known = set(etypes)
     for doc in docs:
-        for entity in doc.entities:
+        kept = [entity for entity in doc.entities
+                if kept_mentions(doc, entity, config.max_len)]
+        for entity in kept:
             if entity.etype not in known:
                 raise ValueError(f"{path}: doc {doc.doc_id!r}: entity type "
                                  f"{entity.etype!r} is not in {etypes_from}")
-        kept = sum(any(doc.global_span(m)[1] <= config.max_len
-                       for m in entity.mentions) for entity in doc.entities)
-        if kept > config.coref_cap:
+        if len(kept) > config.coref_cap:
             raise ValueError(
-                f"{path}: doc {doc.doc_id!r}: {kept} entities within "
+                f"{path}: doc {doc.doc_id!r}: {len(kept)} entities within "
                 f"max_len = {config.max_len} exceed coref_cap = "
                 f"{config.coref_cap}")
 

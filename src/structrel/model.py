@@ -34,10 +34,10 @@ model's: in float64, on a 96-relation schema, 64 KiB chunks trained and
 evaluated slower than 256 KiB ones, and larger chunks gained nothing
 steady but resident memory.
 
-Every float array made here takes the dtype of its operands: the
-model computes in ``cfg.dtype``, the dtype of its parameter store.
-Only :func:`~structrel.autodiff.sigmoid`, and so every probability,
-is float64.
+A model computes in ``COMPUTE_DTYPE``, float32, the dtype of its
+parameter store; every float array made here takes the dtype of its
+operands.  Only :func:`~structrel.autodiff.sigmoid`, and so every
+probability, is float64.
 """
 from __future__ import annotations
 
@@ -71,6 +71,10 @@ from .encoder import BiasRecorder, encoder_forward, init_encoder_params
 #: distances grow to the right, negative mirror to the left.
 DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
+
+#: The dtype of every model's parameters, and so of its whole forward and
+#: backward: single precision, as SSAN trains in.
+COMPUTE_DTYPE = np.dtype(np.float32)
 
 #: Bound on each temporary array of one chunk of the relation head, in
 #: bytes; see the module docstring.
@@ -179,7 +183,7 @@ class RelationExtractor:
         self.etype_to_index = {t: i for i, t in enumerate(self.etype_labels)}
         self.schema = list(schema)
         self.rel_to_index = {r: i for i, r in enumerate(self.schema)}
-        self.store = ParameterStore(cfg.dtype)
+        self.store = ParameterStore(COMPUTE_DTYPE)
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d_model
         self.store.create("embed.word",

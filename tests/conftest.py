@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from structrel import model
 from structrel.corpus import Document, Entity, Mention
+
+
+@pytest.fixture
+def compute_dtype(request, monkeypatch) -> np.dtype:
+    """The dtype that models built in the test compute in: float64, as
+    exact and finite-difference comparisons need, or the dtype the test
+    parametrizes this fixture with indirectly."""
+    dtype = np.dtype(getattr(request, "param", np.float64))
+    monkeypatch.setattr(model, "COMPUTE_DTYPE", dtype)
+    return dtype
+
+
+#: Marks a test whose models compute in float64.
+float64 = pytest.mark.usefixtures("compute_dtype")
 
 
 @pytest.fixture

@@ -296,7 +296,7 @@ class TestLogitLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = store.create("p", np.array([1.0, -2.0, 3.0]))
         opt = Adam(store, lr=0.1)
         before = p.values.copy()
@@ -308,7 +308,7 @@ class TestAdam:
     def test_first_step_matches_hand_formula(self):
         # constant gradient 1, lr 0.1: m_hat = 1, v_hat = 1,
         # step = 0.1 * 1 / (sqrt(1) + 1e-8)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = store.create("p", np.array(5.0))
         opt = Adam(store, lr=0.1)
         opt.zero_grad()
@@ -318,7 +318,7 @@ class TestAdam:
         assert p.values == pytest.approx(expected, abs=1e-15)
 
     def test_identical_parameters_follow_identical_trajectories(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         a = store.create("a", np.array([0.5, -0.5]))
         b = store.create("b", np.array([0.5, -0.5]))
         opt = Adam(store, lr=0.01)
@@ -332,7 +332,7 @@ class TestAdam:
         assert np.array_equal(a.values, b.values)
 
     def test_missing_gradient_is_an_error(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         store.create("p", np.zeros(3))
         opt = Adam(store)
         with pytest.raises(ValueError, match="no gradient"):
@@ -341,7 +341,7 @@ class TestAdam:
     def test_seeded_runs_are_bitwise_equal(self):
         def run():
             rng = np.random.default_rng(99)
-            store = ParameterStore()
+            store = ParameterStore(np.float64)
             w = store.create("w", xavier_uniform(rng, 4, 4, (4, 4)))
             opt = Adam(store, lr=1e-2)
             x = rng.normal(size=(8, 4))
@@ -376,7 +376,7 @@ class TestBlockedAdam:
 
     def test_bit_equal_to_the_whole_array_formula(self):
         rng = np.random.default_rng(21)
-        stores = [ParameterStore(), ParameterStore()]
+        stores = [ParameterStore(np.float64), ParameterStore(np.float64)]
         init = {name: rng.normal(size=shape)
                 for name, shape in self.SHAPES.items()}
         for store in stores:
@@ -402,7 +402,7 @@ class TestBlockedAdam:
                 assert blocked.v[name].tobytes() == moments[name][1].tobytes()
 
     def test_zero_grad_keeps_each_gradient_object(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         for name, shape in self.SHAPES.items():
             store.create(name, np.ones(shape))
         opt = Adam(store)
@@ -415,7 +415,7 @@ class TestBlockedAdam:
         assert all(not g.any() for g in grads)
 
     def test_non_contiguous_parameter_is_refused(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         p = store.create("p", np.zeros((3, 4)))
         p.tensor.values = np.ones((4, 3)).T
         opt = Adam(store)
@@ -449,24 +449,24 @@ class TestScratch:
 
 class TestParameterStore:
     def test_duplicate_names_rejected(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         store.create("w", np.zeros(2))
         with pytest.raises(ValueError, match="duplicate"):
             store.create("w", np.zeros(2))
 
     def test_state_round_trip(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         store.create("a", np.arange(4.0))
         store.create("b", np.ones((2, 2)))
         arrays = store.state_arrays()
-        other = ParameterStore()
+        other = ParameterStore(np.float64)
         other.create("a", np.zeros(4))
         other.create("b", np.zeros((2, 2)))
         other.load_state_arrays(arrays)
         assert np.array_equal(other["a"].values, np.arange(4.0))
 
     def test_shape_mismatch_on_load(self):
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         store.create("a", np.zeros(3))
         with pytest.raises(ShapeError):
             store.load_state_arrays({"a": np.zeros(4)})

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from structrel import cli
+from structrel.batching import TruncationWarning
+from structrel.config import ModelConfig
 from structrel.encoder import dep_name
 from structrel.model import RelationExtractor
 from structrel.structure import STRUCTURED_TYPES
@@ -291,6 +293,29 @@ def test_dev_entity_type_unseen_in_training_names_both_corpora(
         f"{train}\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_unseen_entity_type_beyond_max_len_is_cut_not_refused(
+        corpus, run_dir, tmp_path, command):
+    _, train, dev = corpus
+    docs = json.loads(dev.read_text())
+    # a sentence as long as max_len, so beyond the cut, ending in a LOC
+    cut = ModelConfig().max_len
+    tokens = [f"w{i % 30}" for i in range(cut)]
+    docs[0]["sents"].append(tokens)
+    docs[0]["vertexSet"].append([{
+        "name": tokens[-1], "sent_id": len(docs[0]["sents"]) - 1,
+        "pos": [cut - 1, cut], "type": "LOC"}])
+    path = tmp_path / "far_loc.json"
+    path.write_text(json.dumps(docs))
+    argv = {
+        "eval": ["eval", "--run", run_dir, "--docs", path],
+        "train": ["train", "--train", train, "--dev", path,
+                  "--max-len", cut] + MODEL_FLAGS,
+    }[command]
+    with pytest.warns(TruncationWarning):
+        assert run(argv + ["--out", tmp_path / "out"]) == 0
+
+
 def test_more_entities_than_coref_cap_names_corpus_and_setting(tmp_path,
                                                               capsys):
     # 70 one-token entities on the even tokens of one 140-token sentence
@@ -316,24 +341,16 @@ def test_more_entities_than_coref_cap_names_corpus_and_setting(tmp_path,
         assert run(argv + ["--max-len", 100, "--coref-cap", 50]) == 0
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("compute_dtype", ["float32", "float64"],
+                         indirect=True)
 def test_eval_of_a_saved_run_repeats_the_training_report(corpus, tmp_path,
-                                                         dtype):
+                                                         compute_dtype):
     _, train, dev = corpus
     out = tmp_path / "run"
-    assert run(["train", "--train", train, "--dev", dev, "--out", out,
-                "--dtype", dtype] + MODEL_FLAGS) == 0
-    assert f"dtype = {dtype}" in (out / "config.txt").read_text().splitlines()
+    assert run(["train", "--train", train, "--dev", dev, "--out", out]
+               + MODEL_FLAGS) == 0
     again = tmp_path / "eval"
     assert run(["eval", "--run", out, "--docs", dev, "--train-docs", train,
                 "--out", again]) == 0
     for name in ("dev_report.txt", "predictions.tsv"):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
-
-
-def test_dtype_flag_accepts_only_float32_and_float64(corpus, tmp_path,
-                                                     capsys):
-    assert run(["train", "--train", corpus[1], "--out", tmp_path / "run",
-                "--dtype", "float16"] + MODEL_FLAGS) == 1
-    assert capsys.readouterr().err == (
-        "error: dtype: expected one of float32, float64, got 'float16'\n")

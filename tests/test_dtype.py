@@ -1,4 +1,5 @@
-"""The compute dtype: float32 by default, float64 on request.
+"""The compute dtype: models compute in float32, and in float64 where a
+test sets ``model.COMPUTE_DTYPE`` to it for exact comparisons.
 
 A float64 model reproduces the all-float64 code exactly, a float32 model
 makes no float64 array anywhere it keeps one, and the float64-only
@@ -15,14 +16,16 @@ from structrel.autodiff import (
     sigmoid,
     sum_all,
 )
+from structrel import model as model_module
 from structrel.config import ModelConfig
 from structrel.corpus import Document, Entity, Mention
 from structrel.synth import SynthSpec, generate_synthetic
 
+from conftest import float64
 from test_harness import small_config
 
-# Per-epoch training losses of the code before the dtype setting existed,
-# when every array was float64, for the run of ``three_epoch_losses``.
+# Per-epoch training losses of the code before float32 compute, when
+# every array was float64, for the run of ``three_epoch_losses``.
 FLOAT64_LOSSES = {
     "biaffine": ["75.00107278567437", "28.64352221029214",
                  "17.984173934591183"],
@@ -31,23 +34,25 @@ FLOAT64_LOSSES = {
 }
 
 
-def three_epoch_losses(mode: str, dtype: str) -> list[str]:
+def three_epoch_losses(mode: str) -> list[str]:
     docs = generate_synthetic(SynthSpec(n_docs=12, seed=1))
     config = ModelConfig(layers=2, heads=2, d_model=16, d_dist=4,
                          max_len=32, coref_cap=16, epochs=3, batch_size=4,
-                         seed=0, mode=mode, dtype=dtype)
+                         seed=0, mode=mode)
     return [repr(entry.train_loss)
             for entry in harness.train(config, docs[:9]).log]
 
 
+@float64
 @pytest.mark.parametrize("mode", sorted(FLOAT64_LOSSES))
 def test_float64_training_reproduces_the_all_float64_losses(mode):
-    assert three_epoch_losses(mode, "float64") == FLOAT64_LOSSES[mode]
+    assert three_epoch_losses(mode) == FLOAT64_LOSSES[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(FLOAT64_LOSSES))
 def test_float32_training_moves_the_losses_by_rounding_only(mode):
-    got = [float(x) for x in three_epoch_losses(mode, "float32")]
+    assert model_module.COMPUTE_DTYPE == np.float32
+    got = [float(x) for x in three_epoch_losses(mode)]
     expect = [float(x) for x in FLOAT64_LOSSES[mode]]
     assert got != expect
     assert np.allclose(got, expect, rtol=1e-5, atol=0.0)
@@ -124,8 +129,10 @@ def test_grad_check_refuses_a_float32_parameter():
 
 
 class TestStoreAndValues:
-    def test_store_defaults_to_float64_and_refuses_other_dtypes(self):
-        assert ParameterStore().create("w", [1, 2]).values.dtype == np.float64
+    def test_store_casts_to_its_dtype_and_refuses_others(self):
+        for dtype in (np.float32, np.float64):
+            store = ParameterStore(dtype)
+            assert store.create("w", [1, 2]).values.dtype == dtype
         with pytest.raises(ValueError, match="float32 or float64, got float16"):
             ParameterStore("float16")
 

@@ -44,7 +44,7 @@ def encoder_config(mode="none", layers=1, heads=1, d_model=4,
 
 
 def make_store(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
-    store = ParameterStore()
+    store = ParameterStore(np.float64)
     init_encoder_params(store, np.random.default_rng(seed), cfg)
     return store
 

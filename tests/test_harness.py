@@ -42,7 +42,7 @@ from structrel.model import PredictedFact, RelationExtractor
 from structrel.structure import STRUCTURED_TYPES, DependencyType
 from structrel.synth import SynthSpec, generate_synthetic
 
-from conftest import raw_scores
+from conftest import float64, raw_scores
 
 A = ("docA", 0, 1, "r0")
 B = ("docA", 1, 2, "r0")
@@ -187,10 +187,11 @@ class TestTrain:
 
 
 class TestPerDocumentBackward:
+    @float64
     @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
     def test_equals_one_backward_of_the_summed_batch(self, tiny_corpus, mode):
         docs = tiny_corpus[0][:4]
-        model = build_model(small_config(mode=mode, dtype="float64"), docs)
+        model = build_model(small_config(mode=mode), docs)
         encodings = [_encode(model, doc) for doc in docs]
         optimizer = model.make_optimizer()
 
@@ -666,11 +667,11 @@ class PerHeadRecorder(BiasRecorder):
                                          int(counts[s])))
 
 
+@float64
 @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
 def test_heatmap_equals_per_head_pooling(mode):
     docs = generate_synthetic(SynthSpec(n_docs=8, seed=4))
-    model = build_model(small_config(layers=3, heads=4, mode=mode,
-                                     dtype="float64"), docs)
+    model = build_model(small_config(layers=3, heads=4, mode=mode), docs)
     rng = np.random.default_rng(9)
     for p in model.store:
         if ".bias." in p.name:
@@ -698,7 +699,7 @@ class TestBiasTermLinearity:
         def bias_matrix(**terms):
             cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
                               **terms)
-            store = ParameterStore()
+            store = ParameterStore(np.float64)
             init_encoder_params(store, np.random.default_rng(0), cfg)
             prng = np.random.default_rng(123)
             # type s of the one head: column s of qvec and kvec, slot s of b
@@ -732,7 +733,7 @@ class TestBiasTermLinearity:
         k = rng.normal(size=(1, S.n, 4))
         cfg = ModelConfig(layers=1, heads=1, d_model=4, mode="decomp",
                           bias_query=False, bias_key=False)
-        store = ParameterStore()
+        store = ParameterStore(np.float64)
         init_encoder_params(store, np.random.default_rng(0), cfg)
         scores, _ = structured_scores(store, q, k, S, 0, cfg)
         assert scores[0].tobytes() == raw_scores(q[0], k[0]).tobytes()
@@ -754,29 +755,18 @@ class TestRunDirectory:
         assert rep_orig == rep_load
         assert preds_orig == preds_load
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"],
+                             indirect=True)
     def test_saved_parameters_load_bit_identical(self, tiny_corpus, tmp_path,
-                                                 dtype):
-        result = train(small_config(epochs=2, dtype=dtype), tiny_corpus[0])
+                                                 compute_dtype):
+        result = train(small_config(epochs=2), tiny_corpus[0])
         save_run(tmp_path / "run", result)
         loaded = load_run(tmp_path / "run")
         assert loaded.cfg == result.model.cfg
         for p in result.model.store:
             got = loaded.store[p.name].values
-            assert got.dtype == dtype and p.values.dtype == dtype, p.name
+            assert got.dtype == p.values.dtype == compute_dtype, p.name
             assert got.tobytes() == p.values.tobytes(), p.name
-
-    def test_config_without_dtype_loads_in_float32(self, tiny_corpus,
-                                                   tmp_path):
-        # run directories written before the dtype setting have no line
-        run_dir = tmp_path / "run"
-        save_run(run_dir, train(small_config(epochs=1, dtype="float64"),
-                                tiny_corpus[0]))
-        config = run_dir / "config.txt"
-        lines = config.read_text().splitlines()
-        config.write_text("\n".join(l for l in lines
-                                     if not l.startswith("dtype")) + "\n")
-        assert load_run(run_dir).store.dtype == np.float32
 
     def test_non_utf8_vocabulary_names_file_and_offset(self, tiny_corpus,
                                                        tmp_path):
@@ -921,9 +911,6 @@ class TestConfigFile:
          r"config\.txt: structured_layers: malformed spec '0,,1'"),
         ("structured_layers = top:x",
          r"config\.txt: structured_layers: malformed spec 'top:x'"),
-        ("dtype = float16",
-         r"config\.txt:2: dtype: expected one of float32, float64, "
-         r"got 'float16'"),
     ])
     def test_bad_value_names_file_and_place(self, tmp_path, line, message):
         path = tmp_path / "config.txt"

@@ -37,6 +37,8 @@ from structrel.model import (
     head_chunk,
 )
 
+from conftest import float64
+
 
 def pair_doc() -> Document:
     return Document(
@@ -253,8 +255,9 @@ class TestScoring:
         assert result.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert result.logits.shape == (6, 2)
 
+    @float64
     def test_scores_match_triple_loop(self):
-        model, enc = make_model(dtype="float64")
+        model, enc = make_model()
         result = model.forward(enc)
         entities = model.pool_entities(result.hidden, enc).values
         dist = model.store["head.dist"].values
@@ -397,8 +400,9 @@ class TestRelationHeadNode:
 
 
 class TestLoss:
+    @float64
     def test_uniform_probabilities_give_pairs_times_relations_ln2(self):
-        model, enc = make_model(dtype="float64")
+        model, enc = make_model()
         model.store["head.rel.W"].values[:] = 0.0
         result = model.forward(enc)
         loss = float(model.compute_loss(result, enc).values)
@@ -415,8 +419,9 @@ class TestLoss:
         # nothing is clipped: each of the 4 cells adds log1p(exp(-40))
         assert loss == pytest.approx(4 * math.exp(-40.0), rel=1e-12)
 
+    @float64
     def test_matches_brute_force_bce(self):
-        model, enc = make_model(dtype="float64")
+        model, enc = make_model()
         result = model.forward(enc)
         loss = float(model.compute_loss(result, enc).values)
         gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
@@ -477,9 +482,9 @@ class TestPredict:
 
 
 class TestFullModelGradients:
+    @float64
     def test_loss_gradient_passes_finite_differences(self):
-        model, enc = make_model(layers=2, heads=2, d_model=8, mode="biaffine",
-                                dtype="float64")
+        model, enc = make_model(layers=2, heads=2, d_model=8, mode="biaffine")
         rng = np.random.default_rng(3)
         for p in model.store:
             if ".bias." in p.name:
@@ -518,8 +523,9 @@ class TestBaselineEquivalenceWithLoss:
 
 
 class TestParameterInit:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_stacked_projections_equal_per_head_draws(self, dtype):
+    @pytest.mark.parametrize("compute_dtype", ["float64", "float32"],
+                             indirect=True)
+    def test_stacked_projections_equal_per_head_draws(self, compute_dtype):
         # Every head's wq, wk and wv drawn one at a time in (head,
         # projection) order, with the embedding tables before them and each
         # layer's wo and FFN after: the stacked wqkv holds the same values,
@@ -527,13 +533,13 @@ class TestParameterInit:
         # float64 draws rounded.
         seed, layers, heads, d, d_dist = 11, 2, 4, 8, 4
         model, _ = make_model(layers=layers, heads=heads, d_model=d,
-                              d_dist=d_dist, seed=seed, dtype=dtype)
+                              d_dist=d_dist, seed=seed)
         cfg, dh = model.cfg, d // heads
         rng = np.random.default_rng(seed)
 
         def same(got, expect):
-            return (got.dtype == dtype
-                    and np.array_equal(got, expect.astype(dtype)))
+            return (got.dtype == compute_dtype
+                    and np.array_equal(got, expect.astype(compute_dtype)))
 
         for name, rows in (("word", len(model.vocab)), ("pos", cfg.max_len),
                            ("etype", len(model.etype_labels) + 1),

@@ -16,9 +16,9 @@ MODES = ["biaffine", "decomp"]
 DTYPES = ["float32", "float64"]
 
 
-def setup(mode: str, dtype: str):
+def setup(mode: str):
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
-    config = small_config(layers=2, heads=2, mode=mode, dtype=dtype)
+    config = small_config(layers=2, heads=2, mode=mode)
     model = harness.build_model(config, docs)
     encs = [harness._encode(model, doc) for doc in docs]
     encs = [enc for enc in encs if enc.n_entities >= 2]
@@ -61,10 +61,11 @@ def assert_same(got: dict, expect: dict) -> None:
             assert got[name].tobytes() == expect[name].tobytes(), name
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("compute_dtype", DTYPES, indirect=True)
 @pytest.mark.parametrize("mode", MODES)
-def test_nothing_kept_lives_in_a_scratch_buffer(mode, dtype, monkeypatch):
-    model, encs = setup(mode, dtype)
+def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
+                                                monkeypatch):
+    model, encs = setup(mode)
     optimizer = model.make_optimizer()
     optimizer.zero_grad()
     accumulated = []
@@ -89,15 +90,16 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, dtype, monkeypatch):
             "attn.d_scores", "attn.reduceat"}
     if mode == "biaffine":
         used |= {"attn.qa", "attn.cells"}
-    assert {(name, np.dtype(dtype)) for name in used} <= autodiff._SCRATCH.keys()
+    assert {(name, compute_dtype) for name in used} <= autodiff._SCRATCH.keys()
     for key, buf in autodiff._SCRATCH.items():
         assert not any(np.shares_memory(a, buf) for a in kept), key
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("compute_dtype", DTYPES, indirect=True)
 @pytest.mark.parametrize("mode", MODES)
-def test_interleaved_graphs_give_the_sequential_gradients(mode, dtype):
-    model, encs = setup(mode, dtype)
+def test_interleaved_graphs_give_the_sequential_gradients(mode,
+                                                          compute_dtype):
+    model, encs = setup(mode)
     a, b = encs[:2]
     alone = {}
     for name, enc in (("a", a), ("b", b)):
@@ -119,10 +121,10 @@ def test_interleaved_graphs_give_the_sequential_gradients(mode, dtype):
     assert_same(parameter_grads(model), alone["a"][1])
 
 
-def two_steps(mode: str, dtype: str) -> tuple[list[bytes], list[dict], dict]:
+def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
     """Losses of two Adam steps, then the trained model's logits;
     the gradients of each step; the trained parameters."""
-    model, encs = setup(mode, dtype)
+    model, encs = setup(mode)
     optimizer = model.make_optimizer()
     outputs, grads = [], []
     for _ in range(2):
@@ -138,10 +140,10 @@ def two_steps(mode: str, dtype: str) -> tuple[list[bytes], list[dict], dict]:
     return outputs, grads, model.parameter_arrays()
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("compute_dtype", DTYPES, indirect=True)
 @pytest.mark.parametrize("mode", MODES)
-def test_nan_filled_scratch_changes_nothing(mode, dtype, monkeypatch):
-    clean = two_steps(mode, dtype)
+def test_nan_filled_scratch_changes_nothing(mode, compute_dtype, monkeypatch):
+    clean = two_steps(mode)
     real = autodiff.scratch
     handed = []
 
@@ -153,7 +155,7 @@ def test_nan_filled_scratch_changes_nothing(mode, dtype, monkeypatch):
 
     for owner in (autodiff, encoder, model_module):
         monkeypatch.setattr(owner, "scratch", poisoned)
-    outputs, grads, params = two_steps(mode, dtype)
+    outputs, grads, params = two_steps(mode)
     assert {"head.t", "adam.w1", "attn.d_scores"} <= set(handed)
     assert outputs == clean[0]
     for got, expect in zip(grads, clean[1]):
