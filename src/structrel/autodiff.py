@@ -209,22 +209,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    values = np.concatenate([p.values for p in parts], axis=axis)
-    out = Tensor(values, tuple(parts))
-    sizes = [p.values.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def _backward(grad):
-        for p, piece in zip(parts, np.split(grad, splits, axis=axis)):
-            p._accumulate(piece)
-
-    out._backward = _backward
-    return out
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.values.sum(), (a,))
 

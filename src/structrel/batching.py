@@ -4,12 +4,17 @@ A document is cut to the model's ``max_len`` and turned into index
 arrays (word, entity-type, coreference ordinal; position is implicit)
 plus its structure matrix.  Training encodes each document once and
 batches are seeded chunks of those encodings; inference encodes each
-document as it runs it.
+document as it runs it.  What the model derives from an encoding alone,
+the entity-pooling weights and the layout of the entity pairs, is
+computed on first use and kept with it, so training's epochs compute it
+once per document.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +27,130 @@ from .structure import (
     build_structure_matrix,
 )
 
+#: Symmetric distance-bucket boundaries; index 9 is distance zero, positive
+#: distances grow to the right, negative mirror to the left.
+DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
+
+_BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
+
+
+def distance_bucket(distance):
+    """Bucket signed token distances (an int or an integer array),
+    symmetric around zero."""
+    d = np.asarray(distance)
+    level = np.searchsorted(_BOUNDARIES, np.abs(d), side="right")
+    return len(DISTANCE_BOUNDARIES) + np.sign(d) * level
+
 
 class TruncationWarning(UserWarning):
     pass
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class CellSums:
+    """How to sum one value per pair into the cells of a
+    :class:`PairLayout`'s grid, in pair order within each cell.
+
+    A cell that one pair meets takes that pair's value: ``single``
+    (3, k) holds such cells' subject rows, object rows and pairs.  The
+    other cells sum their pairs' values: ``multi`` (2, k') holds their
+    subject and object rows, ``multi_pairs`` their pairs, cell after
+    cell, and ``multi_starts`` where each cell's run of pairs begins, as
+    ``np.add.reduceat`` takes it.  Every array is read-only.
+    """
+
+    single: np.ndarray
+    multi: np.ndarray
+    multi_pairs: np.ndarray
+    multi_starts: np.ndarray
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """The ordered entity pairs of a document and the indices the
+    relation head gathers and scatters them by.
+
+    Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), (1, 2), ...:
+    ``subjects`` and ``objects`` index the entities of each of the
+    P = N(N-1) pairs, and ``subject_buckets`` and ``object_buckets`` the
+    distance buckets of ``start[s] - start[o]`` and of its negation.
+
+    The head's table has ``rows`` rows: the N entities, then one row for
+    each distinct bucket of either side, ``buckets``, ascending.  A
+    pair's side is the sum of its entity's row and its bucket's, so a
+    pair meets four (subject row, object row) cells of a (rows, rows)
+    grid; ``cells`` (2, 4, P) holds their subject rows and object rows,
+    in the order (s, o), (s, b_o), (b_s, o), (b_s, b_o).  Every array is
+    read-only.
+    """
+
+    pairs: list[tuple[int, int]]
+    rows: int
+    buckets: np.ndarray
+    cells: np.ndarray
+    subject_buckets: np.ndarray
+
+    @property
+    def subjects(self) -> np.ndarray:
+        return self.cells[0, 0]
+
+    @property
+    def objects(self) -> np.ndarray:
+        return self.cells[1, 0]
+
+    @property
+    def object_buckets(self) -> np.ndarray:
+        # distance_bucket(-g) mirrors distance_bucket(g) around the middle
+        return N_DISTANCE_BUCKETS - 1 - self.subject_buckets
+
+    @classmethod
+    def of(cls, first_starts: Sequence[int]) -> PairLayout:
+        starts = np.asarray(first_starts, dtype=np.int64)
+        n = starts.size
+        subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
+        subject_buckets = distance_bucket(starts[subjects] - starts[objects])
+        used = np.zeros(N_DISTANCE_BUCKETS, dtype=bool)
+        used[subject_buckets] = True
+        used |= used[::-1]
+        buckets = np.flatnonzero(used)
+        row_of = n - 1 + np.cumsum(used)
+        cells = np.empty((2, 4, subjects.size), dtype=np.int64)
+        cells[0, :2] = subjects
+        cells[0, 2:] = row_of[subject_buckets]
+        cells[1, ::2] = objects
+        cells[1, 1::2] = row_of[::-1][subject_buckets]
+        _read_only(buckets, cells, subject_buckets)
+        return cls(list(zip(subjects.tolist(), objects.tolist())),
+                   n + buckets.size, buckets, cells, subject_buckets)
+
+    @cached_property
+    def sums(self) -> CellSums:
+        """The plan of the backward's sum into the grid; computed on
+        first use, as inference needs none."""
+        rows, p = self.rows, len(self.pairs)
+        keys = (self.cells[0] * rows + self.cells[1]).ravel()
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        run_starts = np.flatnonzero(first)
+        counts = np.diff(np.concatenate([run_starts, [keys.size]]))
+        pair = order % max(p, 1)
+        once = counts == 1
+        single = np.empty((3, np.count_nonzero(once)), dtype=np.int64)
+        single[0], single[1] = np.divmod(ordered[run_starts[once]], rows)
+        single[2] = pair[run_starts[once]]
+        multi = np.array(np.divmod(ordered[run_starts[~once]], rows))
+        multi_pairs = pair[np.repeat(~once, counts)]
+        multi_starts = np.cumsum(counts[~once]) - counts[~once]
+        _read_only(single, multi, multi_pairs, multi_starts)
+        return CellSums(single, multi, multi_pairs, multi_starts)
 
 
 @dataclass(frozen=True)
@@ -45,6 +171,24 @@ class EncodedDocument:
     @property
     def n_entities(self) -> int:
         return len(self.entity_tokens)
+
+    @cached_property
+    def pool_weights(self) -> np.ndarray:
+        """(N, n), float64: row ``e`` holds ``1 / k`` at each of entity
+        ``e``'s k mention tokens, so that ``pool_weights @ hidden`` is the
+        mean of every entity's tokens."""
+        counts = [len(tokens) for tokens in self.entity_tokens]
+        pool = np.zeros((self.n_entities, self.n))
+        rows = np.repeat(np.arange(self.n_entities), counts)
+        cols = list(itertools.chain.from_iterable(self.entity_tokens))
+        pool[rows, cols] = np.repeat(1.0 / np.asarray(counts, float), counts)
+        _read_only(pool)
+        return pool
+
+    @cached_property
+    def pair_layout(self) -> PairLayout:
+        """The ordered entity pairs of the encoded document."""
+        return PairLayout.of(self.first_starts)
 
 
 def encode_document(doc: Document, vocab: Vocabulary,

@@ -11,28 +11,49 @@ in one op (:func:`~structrel.autodiff.bce_with_logits`), and only
 prediction turns them into probabilities, with
 :func:`~structrel.autodiff.sigmoid`.
 
-The bilinear forms of all relations are one graph node
-(:func:`bilinear_scores`), so a document's graph has as many nodes
-whatever the size of the schema, and their weights are one parameter,
-``head.rel.W`` (d_e, M*d_e), relation ``r`` in columns ``r*d_e`` to
-``(r+1)*d_e``.  The node walks the relations in chunks: a chunk's columns
-of ``W``, a view, give ``t = e_s @ W`` for k relations in one product,
-and a batched row product with ``e_o`` gives their k columns of scores.
-The backward computes ``t`` again rather than keeping it, and handles
-one chunk at a time: ``e_o``'s gradient from ``t``, ``e_s``'s from the
-upstream gradient spread over ``e_o``, and ``W``'s added straight into
-the chunk's columns of the one gradient.
+The head is one graph node, :func:`pair_scores`, for every pair and
+relation; its parents are the pooled entities X (N, d), the distance
+table D (19, d_dist) and the forms' weights ``head.rel.W`` (d_e, M*d_e),
+d_e = d + d_dist, relation r in columns ``r*d_e`` to ``(r+1)*d_e``.  It
+builds no pair's features.  A pair's subject side ``[X[s], D[b_s]]`` is
+the sum of two rows of one table, ``[X[s], 0]`` and ``[0, D[b_s]]``,
+and its object side likewise, so by linearity its score is a sum of four
+products of table rows.  The table has the N entity rows and one row for
+each of the u buckets the document uses (the :class:`PairLayout`).  With
+``W_top = W[:d]`` and ``W_bottom = W[d:]``:
 
-A chunk's ``t`` and spread gradient are :func:`~structrel.autodiff.scratch`
-arrays: they die inside the call, so one buffer each serves every chunk
-of every document.  Taken from the C allocator, arrays of 1-2 MB per
-document on a 96-relation schema come from fresh pages and go back to
-the system when freed, so every training document would fault them in
-again.  ``HEAD_CHUNK_BYTES`` sizes the chunks for speed alone, in bytes,
-so a float32 model's chunks hold twice the relations of a float64
-model's: in float64, on a 96-relation schema, 64 KiB chunks trained and
-evaluated slower than 256 KiB ones, and larger chunks gained nothing
-steady but resident memory.
+* ``A = [X @ W_top; D_u @ W_bottom]``, (N+u, M, d_e): every table row's
+  ``row @ W_r`` for every relation, (N*d + u*d_dist)*M*d_e multiply-adds;
+* ``Q[i, r, j]``, (N+u, M, N+u): ``A[i, r]`` against table row j's
+  nonzero half, ``A[..., :d]`` against X and ``A[..., d:]`` against
+  ``D_u``, (N+u)*M*(N*d + u*d_dist) multiply-adds;
+* the score of pair (s, o) and relation r: Q summed over the pair's four
+  (subject row i, object row j) cells.
+
+At wide-decomp's shape (N = 8, M = 96, d = 32, d_dist = 8, u about 10)
+that is some 2M multiply-adds, where the per-pair products ``e_s @ W``
+of every relation took P*M*d_e**2 = 8.6M over the P = N(N-1) = 56
+pairs.  No array grows with P*M*d_e, so nothing is chunked.  The
+backward runs the same steps in reverse: the upstream gradient summed
+over the pairs that meet each grid cell is ``dQ`` (a cell met by one
+pair takes its row as it is, the others are summed with
+``np.add.reduceat``, by the layout's :attr:`~PairLayout.sums`);
+``dQ`` gives ``dA`` and the object sides' part of ``dX`` and ``dD``,
+and ``dA`` gives ``dW`` and the subject sides' part.
+
+Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), ...  The node
+reads its cells from the layout and would score any order; the order is
+kept because it is the order of the logits' rows, of the targets of
+:meth:`RelationExtractor.compute_loss` and of the facts that
+:meth:`RelationExtractor.predict` returns.
+
+``A``, ``Q``, their gradients and the gathers between them die inside
+the call that makes them, so they are
+:func:`~structrel.autodiff.scratch` arrays: one buffer each serves every
+document.  Taken from the C allocator, arrays of this size come from
+fresh pages and go back to the system when freed, so every training
+document would fault them in again.  The backward computes ``A`` again
+rather than keeping it.
 
 A model computes in ``COMPUTE_DTYPE``, float32, the dtype of its
 parameter store; every float array made here takes the dtype of its
@@ -53,7 +74,6 @@ from .autodiff import (
     Tensor,
     add,
     bce_with_logits,
-    concat,
     constant,
     matmul,
     scratch,
@@ -62,93 +82,101 @@ from .autodiff import (
     take_rows,
     xavier_uniform,
 )
-from .batching import EncodedDocument
+from .batching import (  # the distance buckets are re-exported here
+    DISTANCE_BOUNDARIES,
+    N_DISTANCE_BUCKETS,
+    EncodedDocument,
+    PairLayout,
+    distance_bucket,
+)
 from .config import ModelConfig
 from .corpus import Vocabulary
 from .encoder import BiasRecorder, encoder_forward, init_encoder_params
-
-#: Symmetric distance-bucket boundaries; index 9 is distance zero, positive
-#: distances grow to the right, negative mirror to the left.
-DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
 
 #: The dtype of every model's parameters, and so of its whole forward and
 #: backward: single precision, as SSAN trains in.
 COMPUTE_DTYPE = np.dtype(np.float32)
 
-#: Bound on each temporary array of one chunk of the relation head, in
-#: bytes; see the module docstring.
-HEAD_CHUNK_BYTES = 256 * 1024
 
-
-_BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
-
-
-def distance_bucket(distance):
-    """Bucket signed token distances (an int or an integer array),
-    symmetric around zero."""
-    d = np.asarray(distance)
-    level = np.searchsorted(_BOUNDARIES, np.abs(d), side="right")
-    return len(DISTANCE_BOUNDARIES) + np.sign(d) * level
-
-
-def head_chunk(rows: int, d_e: int, itemsize: int) -> int:
-    """Relations per chunk of :func:`bilinear_scores`: as many as keep
-    each chunk's (rows, k*d_e) and (d_e, k*d_e) arrays, of elements of
-    ``itemsize`` bytes, within ``HEAD_CHUNK_BYTES``, and at least one."""
-    per_relation = itemsize * max(rows, d_e) * d_e
-    return max(1, HEAD_CHUNK_BYTES // per_relation)
-
-
-def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor) -> Tensor:
-    """Every relation's bilinear form ``e_s W_r e_o`` over the pairs, as
-    one graph node: (P, M), column r from columns ``r*d_e`` to
-    ``(r+1)*d_e`` of ``w`` (d_e, M*d_e).
-
-    The relations run in chunks of :func:`head_chunk`; the forward keeps
-    no chunk array, and the backward computes each chunk's ``e_s @ W``
-    again.
+def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
+                layout: PairLayout) -> Tensor:
+    """Every relation's bilinear form ``e_s W_r e_o`` over the pairs of
+    ``layout``, as one graph node: (P, M), relation r's form in columns
+    ``r*d_e`` to ``(r+1)*d_e`` of ``w`` (d_e, M*d_e), ``e_s`` the
+    subject's row of ``entities`` (N, d) joined to its distance bucket's
+    row of ``dist`` (19, d_dist), and ``e_o`` the object's.  Computed by
+    the factoring of the module docstring.
     """
-    a, b, wv = e_s.values, e_o.values, w.values
-    rows, d_e = a.shape
+    x, table, wv = entities.values, dist.values, w.values
+    n, d = x.shape
+    d_e = d + table.shape[1]
     if wv.shape[0] != d_e or wv.shape[1] % d_e:
-        raise ShapeError(f"bilinear_scores: weights of shape {wv.shape} for "
+        raise ShapeError(f"pair_scores: weights of shape {wv.shape} for "
                          f"pair features of width {d_e}")
-    n_rel = wv.shape[1] // d_e
-    k = head_chunk(rows, d_e, a.itemsize)
-    chunks = [(lo, min(lo + k, n_rel)) for lo in range(0, n_rel, k)]
+    m, rows, dtype = wv.shape[1] // d_e, layout.rows, x.dtype
+    buckets = table[layout.buckets]
+    w_top, w_bottom = wv[:d], wv[d:]
 
-    def products(lo, hi):
-        """The chunk's columns of ``w``, a view, and ``e_s @ W`` as
-        (P, hi - lo, d_e), in scratch."""
-        cols = wv[:, lo * d_e:hi * d_e]
-        t = np.matmul(a, cols,
-                      out=scratch("head.t", (rows, cols.shape[1]), a.dtype))
-        return cols, t.reshape(rows, hi - lo, d_e)
+    def left(name):
+        """(rows, M*d_e) in scratch ``name``, and views of its entity and
+        bucket halves of every row and relation, (rows*M, d) and
+        (rows*M, d_dist)."""
+        a = scratch(name, (rows, m * d_e), dtype)
+        flat = a.reshape(rows * m, d_e)
+        return a, flat[:, :d], flat[:, d:]
 
-    scores = np.empty((rows, n_rel), dtype=a.dtype)
-    for lo, hi in chunks:
-        _, t = products(lo, hi)
-        scores[:, lo:hi] = (t @ b[:, :, None])[..., 0]
+    def table_products():
+        """``A``: every table row's ``row @ W_r``, in scratch."""
+        a, a_x, a_b = left("head.a")
+        np.matmul(x, w_top, out=a[:n])
+        np.matmul(buckets, w_bottom, out=a[n:])
+        return a, a_x, a_b
+
+    # Q[i, r, j] as (rows*M, rows): A[i, r] against row j's nonzero half.
+    _, a_x, a_b = table_products()
+    q = scratch("head.q", (rows * m, rows), dtype)
+    np.matmul(a_x, x.T, out=q[:, :n])
+    np.matmul(a_b, buckets.T, out=q[:, n:])
+    subject_rows, object_rows = layout.cells
+    scores = np.add.reduce(
+        q.reshape(rows, m, rows)[subject_rows, :, object_rows], axis=0)
 
     def _backward(grad):
-        da = np.zeros_like(a)
-        db = np.zeros_like(b)
+        sums = layout.sums
+        dq = scratch("head.dq", (rows, m, rows), dtype)
+        dq.fill(0.0)
+        i, j, pair = sums.single
+        dq[i, :, j] = grad[pair]
+        if sums.multi_starts.size:
+            runs = np.take(grad, sums.multi_pairs, axis=0, mode="clip",
+                           out=scratch("head.runs",
+                                       (sums.multi_pairs.size, m), dtype))
+            i, j = sums.multi
+            dq[i, :, j] = np.add.reduceat(
+                runs, sums.multi_starts, axis=0,
+                out=scratch("head.sums", (sums.multi_starts.size, m),
+                            dtype))
+        dq = dq.reshape(rows * m, rows)
+        a, a_x, a_b = table_products()
+        da, da_x, da_b = left("head.da")
+        np.matmul(dq[:, :n], x, out=da_x)
+        np.matmul(dq[:, n:], buckets, out=da_b)
+        dx = dq[:, :n].T @ a_x
+        dx += da[:n] @ w_top.T
+        db = dq[:, n:].T @ a_b
+        db += da[n:] @ w_bottom.T
+        dw = scratch("head.dw", wv.shape, dtype)
+        np.matmul(x.T, da[:n], out=dw[:d])
+        np.matmul(buckets.T, da[n:], out=dw[d:])
         if w.grad is None:
             w.grad = np.zeros_like(wv)
-        for lo, hi in chunks:
-            cols, t = products(lo, hi)
-            g = grad[:, lo:hi]
-            db += (g[:, None, :] @ t)[:, 0, :]
-            gb = scratch("head.gb", (rows, hi - lo, d_e), a.dtype)
-            np.multiply(g[:, :, None], b[:, None, :], out=gb)
-            gb = gb.reshape(rows, -1)
-            da += gb @ cols.T
-            w.grad[:, lo * d_e:hi * d_e] += a.T @ gb
-        e_s._accumulate(da)
-        e_o._accumulate(db)
+        w.grad += dw
+        dtable = np.zeros_like(table)
+        dtable[layout.buckets] = db
+        entities._accumulate(dx)
+        dist._accumulate(dtable)
 
-    return Tensor(scores, (e_s, e_o, w), _backward)
+    return Tensor(scores, (entities, dist, w), _backward)
 
 
 @dataclass(frozen=True)
@@ -227,34 +255,19 @@ class RelationExtractor:
 
     def pool_entities(self, hidden: Tensor, enc: EncodedDocument) -> Tensor:
         """Average each entity's mention tokens; (N, d_model)."""
-        n, N = enc.n, enc.n_entities
-        pool = np.zeros((N, n), dtype=hidden.values.dtype)
-        for e, tokens in enumerate(enc.entity_tokens):
-            pool[e, list(tokens)] = 1.0 / len(tokens)
+        pool = enc.pool_weights.astype(hidden.values.dtype, copy=False)
         return matmul(constant(pool), hidden)
 
-    def pair_features(self, entities: Tensor, enc: EncodedDocument,
-                      ) -> tuple[Tensor, Tensor, list[tuple[int, int]]]:
-        """Augment both sides of every ordered pair with its signed
-        distance-bucket embedding."""
-        # Subject-major order: (0, 1), (0, 2), ..., (1, 0), (1, 2), ...
-        subj, obj = np.nonzero(~np.eye(enc.n_entities, dtype=bool))
-        pairs = list(zip(subj.tolist(), obj.tolist()))
-        starts = np.asarray(enc.first_starts, dtype=np.int64)
-        gap = starts[subj] - starts[obj]
-        subj_buckets = distance_bucket(gap)
-        obj_buckets = distance_bucket(-gap)
-        dist = self.store["head.dist"].tensor
-        e_s = concat([take_rows(entities, subj), take_rows(dist, subj_buckets)],
-                     axis=1)
-        e_o = concat([take_rows(entities, obj), take_rows(dist, obj_buckets)],
-                     axis=1)
-        return e_s, e_o, pairs
+    def pair_features(self, enc: EncodedDocument) -> PairLayout:
+        """The document's ordered entity pairs, subject-major, with their
+        distance buckets; computed once per encoding."""
+        return enc.pair_layout
 
-    def score_relations(self, e_s: Tensor, e_o: Tensor) -> Tensor:
+    def score_relations(self, entities: Tensor, pairs: PairLayout) -> Tensor:
         """The logits of every pair and relation, each relation's bilinear
-        form; (P, M)."""
-        return bilinear_scores(e_s, e_o, self.store["head.rel.W"].tensor)
+        form over the pair's entities and distance buckets; (P, M)."""
+        return pair_scores(entities, self.store["head.dist"].tensor,
+                           self.store["head.rel.W"].tensor, pairs)
 
     def forward(self, enc: EncodedDocument,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:
@@ -264,9 +277,9 @@ class RelationExtractor:
         if enc.n_entities < 2:
             return ForwardResult(enc.doc.doc_id, [], None, hidden)
         entities = self.pool_entities(hidden, enc)
-        e_s, e_o, pairs = self.pair_features(entities, enc)
-        logits = self.score_relations(e_s, e_o)
-        return ForwardResult(enc.doc.doc_id, pairs, logits, hidden)
+        pairs = self.pair_features(enc)
+        logits = self.score_relations(entities, pairs)
+        return ForwardResult(enc.doc.doc_id, pairs.pairs, logits, hidden)
 
     # ---- training and prediction ----------------------------------------
 

@@ -12,7 +12,6 @@ from structrel.autodiff import (
     Tensor,
     add,
     bce_with_logits,
-    concat,
     constant,
     grad_check,
     layer_norm,
@@ -176,15 +175,6 @@ class TestFiniteDifferences:
             "add": lambda: sum_all(add(p.tensor, q.tensor)),
             "mul": lambda: sum_all(mul(p.tensor, q.tensor)),
             "matmul": lambda: sum_all(matmul(p.tensor, r.tensor)),
-            "concat0": lambda: sum_all(
-                mul(concat([p.tensor, q.tensor], axis=0),
-                    concat([q.tensor, p.tensor], axis=0))
-            ),
-            "concat1": lambda: sum_all(
-                mul(bce_with_logits(concat([p.tensor, q.tensor], axis=1),
-                                    np.concatenate([y, 1 - y], axis=1)),
-                    concat([q.tensor, p.tensor], axis=1))
-            ),
             "relu": lambda: sum_all(mul(relu(p.tensor), q.tensor)),
             "layer_norm": lambda: sum_all(
                 mul(layer_norm(p.tensor, gain.tensor, bias.tensor), q.tensor)

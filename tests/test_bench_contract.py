@@ -139,6 +139,26 @@ def test_relation_head_is_one_node_whatever_the_schema():
     assert totals[1]["autodiff.nodes"] > 0
 
 
+@pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
+def test_one_training_forward_builds_34_nodes(mode):
+    # Pinned work: the forward and loss of a two-layer model.  The relation
+    # head is one node whose parents are the pooled entities, the distance
+    # table and the weights; the pair features' gathers and joins (six
+    # nodes, 40 in all) must not come back.
+    docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
+    config = small_config(layers=2, mode=mode)
+    built = harness.build_model(config, docs)
+    enc = harness._encode(built, docs[0])
+    assert enc.n_entities >= 2
+
+    def step():
+        return built.compute_loss(built.forward(enc), enc)
+
+    with spans.Tracer() as tracer:
+        tracer.measure("step", "train", step)
+    assert tracer.totals("train")["autodiff.nodes"] == 34
+
+
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_every_workload_builds_its_inputs(name, tmp_path):
     # make_inputs builds the workload's SynthSpec and ModelConfig and

@@ -1,7 +1,9 @@
 """The compute dtype: models compute in float32, and in float64 where a
 test sets ``model.COMPUTE_DTYPE`` to it for exact comparisons.
 
-A float64 model reproduces the all-float64 code exactly, a float32 model
+A float64 model reproduces the all-float64 code to rounding (the
+relation head has since been factored, which sums in another order) and
+its own pinned losses exactly, a float32 model
 makes no float64 array anywhere it keeps one, and the float64-only
 tools (probabilities, finite differences) hold to float64."""
 import numpy as np
@@ -33,6 +35,16 @@ FLOAT64_LOSSES = {
                "17.859254643104418"],
 }
 
+# The same run's float64 losses with the factored relation head
+# (``model.pair_scores``), which sums the head's products in another
+# order than that code's per-pair ``e_s @ W``: the decomp run's last loss
+# moved by one unit in the last place.
+FACTORED_HEAD_LOSSES = {
+    "biaffine": FLOAT64_LOSSES["biaffine"],
+    "decomp": ["75.09838592359552", "28.692550894242984",
+               "17.859254643104414"],
+}
+
 
 def three_epoch_losses(mode: str) -> list[str]:
     docs = generate_synthetic(SynthSpec(n_docs=12, seed=1))
@@ -46,7 +58,11 @@ def three_epoch_losses(mode: str) -> list[str]:
 @float64
 @pytest.mark.parametrize("mode", sorted(FLOAT64_LOSSES))
 def test_float64_training_reproduces_the_all_float64_losses(mode):
-    assert three_epoch_losses(mode) == FLOAT64_LOSSES[mode]
+    losses = three_epoch_losses(mode)
+    assert losses == FACTORED_HEAD_LOSSES[mode]
+    assert np.allclose([float(x) for x in losses],
+                       [float(x) for x in FLOAT64_LOSSES[mode]],
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", sorted(FLOAT64_LOSSES))

@@ -8,16 +8,15 @@ from structrel.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
-    concat,
     constant,
     grad_check,
-    matmul,
     mul,
     sigmoid,
     sum_all,
+    take_rows,
     xavier_uniform,
 )
-from structrel.batching import encode_document
+from structrel.batching import PairLayout, encode_document
 from structrel.config import ModelConfig
 from structrel.corpus import (
     Document,
@@ -32,9 +31,8 @@ from structrel.model import (
     DISTANCE_BOUNDARIES,
     N_DISTANCE_BUCKETS,
     RelationExtractor,
-    bilinear_scores,
     distance_bucket,
-    head_chunk,
+    pair_scores,
 )
 
 from conftest import float64
@@ -228,14 +226,17 @@ class TestScoring:
     def test_worked_bilinear_example(self):
         # e_s = [1, 0], e_o = [0, 1], W = [[0, 2], [0, 0]] scores logit 2,
         # probability sigmoid(2)
-        model, _ = make_model(d_model=2, d_dist=0, schema=("only",))
+        # for the pair (0, 1) of entities [1, 0] and [0, 1]
+        model, enc = make_model(d_model=2, d_dist=0, schema=("only",))
         model.store["head.rel.W"].tensor.values = np.array(
             [[0.0, 2.0], [0.0, 0.0]]
         )
+        pairs = model.pair_features(enc)
+        assert pairs.pairs == [(0, 1), (1, 0)]
         logits = model.score_relations(
-            Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])
+            Tensor([[1.0, 0.0], [0.0, 1.0]]), pairs
         ).values
-        assert logits.tolist() == [[2.0]]
+        assert logits.tolist() == [[2.0], [0.0]]
         probs = sigmoid(logits)
         assert probs[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
         assert probs[0, 0] == pytest.approx(0.8808, abs=1e-4)
@@ -287,101 +288,151 @@ class TestScoring:
         assert float(model.compute_loss(result, enc).values) == 0.0
 
 
-def loop_scores(e_s: Tensor, e_o: Tensor, weights) -> Tensor:
-    """The per-relation loop the head node replaced: one graph of three
-    nodes per relation, the row sum taken as a product with ones."""
-    ones = constant(np.ones((e_s.shape[1], 1)))
-    return concat([matmul(mul(matmul(e_s, w), e_o), ones) for w in weights],
-                  axis=1)
+def join(parts) -> Tensor:
+    """Side-by-side columns of 2-d tensors as one node; the head's pair
+    features were built with it."""
+    values = np.concatenate([p.values for p in parts], axis=1)
+    splits = np.cumsum([p.shape[1] for p in parts])[:-1]
+
+    def _backward(grad):
+        for p, piece in zip(parts, np.split(grad, splits, axis=1)):
+            p._accumulate(piece)
+
+    return Tensor(values, tuple(parts), _backward)
+
+
+def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor, k: int) -> Tensor:
+    """The per-pair head that :func:`pair_scores` replaced, as one node
+    over pair features ``e_s`` and ``e_o`` (P, d_e): ``t = e_s @ W`` for
+    k relations at a time, then a row product with ``e_o``; the backward
+    computes each chunk's ``t`` again."""
+    a, b, wv = e_s.values, e_o.values, w.values
+    rows, d_e = a.shape
+    n_rel = wv.shape[1] // d_e
+    chunks = [(lo, min(lo + k, n_rel)) for lo in range(0, n_rel, k)]
+
+    def products(lo, hi):
+        cols = wv[:, lo * d_e:hi * d_e]
+        return cols, (a @ cols).reshape(rows, hi - lo, d_e)
+
+    scores = np.empty((rows, n_rel), dtype=a.dtype)
+    for lo, hi in chunks:
+        _, t = products(lo, hi)
+        scores[:, lo:hi] = (t @ b[:, :, None])[..., 0]
+
+    def _backward(grad):
+        da = np.zeros_like(a)
+        db = np.zeros_like(b)
+        if w.grad is None:
+            w.grad = np.zeros_like(wv)
+        for lo, hi in chunks:
+            cols, t = products(lo, hi)
+            g = grad[:, lo:hi]
+            db += (g[:, None, :] @ t)[:, 0, :]
+            gb = (g[:, :, None] * b[:, None, :]).reshape(rows, -1)
+            da += gb @ cols.T
+            w.grad[:, lo * d_e:hi * d_e] += a.T @ gb
+        e_s._accumulate(da)
+        e_o._accumulate(db)
+
+    return Tensor(scores, (e_s, e_o, w), _backward)
+
+
+def reference_scores(entities: Tensor, dist: Tensor, w: Tensor,
+                     layout: PairLayout, k: int) -> Tensor:
+    """The head before factoring: every pair's features gathered and
+    joined, six nodes, then :func:`bilinear_scores` in chunks of k."""
+    e_s = join([take_rows(entities, layout.subjects),
+                take_rows(dist, layout.subject_buckets)])
+    e_o = join([take_rows(entities, layout.objects),
+                take_rows(dist, layout.object_buckets)])
+    return bilinear_scores(e_s, e_o, w, k)
+
+
+#: First mention starts per entity count: every layout repeats buckets,
+#: and each holds both end buckets, 0 and 18, distances of 256 and more.
+STARTS = {2: (0, 300), 3: (0, 300, 301),
+          9: (0, 1, 2, 5, 9, 40, 300, 301, 600)}
+
+
+def head_inputs(n: int, m: int, d_dist: int, dtype="float64", d: int = 6,
+                seed: int = 11):
+    """Entities, distance table and weights as parameters, an upstream
+    gradient and the pair layout of ``STARTS[n]``."""
+    rng = np.random.default_rng(seed)
+    d_e = d + d_dist
+
+    def param(name, shape):
+        return Parameter(name, Tensor(rng.normal(size=shape).astype(dtype)))
+
+    params = (param("entities", (n, d)),
+              param("dist", (N_DISTANCE_BUCKETS, d_dist)),
+              param("W", (d_e, m * d_e)))
+    upstream = constant(rng.normal(size=(n * (n - 1), m)).astype(dtype))
+    return params, upstream, PairLayout.of(STARTS[n])
 
 
 class TestRelationHeadNode:
-    P, D_E, M = 7, 6, 5
+    @pytest.mark.parametrize("n", sorted(STARTS))
+    def test_layouts_repeat_buckets_and_reach_both_ends(self, n):
+        layout = PairLayout.of(STARTS[n])
+        buckets = layout.subject_buckets.tolist()
+        assert {0, N_DISTANCE_BUCKETS - 1} <= set(buckets)
+        assert len(set(buckets)) < len(buckets) or n == 2
+        assert layout.sums.multi_starts.size or n == 2
 
-    @pytest.fixture
-    def head(self, monkeypatch):
-        """Pair features and five relations' weights, run in chunks of
-        two relations: 2, 2 and 1."""
-        monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
-                            2 * 8 * self.P * self.D_E)
-        assert head_chunk(self.P, self.D_E, 8) == 2
-        rng = np.random.default_rng(11)
-        e_s = Parameter("e_s", Tensor(rng.normal(size=(self.P, self.D_E))))
-        e_o = Parameter("e_o", Tensor(rng.normal(size=(self.P, self.D_E))))
-        w = Parameter("W", Tensor(rng.normal(size=(self.D_E,
-                                                   self.M * self.D_E))))
-        upstream = constant(rng.normal(size=(self.P, self.M)))
-        return e_s, e_o, w, upstream
-
-    def test_chunk_sizes_at_the_benchmark_shapes(self):
-        assert head_chunk(56, 40, 8) == 14     # wide-decomp, float64
-        assert head_chunk(132, 72, 8) == 3     # large-biaffine, float64
-        assert head_chunk(10_000, 72, 8) == 1  # never fewer than one
-        # float32 elements: twice the relations in the same bytes
-        assert head_chunk(56, 40, 4) == 29
-        assert head_chunk(132, 72, 4) == 6
-        assert head_chunk(10_000, 72, 4) == 1
-
-    @pytest.mark.parametrize("dtype, relations", [
-        ("float64", [2, 2, 1]), ("float32", [4, 1])])
-    def test_chunks_hold_as_many_bytes_in_either_dtype(self, head,
-                                                       monkeypatch, dtype,
-                                                       relations):
-        real, widths = model_module.scratch, []
-
-        def watched(name, shape, dt):
-            if name == "head.t":
-                widths.append(shape[1])
-            return real(name, shape, dt)
-
-        monkeypatch.setattr(model_module, "scratch", watched)
-        e_s, e_o, w = (Tensor(p.values.astype(dtype)) for p in head[:3])
-        assert bilinear_scores(e_s, e_o, w).values.dtype == dtype
-        assert widths == [k * self.D_E for k in relations]
-
-    def test_gradients_pass_finite_differences(self, head):
-        e_s, e_o, w, upstream = head
-
-        def build():
-            scores = bilinear_scores(e_s.tensor, e_o.tensor, w.tensor)
-            return sum_all(mul(scores, upstream))
-
-        err = grad_check(build, [e_s, e_o, w])
-        assert err < 1e-5, err
-
-    def test_weights_must_hold_whole_relations(self, head):
-        e_s, e_o, w, _ = head
-        with pytest.raises(ShapeError, match="weights of shape"):
-            bilinear_scores(e_s.tensor, e_o.tensor,
-                            Tensor(w.values[:, :-1]))
-
-    @pytest.mark.parametrize("chunk", [1, 2, 5])
-    def test_matches_the_per_relation_loop(self, head, monkeypatch, chunk):
-        e_s, e_o, w, upstream = head
-        monkeypatch.setattr(model_module, "HEAD_CHUNK_BYTES",
-                            chunk * 8 * self.P * self.D_E)
-        # the loop's weights are column views of the head's one array
-        columns = [Tensor(relation_form(w.values, r)) for r in range(self.M)]
+    @pytest.mark.parametrize("k", ["1", "2", "all"])
+    @pytest.mark.parametrize("d_dist", [0, 8])
+    @pytest.mark.parametrize("m", [1, 5, 96])
+    @pytest.mark.parametrize("n", sorted(STARTS))
+    def test_matches_the_per_pair_reference(self, n, m, d_dist, k):
+        params, upstream, layout = head_inputs(n, m, d_dist)
+        tensors = [p.tensor for p in params]
         results = []
-        for score, weights, w_grads in (
-                (bilinear_scores, w.tensor, lambda: w.tensor.grad),
-                (loop_scores, columns,
-                 lambda: np.concatenate([c.grad for c in columns], axis=1))):
-            for t in (e_s.tensor, e_o.tensor, w.tensor, *columns):
+        for score in (
+                lambda: pair_scores(*tensors, layout),
+                lambda: reference_scores(*tensors, layout,
+                                         m if k == "all" else int(k))):
+            for t in tensors:
                 t.grad = None
-            scores = score(e_s.tensor, e_o.tensor, weights)
+            scores = score()
             sum_all(mul(scores, upstream)).backward()
-            results.append((scores.values, [e_s.tensor.grad, e_o.tensor.grad,
-                                             w_grads()]))
-        (node, node_grads), (loop, loop_grads) = results
+            results.append([scores.values] + [t.grad for t in tensors])
 
         def close(got, expect):
-            return np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+            return (got.shape == expect.shape and np.abs(got - expect).max(
+                initial=0.0) <= 1e-12 * np.abs(expect).max(initial=0.0))
 
-        assert close(node, loop)
-        for name, got, expect in zip(("e_s", "e_o", "W"), node_grads,
-                                     loop_grads):
+        for name, got, expect in zip(("scores", "entities", "dist", "W"),
+                                     *results):
             assert close(got, expect), name
+
+    @pytest.mark.parametrize("d_dist", [0, 3])
+    def test_gradients_pass_finite_differences(self, d_dist):
+        params, upstream, layout = head_inputs(3, 2, d_dist, d=3)
+
+        def build():
+            scores = pair_scores(*(p.tensor for p in params), layout)
+            return sum_all(mul(scores, upstream))
+
+        err = grad_check(build, list(params))
+        assert err < 1e-5, err
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_keeps_the_dtype_of_its_inputs(self, dtype):
+        params, upstream, layout = head_inputs(3, 5, 8, dtype)
+        for p in params:
+            p.tensor.grad = None
+        scores = pair_scores(*(p.tensor for p in params), layout)
+        sum_all(mul(scores, upstream)).backward()
+        assert scores.values.dtype == dtype
+        assert all(p.tensor.grad.dtype == dtype for p in params)
+
+    def test_weights_must_hold_whole_relations(self):
+        (x, dist, w), _, layout = head_inputs(3, 5, 8)
+        with pytest.raises(ShapeError, match="weights of shape"):
+            pair_scores(x.tensor, dist.tensor, Tensor(w.values[:, :-1]),
+                        layout)
 
     def test_one_parameter_whatever_the_schema(self):
         counts = {len(make_model(schema=[f"r{i}" for i in range(width)])[0]
@@ -397,6 +448,56 @@ class TestRelationHeadNode:
         assert two.shape == (12, 24)
         assert np.array_equal(relation_form(two, 0), one)
         assert not np.array_equal(relation_form(two, 1), one)
+
+
+class TestPairLayout:
+    def test_pairs_and_buckets_per_pair(self):
+        starts = (4, 0, 30)
+        layout = PairLayout.of(starts)
+        assert layout.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                (2, 1)]
+        assert layout.subjects.tolist() == [s for s, _ in layout.pairs]
+        assert layout.objects.tolist() == [o for _, o in layout.pairs]
+        for i, (s, o) in enumerate(layout.pairs):
+            assert layout.subject_buckets[i] == distance_bucket(
+                starts[s] - starts[o])
+            assert layout.object_buckets[i] == distance_bucket(
+                starts[o] - starts[s])
+
+    def test_every_pair_meets_its_four_cells(self):
+        # Each pair's value summed into the grid by the single and multi
+        # cells lands in its four (subject row, object row) cells.
+        layout = PairLayout.of(STARTS[9])
+        p, rows = len(layout.pairs), layout.rows
+        values = np.random.default_rng(0).normal(size=p)
+        grid = np.zeros((rows, rows))
+        sums = layout.sums
+        i, j, pair = sums.single
+        grid[i, j] = values[pair]
+        i, j = sums.multi
+        grid[i, j] = np.add.reduceat(values[sums.multi_pairs],
+                                     sums.multi_starts)
+        expect = np.zeros((rows, rows))
+        np.add.at(expect, tuple(layout.cells.reshape(2, -1)),
+                  np.tile(values, 4))
+        assert np.allclose(grid, expect, rtol=1e-14, atol=0.0)
+        slot = dict(zip(layout.buckets.tolist(),
+                        range(len(STARTS[9]), rows)))
+        for c, (s, o) in enumerate(layout.pairs):
+            sides = ((s, slot[layout.subject_buckets[c]]),
+                     (o, slot[layout.object_buckets[c]]))
+            assert sorted(zip(*layout.cells[:, :, c])) == sorted(
+                (a, b) for a in sides[0] for b in sides[1])
+
+    def test_computed_once_per_encoding_and_read_only(self):
+        model, enc = make_model()
+        assert enc.pair_layout is enc.pair_layout
+        assert model.pair_features(enc) is enc.pair_layout
+        assert enc.pool_weights is enc.pool_weights
+        for arr in (enc.pair_layout.subjects, enc.pair_layout.cells,
+                    enc.pool_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestLoss:

@@ -86,8 +86,8 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
     for p in model.store:
         kept += [p.values, p.tensor.grad, optimizer.m[p.name],
                  optimizer.v[p.name]]
-    used = {"head.t", "head.gb", "adam.w1", "adam.w2", "attn.d_qkv",
-            "attn.d_scores", "attn.reduceat"}
+    used = {"head.a", "head.q", "head.dq", "head.da", "head.dw", "adam.w1",
+            "adam.w2", "attn.d_qkv", "attn.d_scores", "attn.reduceat"}
     if mode == "biaffine":
         used |= {"attn.qa", "attn.cells"}
     assert {(name, compute_dtype) for name in used} <= autodiff._SCRATCH.keys()
@@ -156,7 +156,7 @@ def test_nan_filled_scratch_changes_nothing(mode, compute_dtype, monkeypatch):
     for owner in (autodiff, encoder, model_module):
         monkeypatch.setattr(owner, "scratch", poisoned)
     outputs, grads, params = two_steps(mode)
-    assert {"head.t", "adam.w1", "attn.d_scores"} <= set(handed)
+    assert {"head.a", "head.dq", "adam.w1", "attn.d_scores"} <= set(handed)
     assert outputs == clean[0]
     for got, expect in zip(grads, clean[1]):
         assert_same(got, expect)
