@@ -17,7 +17,12 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .batching import EncodedDocument, encode_document, make_batches
+from .batching import (
+    EncodedDocument,
+    distance_bucket,
+    encode_document,
+    make_batches,
+)
 from .config import ModelConfig, load_config, save_config
 from .corpus import (
     CorpusError,
@@ -49,11 +54,7 @@ from .harness import (
     tune_threshold,
 )
 from .metrics import EvalReport, evaluate_facts, f1_score
-from .model import (
-    PredictedFact,
-    RelationExtractor,
-    distance_bucket,
-)
+from .model import PredictedFact, RelationExtractor
 from .structure import (
     DependencyType,
     StructureMatrix,

@@ -19,7 +19,8 @@ builds no pair's features.  A pair's subject side ``[X[s], D[b_s]]`` is
 the sum of two rows of one table, ``[X[s], 0]`` and ``[0, D[b_s]]``,
 and its object side likewise, so by linearity its score is a sum of four
 products of table rows.  The table has the N entity rows and one row for
-each of the u buckets the document uses (the :class:`PairLayout`).  With
+each of the u buckets the document uses
+(:class:`~structrel.batching.PairLayout`).  With
 ``W_top = W[:d]`` and ``W_bottom = W[d:]``:
 
 * ``A = [X @ W_top; D_u @ W_bottom]``, (N+u, M, d_e): every table row's
@@ -37,7 +38,8 @@ pairs.  No array grows with P*M*d_e, so nothing is chunked.  The
 backward runs the same steps in reverse: the upstream gradient summed
 over the pairs that meet each grid cell is ``dQ`` (a cell met by one
 pair takes its row as it is, the others are summed with
-``np.add.reduceat``, by the layout's :attr:`~PairLayout.sums`);
+``np.add.reduceat``, by the layout's
+:attr:`~structrel.batching.PairLayout.sums`);
 ``dQ`` gives ``dA`` and the object sides' part of ``dX`` and ``dD``,
 and ``dA`` gives ``dW`` and the subject sides' part.
 
@@ -47,7 +49,7 @@ kept because it is the order of the logits' rows, of the targets of
 :meth:`RelationExtractor.compute_loss` and of the facts that
 :meth:`RelationExtractor.predict` returns.
 
-``A``, ``Q``, their gradients and the gathers between them die inside
+``A``, ``Q``, their gradients and the backward's gathers die inside
 the call that makes them, so they are
 :func:`~structrel.autodiff.scratch` arrays: one buffer each serves every
 document.  Taken from the C allocator, arrays of this size come from
@@ -82,13 +84,7 @@ from .autodiff import (
     take_rows,
     xavier_uniform,
 )
-from .batching import (  # the distance buckets are re-exported here
-    DISTANCE_BOUNDARIES,
-    N_DISTANCE_BUCKETS,
-    EncodedDocument,
-    PairLayout,
-    distance_bucket,
-)
+from .batching import N_DISTANCE_BUCKETS, EncodedDocument, PairLayout
 from .config import ModelConfig
 from .corpus import Vocabulary
 from .encoder import BiasRecorder, encoder_forward, init_encoder_params

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from structrel import model as model_module
+from structrel import harness
 from structrel.autodiff import (
     Parameter,
     ShapeError,
@@ -16,7 +16,13 @@ from structrel.autodiff import (
     take_rows,
     xavier_uniform,
 )
-from structrel.batching import PairLayout, encode_document
+from structrel.batching import (
+    DISTANCE_BOUNDARIES,
+    N_DISTANCE_BUCKETS,
+    PairLayout,
+    distance_bucket,
+    encode_document,
+)
 from structrel.config import ModelConfig
 from structrel.corpus import (
     Document,
@@ -27,15 +33,11 @@ from structrel.corpus import (
     build_vocab,
     entity_type_labels,
 )
-from structrel.model import (
-    DISTANCE_BOUNDARIES,
-    N_DISTANCE_BUCKETS,
-    RelationExtractor,
-    distance_bucket,
-    pair_scores,
-)
+from structrel.model import RelationExtractor, pair_scores
+from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import float64
+from test_harness import small_config
 
 
 def pair_doc() -> Document:
@@ -349,8 +351,9 @@ def reference_scores(entities: Tensor, dist: Tensor, w: Tensor,
     return bilinear_scores(e_s, e_o, w, k)
 
 
-#: First mention starts per entity count: every layout repeats buckets,
-#: and each holds both end buckets, 0 and 18, distances of 256 and more.
+#: First mention starts per entity count.  Each layout holds both end
+#: buckets, 0 and 18, distances of 256 and more; those of three and nine
+#: entities repeat buckets, so some grid cells sum several pairs.
 STARTS = {2: (0, 300), 3: (0, 300, 301),
           9: (0, 1, 2, 5, 9, 40, 300, 301, 600)}
 
@@ -488,6 +491,23 @@ class TestPairLayout:
                      (o, slot[layout.object_buckets[c]]))
             assert sorted(zip(*layout.cells[:, :, c])) == sorted(
                 (a, b) for a in sides[0] for b in sides[1])
+
+    def test_training_builds_each_layout_once(self, monkeypatch):
+        docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
+        config = small_config(epochs=3, batch_size=4)
+        model = harness.build_model(config, docs)
+        scored = sum(harness._encode(model, doc).n_entities >= 2
+                     for doc in docs)
+        built = []
+        of = PairLayout.of.__func__
+
+        def counted(cls, first_starts):
+            built.append(tuple(first_starts))
+            return of(cls, first_starts)
+
+        monkeypatch.setattr(PairLayout, "of", classmethod(counted))
+        harness.train(config, docs)
+        assert len(built) == scored > 0
 
     def test_computed_once_per_encoding_and_read_only(self):
         model, enc = make_model()
