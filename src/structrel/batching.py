@@ -141,7 +141,7 @@ class PairLayout:
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         run_starts = np.flatnonzero(first)
         counts = np.diff(np.concatenate([run_starts, [keys.size]]))
-        pair = order % max(p, 1)
+        pair = order % p
         once = counts == 1
         single = np.empty((3, np.count_nonzero(once)), dtype=np.int64)
         single[0], single[1] = np.divmod(ordered[run_starts[once]], rows)

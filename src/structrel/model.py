@@ -25,11 +25,11 @@ each of the u buckets the document uses
 
 * ``A = [X @ W_top; D_u @ W_bottom]``, (N+u, M, d_e): every table row's
   ``row @ W_r`` for every relation, (N*d + u*d_dist)*M*d_e multiply-adds;
-* ``Q[i, r, j]``, (N+u, M, N+u): ``A[i, r]`` against table row j's
-  nonzero half, ``A[..., :d]`` against X and ``A[..., d:]`` against
-  ``D_u``, (N+u)*M*(N*d + u*d_dist) multiply-adds;
+* ``Q[j, i, r]``, (N+u, N+u, M): table row j's nonzero half against
+  ``A[i, r]``, X against ``A[..., :d]`` and ``D_u`` against
+  ``A[..., d:]``, (N+u)*M*(N*d + u*d_dist) multiply-adds;
 * the score of pair (s, o) and relation r: Q summed over the pair's four
-  (subject row i, object row j) cells.
+  (object row j, subject row i) cells.
 
 At wide-decomp's shape (N = 8, M = 96, d = 32, d_dist = 8, u about 10)
 that is some 2M multiply-adds, where the per-pair products ``e_s @ W``
@@ -49,7 +49,7 @@ kept because it is the order of the logits' rows, of the targets of
 :meth:`RelationExtractor.compute_loss` and of the facts that
 :meth:`RelationExtractor.predict` returns.
 
-``A``, ``Q``, their gradients and the backward's gathers die inside
+``A``, ``Q``, their gradients and the gathers between them die inside
 the call that makes them, so they are
 :func:`~structrel.autodiff.scratch` arrays: one buffer each serves every
 document.  Taken from the C allocator, arrays of this size come from
@@ -128,38 +128,41 @@ def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
         np.matmul(buckets, w_bottom, out=a[n:])
         return a, a_x, a_b
 
-    # Q[i, r, j] as (rows*M, rows): A[i, r] against row j's nonzero half.
+    # Q[j, i, r] as (rows, rows*M): row j's nonzero half against A[i, r].
     _, a_x, a_b = table_products()
-    q = scratch("head.q", (rows * m, rows), dtype)
-    np.matmul(a_x, x.T, out=q[:, :n])
-    np.matmul(a_b, buckets.T, out=q[:, n:])
+    q = scratch("head.q", (rows, rows * m), dtype)
+    np.matmul(x, a_x.T, out=q[:n])
+    np.matmul(buckets, a_b.T, out=q[n:])
     subject_rows, object_rows = layout.cells
-    scores = np.add.reduce(
-        q.reshape(rows, m, rows)[subject_rows, :, object_rows], axis=0)
+    cells = np.take(q.reshape(rows * rows, m),
+                    object_rows * rows + subject_rows, axis=0, mode="clip",
+                    out=scratch("head.cells", (4, len(layout.pairs), m),
+                                dtype))
+    scores = np.add.reduce(cells, axis=0)
 
     def _backward(grad):
         sums = layout.sums
-        dq = scratch("head.dq", (rows, m, rows), dtype)
+        dq = scratch("head.dq", (rows, rows, m), dtype)
         dq.fill(0.0)
         i, j, pair = sums.single
-        dq[i, :, j] = grad[pair]
+        dq[j, i] = grad[pair]
         if sums.multi_starts.size:
             runs = np.take(grad, sums.multi_pairs, axis=0, mode="clip",
                            out=scratch("head.runs",
                                        (sums.multi_pairs.size, m), dtype))
             i, j = sums.multi
-            dq[i, :, j] = np.add.reduceat(
+            dq[j, i] = np.add.reduceat(
                 runs, sums.multi_starts, axis=0,
                 out=scratch("head.sums", (sums.multi_starts.size, m),
                             dtype))
-        dq = dq.reshape(rows * m, rows)
-        a, a_x, a_b = table_products()
+        dq = dq.reshape(rows, rows * m)
+        _, a_x, a_b = table_products()
         da, da_x, da_b = left("head.da")
-        np.matmul(dq[:, :n], x, out=da_x)
-        np.matmul(dq[:, n:], buckets, out=da_b)
-        dx = dq[:, :n].T @ a_x
+        np.matmul(dq[:n].T, x, out=da_x)
+        np.matmul(dq[n:].T, buckets, out=da_b)
+        dx = dq[:n] @ a_x
         dx += da[:n] @ w_top.T
-        db = dq[:, n:].T @ a_b
+        db = dq[n:] @ a_b
         db += da[n:] @ w_bottom.T
         dw = scratch("head.dw", wv.shape, dtype)
         np.matmul(x.T, da[:n], out=dw[:d])

@@ -86,8 +86,9 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
     for p in model.store:
         kept += [p.values, p.tensor.grad, optimizer.m[p.name],
                  optimizer.v[p.name]]
-    used = {"head.a", "head.q", "head.dq", "head.da", "head.dw", "adam.w1",
-            "adam.w2", "attn.d_qkv", "attn.d_scores", "attn.reduceat"}
+    used = {"head.a", "head.q", "head.cells", "head.dq", "head.da", "head.dw",
+            "adam.w1", "adam.w2", "attn.d_qkv", "attn.d_scores",
+            "attn.reduceat"}
     if mode == "biaffine":
         used |= {"attn.qa", "attn.cells"}
     assert {(name, compute_dtype) for name in used} <= autodiff._SCRATCH.keys()
