@@ -6,8 +6,8 @@ graph in reverse topological order and accumulates gradients into every
 reachable node.  A node's first gradient is stored as a copy (backward
 rules may hand one array to two parents, or pass views), later ones are
 added into it.  An inner node's gradient is released as soon as its own
-backward rule has consumed it; only leaves (parameters and constants)
-keep theirs.
+backward rule has consumed it; only leaves keep theirs, and a
+:func:`constant` takes none.
 
 A node's values keep their own dtype when it is float32 or float64, and
 anything else becomes float64; gradients take the dtype of their node.
@@ -147,9 +147,19 @@ class Tensor:
                 node.grad = None
 
 
+class _Constant(Tensor):
+    """A leaf that takes no gradient."""
+
+    __slots__ = ()
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        pass
+
+
 def constant(values, dtype=None) -> Tensor:
-    """A leaf holding ``values``, cast to ``dtype`` when one is given."""
-    return Tensor(values if dtype is None else np.asarray(values, dtype))
+    """A leaf holding ``values``, cast to ``dtype`` when one is given.  It
+    takes no gradient, and :func:`matmul` computes none for it."""
+    return _Constant(values if dtype is None else np.asarray(values, dtype))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -202,8 +212,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values @ b.values, (a, b))
 
     def _backward(grad):
-        a._accumulate(grad @ b.values.T)
-        b._accumulate(a.values.T @ grad)
+        if not isinstance(a, _Constant):
+            a._accumulate(grad @ b.values.T)
+        if not isinstance(b, _Constant):
+            b._accumulate(a.values.T @ grad)
 
     out._backward = _backward
     return out

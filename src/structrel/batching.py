@@ -15,7 +15,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,15 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
+def pair_row(h: int, t: int, n: int) -> Optional[int]:
+    """The row of the pair (h, t) among the subject-major pairs of ``n``
+    entities, as :class:`PairLayout` orders them; None when h equals t or
+    either lies outside ``range(n)``."""
+    if h == t or not (0 <= h < n and 0 <= t < n):
+        return None
+    return h * (n - 1) + t - (t > h)
+
+
 @dataclass(frozen=True)
 class CellSums:
     """How to sum one value per pair into the cells of a
@@ -76,10 +85,10 @@ class PairLayout:
     """The ordered entity pairs of a document and the indices the
     relation head gathers and scatters them by.
 
-    Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), (1, 2), ...:
-    ``subjects`` and ``objects`` index the entities of each of the
-    P = N(N-1) pairs, and ``subject_buckets`` and ``object_buckets`` the
-    distance buckets of ``start[s] - start[o]`` and of its negation.
+    Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), (1, 2), ...,
+    P = N(N-1) of them (:func:`pair_row` gives a pair's row), and
+    ``subject_buckets`` holds each pair's distance bucket of
+    ``start[s] - start[o]``; its object's is that of the negation.
 
     The head's table has ``rows`` rows: the N entities, then one row for
     each distinct bucket of either side, ``buckets``, ascending.  A
@@ -95,19 +104,6 @@ class PairLayout:
     buckets: np.ndarray
     cells: np.ndarray
     subject_buckets: np.ndarray
-
-    @property
-    def subjects(self) -> np.ndarray:
-        return self.cells[0, 0]
-
-    @property
-    def objects(self) -> np.ndarray:
-        return self.cells[1, 0]
-
-    @property
-    def object_buckets(self) -> np.ndarray:
-        # distance_bucket(-g) mirrors distance_bucket(g) around the middle
-        return N_DISTANCE_BUCKETS - 1 - self.subject_buckets
 
     @classmethod
     def of(cls, first_starts: Sequence[int]) -> PairLayout:

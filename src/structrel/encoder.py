@@ -16,31 +16,28 @@ side by side, (n, d); the output projection and the feed-forward network
 stay ordinary graph operations.  Its backward is written out by hand in
 the same layout, as FlashAttention does without the tiling (Dao et al.,
 arXiv 2205.14135): the value, softmax and score gradients, then the bias
-terms' gradients, summed per query or key token and type with
-``np.add.reduceat`` over the cells grouped once per structure
-(:attr:`StructureMatrix.row_groups`, :attr:`~StructureMatrix.col_groups`).
-Each head's forward products are those of the head computed alone, so
-the outputs are bit-equal to a per-head graph; gradients agree to
-rounding.
+terms' gradients.  Each head's products are those of the head computed
+alone, so the outputs agree with a per-head graph to rounding.
+
+The bias is computed only where there is structure; NA cells carry no
+parameters and are never computed, so a model whose structure is all NA
+computes the same function as the unstructured baseline.  Each term's
+parameters hold the five types side by side, for all heads.  The
+biaffine core runs on a dense grid of the query slots that have cells,
+a query token and a type each (:attr:`StructureMatrix.slots`): the used
+slots' rows of ``q A`` times ``k^T``, forward, and two products with the
+grid of cell gradients, backward.  The linear terms and the prior are
+gathered per cell (as Shaw et al., arXiv 1803.02155, gather relative
+positions) and their gradients summed per slot by ``np.bincount``.  The
+cell biases are added into the scores at their cells.
 
 Temporaries that die inside the forward or the backward call (the
-biaffine core's ``q A`` table and gathered rows, the score and
-projection gradients, the gathered query rows, the segment sums) are
-:func:`~structrel.autodiff.scratch` arrays, reused from document to
-document instead of faulted in afresh.  Nothing saved for the backward
-is scratch: another graph's forward may run before it.  The buffers are
-process-wide, so the encoder is single-threaded.  Their gathers use
-``np.take(..., mode="clip")``, which writes into ``out`` directly where
-``mode="raise"`` would take a buffer of its own; the indices come from a
-structure whose size is checked against the document's first.
-
-The bias is computed only where there is structure.  Every non-NA cell
-gathers its query row, key row and type slot from the five types'
-parameters laid side by side, for all heads at once, and the cell biases
-are added into the scores at those cells (the gather of Shaw et al.,
-arXiv 1803.02155).  NA cells carry no parameters and are never computed,
-so a model whose structure is all NA computes the same function as the
-unstructured baseline.
+``q A`` table, the slot grid and its gradient, the score, ``q A`` and
+projection gradients) are :func:`~structrel.autodiff.scratch` arrays,
+reused from document to document instead of faulted in afresh.  Nothing
+saved for the backward is scratch: another graph's forward may run
+before it.  The buffers are process-wide, so the encoder is
+single-threaded.
 
 A forward given a :class:`BiasRecorder` adds every biased layer's cell
 biases, all heads at once, into one running sum and count per layer and
@@ -75,12 +72,7 @@ from .autodiff import (
     scratch,
     xavier_uniform,
 )
-from .structure import (
-    STRUCTURED_TYPES,
-    CellGroups,
-    DependencyType,
-    StructureMatrix,
-)
+from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
 
 if TYPE_CHECKING:
     from .config import ModelConfig
@@ -174,23 +166,6 @@ def project_qkv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x, w)
 
 
-def _segment_sum(values: np.ndarray, groups: CellGroups,
-                 n_slots: int) -> np.ndarray:
-    """Sum ``values`` (H, c, w), whose cells are in ``groups.order``, over
-    each slot's run: (H, n_slots, w), zero at slots without cells.
-
-    A run's cells keep their order, as a scatter-add in cell order would
-    take them.
-    """
-    heads, _, w = values.shape
-    out = np.zeros((heads, n_slots, w), dtype=values.dtype)
-    out[:, groups.slots] = np.add.reduceat(
-        values, groups.starts, axis=1,
-        out=scratch("attn.reduceat", (heads, groups.starts.size, w),
-                    values.dtype))
-    return out
-
-
 @dataclass
 class CellBias:
     """One layer's attentive bias at the structured cells, for all heads.
@@ -199,15 +174,14 @@ class CellBias:
     ``structure.cells``.  ``terms`` maps each enabled term's parameter
     suffix (``A``, ``qvec``, ``kvec``, ``b``) to the layer's parameter of
     that term, laid out as :func:`init_encoder_params` lays it out.
-    ``k_cells`` holds the biaffine core's key rows, (H, c, d_h), cells in
-    ``structure.row_groups.order``; :meth:`backward` overwrites them with
-    their gradient terms.
+    ``qa_used`` holds the biaffine core's ``q_i A_s`` rows at the used
+    query slots of ``structure.slots``, (H, R, d_h).
     """
 
     values: np.ndarray
     structure: StructureMatrix
     terms: dict[str, Tensor]
-    k_cells: Optional[np.ndarray] = None
+    qa_used: Optional[np.ndarray] = None
 
     def backward(self, grad: np.ndarray, q: np.ndarray, k: np.ndarray,
                  dq: np.ndarray, dk: np.ndarray) -> None:
@@ -215,47 +189,46 @@ class CellBias:
         gradients into ``dq`` and ``dk`` (H, n, d_h) and accumulate the
         parameters' gradients.
 
-        Each side's gradient is a segment sum over the cells grouped by
-        that side's token and type, ``token * 5 + type``: for the core
-        ``dq_i += sum_s (sum_{j} g_ijs k_j) A_s^T`` and
-        ``dk_j += sum_s (sum_{i} g_ijs q_i) A_s``.
+        The core's gradient is scattered onto the slot grid, ``G`` (H, R,
+        n), zero where there is no cell; then ``dk += G^T (q A)_used``,
+        the used slots' rows of ``d(q A)`` are ``G k``, and ``dq`` and
+        ``dA`` follow from ``d(q A)`` as from any product.  The other
+        terms sum the gradient per slot ``token * 5 + type`` with one
+        ``np.bincount`` each.
         """
-        rows, _, types = self.structure.cells
+        rows, cols, types = self.structure.cells
         heads, n, dh = q.shape
-        n_slots = n * N_TYPES
-        by_row, by_col = self.structure.row_groups, self.structure.col_groups
-        g_row = np.take(grad, by_row.order, axis=1)[:, :, None]
-        g_col = np.take(grad, by_col.order, axis=1)[:, :, None]
         if "A" in self.terms:
             a = self.terms["A"]
-            a_cat = a.values
-            self.k_cells *= g_row
-            d_qa = _segment_sum(self.k_cells, by_row, n_slots)
+            slots = self.structure.slots
+            g_grid = scratch("attn.d_grid", (heads, slots.used.size, n),
+                             grad.dtype)
+            g_grid.fill(0.0)
+            g_grid.reshape(heads, -1)[:, slots.flat] = grad
+            dk += np.matmul(g_grid.transpose(0, 2, 1), self.qa_used)
+            d_qa = scratch("attn.d_qa", (heads, n * N_TYPES, dh), q.dtype)
+            d_qa.fill(0.0)
+            d_qa[:, slots.used] = np.matmul(g_grid, k)
             d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
-            q_cells = np.take(q, rows[by_col.order], axis=1, mode="clip",
-                              out=scratch("attn.cells", self.k_cells.shape,
-                                          q.dtype))
-            q_cells *= g_col
-            d_kq = _segment_sum(q_cells, by_col,
-                                n_slots).reshape(heads, n, N_TYPES * dh)
-            a_rows = (a_cat.reshape(heads, dh, N_TYPES, dh)
-                      .transpose(0, 2, 1, 3).reshape(heads, N_TYPES * dh, dh))
-            dq += np.matmul(d_qa, a_cat.transpose(0, 2, 1))
-            dk += np.matmul(d_kq, a_rows)
+            dq += np.matmul(d_qa, a.values.transpose(0, 2, 1))
             a._accumulate(np.matmul(q.transpose(0, 2, 1), d_qa))
-        for suffix, groups, g, side, d_side in (
-                ("qvec", by_row, g_row, q, dq), ("kvec", by_col, g_col, k, dk)):
+        head = np.arange(heads)[:, None]
+        for suffix, token, side, d_side in (("qvec", rows, q, dq),
+                                            ("kvec", cols, k, dk)):
             if suffix in self.terms:
                 vec = self.terms[suffix]
-                d_t = _segment_sum(g, groups, n_slots)
-                d_t = d_t.reshape(heads, n, N_TYPES)
+                slot = head * (n * N_TYPES) + token * N_TYPES + types
+                d_t = np.bincount(slot.ravel(), weights=grad.ravel(),
+                                  minlength=heads * n * N_TYPES)
+                d_t = d_t.astype(grad.dtype).reshape(heads, n, N_TYPES)
                 d_side += np.matmul(d_t, vec.values.transpose(0, 2, 1))
                 vec._accumulate(np.matmul(side.transpose(0, 2, 1), d_t))
         if "b" in self.terms:
-            slot = np.arange(heads)[:, None] * N_TYPES + types
+            d_b = np.bincount((head * N_TYPES + types).ravel(),
+                              weights=grad.ravel(),
+                              minlength=heads * N_TYPES)
             self.terms["b"]._accumulate(
-                np.bincount(slot.ravel(), weights=grad.ravel(),
-                            minlength=heads * N_TYPES).reshape(heads, N_TYPES))
+                d_b.astype(grad.dtype).reshape(heads, N_TYPES))
 
 
 def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
@@ -269,11 +242,12 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     of the returned values is head ``h``'s bias of type
     ``STRUCTURED_TYPES[types[c]]`` between query ``rows[c]`` and key
     ``cols[c]``.  Each term's parameter holds every head's five types side
-    by side (``A_cat`` and so on, see :func:`init_encoder_params`), so each
-    term is one gather:
+    by side (``A_cat`` and so on, see :func:`init_encoder_params`):
 
     * biaffine core ``q_i A_s k_j``: row ``i*5 + s`` of ``q A_cat``
-      reshaped to (5n, d_h), dotted with ``k_j``;
+      reshaped to (5n, d_h) is the query slot ``(i, s)``; the used slots'
+      rows times ``k^T`` make the (H, R, n) grid of
+      :attr:`StructureMatrix.slots`, and each cell is read off it;
     * query-conditioned ``q_i K_s``: cell ``(i, s)`` of ``q qvec_cat``;
     * key-conditioned ``Q_s k_j``: cell ``(j, s)`` of ``k kvec_cat``;
     * prior ``b_s``: slot ``s`` of ``b_cat``.
@@ -286,22 +260,18 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     terms = {suffix: store[f"layer{layer}.bias.{suffix}"].tensor
              for suffix in _bias_terms(cfg)}
     parts: list[np.ndarray] = []
-    k_cells = None
+    qa_used = None
     if "A" in terms:
-        # gathered in row-group order, which the gradient sums over
-        order = structure.row_groups.order
+        slots = structure.slots
         qa = np.matmul(q, terms["A"].values,
                        out=scratch("attn.qa", (heads, n, N_TYPES * dh),
                                    q.dtype))
-        qa = qa.reshape(heads, n * N_TYPES, dh)
-        k_cells = np.take(k, cols[order], axis=1)
-        qa_cells = np.take(qa, (rows * N_TYPES + types)[order], axis=1,
-                           mode="clip", out=scratch("attn.cells",
-                                                    k_cells.shape, q.dtype))
-        qa_cells *= k_cells
-        core = np.empty((heads, rows.size), dtype=q.dtype)
-        core[:, order] = qa_cells.sum(axis=-1)
-        parts.append(core)
+        qa_used = np.take(qa.reshape(heads, n * N_TYPES, dh), slots.used,
+                          axis=1)
+        grid = np.matmul(qa_used, k.transpose(0, 2, 1),
+                         out=scratch("attn.grid",
+                                     (heads, slots.used.size, n), q.dtype))
+        parts.append(np.take(grid.reshape(heads, -1), slots.flat, axis=1))
     for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
         if suffix in terms:
             table = np.matmul(side, terms[suffix].values)
@@ -316,7 +286,7 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     values = parts[0]
     for part in parts[1:]:
         values = values + part
-    return CellBias(values, structure, terms, k_cells)
+    return CellBias(values, structure, terms, qa_used)
 
 
 class BiasRecorder:
@@ -390,8 +360,8 @@ def structured_attention(store: ParameterStore, x: Tensor,
 
     The node's parents are ``x``, the layer's ``wqkv`` and, when the layer
     is biased and the structure has cells, its bias parameters.  Its
-    backward reuses the attention weights' and the gathered keys' storage,
-    so it runs once per forward, as one ``Tensor.backward`` runs it.
+    backward reuses the attention weights' storage, so it runs once per
+    forward, as one ``Tensor.backward`` runs it.
     """
     heads = cfg.heads
     w_param = store[f"layer{layer}.wqkv"].tensor

@@ -20,6 +20,7 @@ from .batching import (
     encode_document,
     kept_mentions,
     make_batches,
+    pair_row,
 )
 from .config import TOGGLES, ModelConfig, load_config, save_config
 from .corpus import (
@@ -184,9 +185,11 @@ def tune_threshold(model: RelationExtractor,
         if result.logits is None:
             continue
         hit = np.zeros(result.logits.shape, dtype=bool)
-        row_of = {pair: i for i, pair in enumerate(result.pairs)}
+        # the pairs are numbered by ordinal before truncation
+        local = {o: i for i, o in enumerate(result.ordinals)}
         for fact in doc.facts:
-            row = row_of.get((fact.h, fact.t))
+            row = pair_row(local.get(fact.h, -1), local.get(fact.t, -1),
+                           len(local))
             col = model.rel_to_index.get(fact.r)
             if row is not None and col is not None:
                 hit[row, col] = True

@@ -84,7 +84,12 @@ from .autodiff import (
     take_rows,
     xavier_uniform,
 )
-from .batching import N_DISTANCE_BUCKETS, EncodedDocument, PairLayout
+from .batching import (
+    N_DISTANCE_BUCKETS,
+    EncodedDocument,
+    PairLayout,
+    pair_row,
+)
 from .config import ModelConfig
 from .corpus import Vocabulary
 from .encoder import BiasRecorder, encoder_forward, init_encoder_params
@@ -193,6 +198,7 @@ class ForwardResult:
     pairs: list[tuple[int, int]]
     logits: Optional[Tensor]  # (P, M), None when < 2 entities
     hidden: Tensor
+    ordinals: tuple[int, ...]  # each entity's ordinal before truncation
 
 
 class RelationExtractor:
@@ -274,11 +280,13 @@ class RelationExtractor:
         hidden = encoder_forward(self.store, x, enc.structure, self.cfg,
                                  recorder=recorder)
         if enc.n_entities < 2:
-            return ForwardResult(enc.doc.doc_id, [], None, hidden)
+            return ForwardResult(enc.doc.doc_id, [], None, hidden,
+                                 enc.entity_ordinals)
         entities = self.pool_entities(hidden, enc)
         pairs = self.pair_features(enc)
         logits = self.score_relations(entities, pairs)
-        return ForwardResult(enc.doc.doc_id, pairs.pairs, logits, hidden)
+        return ForwardResult(enc.doc.doc_id, pairs.pairs, logits, hidden,
+                             enc.entity_ordinals)
 
     # ---- training and prediction ----------------------------------------
 
@@ -289,14 +297,19 @@ class RelationExtractor:
             return constant(0.0, self.store.dtype)
         targets = np.zeros((len(result.pairs), len(self.schema)),
                            dtype=result.logits.values.dtype)
-        row_of = {pair: i for i, pair in enumerate(result.pairs)}
         for fact in enc.doc.facts:
             if fact.r not in self.rel_to_index:
                 raise ValueError(
                     f"doc {enc.doc.doc_id!r}: relation {fact.r!r} is not in "
                     f"the schema"
                 )
-            targets[row_of[(fact.h, fact.t)], self.rel_to_index[fact.r]] = 1.0
+            row = pair_row(fact.h, fact.t, enc.n_entities)
+            if row is None:
+                raise ValueError(
+                    f"doc {enc.doc.doc_id!r}: fact ({fact.h}, {fact.t}, "
+                    f"{fact.r!r}) is no pair of its {enc.n_entities} entities"
+                )
+            targets[row, self.rel_to_index[fact.r]] = 1.0
         return sum_all(bce_with_logits(result.logits, targets))
 
     def predict(self, result: ForwardResult,

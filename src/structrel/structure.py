@@ -77,37 +77,30 @@ class StructureMatrix:
         return rows, cols, types
 
     @cached_property
-    def row_groups(self) -> CellGroups:
-        """The cells grouped by query token and type."""
-        rows, _, types = self.cells
-        return CellGroups.of(rows * len(STRUCTURED_TYPES) + types)
-
-    @cached_property
-    def col_groups(self) -> CellGroups:
-        """The cells grouped by key token and type."""
-        _, cols, types = self.cells
-        return CellGroups.of(cols * len(STRUCTURED_TYPES) + types)
+    def slots(self) -> QuerySlots:
+        """The cells on a dense grid of the query slots they use."""
+        rows, cols, types = self.cells
+        used, inverse = np.unique(rows * len(STRUCTURED_TYPES) + types,
+                                  return_inverse=True)
+        flat = inverse * self.n + cols
+        for arr in (used, flat):
+            arr.setflags(write=False)
+        return QuerySlots(used, flat)
 
 
 @dataclass(frozen=True)
-class CellGroups:
-    """Cells grouped by a slot ``token * 5 + type``, for segment sums.
+class QuerySlots:
+    """The structured cells laid out on a grid whose rows are query slots.
 
-    ``order`` is the stable permutation of :attr:`StructureMatrix.cells`
-    that sorts them by slot, ``starts`` the position in that order where
-    each slot's run begins, and ``slots`` the distinct slots, ascending.
+    A query slot is a query token and a type, ``token * 5 + type``.
+    ``used`` holds the slots that have at least one cell, ascending, and
+    ``flat`` the position of each cell of :attr:`StructureMatrix.cells`
+    in a (len(used), n) grid of those slots by key token.  No two cells
+    share a position.  Both arrays are read-only.
     """
 
-    order: np.ndarray
-    starts: np.ndarray
-    slots: np.ndarray
-
-    @classmethod
-    def of(cls, slot: np.ndarray) -> CellGroups:
-        order = np.argsort(slot, kind="stable")
-        ordered = slot[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        return cls(order, starts, ordered[starts])
+    used: np.ndarray
+    flat: np.ndarray
 
 
 def build_structure_matrix(doc) -> StructureMatrix:

@@ -37,12 +37,14 @@ FLOAT64_LOSSES = {
 
 # The same run's float64 losses with the factored relation head
 # (``model.pair_scores``), which sums the head's products in another
-# order than that code's per-pair ``e_s @ W``: the decomp run's last loss
-# moved by one unit in the last place.
+# order than that code's per-pair ``e_s @ W``, and with the decomposed
+# bias's gradients summed per slot by ``np.bincount``, one cell after
+# another, where a segment sum added them pairwise: the decomp run's
+# second loss sits two units in the last place below the old one.
 FACTORED_HEAD_LOSSES = {
     "biaffine": FLOAT64_LOSSES["biaffine"],
-    "decomp": ["75.09838592359552", "28.692550894242984",
-               "17.859254643104414"],
+    "decomp": ["75.09838592359552", "28.692550894242977",
+               "17.859254643104418"],
 }
 
 
@@ -104,8 +106,7 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
         return wrapper
 
     # the encoder's arrays that are no graph value
-    for name in ("project_qkv", "structured_scores", "attend", "type_bias",
-                 "_segment_sum"):
+    for name in ("project_qkv", "structured_scores", "attend", "type_bias"):
         monkeypatch.setattr(encoder, name, recorded(getattr(encoder, name)))
     monkeypatch.setattr(Tensor, "__init__", recorded_init)
     monkeypatch.setattr(Tensor, "_accumulate", recorded_accumulate)

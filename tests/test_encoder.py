@@ -28,8 +28,10 @@ from structrel.structure import (
     STRUCTURED_TYPES,
     DependencyType,
     StructureMatrix,
+    apply_ablation,
     build_structure_matrix,
 )
+from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import random_document, raw_scores
 
@@ -520,6 +522,156 @@ class TestAttend:
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
 
 
+# The bias as the encoder computed it before the slot grid: every cell
+# gathers its own ``q A`` row and key row, and each gradient is a segment
+# sum over the cells grouped by query or key token and type.
+
+def segment_sum(values, slot, n_slots):
+    """Sum ``values`` (H, c, w) over the cells of each slot with
+    ``np.add.reduceat``, cells in stable slot order: (H, n_slots, w)."""
+    order = np.argsort(slot, kind="stable")
+    ordered = slot[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    out = np.zeros((values.shape[0], n_slots, values.shape[2]))
+    out[:, ordered[starts]] = np.add.reduceat(values[:, order], starts,
+                                              axis=1)
+    return out
+
+
+def per_cell_bias(params, q, k, structure, grad):
+    """The cell biases (H, c) and the gradients of ``q``, ``k`` and every
+    bias parameter in ``params`` given ``grad`` (H, c) at the biases."""
+    rows, cols, types = structure.cells
+    heads, n, dh = q.shape
+    row_slot, col_slot = rows * N_TYPES + types, cols * N_TYPES + types
+    values = np.zeros((heads, rows.size))
+    grads = {"q": np.zeros_like(q), "k": np.zeros_like(k)}
+    g = grad[:, :, None]
+    if "A" in params:
+        a_cat = params["A"]
+        qa = (q @ a_cat).reshape(heads, n * N_TYPES, dh)
+        values += (qa[:, row_slot] * k[:, cols]).sum(axis=-1)
+        d_qa = segment_sum(k[:, cols] * g, row_slot, n * N_TYPES)
+        d_kq = segment_sum(q[:, rows] * g, col_slot, n * N_TYPES)
+        d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
+        a_rows = (a_cat.reshape(heads, dh, N_TYPES, dh)
+                  .transpose(0, 2, 1, 3).reshape(heads, N_TYPES * dh, dh))
+        grads["q"] += d_qa @ a_cat.transpose(0, 2, 1)
+        grads["k"] += d_kq.reshape(heads, n, N_TYPES * dh) @ a_rows
+        grads["A"] = q.transpose(0, 2, 1) @ d_qa
+    for suffix, side, slot in (("qvec", "q", row_slot),
+                               ("kvec", "k", col_slot)):
+        if suffix in params:
+            x = q if side == "q" else k
+            table = (x @ params[suffix]).reshape(heads, n * N_TYPES)
+            values += table[:, slot]
+            d_t = segment_sum(g, slot, n * N_TYPES).reshape(heads, n, N_TYPES)
+            grads[side] += d_t @ params[suffix].transpose(0, 2, 1)
+            grads[suffix] = x.transpose(0, 2, 1) @ d_t
+    if "b" in params:
+        values += params["b"][:, types]
+        grads["b"] = segment_sum(g, types, N_TYPES)[:, :, 0]
+    return values, grads
+
+
+def synth_structure(seed: int) -> StructureMatrix:
+    """The structure of a synthetic document of large-biaffine's shape:
+    twelve entities, sentences of 40 to 50 tokens."""
+    doc = generate_synthetic(SynthSpec(n_docs=1, seed=seed,
+                                       entities_per_doc=12,
+                                       sentence_len=(40, 50)))[0]
+    return build_structure_matrix(doc)
+
+
+def one_token_all_types() -> StructureMatrix:
+    codes = random_symmetric_codes(np.random.default_rng(4), 7)
+    codes[2, 1:6] = [1, 2, 3, 4, 5]
+    return StructureMatrix("five", codes)
+
+
+def single_cell() -> StructureMatrix:
+    codes = np.zeros((4, 4), dtype=np.int8)
+    codes[3, 1] = D.INTER_COREF
+    return StructureMatrix("single", codes)
+
+
+SLOT_STRUCTURES = {
+    "synth": lambda: synth_structure(0),
+    "one-token-all-types": one_token_all_types,
+    "single-cell": single_cell,
+    "intra-ne-ablated": lambda: apply_ablation(synth_structure(1),
+                                               {D.INTRA_NE}),
+}
+
+
+class TestSlotGrid:
+    @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
+    @pytest.mark.parametrize("name", sorted(SLOT_STRUCTURES))
+    def test_matches_the_per_cell_reference(self, name, mode):
+        S = SLOT_STRUCTURES[name]()
+        if name == "one-token-all-types":
+            assert len(set(S.slots.used.tolist()) & set(range(10, 15))) == 5
+        if name == "intra-ne-ablated":
+            assert S.cells[0].size and 0 not in S.cells[2]
+        rng = np.random.default_rng(5)
+        heads, d_model = (4, 64) if name == "synth" else (2, 8)
+        cfg = encoder_config(mode, heads=heads, d_model=d_model)
+        store = make_store(cfg)
+        randomize_bias_params(store, rng)
+        params = {p.name.rsplit(".", 1)[1]: p.values for p in store
+                  if ".bias." in p.name}
+        assert set(params) == ({"A", "b"} if mode == "biaffine"
+                               else {"qvec", "kvec", "b"})
+        dh = d_model // heads
+        q, k = rng.normal(size=(2, heads, S.n, dh))
+        grad = rng.normal(size=(heads, S.cells[0].size))
+        ref_values, ref_grads = per_cell_bias(params, q, k, S, grad)
+        bias = type_bias(store, q, k, 0, S, cfg)
+        dq, dk = np.zeros_like(q), np.zeros_like(k)
+        bias.backward(grad, q, k, dq, dk)
+        got = {"values": bias.values, "q": dq, "k": dk}
+        got.update({p.name.rsplit(".", 1)[1]: p.tensor.grad for p in store
+                    if ".bias." in p.name})
+        expect = {"values": ref_values, **ref_grads}
+        assert got.keys() == expect.keys()
+        for key, value in expect.items():
+            assert got[key].dtype == np.float64
+            scale = np.abs(value).max()
+            assert scale > 0.0, key
+            assert np.abs(got[key] - value).max() <= 1e-12 * scale, key
+
+    def test_slots_hold_the_used_query_slots_and_every_cell(self):
+        S = synth_structure(0)
+        rows, cols, types = S.cells
+        slot = rows * N_TYPES + types
+        used, flat = S.slots.used, S.slots.flat
+        assert used.tolist() == sorted(set(slot.tolist()))
+        assert (used[flat // S.n] == slot).all()
+        assert (flat % S.n == cols).all()
+        assert np.unique(flat).size == flat.size
+        assert used.size < S.n * N_TYPES
+
+    def test_computed_once_and_read_only(self):
+        S = synth_structure(0)
+        assert S.slots is S.slots
+        for arr in (S.slots.used, S.slots.flat):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("mode", ["none", "decomp"])
+    def test_only_the_biaffine_core_builds_them(self, mode):
+        S = one_token_all_types()
+        cfg = encoder_config(mode, heads=2, d_model=8)
+        store = make_store(cfg)
+        randomize_bias_params(store, np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(2).normal(size=(S.n, 8)))
+        sum_all(encoder_forward(store, x, S, cfg)).backward()
+        assert "slots" not in vars(S)
+        cfg = encoder_config("biaffine", heads=2, d_model=8)
+        sum_all(encoder_forward(make_store(cfg), x, S, cfg)).backward()
+        assert "slots" in vars(S)
+
+
 def softmax(scores):
     weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return weights / weights.sum(axis=-1, keepdims=True)
@@ -617,8 +769,9 @@ class TestStructuredAttention:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_structure_of_another_size_is_refused(self, two_sentence_doc,
                                                   mode, delta):
-        # The cell gathers clip their indices into range, so this check is
-        # what keeps a structure of another document from being read.
+        # A smaller structure's cells all lie inside a longer document's
+        # arrays, so this check is what keeps a structure of another
+        # document from being read.
         S = fixture_structure(two_sentence_doc)
         cfg = encoder_config(mode, heads=2, d_model=8)
         store = make_store(cfg, 5)

@@ -340,14 +340,30 @@ def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor, k: int) -> Tensor:
     return Tensor(scores, (e_s, e_o, w), _backward)
 
 
+# Each pair's entities and object bucket, which only the per-pair
+# reference and the layout's tests read.
+
+def subjects(layout: PairLayout) -> np.ndarray:
+    return layout.cells[0, 0]
+
+
+def objects(layout: PairLayout) -> np.ndarray:
+    return layout.cells[1, 0]
+
+
+def object_buckets(layout: PairLayout) -> np.ndarray:
+    # distance_bucket(-g) mirrors distance_bucket(g) around the middle
+    return N_DISTANCE_BUCKETS - 1 - layout.subject_buckets
+
+
 def reference_scores(entities: Tensor, dist: Tensor, w: Tensor,
                      layout: PairLayout, k: int) -> Tensor:
     """The head before factoring: every pair's features gathered and
     joined, six nodes, then :func:`bilinear_scores` in chunks of k."""
-    e_s = join([take_rows(entities, layout.subjects),
+    e_s = join([take_rows(entities, subjects(layout)),
                 take_rows(dist, layout.subject_buckets)])
-    e_o = join([take_rows(entities, layout.objects),
-                take_rows(dist, layout.object_buckets)])
+    e_o = join([take_rows(entities, objects(layout)),
+                take_rows(dist, object_buckets(layout))])
     return bilinear_scores(e_s, e_o, w, k)
 
 
@@ -459,12 +475,12 @@ class TestPairLayout:
         layout = PairLayout.of(starts)
         assert layout.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
                                 (2, 1)]
-        assert layout.subjects.tolist() == [s for s, _ in layout.pairs]
-        assert layout.objects.tolist() == [o for _, o in layout.pairs]
+        assert subjects(layout).tolist() == [s for s, _ in layout.pairs]
+        assert objects(layout).tolist() == [o for _, o in layout.pairs]
         for i, (s, o) in enumerate(layout.pairs):
             assert layout.subject_buckets[i] == distance_bucket(
                 starts[s] - starts[o])
-            assert layout.object_buckets[i] == distance_bucket(
+            assert object_buckets(layout)[i] == distance_bucket(
                 starts[o] - starts[s])
 
     def test_every_pair_meets_its_four_cells(self):
@@ -488,7 +504,7 @@ class TestPairLayout:
                         range(len(STARTS[9]), rows)))
         for c, (s, o) in enumerate(layout.pairs):
             sides = ((s, slot[layout.subject_buckets[c]]),
-                     (o, slot[layout.object_buckets[c]]))
+                     (o, slot[object_buckets(layout)[c]]))
             assert sorted(zip(*layout.cells[:, :, c])) == sorted(
                 (a, b) for a in sides[0] for b in sides[1])
 
@@ -514,7 +530,7 @@ class TestPairLayout:
         assert enc.pair_layout is enc.pair_layout
         assert model.pair_features(enc) is enc.pair_layout
         assert enc.pool_weights is enc.pool_weights
-        for arr in (enc.pair_layout.subjects, enc.pair_layout.cells,
+        for arr in (enc.pair_layout.subject_buckets, enc.pair_layout.cells,
                     enc.pool_weights):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -87,10 +87,9 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
         kept += [p.values, p.tensor.grad, optimizer.m[p.name],
                  optimizer.v[p.name]]
     used = {"head.a", "head.q", "head.cells", "head.dq", "head.da", "head.dw",
-            "adam.w1", "adam.w2", "attn.d_qkv", "attn.d_scores",
-            "attn.reduceat"}
+            "adam.w1", "adam.w2", "attn.d_qkv", "attn.d_scores"}
     if mode == "biaffine":
-        used |= {"attn.qa", "attn.cells"}
+        used |= {"attn.qa", "attn.grid", "attn.d_grid", "attn.d_qa"}
     assert {(name, compute_dtype) for name in used} <= autodiff._SCRATCH.keys()
     for key, buf in autodiff._SCRATCH.items():
         assert not any(np.shares_memory(a, buf) for a in kept), key
