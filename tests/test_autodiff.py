@@ -125,6 +125,27 @@ class TestBackward:
         assert np.array_equal(w.grad, np.array([[3.0, 3.0], [5.0, 5.0],
                                                 [7.0, 7.0]]))
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_constant_operand_of_matmul_takes_no_gradient(self, side,
+                                                             monkeypatch):
+        # matmul computes no product for the constant either
+        handed = []
+        monkeypatch.setattr(type(constant(0.0)), "_accumulate",
+                            lambda self, grad: handed.append(grad))
+        rng = np.random.default_rng(0)
+        m, h = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        if side == "right":
+            m, h = m.T, h.T
+        grads = []
+        for wrap in (Tensor, constant):
+            held, x = wrap(m), Tensor(h)
+            operands = (held, x) if side == "left" else (x, held)
+            sum_all(matmul(*operands)).backward()
+            grads.append((held.grad, x.grad))
+        (tensor_m, tensor_h), (const_m, const_h) = grads
+        assert tensor_m is not None and const_m is None and not handed
+        assert const_h.tobytes() == tensor_h.tobytes()
+
     def test_first_gradient_of_wrong_shape_rejected(self):
         with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
             Tensor(np.zeros((2, 3)))._accumulate(np.ones(3))

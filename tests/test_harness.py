@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 import zlib
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from structrel.autodiff import (
     Tensor,
     add,
+    bce_with_logits,
     constant,
     load_checkpoint,
     mul,
     sigmoid,
+    sum_all,
 )
-from structrel.batching import TruncationWarning
+from structrel.batching import PairLayout, TruncationWarning, pair_row
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
 from structrel.encoder import BiasRecorder, export_bias_heatmap
@@ -428,6 +431,91 @@ class TestVectorisedSweep:
             assert (model.predict(result, threshold)
                     == reference_predict(model, result, threshold))
         assert sum(len(model.predict(r, 0.25)) for r in results) > 0
+
+
+def dict_hits(model, result, facts) -> np.ndarray:
+    """The gold cells of one forward, each fact's row looked up in a
+    ``{pair: row}`` dict of ``result.pairs``, as the loss and the
+    threshold sweep placed them before :func:`pair_row`."""
+    hit = np.zeros(result.logits.shape, dtype=bool)
+    row_of = {pair: i for i, pair in enumerate(result.pairs)}
+    for fact in facts:
+        row = row_of.get((fact.h, fact.t))
+        col = model.rel_to_index.get(fact.r)
+        if row is not None and col is not None:
+            hit[row, col] = True
+    return hit
+
+
+def entities_reversed(doc: Document) -> Document:
+    """``doc`` with its entities in reverse order, so that a cut drops the
+    first ordinals rather than the last."""
+    last = len(doc.entities) - 1
+    return dataclasses.replace(
+        doc, doc_id=doc.doc_id + "-reversed", entities=doc.entities[::-1],
+        facts=tuple(RelationFact(last - f.h, last - f.t, f.r)
+                    for f in doc.facts))
+
+
+class TestGoldPlacement:
+    """Gold facts go to the row ``pair_row`` gives, the row that a dict of
+    the pairs held, on seeded documents that the cut truncates."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        docs = generate_synthetic(SynthSpec(n_docs=8, seed=7))
+        docs += [entities_reversed(doc) for doc in docs]
+        model = build_model(small_config(max_len=10), docs)
+        with pytest.warns(TruncationWarning):
+            encs = [_encode(model, doc) for doc in docs]
+        ordinals = [enc.entity_ordinals for enc in encs]
+        assert any(o and o[0] > 0 for o in ordinals)
+        assert any(len(enc.doc.facts) < len(doc.facts)
+                   for enc, doc in zip(encs, docs))
+        return model, docs, encs
+
+    def test_rows_of_the_dict(self):
+        for n in range(7):
+            pairs = PairLayout.of(range(n)).pairs if n else []
+            row_of = {pair: i for i, pair in enumerate(pairs)}
+            for h in range(-1, n + 1):
+                for t in range(-1, n + 1):
+                    assert pair_row(h, t, n) == row_of.get((h, t))
+
+    def test_loss_targets(self, setting):
+        model, _, encs = setting
+        scored = 0
+        for enc in encs:
+            result = model.forward(enc)
+            if result.logits is None:
+                continue
+            scored += 1
+            targets = dict_hits(model, result, enc.doc.facts)
+            expect = sum_all(bce_with_logits(
+                result.logits, targets.astype(result.logits.values.dtype)))
+            got = model.compute_loss(result, enc)
+            assert got.values.tobytes() == expect.values.tobytes()
+        assert scored > 8
+
+    @pytest.mark.parametrize("levels", [3, 1000])
+    def test_threshold_sweep_hits(self, setting, monkeypatch, levels):
+        # the dict's hits are the gold cells, and each document's sweep
+        # finds the threshold of those cells
+        model, docs, _ = setting
+        monkeypatch.setattr(RelationExtractor, "forward",
+                            quantised_forward(levels))
+        gold = _gold_facts(docs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for doc, result in zip(docs, _forward_docs(model, docs)):
+                if result.logits is None:
+                    continue
+                cells = [[(doc.doc_id, s, o, r) in gold for r in model.schema]
+                         for s, o in result.pairs]
+                assert np.array_equal(dict_hits(model, result, doc.facts),
+                                      cells)
+                assert (tune_threshold(model, [doc]).hex()
+                        == reference_tune_threshold(model, [doc]).hex())
 
 
 def over_length_doc() -> Document:
