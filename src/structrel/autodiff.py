@@ -9,14 +9,28 @@ added into it.  An inner node's gradient is released as soon as its own
 backward rule has consumed it; only leaves keep theirs, and a
 :func:`constant` takes none.
 
+The generic ops here are :func:`matmul` and :func:`mul`.  The model's
+other nodes are written by hand where they are used, one per piece of
+work (a layer's attention, a block's tail, the embeddings, the relation
+head, the loss), each a ``Tensor`` built with its parents and backward
+closure, because a step's fixed cost is paid per node.
+
 A node's values keep their own dtype when it is float32 or float64, and
 anything else becomes float64; gradients take the dtype of their node.
 A :class:`ParameterStore` casts every parameter to its dtype, so a model
 computes in the dtype its store was given: float32 for training and
 inference, float64 where results must be exact, as in the
 finite-difference checks of :func:`grad_check`, which refuse anything
-else.  :func:`sigmoid` alone computes in float64 whatever its input, so
-that probabilities near 1 stay distinct.
+else.  :func:`sigmoid` computes in float64 whatever its input unless
+given another dtype, so that probabilities near 1 stay distinct; the
+loss's gradient asks it for the compute dtype.
+
+:class:`Adam` keeps every parameter's values, gradient and moments in
+four flat arrays, the tensors holding views into the first two, and
+updates them in one pass of blocks.  A parameter's values are therefore
+written in place once an optimizer exists (as
+:meth:`ParameterStore.load_state_arrays` writes them); one whose values
+were replaced is refused by the next step.
 
 :func:`scratch` hands out views of process-wide buffers for temporaries
 that die inside the call that makes them.  Full-size temporaries taken
@@ -114,6 +128,14 @@ class Tensor:
         else:
             self.grad += grad
 
+    def _accumulate_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
+        """Add row ``i`` of ``grad`` into row ``rows[i]`` of the gradient,
+        a repeated row once per occurrence, in order.  A missing gradient
+        starts at zero."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self._values)
+        np.add.at(self.grad, rows, grad)
+
     def backward(self) -> None:
         """Reverse-accumulate gradients from a scalar loss.
 
@@ -155,6 +177,9 @@ class _Constant(Tensor):
     def _accumulate(self, grad: np.ndarray) -> None:
         pass
 
+    def _accumulate_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
+        pass
+
 
 def constant(values, dtype=None) -> Tensor:
     """A leaf holding ``values``, cast to ``dtype`` when one is given.  It
@@ -170,21 +195,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        values = a.values + b.values
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(values, (a, b))
-
-    def _backward(grad):
-        a._accumulate(_unbroadcast(grad, a.shape))
-        b._accumulate(_unbroadcast(grad, b.shape))
-
-    out._backward = _backward
-    return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -221,108 +231,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum(), (a,))
-
-    def _backward(grad):
-        a._accumulate(np.broadcast_to(grad, a.values.shape).copy())
-
-    out._backward = _backward
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.values, 0.0), (a,))
-
-    def _backward(grad):
-        a._accumulate(grad * (a.values > 0.0))
-
-    out._backward = _backward
-    return out
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The logistic function of an array, from ``exp(-|x|)``, which
     cannot overflow; a plain numpy function, not a graph op.
 
-    It computes in float64 whatever the input's dtype: in float32 every
-    logit above about 16.6 would give exactly 1.0, and probabilities
-    that tie there cannot be ranked or thresholded apart.
+    It computes in ``dtype``, by default float64 whatever the input's
+    dtype: in float32 every logit above about 16.6 would give exactly
+    1.0, and probabilities that tie there cannot be ranked or
+    thresholded apart.  A gradient, which needs no ranking, may take
+    the compute dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def take_rows(table: Tensor, indices) -> Tensor:
-    """Row gather (embedding lookup); backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if table.values.ndim != 2:
-        raise ShapeError(f"take_rows expects a matrix table, got {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.values.shape[0]):
-        raise ShapeError(
-            f"take_rows: index out of range for table with "
-            f"{table.values.shape[0]} rows"
-        )
-    out = Tensor(table.values[idx], (table,))
-
-    def _backward(grad):
-        # One bincount over flat (row, column) positions: the same
-        # sequential sums as ``np.add.at``, several times faster.
-        rows, width = table.values.shape
-        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        g = np.bincount(flat, weights=grad.ravel(), minlength=rows * width)
-        table._accumulate(g.reshape(rows, width))
-
-    out._backward = _backward
-    return out
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then apply
-    an elementwise affine."""
-    x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(xhat * gain.values + bias.values, (a, gain, bias))
-
-    def _backward(grad):
-        dxhat = grad * gain.values
-        # standard layer-norm backward, derived from the normalization chain
-        dx = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv
-        a._accumulate(dx)
-        axes = tuple(range(grad.ndim - 1))
-        gain._accumulate((grad * xhat).sum(axis=axes))
-        bias._accumulate(grad.sum(axis=axes))
-
-    out._backward = _backward
-    return out
-
-
-def bce_with_logits(z: Tensor, targets) -> Tensor:
-    """Elementwise sigmoid cross entropy of logits against 0/1 targets,
-    ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for any finite ``z``;
-    its gradient is ``sigmoid(z) - y``."""
-    y = _as_array(targets)
-    if y.shape != z.values.shape:
-        raise ShapeError(
-            f"bce_with_logits: target shape {y.shape} does not match "
-            f"{z.shape}"
-        )
-    x = z.values
-    values = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-
-    def _backward(grad):
-        z._accumulate(grad * (sigmoid(x) - y))
-
-    return Tensor(values, (z,), _backward)
 
 
 @dataclass
@@ -385,25 +306,36 @@ class ParameterStore:
                     f"parameter {p.name!r}: checkpoint shape {incoming.shape} "
                     f"does not match model shape {p.values.shape}"
                 )
-            p.tensor.values = incoming.copy()
+            # in place, so that an optimizer's views stay the values
+            np.copyto(p.values, incoming)
 
 
-#: Elements per block of :meth:`Adam.step`: every parameter is updated in
-#: flat blocks of this size, and the step's two work arrays are scratch of
-#: this size, whatever the size of the largest parameter.
+#: Elements per block of :meth:`Adam.step`: the flat arrays are updated
+#: in blocks of this size, and the step's two work arrays are scratch of
+#: this size, whatever the number of elements.
 ADAM_BLOCK = 16 * 1024
 
 
 class Adam:
     """Adaptive moment estimation with bias correction.
 
-    Moment state persists between steps, keyed by parameter name.  The
-    update runs in place, in flat blocks of ``ADAM_BLOCK`` elements, with
-    the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``p -= lr m_hat / (sqrt(v_hat) + eps)`` in that order, so it is
-    bit-equal to the same formula on whole arrays.  Parameters must be
-    C-contiguous, as the store creates and loads them.  Moments and work
-    arrays take each parameter's dtype.
+    When built, it moves every trainable parameter's values, and its
+    gradient if it has one, into one flat array each, ``values`` and
+    ``grads``, parameter after parameter; each tensor keeps a view into
+    them as its ``values`` and, once :meth:`zero_grad` has run, as its
+    ``grad``.  The moments ``m`` and ``v`` are flat arrays of the same
+    layout, so a step is one pass over four flat arrays, in blocks of
+    ``ADAM_BLOCK`` elements, with the operations of ``m = b1 m + (1 - b1)
+    g``, ``v = b2 v + (1 - b2) g g`` and ``p -= lr m_hat / (sqrt(v_hat) +
+    eps)`` in that order; it is bit-equal to the same formula on each
+    parameter's whole array.  Every parameter must have the same dtype,
+    which the arrays take.
+
+    A gradient that was assigned to a tensor rather than accumulated into
+    its view is copied into ``grads`` by the next step.  Values cannot be:
+    a parameter whose values were replaced after the optimizer was built
+    (rather than written in place, as the store loads them) is refused
+    with a ``ValueError`` that names it.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
@@ -413,53 +345,81 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.values) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.values) for p in self.params}
+        dtypes = {p.values.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam: parameters of dtypes "
+                             f"{sorted(map(str, dtypes))} cannot share "
+                             f"one flat array")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        size = sum(p.values.size for p in self.params)
+        self.values = np.empty(size, dtype=dtype)
+        self.grads = np.zeros(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        # (parameter, values view, gradient view) in parameter order
+        self._views: list[tuple[Parameter, np.ndarray, np.ndarray]] = []
+        lo = 0
+        for p in self.params:
+            shape, hi = p.values.shape, lo + p.values.size
+            values = self.values[lo:hi].reshape(shape)
+            grad = self.grads[lo:hi].reshape(shape)
+            values[...] = p.values
+            p.tensor.values = values
+            if p.tensor.grad is not None:
+                grad[...] = p.tensor.grad
+                p.tensor.grad = grad
+            self._views.append((p, values, grad))
+            lo = hi
 
     def zero_grad(self) -> None:
-        """Zero every gradient in place; a parameter without one gets a
-        zero array."""
-        for p in self.params:
-            if p.tensor.grad is None:
-                p.tensor.grad = np.zeros_like(p.values)
-            else:
-                p.tensor.grad.fill(0.0)
+        """Zero the flat gradient array and make each parameter's gradient
+        its view into it."""
+        self.grads.fill(0.0)
+        for p, _, grad in self._views:
+            p.tensor.grad = grad
 
     def step(self) -> None:
+        for p, values, grad in self._views:
+            if p.tensor.values is not values:
+                raise ValueError(
+                    f"parameter {p.name!r}: its values were replaced after "
+                    f"the optimizer was built; write them in place"
+                )
+            g = p.tensor.grad
+            if g is not grad:
+                if g is None:
+                    raise ValueError(f"parameter {p.name!r} has no gradient; "
+                                     f"call backward first")
+                if g.shape != grad.shape:
+                    raise ShapeError(f"parameter {p.name!r}: gradient of "
+                                     f"shape {g.shape} for values of shape "
+                                     f"{grad.shape}")
+                np.copyto(grad, g)
+                p.tensor.grad = grad
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p in self.params:
-            g = p.tensor.grad
-            if g is None:
-                raise ValueError(
-                    f"parameter {p.name!r} has no gradient; call backward first"
-                )
-            if not p.values.flags.c_contiguous:
-                raise ValueError(f"parameter {p.name!r} is not C-contiguous")
-            flat = p.values.reshape(-1)
-            work1 = scratch("adam.w1", (ADAM_BLOCK,), flat.dtype)
-            work2 = scratch("adam.w2", (ADAM_BLOCK,), flat.dtype)
-            g, m, v = (g.reshape(-1), self.m[p.name].reshape(-1),
-                       self.v[p.name].reshape(-1))
-            for lo in range(0, flat.size, ADAM_BLOCK):
-                hi = lo + ADAM_BLOCK
-                gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], flat[lo:hi]
-                w1, w2 = work1[:pb.size], work2[:pb.size]
-                mb *= b1
-                np.multiply(1.0 - b1, gb, out=w1)
-                mb += w1
-                vb *= b2
-                np.multiply(1.0 - b2, gb, out=w1)
-                w1 *= gb
-                vb += w1
-                np.divide(mb, c1, out=w1)
-                np.multiply(self.lr, w1, out=w1)
-                np.divide(vb, c2, out=w2)
-                np.sqrt(w2, out=w2)
-                w2 += self.eps
-                w1 /= w2
-                pb -= w1
+        work1 = scratch("adam.w1", (ADAM_BLOCK,), self.values.dtype)
+        work2 = scratch("adam.w2", (ADAM_BLOCK,), self.values.dtype)
+        for lo in range(0, self.values.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            gb, mb, vb, pb = (self.grads[block], self.m[block],
+                              self.v[block], self.values[block])
+            w1, w2 = work1[:pb.size], work2[:pb.size]
+            mb *= b1
+            np.multiply(1.0 - b1, gb, out=w1)
+            mb += w1
+            vb *= b2
+            np.multiply(1.0 - b2, gb, out=w1)
+            w1 *= gb
+            vb += w1
+            np.divide(mb, c1, out=w1)
+            np.multiply(self.lr, w1, out=w1)
+            np.divide(vb, c2, out=w2)
+            np.sqrt(w2, out=w2)
+            w2 += self.eps
+            w1 /= w2
+            pb -= w1
 
 
 def grad_check(build: Callable[[], Tensor], params: Sequence[Parameter],

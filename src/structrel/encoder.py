@@ -7,17 +7,19 @@ by that dependency type.  Two bias parameterizations are supported, a
 bilinear (biaffine) form ``q A_s k^T + b_s`` and a decomposed linear form
 ``q K_s + Q_s k + b_s`` whose three terms can be toggled independently.
 
-The attention of a layer, all heads together, is one graph node
-(:func:`structured_attention`).  Its forward runs over (H, n, d_h) arrays
-with numpy's batched ``@``, in which every head's product keeps the shape
-it has on its own: :func:`project_qkv`, then :func:`structured_scores`,
-then :func:`attend`, each once per layer.  The node's value is the heads
-side by side, (n, d); the output projection and the feed-forward network
-stay ordinary graph operations.  Its backward is written out by hand in
-the same layout, as FlashAttention does without the tiling (Dao et al.,
-arXiv 2205.14135): the value, softmax and score gradients, then the bias
-terms' gradients.  Each head's products are those of the head computed
-alone, so the outputs agree with a per-head graph to rounding.
+A block is two graph nodes.  The attention of a layer, all heads
+together, is one (:func:`structured_attention`).  Its forward runs over
+(H, n, d_h) arrays with numpy's batched ``@``, in which every head's
+product keeps the shape it has on its own: :func:`project_qkv`, then
+:func:`structured_scores`, then :func:`attend`, each once per layer.
+The node's value is the heads side by side, (n, d).  Its backward is
+written out by hand in the same layout, as FlashAttention does without
+the tiling (Dao et al., arXiv 2205.14135): the value, softmax and score
+gradients, then the bias terms' gradients.  Each head's products are
+those of the head computed alone, so the outputs agree with a per-head
+graph to rounding.  The rest of the block, the output projection, both
+residual layer norms and the feed-forward network, is the other node
+(:func:`block_tail`), its backward written out by hand as well.
 
 The bias is computed only where there is structure; NA cells carry no
 parameters and are never computed, so a model whose structure is all NA
@@ -62,16 +64,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .autodiff import (
-    ParameterStore,
-    Tensor,
-    add,
-    layer_norm,
-    matmul,
-    relu,
-    scratch,
-    xavier_uniform,
-)
+from .autodiff import ParameterStore, Tensor, scratch, xavier_uniform
 from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
 
 if TYPE_CHECKING:
@@ -412,10 +405,86 @@ def structured_attention(store: ParameterStore, x: Tensor,
                   _backward)
 
 
+#: The parameters of a layer's block tail, after ``layer{l}.``, in the
+#: order of :func:`block_tail`'s parents.
+TAIL_PARAMS = ("wo", "ln1.gain", "ln1.bias", "ffn.w1", "ffn.b1", "ffn.w2",
+               "ffn.b2", "ln2.gain", "ln2.bias")
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                eps: float = 1e-5):
+    """Normalize the last axis to zero mean and unit variance, then apply
+    an elementwise affine; the output, the normalized ``xhat`` and the
+    inverse deviations."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_backward(grad: np.ndarray, gain: np.ndarray,
+                         xhat: np.ndarray, inv: np.ndarray):
+    """The gradients of :func:`_layer_norm`'s input, gain and bias, for
+    the output gradient ``grad``."""
+    dxhat = grad * gain
+    dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    dxhat *= xhat
+    dx -= xhat * dxhat.mean(axis=-1, keepdims=True)
+    dx *= inv
+    return dx, (grad * xhat).sum(axis=0), grad.sum(axis=0)
+
+
+def block_tail(store: ParameterStore, x: Tensor, heads: Tensor,
+               layer: int) -> Tensor:
+    """Everything of one post-norm block after the attention, as one
+    graph node: ``LN2(x1 + W2 relu(W1 x1 + b1) + b2)`` with ``x1 =
+    LN1(x + heads wo)``, (n, d).
+
+    ``x`` is the block's input and ``heads`` its attention node's output;
+    they and the layer's nine :data:`TAIL_PARAMS` are the node's parents.
+    Its backward runs the chain of the two layer norms, the feed-forward
+    network and the output projection by hand, each step the backward of
+    the graph op it replaced, so a float64 tail agrees with that graph to
+    rounding.
+    """
+    params = [store[f"layer{layer}.{name}"].tensor for name in TAIL_PARAMS]
+    wo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.values for p in params)
+    x1, xhat1, inv1 = _layer_norm(x.values + heads.values @ wo, g1, c1)
+    hidden = x1 @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    ffn = hidden @ w2
+    ffn += b2
+    out, xhat2, inv2 = _layer_norm(x1 + ffn, g2, c2)
+
+    def _backward(grad):
+        dr2, dg2, dc2 = _layer_norm_backward(grad, g2, xhat2, inv2)
+        dw2 = hidden.T @ dr2
+        # the ReLU's gradient is zero where its input was not positive,
+        # which is where its output is not
+        dpre = dr2 @ w2.T
+        dpre *= hidden > 0.0
+        dx1 = dpre @ w1.T
+        dx1 += dr2
+        dr1, dg1, dc1 = _layer_norm_backward(dx1, g1, xhat1, inv1)
+        grads = (heads.values.T @ dr1, dg1, dc1, x1.T @ dpre,
+                 dpre.sum(axis=0), dw2, dr2.sum(axis=0), dg2, dc2)
+        for param, g in zip(params, grads):
+            param._accumulate(g)
+        heads._accumulate(dr1 @ wo.T)
+        x._accumulate(dr1)
+
+    return Tensor(out, (x, heads, *params), _backward)
+
+
 def encoder_forward(store: ParameterStore, x: Tensor,
                     structure: StructureMatrix, cfg: ModelConfig,
                     recorder: Optional[BiasRecorder] = None) -> Tensor:
-    """Run the full block stack.
+    """Run the full block stack, two graph nodes per block: the attention
+    (:func:`structured_attention`) and the tail (:func:`block_tail`).
 
     Layers outside ``cfg``'s structured range attend without bias.  Each
     block is post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.
@@ -423,15 +492,7 @@ def encoder_forward(store: ParameterStore, x: Tensor,
     for l in range(cfg.layers):
         heads = structured_attention(store, x, structure, l, cfg,
                                      recorder=recorder)
-        merged = matmul(heads, store[f"layer{l}.wo"].tensor)
-        x = layer_norm(add(x, merged), store[f"layer{l}.ln1.gain"].tensor,
-                       store[f"layer{l}.ln1.bias"].tensor)
-        hidden = relu(add(matmul(x, store[f"layer{l}.ffn.w1"].tensor),
-                          store[f"layer{l}.ffn.b1"].tensor))
-        ffn = add(matmul(hidden, store[f"layer{l}.ffn.w2"].tensor),
-                  store[f"layer{l}.ffn.b2"].tensor)
-        x = layer_norm(add(x, ffn), store[f"layer{l}.ln2.gain"].tensor,
-                       store[f"layer{l}.ln2.bias"].tensor)
+        x = block_tail(store, x, heads, l)
     return x
 
 

@@ -234,9 +234,12 @@ def _backward_batch(model: RelationExtractor,
     order, so every parameter gradient receives the same additions in
     the same order.  The returned mean, the documents' losses summed in
     batch order times ``1 / B``, equals the graph value bit for bit too.
-    The nodes built are as many as well: B scalings and one constant
-    ``1 / B``, where the summed graph had B - 1 additions, one scaling
-    and that constant.
+    A document of two entities or more builds 2L + 5 nodes for L layers:
+    the embeddings, each layer's attention and block tail, the pooling's
+    constant and product, the relation head and the loss.  Besides those
+    the step builds B scalings and one constant ``1 / B``, as many nodes
+    as the summed loss would take: B - 1 additions, one scaling and that
+    constant.
     """
     share = 1.0 / len(batch)
     weight = constant(share, model.store.dtype)

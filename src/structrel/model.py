@@ -2,14 +2,17 @@
 pairwise bilinear classifier on top of the structured encoder.
 
 Input embeddings sum word, learned absolute position, entity-type, and
-coreference-ordinal tables.  Entity representations are the mean of all
-their mention tokens.  Every ordered entity pair (subject != object) gets
-its two vectors augmented with a signed-distance bucket embedding and is
-scored against every relation with an independent bilinear form.  The
-forms' values are logits: training takes the sigmoid cross entropy of them
-in one op (:func:`~structrel.autodiff.bce_with_logits`), and only
-prediction turns them into probabilities, with
-:func:`~structrel.autodiff.sigmoid`.
+coreference-ordinal tables, one graph node (:func:`embedding_sum`).
+Entity representations are the mean of all their mention tokens.  Every
+ordered entity pair (subject != object) gets its two vectors augmented
+with a signed-distance bucket embedding and is scored against every
+relation with an independent bilinear form.  The forms' values are
+logits: training takes their summed sigmoid cross entropy as one node
+(:func:`sigmoid_cross_entropy`), and only prediction turns them into
+probabilities, with :func:`~structrel.autodiff.sigmoid`.  A document's
+forward is then eight nodes with a two-layer encoder: the embeddings,
+each layer's attention and tail, the pooling matrix and product, and
+the head; training adds the loss.
 
 The head is one graph node, :func:`pair_scores`, for every pair and
 relation; its parents are the pooled entities X (N, d), the distance
@@ -59,8 +62,8 @@ rather than keeping it.
 
 A model computes in ``COMPUTE_DTYPE``, float32, the dtype of its
 parameter store; every float array made here takes the dtype of its
-operands.  Only :func:`~structrel.autodiff.sigmoid`, and so every
-probability, is float64.
+operands, the loss's gradient too.  Only the probabilities of
+:meth:`RelationExtractor.predict` are float64.
 """
 from __future__ import annotations
 
@@ -74,14 +77,10 @@ from .autodiff import (
     ParameterStore,
     ShapeError,
     Tensor,
-    add,
-    bce_with_logits,
     constant,
     matmul,
     scratch,
     sigmoid,
-    sum_all,
-    take_rows,
     xavier_uniform,
 )
 from .batching import (
@@ -183,6 +182,47 @@ def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
     return Tensor(scores, (entities, dist, w), _backward)
 
 
+def embedding_sum(tables: Sequence[Tensor],
+                  rows: Sequence[np.ndarray]) -> Tensor:
+    """The sum of one row of each table per token, as one graph node:
+    ``tables[0][rows[0]] + tables[1][rows[1]] + ...``, added in that
+    order; ``rows`` holds one index array per table, one row per token.
+    The backward adds each token's gradient into its row of every table,
+    once per occurrence of a repeated row."""
+    x = tables[0].values[rows[0]]
+    for table, idx in zip(tables[1:], rows[1:]):
+        x = x + table.values[idx]
+
+    def _backward(grad):
+        for table, idx in zip(tables, rows):
+            table._accumulate_rows(idx, grad)
+
+    return Tensor(x, tuple(tables), _backward)
+
+
+def sigmoid_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """The sigmoid cross entropy of ``logits`` against 0/1 ``targets`` of
+    the same shape, summed, as one scalar graph node.
+
+    Each element is ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for
+    any finite ``z``.  The gradient, ``sigmoid(z) - y``, is computed in
+    the logits' dtype from ``exp(-|z|)``, which cannot overflow.
+    """
+    z = logits.values
+    if targets.shape != z.shape:
+        raise ShapeError(f"sigmoid_cross_entropy: target shape "
+                         f"{targets.shape} does not match {z.shape}")
+    terms = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+
+    def _backward(grad):
+        dz = sigmoid(z, z.dtype)
+        dz -= targets
+        dz *= grad
+        logits._accumulate(dz)
+
+    return Tensor(terms.sum(), (logits,), _backward)
+
+
 @dataclass(frozen=True)
 class PredictedFact:
     doc_id: str
@@ -245,18 +285,18 @@ class RelationExtractor:
     # ---- forward pieces -------------------------------------------------
 
     def embed_inputs(self, enc: EncodedDocument) -> Tensor:
-        """Sum of word, position, entity-type, and coreference embeddings."""
+        """Sum of word, position, entity-type, and coreference embeddings,
+        as one graph node whose parents are the four tables; (n, d)."""
         n = enc.n
         if n > self.cfg.max_len:
             raise ValueError(
                 f"doc {enc.doc.doc_id!r} has {n} tokens, max_len is "
                 f"{self.cfg.max_len}; truncate first"
             )
-        x = take_rows(self.store["embed.word"].tensor, enc.word_idx)
-        x = add(x, take_rows(self.store["embed.pos"].tensor, np.arange(n)))
-        x = add(x, take_rows(self.store["embed.etype"].tensor, enc.etype_idx))
-        x = add(x, take_rows(self.store["embed.coref"].tensor, enc.coref_idx))
-        return x
+        return embedding_sum(
+            [self.store[f"embed.{name}"].tensor
+             for name in ("word", "pos", "etype", "coref")],
+            [enc.word_idx, np.arange(n), enc.etype_idx, enc.coref_idx])
 
     def pool_entities(self, hidden: Tensor, enc: EncodedDocument) -> Tensor:
         """Average each entity's mention tokens; (N, d_model)."""
@@ -310,7 +350,7 @@ class RelationExtractor:
                     f"{fact.r!r}) is no pair of its {enc.n_entities} entities"
                 )
             targets[row, self.rel_to_index[fact.r]] = 1.0
-        return sum_all(bce_with_logits(result.logits, targets))
+        return sigmoid_cross_entropy(result.logits, targets)
 
     def predict(self, result: ForwardResult,
                 threshold: float) -> list[PredictedFact]:

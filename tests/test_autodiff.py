@@ -10,21 +10,24 @@ from structrel.autodiff import (
     ParameterStore,
     ShapeError,
     Tensor,
-    add,
-    bce_with_logits,
     constant,
     grad_check,
-    layer_norm,
     load_checkpoint,
     matmul,
     mul,
-    relu,
     save_checkpoint,
     scratch,
     sigmoid,
+    xavier_uniform,
+)
+
+from reference_ops import (
+    add,
+    bce_with_logits,
+    layer_norm,
+    relu,
     sum_all,
     take_rows,
-    xavier_uniform,
 )
 
 
@@ -409,8 +412,11 @@ class TestBlockedAdam:
             for name in self.SHAPES:
                 assert (stores[0][name].values.tobytes()
                         == stores[1][name].values.tobytes()), name
-                assert blocked.m[name].tobytes() == moments[name][0].tobytes()
-                assert blocked.v[name].tobytes() == moments[name][1].tobytes()
+            # the flat moments hold the parameters' moments in order
+            for got, side in ((blocked.m, 0), (blocked.v, 1)):
+                expect = np.concatenate([moments[name][side].ravel()
+                                         for name in self.SHAPES])
+                assert got.tobytes() == expect.tobytes()
 
     def test_zero_grad_keeps_each_gradient_object(self):
         store = ParameterStore(np.float64)
@@ -425,14 +431,61 @@ class TestBlockedAdam:
         assert all(p.tensor.grad is g for p, g in zip(store, grads))
         assert all(not g.any() for g in grads)
 
-    def test_non_contiguous_parameter_is_refused(self):
+    def test_parameters_become_views_of_the_flat_arrays(self):
+        store = ParameterStore(np.float64)
+        for name, shape in self.SHAPES.items():
+            store.create(name, np.full(shape, 2.0))
+        store["small"].tensor.grad = np.full((3, 4), 5.0)
+        opt = Adam(store)
+        assert opt.values.size == sum(p.values.size for p in store)
+        for p in store:
+            assert np.shares_memory(p.values, opt.values)
+            assert p.values.shape == self.SHAPES[p.name]
+            assert (p.values == 2.0).all()
+        assert np.shares_memory(store["small"].tensor.grad, opt.grads)
+        assert (store["small"].tensor.grad == 5.0).all()
+        assert store["scalar"].tensor.grad is None
+        opt.zero_grad()
+        assert all(np.shares_memory(p.tensor.grad, opt.grads) for p in store)
+
+    def test_parameter_replaced_after_build_is_refused(self):
         store = ParameterStore(np.float64)
         p = store.create("p", np.zeros((3, 4)))
-        p.tensor.values = np.ones((4, 3)).T
         opt = Adam(store)
+        p.tensor.values = np.ones((4, 3)).T
         opt.zero_grad()
-        with pytest.raises(ValueError, match="'p' is not C-contiguous"):
+        with pytest.raises(ValueError, match="parameter 'p': its values "
+                                             "were replaced"):
             opt.step()
+        assert opt.t == 0
+
+    def test_parameter_loaded_after_build_still_steps(self):
+        store = ParameterStore(np.float64)
+        p = store.create("p", np.zeros((3, 4)))
+        opt = Adam(store, lr=0.1)
+        store.load_state_arrays({"p": np.full((3, 4), 7.0)})
+        opt.zero_grad()
+        p.tensor.grad += 1.0
+        opt.step()
+        assert np.shares_memory(p.values, opt.values)
+        assert np.allclose(p.values, 7.0 - 0.1, rtol=0.0, atol=1e-9)
+
+    def test_assigned_gradient_is_copied_into_the_flat_array(self):
+        store = ParameterStore(np.float64)
+        p = store.create("p", np.zeros(3))
+        opt = Adam(store, lr=0.1)
+        opt.zero_grad()
+        p.tensor.grad = np.array([1.0, -1.0, 0.0])
+        opt.step()
+        assert np.shares_memory(p.tensor.grad, opt.grads)
+        assert p.tensor.grad.tolist() == [1.0, -1.0, 0.0]
+        assert np.allclose(p.values, [-0.1, 0.1, 0.0], rtol=0.0, atol=1e-9)
+
+    def test_mixed_dtypes_are_refused(self):
+        params = [Parameter("a", Tensor(np.zeros(2, dtype=np.float32))),
+                  Parameter("b", Tensor(np.zeros(2)))]
+        with pytest.raises(ValueError, match="one flat array"):
+            Adam(params)
 
 
 class TestScratch:

@@ -9,13 +9,14 @@ from structrel.autodiff import (
     Tensor,
     grad_check,
     mul,
-    sum_all,
 )
 from structrel.config import ModelConfig
 from structrel.encoder import (
+    TAIL_PARAMS,
     BiasRecorder,
     N_TYPES,
     attend,
+    block_tail,
     encoder_forward,
     export_bias_heatmap,
     init_encoder_params,
@@ -34,6 +35,7 @@ from structrel.structure import (
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import random_document, raw_scores
+from reference_ops import reference_block_tail, sum_all
 
 D = DependencyType
 
@@ -794,6 +796,84 @@ class TestStructuredAttention:
         assert len(node._parents) == len(expect)
 
 
+def tail_inputs(seed: int, n: int = 5, d: int = 4, ffn_mult: int = 2):
+    """A one-layer store with random layer norm and feed-forward biases
+    and gains, the block's input ``x`` and attention output ``heads`` as
+    parameters, and a readout; the parameters in :func:`block_tail`'s
+    parent order."""
+    rng = np.random.default_rng(seed)
+    store = make_store(encoder_config(d_model=d, ffn_mult=ffn_mult), seed)
+    for name in ("ln1.gain", "ln1.bias", "ffn.b1", "ffn.b2", "ln2.gain",
+                 "ln2.bias"):
+        p = store[f"layer0.{name}"]
+        p.values[...] = rng.normal(size=p.values.shape)
+    x = Parameter("x", Tensor(rng.normal(size=(n, d))))
+    heads = Parameter("heads", Tensor(rng.normal(size=(n, d))))
+    readout = Tensor(rng.normal(size=(n, d)))
+    params = [x, heads, *(store[f"layer0.{name}"] for name in TAIL_PARAMS)]
+    return store, readout, params
+
+
+def tail_values_and_grads(tail, store, readout, params) -> list[np.ndarray]:
+    for p in params:
+        p.tensor.grad = None
+    out = tail(store, params[0].tensor, params[1].tensor, 0)
+    sum_all(mul(out, readout)).backward()
+    return [out.values] + [p.tensor.grad for p in params]
+
+
+class TestBlockTail:
+    """``block_tail`` against the graph ops it replaced, in float64."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_graph_ops(self, seed):
+        store, readout, params = tail_inputs(seed, n=3 + seed)
+        got = tail_values_and_grads(block_tail, store, readout, params)
+        expect = tail_values_and_grads(reference_block_tail, store, readout,
+                                       params)
+        for name, g, e in zip(["value"] + [p.name for p in params], got,
+                              expect):
+            assert g.shape == e.shape, name
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(), name
+
+    def test_a_pre_activation_of_exactly_zero_passes_no_gradient(self):
+        # hidden unit 2 sees zero weights and a zero bias, so its input is
+        # exactly 0 on every token: ReLU's gradient there is 0, as the
+        # graph op's, and its weights and bias take none
+        store, readout, params = tail_inputs(5)
+        store["layer0.ffn.w1"].values[:, 2] = 0.0
+        store["layer0.ffn.b1"].values[2] = 0.0
+        got = tail_values_and_grads(block_tail, store, readout, params)
+        expect = tail_values_and_grads(reference_block_tail, store, readout,
+                                       params)
+        grads = dict(zip([p.name for p in params], got[1:]))
+        assert not grads["layer0.ffn.w1"][:, 2].any()
+        assert grads["layer0.ffn.b1"][2] == 0.0
+        assert grads["layer0.ffn.w1"].any()
+        for g, e in zip(got, expect):
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+
+    def test_grad_check_every_parent(self):
+        store, readout, params = tail_inputs(6)
+
+        def build():
+            out = block_tail(store, params[0].tensor, params[1].tensor, 0)
+            return sum_all(mul(out, readout))
+
+        assert len(params) == 11
+        err = grad_check(build, params)
+        assert err < 1e-5, err
+
+    def test_keeps_the_dtype_of_its_inputs(self):
+        store, readout, params = tail_inputs(7)
+        for p in params:
+            p.tensor.values = p.values.astype(np.float32)
+        got = tail_values_and_grads(block_tail, store,
+                                    Tensor(readout.values.astype(np.float32)),
+                                    params)
+        assert {a.dtype for a in got} == {np.dtype(np.float32)}
+
+
 class TestEncoderForward:
     def test_single_block_hand_trace(self):
         # one layer, one head, bias mode off, FFN forced to zero: the output
@@ -884,7 +964,7 @@ class TestEncoderForward:
         assert np.allclose(out_perm, out[perm], rtol=1e-10, atol=1e-12)
 
     def test_gradients_reach_transformation_parameters(self, two_sentence_doc):
-        from structrel.autodiff import constant, mul, sum_all
+        from structrel.autodiff import constant
 
         S = fixture_structure(two_sentence_doc)
         readout = np.random.default_rng(55).normal(size=(S.n, 8))

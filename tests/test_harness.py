@@ -9,13 +9,10 @@ import pytest
 
 from structrel.autodiff import (
     Tensor,
-    add,
-    bce_with_logits,
     constant,
     load_checkpoint,
     mul,
     sigmoid,
-    sum_all,
 )
 from structrel.batching import PairLayout, TruncationWarning, pair_row
 from structrel.config import ModelConfig, load_config, save_config
@@ -46,6 +43,7 @@ from structrel.structure import STRUCTURED_TYPES, DependencyType
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import float64, raw_scores
+from reference_ops import add, bce_with_logits, sum_all
 
 A = ("docA", 0, 1, "r0")
 B = ("docA", 1, 2, "r0")
@@ -178,6 +176,33 @@ class TestTrain:
         result = train(small_config(epochs=6, lr=3e-3), train_docs, dev_docs)
         losses = [e.train_loss for e in result.log]
         assert losses[-1] < losses[0]
+
+    def test_restored_parameters_keep_training(self, tiny_corpus,
+                                               monkeypatch):
+        # restore_best loads into the arrays the optimizer updates, so a
+        # step after it moves the model's parameters
+        train_docs, dev_docs = tiny_corpus
+        made = []
+        make_optimizer = RelationExtractor.make_optimizer
+
+        def kept(self):
+            made.append(make_optimizer(self))
+            return made[-1]
+
+        monkeypatch.setattr(RelationExtractor, "make_optimizer", kept)
+        result = train(small_config(epochs=3), train_docs, dev_docs)
+        model, (optimizer,) = result.model, made
+        result.restore_best()
+        for p in model.store:
+            assert np.array_equal(p.values, result.best_arrays[p.name])
+            assert np.shares_memory(p.values, optimizer.values), p.name
+        optimizer.zero_grad()
+        _backward_batch(model, [_encode(model, doc) for doc in train_docs],
+                        step=0, epoch=0)
+        optimizer.step()
+        moved = [p.name for p in model.store
+                 if not np.array_equal(p.values, result.best_arrays[p.name])]
+        assert "head.rel.W" in moved and "embed.word" in moved
 
     def test_divergence_guard_names_the_step(self, tiny_corpus, monkeypatch):
         train_docs, dev_docs = tiny_corpus

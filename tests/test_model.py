@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from structrel.autodiff import (
     grad_check,
     mul,
     sigmoid,
-    sum_all,
-    take_rows,
     xavier_uniform,
 )
 from structrel.batching import (
@@ -33,10 +32,21 @@ from structrel.corpus import (
     build_vocab,
     entity_type_labels,
 )
-from structrel.model import RelationExtractor, pair_scores
+from structrel.model import (
+    RelationExtractor,
+    embedding_sum,
+    pair_scores,
+    sigmoid_cross_entropy,
+)
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import float64
+from reference_ops import (
+    reference_cross_entropy,
+    reference_embedding_sum,
+    sum_all,
+    take_rows,
+)
 from test_harness import small_config
 
 
@@ -155,6 +165,85 @@ class TestEmbedInputs:
         enc = encode_document(doc, model.vocab, model.etype_to_index, 8, 64)
         with pytest.raises(ValueError, match="max_len"):
             model.embed_inputs(enc)
+
+
+def table_inputs(seed: int, n: int = 9, d: int = 3):
+    """Four float64 tables as parameters and an index array per table,
+    each with repeated rows (tokens sharing a word, a type or a coref
+    row), the positions 0 to n - 1 second; and a readout."""
+    rng = np.random.default_rng(seed)
+    sizes = (7, n + 2, 3, 4)
+    tables = [Parameter(name, Tensor(rng.normal(size=(rows, d))))
+              for name, rows in zip(("word", "pos", "etype", "coref"),
+                                    sizes)]
+    rows = [rng.integers(0, sizes[0], size=n), np.arange(n),
+            np.array([0, 0, 1, 0, 2, 2, 0, 1, 0][:n]),
+            np.array([0, 1, 1, 0, 3, 0, 3, 3, 0][:n])]
+    for idx in (rows[0], rows[2], rows[3]):
+        assert np.unique(idx).size < idx.size
+    return tables, rows, Tensor(rng.normal(size=(n, d)))
+
+
+def embedding_values_and_grads(embed, tables, rows, readout):
+    for t in tables:
+        t.tensor.grad = None
+    x = embed([t.tensor for t in tables], rows)
+    sum_all(mul(x, readout)).backward()
+    return [x.values] + [t.tensor.grad for t in tables]
+
+
+class TestEmbeddingNode:
+    """``embedding_sum`` against the gathers and additions it replaced,
+    in float64."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_graph_ops(self, seed):
+        tables, rows, readout = table_inputs(seed)
+        got = embedding_values_and_grads(embedding_sum, tables, rows,
+                                         readout)
+        expect = embedding_values_and_grads(reference_embedding_sum, tables,
+                                            rows, readout)
+        for name, g, e in zip(["value", "word", "pos", "etype", "coref"],
+                              got, expect):
+            assert g.shape == e.shape, name
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(), name
+
+    def test_a_repeated_row_takes_every_token_gradient(self):
+        tables, rows, _ = table_inputs(0)
+        readout = Tensor(np.ones((9, 3)))
+        _, _, _, etype, coref = embedding_values_and_grads(
+            embedding_sum, tables, rows, readout)
+        assert etype[:, 0].tolist() == [5.0, 2.0, 2.0]
+        assert coref[:, 0].tolist() == [4.0, 2.0, 0.0, 3.0]
+
+    def test_grad_check_every_table(self):
+        tables, rows, readout = table_inputs(4)
+
+        def build():
+            return sum_all(mul(embedding_sum([t.tensor for t in tables],
+                                             rows), readout))
+
+        err = grad_check(build, tables)
+        assert err < 1e-5, err
+
+    @float64
+    def test_model_embedding_matches_the_graph_ops(self):
+        docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
+        model = harness.build_model(small_config(), docs)
+        enc = harness._encode(model, docs[0])
+        assert np.unique(enc.etype_idx).size < enc.n
+        tables = [model.store[f"embed.{name}"]
+                  for name in ("word", "pos", "etype", "coref")]
+        readout = Tensor(np.random.default_rng(1).normal(
+            size=(enc.n, model.cfg.d_model)))
+        got = embedding_values_and_grads(
+            lambda ts, _: model.embed_inputs(enc), tables, None, readout)
+        expect = embedding_values_and_grads(
+            reference_embedding_sum, tables,
+            [enc.word_idx, np.arange(enc.n), enc.etype_idx, enc.coref_idx],
+            readout)
+        for g, e in zip(got, expect):
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
 
 
 class TestPooling:
@@ -583,6 +672,61 @@ class TestLoss:
         model, enc = make_model()
         result = model.forward(enc)
         assert float(model.compute_loss(result, enc).values) >= 0.0
+
+
+def loss_inputs(seed: int, dtype="float64"):
+    """Logits over a wide range, extremes and zero included, as a
+    parameter; 0/1 targets of the same shape."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=20.0, size=(6, 7))
+    z.flat[:8] = [0.0, -0.0, 100.0, -100.0, 800.0, -800.0, 40.0, -40.0]
+    y = rng.integers(0, 2, size=z.shape).astype(dtype)
+    return Parameter("z", Tensor(z.astype(dtype))), y
+
+
+class TestLossNode:
+    """``sigmoid_cross_entropy`` against ``sum_all(bce_with_logits)``,
+    the graph it replaced."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_graph_ops(self, seed):
+        z, y = loss_inputs(seed)
+        results = []
+        for loss in (sigmoid_cross_entropy, reference_cross_entropy):
+            z.tensor.grad = None
+            out = loss(z.tensor, y)
+            mul(out, constant(0.25)).backward()
+            results.append((out.values, z.tensor.grad))
+        (value, grad), (expect_value, expect_grad) = results
+        assert value.tobytes() == expect_value.tobytes()
+        assert np.abs(grad - expect_grad).max() <= 1e-12
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(3)
+        z = Parameter("z", Tensor(rng.normal(scale=3.0, size=(6, 7))))
+        y = rng.integers(0, 2, size=(6, 7)).astype(np.float64)
+        # the sum of 42 terms is large beside a step of 1e-6
+        err = grad_check(lambda: sigmoid_cross_entropy(z.tensor, y), [z],
+                         step=1e-5)
+        assert err < 1e-5, err
+
+    def test_float32_gradient_without_overflow_at_extreme_logits(self):
+        z = Tensor(np.array([-100.0, -100.0, 100.0, 100.0, -800.0, 800.0],
+                            dtype=np.float32))
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = sigmoid_cross_entropy(z, y)
+            loss.backward()
+        assert loss.values.dtype == z.grad.dtype == np.float32
+        # sigmoid(-100) = exp(-100) is a float32 subnormal, not 0
+        assert np.allclose(z.grad, [0.0, -1.0, 1.0, 0.0, -1.0, 0.0],
+                           rtol=0.0, atol=1e-40)
+        assert float(loss.values) == 100.0 + 100.0 + 800.0
+
+    def test_targets_must_match_the_logits(self):
+        with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
+            sigmoid_cross_entropy(Tensor(np.zeros(3)), np.zeros(2))
 
 
 class TestPredict:

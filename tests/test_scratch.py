@@ -83,9 +83,9 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
         loss.backward()
     optimizer.step()
     kept += accumulated
+    kept += [optimizer.values, optimizer.grads, optimizer.m, optimizer.v]
     for p in model.store:
-        kept += [p.values, p.tensor.grad, optimizer.m[p.name],
-                 optimizer.v[p.name]]
+        kept += [p.values, p.tensor.grad]
     used = {"head.a", "head.q", "head.cells", "head.dq", "head.da", "head.dw",
             "adam.w1", "adam.w2", "attn.d_qkv", "attn.d_scores"}
     if mode == "biaffine":
