@@ -160,7 +160,9 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                # a leaf has no rule to run; its gradient arrives through
+                # its children's rules
+                if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.values))
         for node in reversed(order):
@@ -313,7 +315,7 @@ class ParameterStore:
 #: Elements per block of :meth:`Adam.step`: the flat arrays are updated
 #: in blocks of this size, and the step's two work arrays are scratch of
 #: this size, whatever the number of elements.
-ADAM_BLOCK = 16 * 1024
+ADAM_BLOCK = 32 * 1024
 
 
 class Adam:
@@ -390,10 +392,6 @@ class Adam:
                 if g is None:
                     raise ValueError(f"parameter {p.name!r} has no gradient; "
                                      f"call backward first")
-                if g.shape != grad.shape:
-                    raise ShapeError(f"parameter {p.name!r}: gradient of "
-                                     f"shape {g.shape} for values of shape "
-                                     f"{grad.shape}")
                 np.copyto(grad, g)
                 p.tensor.grad = grad
         self.t += 1

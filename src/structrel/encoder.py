@@ -411,14 +411,22 @@ TAIL_PARAMS = ("wo", "ln1.gain", "ln1.bias", "ffn.w1", "ffn.b1", "ffn.w2",
                "ffn.b2", "ln2.gain", "ln2.bias")
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, by the two ufunc calls that
+    ``np.mean`` makes, without its Python-level overhead."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total,
+                          casting="unsafe")
+
+
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                 eps: float = 1e-5):
     """Normalize the last axis to zero mean and unit variance, then apply
     an elementwise affine; the output, the normalized ``xhat`` and the
     inverse deviations."""
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
     xhat = x - mu
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(_mean_last(xhat ** 2) + eps)
     xhat *= inv
     out = xhat * gain
     out += bias
@@ -430,9 +438,9 @@ def _layer_norm_backward(grad: np.ndarray, gain: np.ndarray,
     """The gradients of :func:`_layer_norm`'s input, gain and bias, for
     the output gradient ``grad``."""
     dxhat = grad * gain
-    dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    dx = dxhat - _mean_last(dxhat)
     dxhat *= xhat
-    dx -= xhat * dxhat.mean(axis=-1, keepdims=True)
+    dx -= xhat * _mean_last(dxhat)
     dx *= inv
     return dx, (grad * xhat).sum(axis=0), grad.sum(axis=0)
 

@@ -42,9 +42,10 @@ FLOAT64_LOSSES = {
 # another, where a segment sum added them pairwise, and with the
 # embedding node adding each token's gradient straight into its table
 # rows, where ``take_rows`` summed a document's tokens per row first
-# and added the sums: one loss of each run moves by a unit or two in
-# the last place.  The block tails, the loss node and the flat Adam
-# step alone leave every loss bit-equal.
+# and added the sums: the biaffine run's second loss and the decomp
+# run's last two move by a unit or two in the last place.  The block
+# tails, the loss node and the flat Adam step alone leave every loss
+# bit-equal.
 FACTORED_HEAD_LOSSES = {
     "biaffine": ["75.00107278567437", "28.643522210292147",
                  "17.984173934591183"],
