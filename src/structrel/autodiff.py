@@ -30,13 +30,9 @@ four flat arrays, the tensors holding views into the first two, and
 updates them in one pass of blocks.  A parameter's values are therefore
 written in place once an optimizer exists (as
 :meth:`ParameterStore.load_state_arrays` writes them); one whose values
-were replaced is refused by the next step.
-
-:func:`scratch` hands out views of process-wide buffers for temporaries
-that die inside the call that makes them.  Full-size temporaries taken
-from the C allocator are served from fresh pages and handed back to the
-system when freed, so a training loop would fault them in again on every
-document; a scratch buffer is faulted in once and reused.
+were replaced is refused by the next step.  The step's two work arrays,
+of one block each, belong to the optimizer too: it allocates them when
+built and reuses them on every step.
 """
 from __future__ import annotations
 
@@ -51,28 +47,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
-
-
-_SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
-
-
-def scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A C-contiguous view of shape ``shape`` and dtype ``dtype`` into the
-    buffer ``(name, dtype)``, which lives as long as the process and only
-    grows.
-
-    The view's contents are whatever the last user left.  The rule for
-    using one: the array dies inside the call that asks for it; it is
-    never a graph value or gradient, never saved for a backward and never
-    returned.  One name serves one temporary at a time, so two arrays
-    alive together need two names, and the buffers are not for threads.
-    """
-    size = math.prod(shape)
-    key = (name, np.dtype(dtype))
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < size:
-        buf = _SCRATCH[key] = np.empty(size, dtype=key[1])
-    return buf[:size].reshape(shape)
 
 
 #: The dtypes a graph value keeps; any other input becomes float64.
@@ -177,9 +151,6 @@ class _Constant(Tensor):
     __slots__ = ()
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        pass
-
-    def _accumulate_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
         pass
 
 
@@ -299,22 +270,33 @@ class ParameterStore:
         return {p.name: p.values.copy() for p in self}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Write ``arrays``, one per parameter and no other, into the
+        parameters, each cast to the store's dtype, in which every value
+        must be finite."""
+        for name in arrays:
+            if name not in self._params:
+                raise ValueError(f"checkpoint entry {name!r} is no parameter "
+                                 f"of the model")
         for p in self:
             if p.name not in arrays:
                 raise KeyError(f"checkpoint is missing parameter {p.name!r}")
-            incoming = np.asarray(arrays[p.name], dtype=self.dtype)
+            with np.errstate(over="ignore"):
+                incoming = np.asarray(arrays[p.name], dtype=self.dtype)
             if incoming.shape != p.values.shape:
                 raise ShapeError(
                     f"parameter {p.name!r}: checkpoint shape {incoming.shape} "
                     f"does not match model shape {p.values.shape}"
                 )
+            if not np.isfinite(incoming).all():
+                raise ValueError(f"parameter {p.name!r}: a checkpoint value "
+                                 f"is not finite as {self.dtype}")
             # in place, so that an optimizer's views stay the values
             np.copyto(p.values, incoming)
 
 
 #: Elements per block of :meth:`Adam.step`: the flat arrays are updated
-#: in blocks of this size, and the step's two work arrays are scratch of
-#: this size, whatever the number of elements.
+#: in blocks of this size, and the optimizer's two work arrays hold one
+#: block each, whatever the number of elements.
 ADAM_BLOCK = 32 * 1024
 
 
@@ -330,8 +312,10 @@ class Adam:
     ``ADAM_BLOCK`` elements, with the operations of ``m = b1 m + (1 - b1)
     g``, ``v = b2 v + (1 - b2) g g`` and ``p -= lr m_hat / (sqrt(v_hat) +
     eps)`` in that order; it is bit-equal to the same formula on each
-    parameter's whole array.  Every parameter must have the same dtype,
-    which the arrays take.
+    parameter's whole array.  The step's two work arrays, of
+    ``min(size, ADAM_BLOCK)`` elements, are the optimizer's own,
+    allocated here.  Every parameter must have the same dtype, which the
+    arrays take.
 
     A gradient that was assigned to a tensor rather than accumulated into
     its view is copied into ``grads`` by the next step.  Values cannot be:
@@ -358,6 +342,7 @@ class Adam:
         self.grads = np.zeros(size, dtype=dtype)
         self.m = np.zeros(size, dtype=dtype)
         self.v = np.zeros(size, dtype=dtype)
+        self._work = np.empty((2, min(size, ADAM_BLOCK)), dtype=dtype)
         # (parameter, values view, gradient view) in parameter order
         self._views: list[tuple[Parameter, np.ndarray, np.ndarray]] = []
         lo = 0
@@ -397,8 +382,7 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        work1 = scratch("adam.w1", (ADAM_BLOCK,), self.values.dtype)
-        work2 = scratch("adam.w2", (ADAM_BLOCK,), self.values.dtype)
+        work1, work2 = self._work
         for lo in range(0, self.values.size, ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
             gb, mb, vb, pb = (self.grads[block], self.m[block],
@@ -527,7 +511,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: entry name is not UTF-8") from exc
             shape = tuple(read_u32() for _ in range(read_u32()))
-            n_items = math.prod(shape)
-            data = read(n_items * 8)
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            if name in arrays:
+                raise ValueError(f"{path}: entry {name!r} appears twice")
+            data = read(math.prod(shape) * 8)
+            values = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: entry {name!r} holds a non-finite "
+                                 f"value")
+            arrays[name] = values
     return arrays

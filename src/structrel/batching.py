@@ -86,9 +86,9 @@ class PairLayout:
     relation head gathers and scatters them by.
 
     Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), (1, 2), ...,
-    P = N(N-1) of them (:func:`pair_row` gives a pair's row), and
-    ``subject_buckets`` holds each pair's distance bucket of
-    ``start[s] - start[o]``; its object's is that of the negation.
+    P = N(N-1) of them (:func:`pair_row` gives a pair's row).  A pair's
+    subject takes the distance bucket of ``start[s] - start[o]``, its
+    object that of the negation.
 
     The head's table has ``rows`` rows: the N entities, then one row for
     each distinct bucket of either side, ``buckets``, ascending.  A
@@ -103,7 +103,6 @@ class PairLayout:
     rows: int
     buckets: np.ndarray
     cells: np.ndarray
-    subject_buckets: np.ndarray
 
     @classmethod
     def of(cls, first_starts: Sequence[int]) -> PairLayout:
@@ -121,9 +120,9 @@ class PairLayout:
         cells[0, 2:] = row_of[subject_buckets]
         cells[1, ::2] = objects
         cells[1, 1::2] = row_of[::-1][subject_buckets]
-        _read_only(buckets, cells, subject_buckets)
+        _read_only(buckets, cells)
         return cls(list(zip(subjects.tolist(), objects.tolist())),
-                   n + buckets.size, buckets, cells, subject_buckets)
+                   n + buckets.size, buckets, cells)
 
     @cached_property
     def sums(self) -> CellSums:

@@ -189,6 +189,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
     mode, or from the default mode when the file names none."""
     types = field_types()
     kwargs: dict = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -199,6 +200,10 @@ def load_config(path, overrides: Optional[dict] = None) -> ModelConfig:
         key = key.strip()
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line "
+                             f"{first[key]}")
+        first[key] = lineno
         try:
             kwargs[key] = _parse_value(value, types[key])
         except ValueError as exc:

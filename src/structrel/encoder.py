@@ -35,11 +35,16 @@ cell biases are added into the scores at their cells.
 
 Temporaries that die inside the forward or the backward call (the
 ``q A`` table, the slot grid and its gradient, the score, ``q A`` and
-projection gradients) are :func:`~structrel.autodiff.scratch` arrays,
-reused from document to document instead of faulted in afresh.  Nothing
-saved for the backward is scratch: another graph's forward may run
-before it.  The buffers are process-wide, so the encoder is
-single-threaded.
+projection gradients) are :func:`scratch` arrays, views of process-wide
+buffers reused from document to document.  Full-size temporaries taken
+from the C allocator come from fresh pages and go back to the system
+when freed, so every training document would fault them in again; a
+scratch buffer is faulted in once.  The rule for using one: the array
+dies inside the call that asks for it.  It is never a graph value or
+gradient, never saved for the backward (another graph's forward may run
+before it) and never returned.  One name serves one temporary at a
+time, so two arrays alive together need two names.  The buffers are
+process-wide, so the encoder is single-threaded.
 
 A forward given a :class:`BiasRecorder` adds every biased layer's cell
 biases, all heads at once, into one running sum and count per layer and
@@ -64,13 +69,28 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .autodiff import ParameterStore, Tensor, scratch, xavier_uniform
+from .autodiff import ParameterStore, Tensor, xavier_uniform
 from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
 
 if TYPE_CHECKING:
     from .config import ModelConfig
 
 N_TYPES = len(STRUCTURED_TYPES)
+
+_SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+
+def scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous view of shape ``shape`` and dtype ``dtype`` into the
+    buffer ``(name, dtype)``, which lives as long as the process and only
+    grows.  The view's contents are whatever the last user left; the
+    module docstring gives the rule for using one."""
+    size = math.prod(shape)
+    key = (name, np.dtype(dtype))
+    buf = _SCRATCH.get(key)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[key] = np.empty(size, dtype=key[1])
+    return buf[:size].reshape(shape)
 
 
 def dep_name(dep: DependencyType) -> str:
@@ -246,7 +266,8 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     * prior ``b_s``: slot ``s`` of ``b_cat``.
 
     Only the terms whose ``bias_*`` toggle is on are computed, and they
-    are summed in that order.  Nothing is computed for NA cells.
+    are summed in that order; some term is on, as it is in every layer
+    of :func:`_bias_layers`.  Nothing is computed for NA cells.
     """
     rows, cols, types = structure.cells
     heads, n, dh = q.shape
@@ -272,10 +293,6 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
                                  token * N_TYPES + types, axis=1))
     if "b" in terms:
         parts.append(np.take(terms["b"].values, types, axis=1))
-    if not parts:
-        raise ValueError(
-            f"mode {cfg.mode!r} with no term enabled produces no bias"
-        )
     values = parts[0]
     for part in parts[1:]:
         values = values + part

@@ -38,27 +38,19 @@ At wide-decomp's shape (N = 8, M = 96, d = 32, d_dist = 8, u about 10)
 that is some 2M multiply-adds, where the per-pair products ``e_s @ W``
 of every relation took P*M*d_e**2 = 8.6M over the P = N(N-1) = 56
 pairs.  No array grows with P*M*d_e, so nothing is chunked.  The
-backward runs the same steps in reverse: the upstream gradient summed
-over the pairs that meet each grid cell is ``dQ`` (a cell met by one
-pair takes its row as it is, the others are summed with
-``np.add.reduceat``, by the layout's
-:attr:`~structrel.batching.PairLayout.sums`);
-``dQ`` gives ``dA`` and the object sides' part of ``dX`` and ``dD``,
-and ``dA`` gives ``dW`` and the subject sides' part.
+forward keeps ``A`` for the backward, which runs the same steps in
+reverse: the upstream gradient summed over the pairs that meet each
+grid cell is ``dQ`` (a cell met by one pair takes its row as it is, the
+others are summed with ``np.add.reduceat``, by the layout's
+:attr:`~structrel.batching.PairLayout.sums`); ``dQ`` and the kept ``A``
+give ``dA`` and the object sides' part of ``dX`` and ``dD``, and ``dA``
+gives ``dW`` and the subject sides' part.
 
 Pairs are subject-major, (0, 1), (0, 2), ..., (1, 0), ...  The node
 reads its cells from the layout and would score any order; the order is
 kept because it is the order of the logits' rows, of the targets of
 :meth:`RelationExtractor.compute_loss` and of the facts that
 :meth:`RelationExtractor.predict` returns.
-
-``A``, ``Q``, their gradients and the gathers between them die inside
-the call that makes them, so they are
-:func:`~structrel.autodiff.scratch` arrays: one buffer each serves every
-document.  Taken from the C allocator, arrays of this size come from
-fresh pages and go back to the system when freed, so every training
-document would fault them in again.  The backward computes ``A`` again
-rather than keeping it.
 
 A model computes in ``COMPUTE_DTYPE``, float32, the dtype of its
 parameter store; every float array made here takes the dtype of its
@@ -79,7 +71,6 @@ from .autodiff import (
     Tensor,
     constant,
     matmul,
-    scratch,
     sigmoid,
     xavier_uniform,
 )
@@ -113,67 +104,47 @@ def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
     if wv.shape[0] != d_e or wv.shape[1] % d_e:
         raise ShapeError(f"pair_scores: weights of shape {wv.shape} for "
                          f"pair features of width {d_e}")
-    m, rows, dtype = wv.shape[1] // d_e, layout.rows, x.dtype
+    m, rows = wv.shape[1] // d_e, layout.rows
     buckets = table[layout.buckets]
     w_top, w_bottom = wv[:d], wv[d:]
-
-    def left(name):
-        """(rows, M*d_e) in scratch ``name``, and views of its entity and
-        bucket halves of every row and relation, (rows*M, d) and
-        (rows*M, d_dist)."""
-        a = scratch(name, (rows, m * d_e), dtype)
-        flat = a.reshape(rows * m, d_e)
-        return a, flat[:, :d], flat[:, d:]
-
-    def table_products():
-        """``A``: every table row's ``row @ W_r``, in scratch."""
-        a, a_x, a_b = left("head.a")
-        np.matmul(x, w_top, out=a[:n])
-        np.matmul(buckets, w_bottom, out=a[n:])
-        return a, a_x, a_b
-
-    # Q[j, i, r] as (rows, rows*M): row j's nonzero half against A[i, r].
-    _, a_x, a_b = table_products()
-    q = scratch("head.q", (rows, rows * m), dtype)
+    # A as (rows, M*d_e), kept for the backward; a_x and a_b view the
+    # entity and bucket halves of every row and relation
+    a = np.empty((rows, m * d_e), x.dtype)
+    np.matmul(x, w_top, out=a[:n])
+    np.matmul(buckets, w_bottom, out=a[n:])
+    a_flat = a.reshape(rows * m, d_e)
+    a_x, a_b = a_flat[:, :d], a_flat[:, d:]
+    # Q[j, i, r] as (rows, rows*M): row j's nonzero half against A[i, r]
+    q = np.empty((rows, rows * m), x.dtype)
     np.matmul(x, a_x.T, out=q[:n])
     np.matmul(buckets, a_b.T, out=q[n:])
     subject_rows, object_rows = layout.cells
     cells = np.take(q.reshape(rows * rows, m),
-                    object_rows * rows + subject_rows, axis=0, mode="clip",
-                    out=scratch("head.cells", (4, len(layout.pairs), m),
-                                dtype))
+                    object_rows * rows + subject_rows, axis=0)
     scores = np.add.reduce(cells, axis=0)
 
     def _backward(grad):
         sums = layout.sums
-        dq = scratch("head.dq", (rows, rows, m), dtype)
-        dq.fill(0.0)
+        dq = np.zeros((rows, rows, m), x.dtype)
         i, j, pair = sums.single
         dq[j, i] = grad[pair]
         if sums.multi_starts.size:
-            runs = np.take(grad, sums.multi_pairs, axis=0, mode="clip",
-                           out=scratch("head.runs",
-                                       (sums.multi_pairs.size, m), dtype))
             i, j = sums.multi
-            dq[j, i] = np.add.reduceat(
-                runs, sums.multi_starts, axis=0,
-                out=scratch("head.sums", (sums.multi_starts.size, m),
-                            dtype))
+            dq[j, i] = np.add.reduceat(grad[sums.multi_pairs],
+                                       sums.multi_starts, axis=0)
         dq = dq.reshape(rows, rows * m)
-        _, a_x, a_b = table_products()
-        da, da_x, da_b = left("head.da")
-        np.matmul(dq[:n].T, x, out=da_x)
-        np.matmul(dq[n:].T, buckets, out=da_b)
+        da = np.empty_like(a)
+        da_flat = da.reshape(rows * m, d_e)
+        np.matmul(dq[:n].T, x, out=da_flat[:, :d])
+        np.matmul(dq[n:].T, buckets, out=da_flat[:, d:])
         dx = dq[:n] @ a_x
         dx += da[:n] @ w_top.T
         db = dq[n:] @ a_b
         db += da[n:] @ w_bottom.T
-        dw = scratch("head.dw", wv.shape, dtype)
+        dw = np.empty_like(wv)
         np.matmul(x.T, da[:n], out=dw[:d])
         np.matmul(buckets.T, da[n:], out=dw[d:])
-        if w.grad is None:
-            w.grad = np.zeros_like(wv)
-        w.grad += dw
+        w._accumulate(dw)
         dtable = np.zeros_like(table)
         dtable[layout.buckets] = db
         entities._accumulate(dx)

@@ -16,7 +16,6 @@ from structrel.autodiff import (
     matmul,
     mul,
     save_checkpoint,
-    scratch,
     sigmoid,
     xavier_uniform,
 )
@@ -486,29 +485,6 @@ class TestBlockedAdam:
                   Parameter("b", Tensor(np.zeros(2)))]
         with pytest.raises(ValueError, match="one flat array"):
             Adam(params)
-
-
-class TestScratch:
-    def test_views_reuse_one_buffer_that_only_grows(self):
-        small = scratch("test.grow", (2, 3), np.float64)
-        again = scratch("test.grow", (3,), np.float64)
-        assert again.base is small.base
-        big = scratch("test.grow", (4, 5), np.float64)
-        assert big.shape == (4, 5) and big.flags.c_contiguous
-        assert big.base is not small.base
-        assert scratch("test.grow", (6,), np.float64).base is big.base
-
-    def test_names_do_not_share_memory(self):
-        a = scratch("test.a", (8,), np.float64)
-        b = scratch("test.b", (8,), np.float64)
-        assert not np.shares_memory(a, b)
-
-    def test_each_dtype_has_its_own_buffer(self):
-        wide = scratch("test.dtype", (8,), np.float64)
-        narrow = scratch("test.dtype", (8,), "float32")
-        assert wide.dtype == np.float64 and narrow.dtype == np.float32
-        assert not np.shares_memory(wide, narrow)
-        assert scratch("test.dtype", (4,), np.float32).base is narrow.base
 
 
 class TestParameterStore:

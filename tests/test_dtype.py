@@ -9,7 +9,7 @@ tools (probabilities, finite differences) hold to float64."""
 import numpy as np
 import pytest
 
-from structrel import autodiff, encoder, harness
+from structrel import encoder, harness
 from structrel.autodiff import (
     ParameterStore,
     Tensor,
@@ -126,7 +126,7 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", recorded_init)
     monkeypatch.setattr(Tensor, "_accumulate", recorded_accumulate)
     monkeypatch.setattr(Tensor, "_accumulate_rows", recorded_accumulate_rows)
-    monkeypatch.setattr(autodiff, "_SCRATCH", {})
+    monkeypatch.setattr(encoder, "_SCRATCH", {})
     optimizer = model.make_optimizer()
     optimizer.zero_grad()
     harness._backward_batch(model, encs, step=0, epoch=0)
@@ -137,12 +137,12 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     kept["parameter"] = [p.values for p in model.store]
     kept["parameter gradient"] = [p.tensor.grad for p in model.store]
     kept["Adam array"] = [optimizer.values, optimizer.grads, optimizer.m,
-                          optimizer.v]
-    kept["scratch buffer"] = list(autodiff._SCRATCH.values())
+                          optimizer.v, *optimizer._work]
+    kept["scratch buffer"] = list(encoder._SCRATCH.values())
     assert all(kept.values())
     for what, group in kept.items():
         assert {a.dtype for a in group} == {np.dtype(np.float32)}, what
-    assert {dtype for _, dtype in autodiff._SCRATCH} == {np.dtype(np.float32)}
+    assert {dtype for _, dtype in encoder._SCRATCH} == {np.dtype(np.float32)}
 
 
 def test_sigmoid_of_large_float32_logits_stays_below_one():

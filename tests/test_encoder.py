@@ -21,6 +21,7 @@ from structrel.encoder import (
     export_bias_heatmap,
     init_encoder_params,
     project_qkv,
+    scratch,
     structured_attention,
     structured_scores,
     type_bias,
@@ -344,13 +345,16 @@ class TestBiasForms:
         assert out.shape == (9,)
         assert out == pytest.approx(0.3)
 
-    def test_decomp_without_any_term_rejected(self):
+    def test_decomp_without_any_term_leaves_raw_scores(self):
+        # with no term on no layer is biased, so type_bias is never asked
         cfg = encoder_config("decomp", d_model=2, bias_query=False,
                              bias_key=False, bias_prior=False)
         store = make_store(cfg)
-        with pytest.raises(ValueError, match="no term enabled"):
-            head_bias(store, np.ones((1, 2)), np.ones((1, 2)),
-                      one_cell(D.INTRA_NE), cfg)
+        q, k = np.array([[[1.0, 2.0]]]), np.array([[[3.0, 4.0]]])
+        scores, bias = structured_scores(store, q, k, one_cell(D.INTRA_NE),
+                                         0, cfg)
+        assert bias is None
+        assert scores.tolist() == [[[11.0 * (1.0 / math.sqrt(2))]]]
 
     def test_na_rejected(self, monkeypatch):
         # NA cells never reach type_bias: it sees exactly the non-NA cells,
@@ -1039,3 +1043,26 @@ class TestBiasRecorderAndHeatmap:
             "na", "intra_ne", "inter_relate", "intra_relate", "inter_coref",
             "intra_coref"]
         assert rows[0][2:] == ["0", "0"]
+
+
+class TestScratch:
+    def test_views_reuse_one_buffer_that_only_grows(self):
+        small = scratch("test.grow", (2, 3), np.float64)
+        again = scratch("test.grow", (3,), np.float64)
+        assert again.base is small.base
+        big = scratch("test.grow", (4, 5), np.float64)
+        assert big.shape == (4, 5) and big.flags.c_contiguous
+        assert big.base is not small.base
+        assert scratch("test.grow", (6,), np.float64).base is big.base
+
+    def test_names_do_not_share_memory(self):
+        a = scratch("test.a", (8,), np.float64)
+        b = scratch("test.b", (8,), np.float64)
+        assert not np.shares_memory(a, b)
+
+    def test_each_dtype_has_its_own_buffer(self):
+        wide = scratch("test.dtype", (8,), np.float64)
+        narrow = scratch("test.dtype", (8,), "float32")
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        assert not np.shares_memory(wide, narrow)
+        assert scratch("test.dtype", (4,), np.float32).base is narrow.base

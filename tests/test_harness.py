@@ -12,6 +12,7 @@ from structrel.autodiff import (
     constant,
     load_checkpoint,
     mul,
+    save_checkpoint,
     sigmoid,
 )
 from structrel.batching import PairLayout, TruncationWarning, pair_row
@@ -904,6 +905,70 @@ class TestRunDirectory:
             load_run(run_dir)
 
     @staticmethod
+    def rewrite_checkpoint(tiny_corpus, tmp_path, edit):
+        """A saved run whose checkpoint's arrays ``edit`` changed."""
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        checkpoint = run_dir / "checkpoint.bin"
+        arrays = load_checkpoint(checkpoint)
+        edit(arrays)
+        save_checkpoint(checkpoint, arrays)
+        return run_dir, checkpoint
+
+    def test_checkpoint_nan_names_file_and_entry(self, tiny_corpus,
+                                                 tmp_path):
+        def edit(arrays):
+            arrays["layer0.wo"][1, 2] = np.nan
+
+        run_dir, checkpoint = self.rewrite_checkpoint(tiny_corpus, tmp_path,
+                                                      edit)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: entry 'layer0.wo' holds a non-finite "
+                f"value")):
+            load_run(run_dir)
+
+    def test_checkpoint_value_beyond_float32_names_file_and_entry(
+            self, tiny_corpus, tmp_path):
+        # finite in the file's float64, infinite once cast to float32
+        def edit(arrays):
+            arrays["head.dist"][0, 0] = 1e300
+
+        run_dir, checkpoint = self.rewrite_checkpoint(tiny_corpus, tmp_path,
+                                                      edit)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: parameter 'head.dist': a checkpoint value is "
+                f"not finite as float32")):
+            load_run(run_dir)
+
+    def test_checkpoint_entry_of_no_parameter_names_file_and_entry(
+            self, tiny_corpus, tmp_path):
+        def edit(arrays):
+            arrays["layer7.wo"] = arrays["layer0.wo"]
+
+        run_dir, checkpoint = self.rewrite_checkpoint(tiny_corpus, tmp_path,
+                                                      edit)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: checkpoint entry 'layer7.wo' is no parameter "
+                f"of the model")):
+            load_run(run_dir)
+
+    def test_checkpoint_repeated_entry_names_file_and_entry(self, tiny_corpus,
+                                                            tmp_path):
+        # The later entry, with other values, would silently win.
+        run_dir = tmp_path / "run"
+        save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
+        checkpoint = run_dir / "checkpoint.bin"
+        arrays = load_checkpoint(checkpoint)
+        again = tmp_path / "again.bin"
+        save_checkpoint(again, {"embed.pos": arrays["embed.pos"] + 1.0})
+        blob = bytearray(checkpoint.read_bytes())
+        blob[12:16] = (len(arrays) + 1).to_bytes(4, "little")
+        checkpoint.write_bytes(bytes(blob) + again.read_bytes()[16:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{checkpoint}: entry 'embed.pos' appears twice")):
+            load_run(run_dir)
+
+    @staticmethod
     def rewrite_version(tiny_corpus, tmp_path, version):
         run_dir = tmp_path / "run"
         save_run(run_dir, train(small_config(epochs=1), tiny_corpus[0]))
@@ -1007,6 +1072,14 @@ class TestConfigFile:
         path.write_bytes(b"layers = 2\nmode = \xffnone\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: byte 0xff at offset 18 is not UTF-8")):
+            load_config(path)
+
+    def test_repeated_key_names_file_and_both_lines(self, tmp_path):
+        # Read into a dict, the later line would silently win.
+        path = tmp_path / "config.txt"
+        path.write_text("layers = 2\n# depth\nmode = none\nlayers = 3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: key 'layers' repeats line 1")):
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):

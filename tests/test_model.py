@@ -429,7 +429,7 @@ def bilinear_scores(e_s: Tensor, e_o: Tensor, w: Tensor, k: int) -> Tensor:
     return Tensor(scores, (e_s, e_o, w), _backward)
 
 
-# Each pair's entities and object bucket, which only the per-pair
+# Each pair's entities and distance buckets, which only the per-pair
 # reference and the layout's tests read.
 
 def subjects(layout: PairLayout) -> np.ndarray:
@@ -440,19 +440,25 @@ def objects(layout: PairLayout) -> np.ndarray:
     return layout.cells[1, 0]
 
 
-def object_buckets(layout: PairLayout) -> np.ndarray:
-    # distance_bucket(-g) mirrors distance_bucket(g) around the middle
-    return N_DISTANCE_BUCKETS - 1 - layout.subject_buckets
+def subject_buckets(layout: PairLayout, starts) -> np.ndarray:
+    starts = np.asarray(starts)
+    return distance_bucket(starts[subjects(layout)] - starts[objects(layout)])
+
+
+def object_buckets(layout: PairLayout, starts) -> np.ndarray:
+    starts = np.asarray(starts)
+    return distance_bucket(starts[objects(layout)] - starts[subjects(layout)])
 
 
 def reference_scores(entities: Tensor, dist: Tensor, w: Tensor,
-                     layout: PairLayout, k: int) -> Tensor:
+                     layout: PairLayout, starts, k: int) -> Tensor:
     """The head before factoring: every pair's features gathered and
-    joined, six nodes, then :func:`bilinear_scores` in chunks of k."""
+    joined, six nodes, then :func:`bilinear_scores` in chunks of k;
+    ``starts`` are the first mention starts ``layout`` was made of."""
     e_s = join([take_rows(entities, subjects(layout)),
-                take_rows(dist, layout.subject_buckets)])
+                take_rows(dist, subject_buckets(layout, starts))])
     e_o = join([take_rows(entities, objects(layout)),
-                take_rows(dist, object_buckets(layout))])
+                take_rows(dist, object_buckets(layout, starts))])
     return bilinear_scores(e_s, e_o, w, k)
 
 
@@ -484,7 +490,7 @@ class TestRelationHeadNode:
     @pytest.mark.parametrize("n", sorted(STARTS))
     def test_layouts_repeat_buckets_and_reach_both_ends(self, n):
         layout = PairLayout.of(STARTS[n])
-        buckets = layout.subject_buckets.tolist()
+        buckets = subject_buckets(layout, STARTS[n]).tolist()
         assert {0, N_DISTANCE_BUCKETS - 1} <= set(buckets)
         assert len(set(buckets)) < len(buckets) or n == 2
         assert layout.sums.multi_starts.size or n == 2
@@ -499,7 +505,7 @@ class TestRelationHeadNode:
         results = []
         for score in (
                 lambda: pair_scores(*tensors, layout),
-                lambda: reference_scores(*tensors, layout,
+                lambda: reference_scores(*tensors, layout, STARTS[n],
                                          m if k == "all" else int(k))):
             for t in tensors:
                 t.grad = None
@@ -566,11 +572,11 @@ class TestPairLayout:
                                 (2, 1)]
         assert subjects(layout).tolist() == [s for s, _ in layout.pairs]
         assert objects(layout).tolist() == [o for _, o in layout.pairs]
+        # the bucket rows of each pair's (b_s, b_o) cell
+        bucket_of = layout.buckets[layout.cells[:, 3] - len(starts)]
         for i, (s, o) in enumerate(layout.pairs):
-            assert layout.subject_buckets[i] == distance_bucket(
-                starts[s] - starts[o])
-            assert object_buckets(layout)[i] == distance_bucket(
-                starts[o] - starts[s])
+            assert bucket_of[0, i] == distance_bucket(starts[s] - starts[o])
+            assert bucket_of[1, i] == distance_bucket(starts[o] - starts[s])
 
     def test_every_pair_meets_its_four_cells(self):
         # Each pair's value summed into the grid by the single and multi
@@ -591,9 +597,10 @@ class TestPairLayout:
         assert np.allclose(grid, expect, rtol=1e-14, atol=0.0)
         slot = dict(zip(layout.buckets.tolist(),
                         range(len(STARTS[9]), rows)))
+        b_s = subject_buckets(layout, STARTS[9])
+        b_o = object_buckets(layout, STARTS[9])
         for c, (s, o) in enumerate(layout.pairs):
-            sides = ((s, slot[layout.subject_buckets[c]]),
-                     (o, slot[object_buckets(layout)[c]]))
+            sides = ((s, slot[b_s[c]]), (o, slot[b_o[c]]))
             assert sorted(zip(*layout.cells[:, :, c])) == sorted(
                 (a, b) for a in sides[0] for b in sides[1])
 
@@ -619,7 +626,7 @@ class TestPairLayout:
         assert enc.pair_layout is enc.pair_layout
         assert model.pair_features(enc) is enc.pair_layout
         assert enc.pool_weights is enc.pool_weights
-        for arr in (enc.pair_layout.subject_buckets, enc.pair_layout.cells,
+        for arr in (enc.pair_layout.buckets, enc.pair_layout.cells,
                     enc.pool_weights):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -1,13 +1,12 @@
-"""Scratch buffers (``autodiff.scratch``) hold only temporaries that die
-inside the call that asks for them: no graph value, gradient, parameter
-or optimizer state lives in one, graphs built before either's backward
-give the gradients they give alone, and no scratch array is read before
-it is written."""
+"""Scratch buffers (``encoder.scratch``) serve only the attention and hold
+only temporaries that die inside the call that asks for them: no graph
+value, gradient, parameter or optimizer state lives in one, graphs built
+before either's backward give the gradients they give alone, and no
+scratch array is read before it is written."""
 import numpy as np
 import pytest
 
 from structrel import autodiff, encoder, harness
-from structrel import model as model_module
 from structrel.synth import SynthSpec, generate_synthetic
 
 from test_harness import small_config
@@ -65,6 +64,7 @@ def assert_same(got: dict, expect: dict) -> None:
 @pytest.mark.parametrize("mode", MODES)
 def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
                                                 monkeypatch):
+    monkeypatch.setattr(encoder, "_SCRATCH", {})
     model, encs = setup(mode)
     optimizer = model.make_optimizer()
     optimizer.zero_grad()
@@ -86,12 +86,13 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
     kept += [optimizer.values, optimizer.grads, optimizer.m, optimizer.v]
     for p in model.store:
         kept += [p.values, p.tensor.grad]
-    used = {"head.a", "head.q", "head.cells", "head.dq", "head.da", "head.dw",
-            "adam.w1", "adam.w2", "attn.d_qkv", "attn.d_scores"}
+    # only the attention asks for scratch: the relation head and Adam own
+    # their arrays
+    used = {"attn.d_qkv", "attn.d_scores"}
     if mode == "biaffine":
         used |= {"attn.qa", "attn.grid", "attn.d_grid", "attn.d_qa"}
-    assert {(name, compute_dtype) for name in used} <= autodiff._SCRATCH.keys()
-    for key, buf in autodiff._SCRATCH.items():
+    assert encoder._SCRATCH.keys() == {(name, compute_dtype) for name in used}
+    for key, buf in encoder._SCRATCH.items():
         assert not any(np.shares_memory(a, buf) for a in kept), key
 
 
@@ -144,19 +145,18 @@ def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
 @pytest.mark.parametrize("mode", MODES)
 def test_nan_filled_scratch_changes_nothing(mode, compute_dtype, monkeypatch):
     clean = two_steps(mode)
-    real = autodiff.scratch
+    real = encoder.scratch
     handed = []
 
     def poisoned(name, shape, dtype):
         view = real(name, shape, dtype)
-        autodiff._SCRATCH[name, np.dtype(dtype)].fill(np.nan)
+        encoder._SCRATCH[name, np.dtype(dtype)].fill(np.nan)
         handed.append(name)
         return view
 
-    for owner in (autodiff, encoder, model_module):
-        monkeypatch.setattr(owner, "scratch", poisoned)
+    monkeypatch.setattr(encoder, "scratch", poisoned)
     outputs, grads, params = two_steps(mode)
-    assert {"head.a", "head.dq", "adam.w1", "attn.d_scores"} <= set(handed)
+    assert {"attn.d_qkv", "attn.d_scores"} <= set(handed)
     assert outputs == clean[0]
     for got, expect in zip(grads, clean[1]):
         assert_same(got, expect)
