@@ -3,11 +3,20 @@
 A document is cut to the model's ``max_len`` and turned into index
 arrays (word, entity-type, coreference ordinal; position is implicit)
 plus its structure matrix.  Training encodes each document once and
-batches are seeded chunks of those encodings; inference encodes each
-document as it runs it.  What the model derives from an encoding alone,
-the entity-pooling weights and the layout of the entity pairs, is
-computed on first use and kept with it, so training's epochs compute it
-once per document.
+batches are seeded chunks of those encodings; inference encodes the
+documents in order as it runs them.  What the model derives from an
+encoding alone, the entity-pooling weights and the layout of the entity
+pairs, is computed on first use and kept with it, so training's epochs
+compute it once per document.
+
+The model runs packs (:class:`Pack`), not single documents: consecutive
+encodings whose tokens are stacked as the rows of one graph
+(:func:`pack_documents`).  Training packs each batch, inference the
+documents in corpus order.  Every part of the model but the attention
+works row by row, so a pack pays each numpy call once for all its
+documents.  The attention runs per document, and its weights, one (n, n)
+grid per head and document, bound a pack's size: a pack's documents
+hold at most ``PACK_BUDGET * max_len**2`` cells between them.
 """
 from __future__ import annotations
 
@@ -15,13 +24,14 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Document, Entity, Mention, RelationFact, Vocabulary
 from .structure import (
     DependencyType,
+    PackedStructure,
     StructureMatrix,
     apply_ablation,
     build_structure_matrix,
@@ -103,6 +113,11 @@ class PairLayout:
     rows: int
     buckets: np.ndarray
     cells: np.ndarray
+
+    @property
+    def entities(self) -> int:
+        """N, the entities whose pairs these are."""
+        return self.rows - self.buckets.size
 
     @classmethod
     def of(cls, first_starts: Sequence[int]) -> PairLayout:
@@ -303,3 +318,107 @@ def make_batches(encodings: Sequence[EncodedDocument], batch_size: int,
     order = np.random.default_rng(seed).permutation(len(encodings))
     return [tuple(encodings[i] for i in order[lo:lo + batch_size])
             for lo in range(0, len(order), batch_size)]
+
+
+#: A pack's documents hold at most this many ``max_len`` documents'
+#: attention cells: the sum of their squared lengths is at most
+#: ``PACK_BUDGET * max_len**2``.
+PACK_BUDGET = 2
+
+
+@dataclass(frozen=True)
+class Pack:
+    """Encoded documents run as one graph, their tokens stacked as rows
+    in document order.
+
+    Document ``i``'s tokens are rows ``token_bounds[i]`` to
+    ``token_bounds[i + 1]``, its entities rows ``entity_bounds[i]`` to
+    ``entity_bounds[i + 1]`` of the pooled entities, and its pairs rows
+    ``pair_bounds[i]`` to ``pair_bounds[i + 1]`` of the logits.  Each
+    is computed on first use; a training pack lives for one step.
+    """
+
+    docs: tuple[EncodedDocument, ...]
+
+    @property
+    def token_bounds(self) -> np.ndarray:
+        return self.structure.bounds
+
+    @cached_property
+    def entity_bounds(self) -> np.ndarray:
+        return _bounds([enc.n_entities for enc in self.docs])
+
+    @cached_property
+    def pair_bounds(self) -> np.ndarray:
+        return _bounds([len(layout.pairs) for layout in self.layouts])
+
+    @property
+    def n(self) -> int:
+        """Σn, the pack's tokens."""
+        return int(self.token_bounds[-1])
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.pair_bounds[-1])
+
+    @cached_property
+    def layouts(self) -> tuple[PairLayout, ...]:
+        """Every document's pair layout, in document order."""
+        return tuple(enc.pair_layout for enc in self.docs)
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The stacked word, position, entity-type and coreference
+        indices of every token, (Σn,) each; positions restart at 0 with
+        every document."""
+        bounds = self.token_bounds
+        positions = (np.arange(self.n)
+                     - np.repeat(bounds[:-1], np.diff(bounds)))
+        return (np.concatenate([enc.word_idx for enc in self.docs]),
+                positions,
+                np.concatenate([enc.etype_idx for enc in self.docs]),
+                np.concatenate([enc.coref_idx for enc in self.docs]))
+
+    @cached_property
+    def structure(self) -> PackedStructure:
+        return PackedStructure.of(enc.structure for enc in self.docs)
+
+    def pool_weights(self, dtype) -> np.ndarray:
+        """(ΣN, Σn), in ``dtype``: every document's
+        :attr:`EncodedDocument.pool_weights` on its own block of the
+        diagonal, so that ``pool_weights @ hidden`` is the mean of every
+        entity's tokens."""
+        pool = np.zeros((int(self.entity_bounds[-1]), self.n), dtype=dtype)
+        for enc, e_lo, t_lo in zip(self.docs, self.entity_bounds,
+                                   self.token_bounds):
+            pool[e_lo:e_lo + enc.n_entities,
+                 t_lo:t_lo + enc.n] = enc.pool_weights
+        return pool
+
+
+def _bounds(sizes: Sequence[int]) -> np.ndarray:
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    _read_only(bounds)
+    return bounds
+
+
+def pack_documents(encodings: Iterable[EncodedDocument],
+                   max_len: int) -> Iterator[Pack]:
+    """Consecutive encodings, in order, as packs: a document joins the
+    open pack while the pack's documents' squared lengths sum to at most
+    ``PACK_BUDGET * max_len**2``, and opens the next pack otherwise.  A
+    document cut to ``max_len`` always fits an empty pack.  Encodings
+    are read one ahead of the pack yielded."""
+    budget = PACK_BUDGET * max_len ** 2
+    docs: list[EncodedDocument] = []
+    cells = 0
+    for enc in encodings:
+        cost = enc.n ** 2
+        if docs and cells + cost > budget:
+            yield Pack(tuple(docs))
+            docs, cells = [], 0
+        docs.append(enc)
+        cells += cost
+    if docs:
+        yield Pack(tuple(docs))

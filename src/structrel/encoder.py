@@ -7,19 +7,26 @@ by that dependency type.  Two bias parameterizations are supported, a
 bilinear (biaffine) form ``q A_s k^T + b_s`` and a decomposed linear form
 ``q K_s + Q_s k + b_s`` whose three terms can be toggled independently.
 
-A block is two graph nodes.  The attention of a layer, all heads
-together, is one (:func:`structured_attention`).  Its forward runs over
-(H, n, d_h) arrays with numpy's batched ``@``, in which every head's
-product keeps the shape it has on its own: :func:`project_qkv`, then
-:func:`structured_scores`, then :func:`attend`, each once per layer.
-The node's value is the heads side by side, (n, d).  Its backward is
-written out by hand in the same layout, as FlashAttention does without
-the tiling (Dao et al., arXiv 2205.14135): the value, softmax and score
-gradients, then the bias terms' gradients.  Each head's products are
-those of the head computed alone, so the outputs agree with a per-head
-graph to rounding.  The rest of the block, the output projection, both
-residual layer norms and the feed-forward network, is the other node
-(:func:`block_tail`), its backward written out by hand as well.
+The encoder runs a pack of documents at once (:class:`PackedStructure`):
+their tokens are stacked as the rows of one (Σn, d) array, and no token
+attends to another document's.  A block is two graph nodes.  The
+attention of a layer, all heads and documents together, is one
+(:func:`structured_attention`).  Its forward projects every row with
+one batched product, :func:`project_qkv`, into (H, Σn, d_h) arrays;
+then, for each document's segment of rows, :func:`structured_scores`
+and :func:`attend` run over that document's (H, n, d_h) slices, with
+numpy's batched ``@``, in which every head's product keeps the shape it
+has on its own.  The node's value is the heads side by side, (Σn, d).
+Its backward is written out by hand in the same layout, as
+FlashAttention does without the tiling (Dao et al., arXiv 2205.14135):
+per segment the value, softmax and score gradients, then the bias
+terms' gradients; then one product each for the projections' and the
+input's gradients over all rows.  Each head's and document's products
+are those of the head computed alone, so the outputs agree with a
+per-head, per-document graph to rounding.  The rest of the block, the
+output projection, both residual layer norms and the feed-forward
+network, works row by row and is the other node (:func:`block_tail`),
+its backward written out by hand as well.
 
 The bias is computed only where there is structure; NA cells carry no
 parameters and are never computed, so a model whose structure is all NA
@@ -36,10 +43,12 @@ cell biases are added into the scores at their cells.
 Temporaries that die inside the forward or the backward call (the
 ``q A`` table, the slot grid and its gradient, the score, ``q A`` and
 projection gradients) are :func:`scratch` arrays, views of process-wide
-buffers reused from document to document.  Full-size temporaries taken
-from the C allocator come from fresh pages and go back to the system
-when freed, so every training document would fault them in again; a
-scratch buffer is faulted in once.  The rule for using one: the array
+buffers reused from pack to pack.  Full-size temporaries taken from the
+C allocator come from fresh pages and go back to the system when freed,
+so every training step would fault them in again; a scratch buffer is
+faulted in once.  The projections' gradient ``attn.d_qkv``, (3H, Σn,
+d_h), is sized by the pack; the others are sized by one document and
+reused by every segment of the loop.  The rule for using one: the array
 dies inside the call that asks for it.  It is never a graph value or
 gradient, never saved for the backward (another graph's forward may run
 before it) and never returned.  One name serves one temporary at a
@@ -70,7 +79,12 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .autodiff import ParameterStore, Tensor, xavier_uniform
-from .structure import STRUCTURED_TYPES, DependencyType, StructureMatrix
+from .structure import (
+    STRUCTURED_TYPES,
+    DependencyType,
+    PackedStructure,
+    StructureMatrix,
+)
 
 if TYPE_CHECKING:
     from .config import ModelConfig
@@ -362,29 +376,47 @@ def attend(scores: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def structured_attention(store: ParameterStore, x: Tensor,
-                         structure: StructureMatrix, layer: int,
+                         structure: PackedStructure, layer: int,
                          cfg: ModelConfig,
                          recorder: Optional[BiasRecorder] = None) -> Tensor:
-    """All heads of one layer's structured self-attention as one graph
-    node: the heads' outputs side by side, (n, d).
+    """All heads of one layer's structured self-attention over a pack's
+    documents as one graph node: the heads' outputs side by side, (Σn,
+    d).
 
-    The node's parents are ``x``, the layer's ``wqkv`` and, when the layer
-    is biased and the structure has cells, its bias parameters.  Its
-    backward reuses the attention weights' storage, so it runs once per
-    forward, as one ``Tensor.backward`` runs it.
+    ``x`` holds the documents' tokens stacked as rows, ``structure``
+    their structures and row bounds.  The projections run once over all
+    rows; the scores, the softmax and the bias run per document, each on
+    the document's own rows, so no token attends to another document.
+    The node's parents are ``x``, the layer's ``wqkv`` and, when the
+    layer is biased and some document has cells, its bias parameters.
+    Its backward reuses the attention weights' storage, so it runs once
+    per forward, as one ``Tensor.backward`` runs it.
     """
+    if structure.n != x.shape[0]:
+        raise ValueError(f"the structures cover {structure.n} rows but the "
+                         f"pack has {x.shape[0]} tokens")
     heads = cfg.heads
     w_param = store[f"layer{layer}.wqkv"].tensor
     w = w_param.values
     qkv = project_qkv(x.values, w)
-    q, k, v = qkv[:heads], qkv[heads:2 * heads], qkv[2 * heads:]
-    scores, bias = structured_scores(store, q, k, structure, layer, cfg,
-                                     recorder=recorder)
-    probs, out = attend(scores, v)
+    q_all, k_all, v_all = qkv[:heads], qkv[heads:2 * heads], qkv[2 * heads:]
     n, dh = x.shape[0], w.shape[-1]
+    out = np.empty((n, heads * dh), dtype=qkv.dtype)
+    # (lo, hi, matrix, weights, bias) per document with tokens
+    segments = []
+    terms: dict[str, Tensor] = {}
+    for lo, hi, matrix in structure.segments():
+        if lo == hi:
+            continue
+        scores, bias = structured_scores(store, q_all[:, lo:hi],
+                                         k_all[:, lo:hi], matrix, layer,
+                                         cfg, recorder=recorder)
+        probs, heads_out = attend(scores, v_all[:, lo:hi])
+        out[lo:hi] = heads_out.transpose(1, 0, 2).reshape(hi - lo, -1)
+        segments.append((lo, hi, matrix, probs, bias))
+        if bias is not None:
+            terms = bias.terms
     factor = 1.0 / math.sqrt(dh)
-    parents = (x, w_param,
-               *(bias.terms.values() if bias is not None else ()))
     spent = False
 
     def _backward(grad):
@@ -393,33 +425,40 @@ def structured_attention(store: ParameterStore, x: Tensor,
             raise RuntimeError("the attention's saved arrays are spent; "
                                "build the graph again to run backward again")
         spent = True
-        g = grad.reshape(n, heads, dh).transpose(1, 0, 2)
+        g_all = grad.reshape(n, heads, dh).transpose(1, 0, 2)
         d_qkv = scratch("attn.d_qkv", qkv.shape, qkv.dtype)
-        dq, dk, dv = (d_qkv[:heads], d_qkv[heads:2 * heads],
-                      d_qkv[2 * heads:])
-        np.matmul(probs.transpose(0, 2, 1), g, out=dv)
-        d_scores = np.matmul(g, v.transpose(0, 2, 1),
-                             out=scratch("attn.d_scores", probs.shape,
-                                         probs.dtype))
-        # softmax backward, P * dP - P * sum(P * dP), then the 1/sqrt(d_h)
-        # scale; the weights are spent, so they hold P * sum(P * dP)
-        d_scores *= probs
-        np.multiply(probs, d_scores.sum(axis=-1, keepdims=True), out=probs)
-        d_scores -= probs
-        d_scores *= factor
-        np.matmul(d_scores, k, out=dq)
-        np.matmul(d_scores.transpose(0, 2, 1), q, out=dk)
-        if bias is not None:
-            rows, cols, _ = structure.cells
-            bias.backward(np.take(d_scores.reshape(heads, n * n),
-                                  rows * n + cols, axis=1), q, k, dq, dk)
+        dq_all, dk_all, dv_all = (d_qkv[:heads], d_qkv[heads:2 * heads],
+                                  d_qkv[2 * heads:])
+        for lo, hi, matrix, probs, bias in segments:
+            g, q, k, v = (g_all[:, lo:hi], q_all[:, lo:hi], k_all[:, lo:hi],
+                          v_all[:, lo:hi])
+            dq, dk = dq_all[:, lo:hi], dk_all[:, lo:hi]
+            np.matmul(probs.transpose(0, 2, 1), g, out=dv_all[:, lo:hi])
+            d_scores = np.matmul(g, v.transpose(0, 2, 1),
+                                 out=scratch("attn.d_scores", probs.shape,
+                                             probs.dtype))
+            # softmax backward, P * dP - P * sum(P * dP), then the
+            # 1/sqrt(d_h) scale; the weights are spent, so they hold
+            # P * sum(P * dP)
+            d_scores *= probs
+            np.multiply(probs, d_scores.sum(axis=-1, keepdims=True),
+                        out=probs)
+            d_scores -= probs
+            d_scores *= factor
+            np.matmul(d_scores, k, out=dq)
+            np.matmul(d_scores.transpose(0, 2, 1), q, out=dk)
+            if bias is not None:
+                rows, cols, _ = matrix.cells
+                size = hi - lo
+                bias.backward(np.take(d_scores.reshape(heads, size * size),
+                                      rows * size + cols, axis=1),
+                              q, k, dq, dk)
         w_param._accumulate(np.matmul(x.values.T, d_qkv))
-        # every slice's dq_g @ w_g^T, summed as one (n, 3H*d_h) product
-        x._accumulate(d_qkv.transpose(1, 0, 2).reshape(n, -1)
+        # every slice's dq_g @ w_g^T, summed as one (Σn, 3H*d_h) product
+        x._accumulate(d_qkv.transpose(1, 0, 2).reshape(n, 3 * heads * dh)
                       @ w.transpose(0, 2, 1).reshape(-1, w.shape[1]))
 
-    return Tensor(out.transpose(1, 0, 2).reshape(n, heads * dh), parents,
-                  _backward)
+    return Tensor(out, (x, w_param, *terms.values()), _backward)
 
 
 #: The parameters of a layer's block tail, after ``layer{l}.``, in the
@@ -506,9 +545,10 @@ def block_tail(store: ParameterStore, x: Tensor, heads: Tensor,
 
 
 def encoder_forward(store: ParameterStore, x: Tensor,
-                    structure: StructureMatrix, cfg: ModelConfig,
+                    structure: PackedStructure, cfg: ModelConfig,
                     recorder: Optional[BiasRecorder] = None) -> Tensor:
-    """Run the full block stack, two graph nodes per block: the attention
+    """Run the full block stack over a pack's stacked token rows ``x``,
+    two graph nodes per block: the attention
     (:func:`structured_attention`) and the tail (:func:`block_tail`).
 
     Layers outside ``cfg``'s structured range attend without bias.  Each

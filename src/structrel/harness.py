@@ -20,6 +20,7 @@ from .batching import (
     encode_document,
     kept_mentions,
     make_batches,
+    pack_documents,
     pair_row,
 )
 from .config import TOGGLES, ModelConfig, load_config, save_config
@@ -38,7 +39,7 @@ from .metrics import (
     evaluate_facts,
     make_in_train_checker,
 )
-from .model import ForwardResult, PredictedFact, RelationExtractor
+from .model import DocumentResult, PredictedFact, RelationExtractor
 from .structure import STRUCTURED_TYPES
 
 
@@ -127,17 +128,20 @@ def _encode(model: RelationExtractor, doc: Document) -> EncodedDocument:
 
 def _forward_docs(model: RelationExtractor, docs: Sequence[Document],
                   recorder: Optional[BiasRecorder] = None,
-                  ) -> Iterator[ForwardResult]:
-    """The inference loop: truncate, encode and run each document with
-    frozen parameters.  Pairs are renumbered to the document's own entity
-    ordinals, so facts about truncated-away entities are simply absent."""
-    for doc in docs:
-        enc = _encode(model, doc)
-        result = model.forward(enc, recorder=recorder)
-        ordinals = enc.entity_ordinals
-        yield dataclasses.replace(
-            result, pairs=[(ordinals[s], ordinals[o]) for s, o in result.pairs]
-        )
+                  ) -> Iterator[DocumentResult]:
+    """The inference loop: truncate and encode the documents in order,
+    run them in packs (:func:`~structrel.batching.pack_documents`) with
+    frozen parameters, and yield each document's result in order.  One
+    pack's graph is alive at a time.  Pairs are renumbered to the
+    document's own entity ordinals, so facts about truncated-away
+    entities are simply absent."""
+    encodings = (_encode(model, doc) for doc in docs)
+    for pack in pack_documents(encodings, model.cfg.max_len):
+        for result in model.forward(pack, recorder=recorder).documents():
+            ordinals = result.ordinals
+            yield dataclasses.replace(
+                result,
+                pairs=[(ordinals[s], ordinals[o]) for s, o in result.pairs])
 
 
 def _gold_facts(docs: Sequence[Document]) -> set[Fact]:
@@ -193,7 +197,7 @@ def tune_threshold(model: RelationExtractor,
             col = model.rel_to_index.get(fact.r)
             if row is not None and col is not None:
                 hit[row, col] = True
-        prob_parts.append(sigmoid(result.logits.values).ravel())
+        prob_parts.append(sigmoid(result.logits).ravel())
         flag_parts.append(hit.ravel())
     flags = np.concatenate(flag_parts)
     if not flags.any():
@@ -223,29 +227,30 @@ def _backward_batch(model: RelationExtractor,
                     batch: Sequence[EncodedDocument],
                     step: int, epoch: int) -> float:
     """Accumulate the gradient of the batch's mean loss into the
-    parameter gradients, one document at a time, and return that mean.
+    parameter gradients, one pack at a time, and return that mean.
 
-    Each document runs forward, loss, and backward of ``loss / B``; its
-    graph is dropped before the next document runs, so memory holds one
-    document's graph rather than the batch's.  This is bit-identical to
-    one backward through the summed batch loss: there, every document's
-    loss node also receives the gradient ``1 / B``, and each document's
-    inner nodes form one contiguous block of the reversed walk, in batch
-    order, so every parameter gradient receives the same additions in
-    the same order.  The returned mean, the documents' losses summed in
-    batch order times ``1 / B``, equals the graph value bit for bit too.
-    A document of two entities or more builds 2L + 5 nodes for L layers:
-    the embeddings, each layer's attention and block tail, the pooling's
-    constant and product, the relation head and the loss.  Besides those
-    the step builds B scalings and one constant ``1 / B``, as many nodes
-    as the summed loss would take: B - 1 additions, one scaling and that
-    constant.
+    The batch's documents are packed in batch order
+    (:func:`~structrel.batching.pack_documents`); each pack runs
+    forward, loss, and backward of ``loss / B`` as one graph, dropped
+    before the next pack runs, so memory holds one pack's graph rather
+    than the batch's, and a pack's attention weights are bounded by its
+    budget.  This is bit-identical to one backward through the packs'
+    summed loss, as each pack's nodes form one contiguous block of its
+    reversed walk, and the returned mean, the packs' losses summed in
+    batch order times ``1 / B``, is that graph's value.  Both equal the
+    sums over single documents to rounding: a pack adds its rows'
+    gradients and its cells' losses in other orders.  A pack with a pair
+    of entities builds 2L + 5 nodes for L
+    layers, whatever its number of documents: the embeddings, each
+    layer's attention and block tail, the pooling's constant and
+    product, the relation head and the loss.  Besides those the step
+    builds one scaling per pack and one constant ``1 / B``.
     """
     share = 1.0 / len(batch)
     weight = constant(share, model.store.dtype)
     total = 0.0
-    for enc in batch:
-        loss = model.compute_loss(model.forward(enc), enc)
+    for pack in pack_documents(batch, model.cfg.max_len):
+        loss = model.compute_loss(model.forward(pack))
         value = float(loss.values)
         if not np.isfinite(value):
             raise DivergenceError(
@@ -253,7 +258,7 @@ def _backward_batch(model: RelationExtractor,
             )
         mul(loss, weight).backward()
         total += value
-        del loss  # free this document's graph before the next forward
+        del loss  # free this pack's graph before the next forward
     return total * share
 
 
@@ -270,12 +275,12 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     its own seed.
 
     A batch is one optimizer step on the mean of its documents' losses.
-    :func:`_backward_batch` builds that gradient by a backward per
-    document, so only one document's graph is alive at a time; parameter
-    gradients, Adam state and logged losses are bit-identical to one
-    backward through the summed batch loss (its docstring says why).
+    :func:`_backward_batch` builds that gradient by a backward per pack
+    of the batch's documents, so only one pack's graph is alive at a
+    time; the gradients and logged losses equal those of one backward
+    through the summed batch loss to rounding (its docstring says why).
 
-    Raises :class:`DivergenceError` the moment a document's loss goes
+    Raises :class:`DivergenceError` the moment a pack's loss goes
     non-finite, before its batch's optimizer step.
     """
     model = build_model(config, train_docs, schema)

@@ -9,16 +9,25 @@ with a signed-distance bucket embedding and is scored against every
 relation with an independent bilinear form.  The forms' values are
 logits: training takes their summed sigmoid cross entropy as one node
 (:func:`sigmoid_cross_entropy`), and only prediction turns them into
-probabilities, with :func:`~structrel.autodiff.sigmoid`.  A document's
-forward is then eight nodes with a two-layer encoder: the embeddings,
-each layer's attention and tail, the pooling matrix and product, and
-the head; training adds the loss.
+probabilities, with :func:`~structrel.autodiff.sigmoid`.
+
+The model runs a :class:`~structrel.batching.Pack` of documents as one
+graph, their tokens stacked as rows (Σn, d), their entities (ΣN, d)
+and their pairs (ΣP, M), each in document order; a single document is a
+pack of one.  A pack's forward is eight nodes with a two-layer encoder,
+whatever its number of documents: the embeddings, each layer's
+attention and tail, the block-diagonal pooling matrix and its product,
+and the head; training adds the loss.  Only the attention and the head
+loop over the documents inside their nodes.
 
 The head is one graph node, :func:`pair_scores`, for every pair and
-relation; its parents are the pooled entities X (N, d), the distance
-table D (19, d_dist) and the forms' weights ``head.rel.W`` (d_e, M*d_e),
-d_e = d + d_dist, relation r in columns ``r*d_e`` to ``(r+1)*d_e``.  It
-builds no pair's features.  A pair's subject side ``[X[s], D[b_s]]`` is
+relation of the pack.  It runs each document's products on their own:
+stacking them across documents would need gathers, and four documents'
+products in one ran no faster than four.  For one document its inputs
+are the pooled entities X (N, d), the distance table D (19, d_dist) and
+the forms' weights ``head.rel.W`` (d_e, M*d_e), d_e = d + d_dist,
+relation r in columns ``r*d_e`` to ``(r+1)*d_e``.  It builds no pair's
+features.  A pair's subject side ``[X[s], D[b_s]]`` is
 the sum of two rows of one table, ``[X[s], 0]`` and ``[0, D[b_s]]``,
 and its object side likewise, so by linearity its score is a sum of four
 products of table rows.  The table has the N entity rows and one row for
@@ -76,7 +85,7 @@ from .autodiff import (
 )
 from .batching import (
     N_DISTANCE_BUCKETS,
-    EncodedDocument,
+    Pack,
     PairLayout,
     pair_row,
 )
@@ -90,64 +99,88 @@ COMPUTE_DTYPE = np.dtype(np.float32)
 
 
 def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
-                layout: PairLayout) -> Tensor:
+                layouts: Sequence[PairLayout]) -> Tensor:
     """Every relation's bilinear form ``e_s W_r e_o`` over the pairs of
-    ``layout``, as one graph node: (P, M), relation r's form in columns
-    ``r*d_e`` to ``(r+1)*d_e`` of ``w`` (d_e, M*d_e), ``e_s`` the
-    subject's row of ``entities`` (N, d) joined to its distance bucket's
-    row of ``dist`` (19, d_dist), and ``e_o`` the object's.  Computed by
-    the factoring of the module docstring.
+    every document of a pack, as one graph node: (ΣP, M), the documents'
+    pairs in order, relation r's form in columns ``r*d_e`` to
+    ``(r+1)*d_e`` of ``w`` (d_e, M*d_e).  ``layouts`` holds one
+    :class:`PairLayout` per document, whose entities are the next
+    ``layout.entities`` rows of ``entities`` (ΣN, d); ``e_s`` is the
+    subject's row joined to its distance bucket's row of ``dist`` (19,
+    d_dist), and ``e_o`` the object's.  Each document is computed by the
+    factoring of the module docstring on its own, and the backward adds
+    each document's ``dW`` into ``w``'s gradient in document order.
     """
-    x, table, wv = entities.values, dist.values, w.values
-    n, d = x.shape
+    x_all, table, wv = entities.values, dist.values, w.values
+    d = x_all.shape[1]
     d_e = d + table.shape[1]
     if wv.shape[0] != d_e or wv.shape[1] % d_e:
         raise ShapeError(f"pair_scores: weights of shape {wv.shape} for "
                          f"pair features of width {d_e}")
-    m, rows = wv.shape[1] // d_e, layout.rows
-    buckets = table[layout.buckets]
+    m = wv.shape[1] // d_e
     w_top, w_bottom = wv[:d], wv[d:]
-    # A as (rows, M*d_e), kept for the backward; a_x and a_b view the
-    # entity and bucket halves of every row and relation
-    a = np.empty((rows, m * d_e), x.dtype)
-    np.matmul(x, w_top, out=a[:n])
-    np.matmul(buckets, w_bottom, out=a[n:])
-    a_flat = a.reshape(rows * m, d_e)
-    a_x, a_b = a_flat[:, :d], a_flat[:, d:]
-    # Q[j, i, r] as (rows, rows*M): row j's nonzero half against A[i, r]
-    q = np.empty((rows, rows * m), x.dtype)
-    np.matmul(x, a_x.T, out=q[:n])
-    np.matmul(buckets, a_b.T, out=q[n:])
-    subject_rows, object_rows = layout.cells
-    cells = np.take(q.reshape(rows * rows, m),
-                    object_rows * rows + subject_rows, axis=0)
-    scores = np.add.reduce(cells, axis=0)
+    scores = np.empty((sum(len(l.pairs) for l in layouts), m), x_all.dtype)
+    # (entity rows, pair rows, layout, bucket rows, A) per document that
+    # has pairs
+    saved = []
+    e_lo = p_lo = 0
+    for layout in layouts:
+        n, p = layout.entities, len(layout.pairs)
+        if p:
+            x, rows = x_all[e_lo:e_lo + n], layout.rows
+            buckets = table[layout.buckets]
+            # A as (rows, M*d_e), kept for the backward; a_flat[:, :d]
+            # and a_flat[:, d:] are the entity and bucket halves of every
+            # row and relation
+            a = np.empty((rows, m * d_e), x.dtype)
+            np.matmul(x, w_top, out=a[:n])
+            np.matmul(buckets, w_bottom, out=a[n:])
+            a_flat = a.reshape(rows * m, d_e)
+            # Q[j, i, r] as (rows, rows*M): row j's nonzero half against
+            # A[i, r]
+            q = np.empty((rows, rows * m), x.dtype)
+            np.matmul(x, a_flat[:, :d].T, out=q[:n])
+            np.matmul(buckets, a_flat[:, d:].T, out=q[n:])
+            subject_rows, object_rows = layout.cells
+            cells = np.take(q.reshape(rows * rows, m),
+                            object_rows * rows + subject_rows, axis=0)
+            np.add.reduce(cells, axis=0, out=scores[p_lo:p_lo + p])
+            saved.append((slice(e_lo, e_lo + n), slice(p_lo, p_lo + p),
+                          layout, buckets, a))
+        e_lo += n
+        p_lo += p
 
     def _backward(grad):
-        sums = layout.sums
-        dq = np.zeros((rows, rows, m), x.dtype)
-        i, j, pair = sums.single
-        dq[j, i] = grad[pair]
-        if sums.multi_starts.size:
-            i, j = sums.multi
-            dq[j, i] = np.add.reduceat(grad[sums.multi_pairs],
-                                       sums.multi_starts, axis=0)
-        dq = dq.reshape(rows, rows * m)
-        da = np.empty_like(a)
-        da_flat = da.reshape(rows * m, d_e)
-        np.matmul(dq[:n].T, x, out=da_flat[:, :d])
-        np.matmul(dq[n:].T, buckets, out=da_flat[:, d:])
-        dx = dq[:n] @ a_x
-        dx += da[:n] @ w_top.T
-        db = dq[n:] @ a_b
-        db += da[n:] @ w_bottom.T
-        dw = np.empty_like(wv)
-        np.matmul(x.T, da[:n], out=dw[:d])
-        np.matmul(buckets.T, da[n:], out=dw[d:])
-        w._accumulate(dw)
+        dx_all = np.zeros_like(x_all)
         dtable = np.zeros_like(table)
-        dtable[layout.buckets] = db
-        entities._accumulate(dx)
+        dw = np.empty_like(wv)  # one document's at a time
+        for e_rows, p_rows, layout, buckets, a in saved:
+            x, g = x_all[e_rows], grad[p_rows]
+            n, rows = layout.entities, layout.rows
+            sums = layout.sums
+            dq = np.zeros((rows, rows, m), x.dtype)
+            i, j, pair = sums.single
+            dq[j, i] = g[pair]
+            if sums.multi_starts.size:
+                i, j = sums.multi
+                dq[j, i] = np.add.reduceat(g[sums.multi_pairs],
+                                           sums.multi_starts, axis=0)
+            dq = dq.reshape(rows, rows * m)
+            a_flat = a.reshape(rows * m, d_e)
+            da = np.empty_like(a)
+            da_flat = da.reshape(rows * m, d_e)
+            np.matmul(dq[:n].T, x, out=da_flat[:, :d])
+            np.matmul(dq[n:].T, buckets, out=da_flat[:, d:])
+            dx = dq[:n] @ a_flat[:, :d]
+            dx += da[:n] @ w_top.T
+            dx_all[e_rows] = dx
+            db = dq[n:] @ a_flat[:, d:]
+            db += da[n:] @ w_bottom.T
+            dtable[layout.buckets] += db
+            np.matmul(x.T, da[:n], out=dw[:d])
+            np.matmul(buckets.T, da[n:], out=dw[d:])
+            w._accumulate(dw)
+        entities._accumulate(dx_all)
         dist._accumulate(dtable)
 
     return Tensor(scores, (entities, dist, w), _backward)
@@ -204,12 +237,35 @@ class PredictedFact:
 
 
 @dataclass
-class ForwardResult:
+class DocumentResult:
+    """One document's share of a pack's forward, for prediction."""
+
     doc_id: str
     pairs: list[tuple[int, int]]
-    logits: Optional[Tensor]  # (P, M), None when < 2 entities
-    hidden: Tensor
+    logits: Optional[np.ndarray]  # (P, M), None when < 2 entities
     ordinals: tuple[int, ...]  # each entity's ordinal before truncation
+
+
+@dataclass
+class ForwardResult:
+    """A pack's forward: its graph's stacked hidden rows and logits."""
+
+    pack: Pack
+    logits: Optional[Tensor]  # (ΣP, M), None when no document has a pair
+    hidden: Tensor  # (Σn, d)
+
+    def documents(self) -> list[DocumentResult]:
+        """Every document's pairs and logits, in pack order; the logits
+        are rows of the pack's, as they are when this is called."""
+        pack = self.pack
+        out = []
+        for enc, layout, lo, hi in zip(pack.docs, pack.layouts,
+                                       pack.pair_bounds[:-1].tolist(),
+                                       pack.pair_bounds[1:].tolist()):
+            logits = self.logits.values[lo:hi] if hi > lo else None
+            out.append(DocumentResult(enc.doc.doc_id, layout.pairs, logits,
+                                      enc.entity_ordinals))
+        return out
 
 
 class RelationExtractor:
@@ -255,83 +311,88 @@ class RelationExtractor:
 
     # ---- forward pieces -------------------------------------------------
 
-    def embed_inputs(self, enc: EncodedDocument) -> Tensor:
-        """Sum of word, position, entity-type, and coreference embeddings,
-        as one graph node whose parents are the four tables; (n, d)."""
-        n = enc.n
-        if n > self.cfg.max_len:
-            raise ValueError(
-                f"doc {enc.doc.doc_id!r} has {n} tokens, max_len is "
-                f"{self.cfg.max_len}; truncate first"
-            )
+    def embed_inputs(self, pack: Pack) -> Tensor:
+        """Sum of word, position, entity-type, and coreference embeddings
+        of every token of the pack, as one graph node whose parents are
+        the four tables; (Σn, d)."""
+        for enc in pack.docs:
+            if enc.n > self.cfg.max_len:
+                raise ValueError(
+                    f"doc {enc.doc.doc_id!r} has {enc.n} tokens, max_len is "
+                    f"{self.cfg.max_len}; truncate first"
+                )
         return embedding_sum(
             [self.store[f"embed.{name}"].tensor
              for name in ("word", "pos", "etype", "coref")],
-            [enc.word_idx, np.arange(n), enc.etype_idx, enc.coref_idx])
+            pack.rows)
 
-    def pool_entities(self, hidden: Tensor, enc: EncodedDocument) -> Tensor:
-        """Average each entity's mention tokens; (N, d_model)."""
-        pool = enc.pool_weights.astype(hidden.values.dtype, copy=False)
-        return matmul(constant(pool), hidden)
+    def pool_entities(self, hidden: Tensor, pack: Pack) -> Tensor:
+        """Average each entity's mention tokens by one block-diagonal
+        product over the pack's rows; (ΣN, d_model)."""
+        return matmul(constant(pack.pool_weights(hidden.values.dtype)),
+                      hidden)
 
-    def pair_features(self, enc: EncodedDocument) -> PairLayout:
-        """The document's ordered entity pairs, subject-major, with their
-        distance buckets; computed once per encoding."""
-        return enc.pair_layout
+    def pair_features(self, pack: Pack) -> tuple[PairLayout, ...]:
+        """Every document's ordered entity pairs, subject-major, with
+        their distance buckets; computed once per encoding."""
+        return pack.layouts
 
-    def score_relations(self, entities: Tensor, pairs: PairLayout) -> Tensor:
+    def score_relations(self, entities: Tensor,
+                        pairs: Sequence[PairLayout]) -> Tensor:
         """The logits of every pair and relation, each relation's bilinear
-        form over the pair's entities and distance buckets; (P, M)."""
+        form over the pair's entities and distance buckets; (ΣP, M)."""
         return pair_scores(entities, self.store["head.dist"].tensor,
                            self.store["head.rel.W"].tensor, pairs)
 
-    def forward(self, enc: EncodedDocument,
+    def forward(self, pack: Pack,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:
-        x = self.embed_inputs(enc)
-        hidden = encoder_forward(self.store, x, enc.structure, self.cfg,
+        x = self.embed_inputs(pack)
+        hidden = encoder_forward(self.store, x, pack.structure, self.cfg,
                                  recorder=recorder)
-        if enc.n_entities < 2:
-            return ForwardResult(enc.doc.doc_id, [], None, hidden,
-                                 enc.entity_ordinals)
-        entities = self.pool_entities(hidden, enc)
-        pairs = self.pair_features(enc)
-        logits = self.score_relations(entities, pairs)
-        return ForwardResult(enc.doc.doc_id, pairs.pairs, logits, hidden,
-                             enc.entity_ordinals)
+        if not pack.n_pairs:
+            return ForwardResult(pack, None, hidden)
+        entities = self.pool_entities(hidden, pack)
+        logits = self.score_relations(entities, self.pair_features(pack))
+        return ForwardResult(pack, logits, hidden)
 
     # ---- training and prediction ----------------------------------------
 
-    def compute_loss(self, result: ForwardResult, enc: EncodedDocument) -> Tensor:
+    def compute_loss(self, result: ForwardResult) -> Tensor:
         """Summed sigmoid cross entropy of the logits over every ordered
-        pair and every relation of one document."""
+        pair and every relation of every document of the pack."""
         if result.logits is None:
             return constant(0.0, self.store.dtype)
-        targets = np.zeros((len(result.pairs), len(self.schema)),
+        targets = np.zeros(result.logits.shape,
                            dtype=result.logits.values.dtype)
-        for fact in enc.doc.facts:
-            if fact.r not in self.rel_to_index:
-                raise ValueError(
-                    f"doc {enc.doc.doc_id!r}: relation {fact.r!r} is not in "
-                    f"the schema"
-                )
-            row = pair_row(fact.h, fact.t, enc.n_entities)
-            if row is None:
-                raise ValueError(
-                    f"doc {enc.doc.doc_id!r}: fact ({fact.h}, {fact.t}, "
-                    f"{fact.r!r}) is no pair of its {enc.n_entities} entities"
-                )
-            targets[row, self.rel_to_index[fact.r]] = 1.0
+        pack = result.pack
+        for enc, offset in zip(pack.docs, pack.pair_bounds.tolist()):
+            if enc.n_entities < 2:
+                continue
+            for fact in enc.doc.facts:
+                if fact.r not in self.rel_to_index:
+                    raise ValueError(
+                        f"doc {enc.doc.doc_id!r}: relation {fact.r!r} is not "
+                        f"in the schema"
+                    )
+                row = pair_row(fact.h, fact.t, enc.n_entities)
+                if row is None:
+                    raise ValueError(
+                        f"doc {enc.doc.doc_id!r}: fact ({fact.h}, {fact.t}, "
+                        f"{fact.r!r}) is no pair of its {enc.n_entities} "
+                        f"entities"
+                    )
+                targets[offset + row, self.rel_to_index[fact.r]] = 1.0
         return sigmoid_cross_entropy(result.logits, targets)
 
-    def predict(self, result: ForwardResult,
+    def predict(self, result: DocumentResult,
                 threshold: float) -> list[PredictedFact]:
-        """Every (pair, relation) whose probability reaches the threshold;
-        the comparison is inclusive."""
+        """Every (pair, relation) of one document whose probability
+        reaches the threshold; the comparison is inclusive."""
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
         if result.logits is None:
             return []
-        values = sigmoid(result.logits.values)
+        values = sigmoid(result.logits)
         rows, cols = np.nonzero(values >= threshold)  # pair-major order
         return [
             PredictedFact(result.doc_id, *result.pairs[i], self.schema[j],

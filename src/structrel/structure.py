@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -86,6 +86,47 @@ class StructureMatrix:
         for arr in (used, flat):
             arr.setflags(write=False)
         return QuerySlots(used, flat)
+
+
+@dataclass(frozen=True)
+class PackedStructure:
+    """The structures of documents whose tokens are stacked as rows:
+    ``matrices[i]`` covers rows ``bounds[i]`` to ``bounds[i + 1]``.
+
+    No cell joins two documents; their tokens never attend to each
+    other.
+    """
+
+    matrices: tuple[StructureMatrix, ...]
+    bounds: np.ndarray  # (len(matrices) + 1,) row offsets, from 0
+
+    @classmethod
+    def of(cls, matrices: Iterable[StructureMatrix]) -> PackedStructure:
+        matrices = tuple(matrices)
+        bounds = np.zeros(len(matrices) + 1, dtype=np.int64)
+        np.cumsum([m.n for m in matrices], out=bounds[1:])
+        bounds.setflags(write=False)
+        return cls(matrices, bounds)
+
+    @property
+    def n(self) -> int:
+        return int(self.bounds[-1])
+
+    def segments(self) -> Iterator[tuple[int, int, StructureMatrix]]:
+        """``(lo, hi, matrix)`` per document, in row order."""
+        return zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist(),
+                   self.matrices)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The (n, n) grid with every document's codes on its own block
+        of the diagonal and NA elsewhere, read-only; built on first use,
+        as nothing in the model reads it."""
+        codes = np.zeros((self.n, self.n), dtype=np.int8)
+        for lo, hi, matrix in self.segments():
+            codes[lo:hi, lo:hi] = matrix.codes
+        codes.setflags(write=False)
+        return codes
 
 
 @dataclass(frozen=True)

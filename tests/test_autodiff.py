@@ -61,6 +61,33 @@ class TestForward:
         np.add.at(expect, idx, grad)
         assert table.grad.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_accumulation_matches_the_row_loop_bitwise(self, seed,
+                                                           dtype):
+        # the embedding node's scatter, on a gradient already holding
+        # values, with rows repeated many times over
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 70))
+        size = int(rng.integers(0, 8 * rows)) if seed else 0  # seed 0: empty
+        idx = rng.integers(0, rows, size=size)
+        grad = (rng.normal(size=(size, width))
+                * 10.0 ** rng.integers(-6, 6, size=(size, 1))).astype(dtype)
+        start = rng.normal(size=(rows, width)).astype(dtype)
+        table = Tensor(np.zeros((rows, width), dtype=dtype))
+        table.grad = start.copy()
+        table._accumulate_rows(idx, grad)
+        expect = start.copy()
+        for i, row in enumerate(idx):
+            expect[row] += grad[i]
+        assert table.grad.dtype == dtype
+        assert table.grad.tobytes() == expect.tobytes()
+        fresh = Tensor(np.zeros((rows, width), dtype=dtype))
+        fresh._accumulate_rows(idx, grad)
+        expect = np.zeros((rows, width), dtype=dtype)
+        np.add.at(expect, idx, grad)
+        assert fresh.grad.tobytes() == expect.tobytes()
+
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
@@ -541,6 +568,15 @@ class TestCheckpoint:
         blob[8] = 99  # bump the version field
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, {"a": np.arange(3.0)})
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 28)
+        with pytest.raises(ValueError,
+                           match="model.bin: 28 bytes after the last entry"):
             load_checkpoint(path)
 
     def test_truncated_file_names_the_file(self, tmp_path):

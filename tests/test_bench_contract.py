@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 
 import run  # noqa: E402
 import spans  # noqa: E402
-from structrel import autodiff, encoder, harness, model  # noqa: E402
+from structrel import autodiff, batching, encoder, harness, model  # noqa: E402
 from structrel.config import ModelConfig  # noqa: E402
 from structrel.synth import SynthSpec, generate_synthetic  # noqa: E402
 
@@ -40,6 +40,17 @@ def test_tracer_restores_every_original():
     assert all(a is b for a, b in zip(before, after))
 
 
+def packs_per_training(config, docs) -> int:
+    """The packs that ``harness.train`` runs: each epoch's batches, each
+    packed on its own."""
+    built = harness.build_model(config, docs)
+    encodings = [harness._encode(built, doc) for doc in docs]
+    return sum(len(list(batching.pack_documents(batch, config.max_len)))
+               for epoch in range(config.epochs)
+               for batch in batching.make_batches(
+                   encodings, config.batch_size, config.seed + epoch))
+
+
 def test_training_encodes_each_document_once():
     docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
     config = small_config(epochs=3, batch_size=4)
@@ -49,7 +60,11 @@ def test_training_encodes_each_document_once():
     assert totals["harness.make_batches.calls"] == 3
     assert totals["batching.encode_document.calls"] == 6
     assert totals["batching.build_structure_matrix.calls"] == 6
-    assert totals["model.forward.calls"] == 18
+    # one forward per pack: 2 batches an epoch, the first of them in one
+    # or two packs
+    packs = packs_per_training(config, docs)
+    assert 6 <= packs < 18
+    assert totals["model.forward.calls"] == packs
 
 
 @pytest.mark.parametrize("mode, structured_layers, n_structured", [
@@ -66,37 +81,40 @@ def test_bias_is_computed_only_at_structured_cells(mode, structured_layers,
     with spans.Tracer() as tracer:
         tracer.measure("harness.train", "train", harness.train, config, docs)
     totals = tracer.totals("train")
-    assert totals["model.forward.calls"] == 4
+    assert totals["model.forward.calls"] == packs_per_training(config, docs)
+    assert totals["model.forward.calls"] < 4
     assert totals["structure.structured_cells"] > 0
     assert totals["encoder.bias_cells"] == (
         totals["structure.structured_cells"] * config.heads * n_structured)
 
 
-def test_training_holds_one_document_graph_at_a_time(monkeypatch):
-    # Each forward's hidden states belong to that document's graph; they
-    # must be freed (by reference counting, without a collector pass)
-    # before the next document's forward starts.  ``Tensor`` has
-    # ``__slots__`` and no weak references, so the arrays are watched.
-    docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
-    config = small_config(epochs=2, batch_size=4)
+def test_training_holds_one_pack_graph_at_a_time(monkeypatch):
+    # Each forward's hidden states belong to that pack's graph; they must
+    # be freed (by reference counting, without a collector pass) before
+    # the next pack's forward starts.  ``Tensor`` has ``__slots__`` and no
+    # weak references, so the arrays are watched.  A budget of two
+    # 12-token documents' cells splits every batch of four into packs.
+    docs = generate_synthetic(SynthSpec(n_docs=8, seed=2))
+    config = small_config(epochs=2, batch_size=4, max_len=12)
     original_forward = model.RelationExtractor.forward
     hidden: list[weakref.ref] = []
     alive_at_start: list[int] = []
 
-    def watched(self, enc, recorder=None):
+    def watched(self, pack, recorder=None):
         alive_at_start.append(sum(ref() is not None for ref in hidden))
-        result = original_forward(self, enc, recorder)
+        result = original_forward(self, pack, recorder)
         hidden.append(weakref.ref(result.hidden.values))
         return result
 
     monkeypatch.setattr(model.RelationExtractor, "forward", watched)
     gc.disable()
     try:
-        harness.train(config, docs)
+        with pytest.warns(batching.TruncationWarning):
+            harness.train(config, docs)
     finally:
         gc.enable()
-    assert len(alive_at_start) == 12
-    assert alive_at_start == [0] * 12
+    assert len(alive_at_start) == 8
+    assert alive_at_start == [0] * 8
 
 
 @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
@@ -109,9 +127,9 @@ def test_attention_is_one_node_per_layer_whatever_the_heads(mode):
     for heads in (1, 4):
         config = small_config(layers=3, heads=heads, d_model=16, mode=mode)
         model = harness.build_model(config, docs)
-        enc = harness._encode(model, docs[0])
+        pack = batching.Pack((harness._encode(model, docs[0]),))
         with spans.Tracer() as tracer:
-            tracer.measure("model.forward", "infer", model.forward, enc)
+            tracer.measure("model.forward", "infer", model.forward, pack)
         totals[heads] = tracer.totals("infer")
         for name in ("project_qkv", "structured_scores", "attend"):
             assert totals[heads][f"encoder.{name}.calls"] == config.layers
@@ -132,7 +150,8 @@ def test_relation_head_is_one_node_whatever_the_schema():
         enc = harness._encode(model, docs[0])
         assert enc.n_entities >= 2
         with spans.Tracer() as tracer:
-            tracer.measure("model.forward", "infer", model.forward, enc)
+            tracer.measure("model.forward", "infer", model.forward,
+                           batching.Pack((enc,)))
         totals[width] = tracer.totals("infer")
         assert totals[width]["model.score_relations.calls"] == 1
     assert totals[1]["autodiff.nodes"] == totals[40]["autodiff.nodes"]
@@ -140,24 +159,29 @@ def test_relation_head_is_one_node_whatever_the_schema():
 
 
 @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
-def test_one_training_forward_builds_9_nodes(mode):
-    # Pinned work: the forward and loss of a two-layer model.  One node
-    # for the embeddings, two per layer (the attention and the block's
-    # tail), two for the pooling (its constant matrix and the product),
-    # one for the relation head and one for the loss.  The generic ops
-    # they replaced (34 nodes in all) must not come back.
-    docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
+def test_a_pack_forward_builds_9_nodes_whatever_its_document_count(mode):
+    # Pinned work: the forward and loss of a two-layer model over a pack.
+    # One node for the embeddings, two per layer (the attention and the
+    # block's tail), two for the pooling (its constant matrix and the
+    # product), one for the relation head and one for the loss, for one
+    # document as for three.  The generic ops they replaced (34 nodes
+    # per document) must not come back.
+    docs = generate_synthetic(SynthSpec(n_docs=3, seed=5))
     config = small_config(layers=2, mode=mode)
     built = harness.build_model(config, docs)
-    enc = harness._encode(built, docs[0])
-    assert enc.n_entities >= 2
+    encs = [harness._encode(built, doc) for doc in docs]
+    assert all(enc.n_entities >= 2 for enc in encs)
+    for count in (1, 2, 3):
+        pack = batching.Pack(tuple(encs[:count]))
 
-    def step():
-        return built.compute_loss(built.forward(enc), enc)
+        def step():
+            return built.compute_loss(built.forward(pack))
 
-    with spans.Tracer() as tracer:
-        tracer.measure("step", "train", step)
-    assert tracer.totals("train")["autodiff.nodes"] == 9
+        with spans.Tracer() as tracer:
+            tracer.measure("step", "train", step)
+        totals = tracer.totals("train")
+        assert totals["autodiff.nodes"] == 9
+        assert totals["encoder.attend.calls"] == 2 * count
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
@@ -180,17 +204,18 @@ def bench_inputs(docs, config):
 
 def test_divergence_counts_the_steps_never_taken(monkeypatch):
     # Six documents in batches of 4 and 2 are two steps an epoch; the
-    # eleventh loss is the first of step 3, after 10 documents trained.
+    # pack that holds the eleventh document starts step 3, after 10
+    # documents trained (a pack never spans two batches).
     docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
     config = small_config(epochs=3, batch_size=4)
-    calls = []
+    trained = []
     compute_loss = model.RelationExtractor.compute_loss
 
-    def diverging(self, result, enc):
-        calls.append(enc)
-        if len(calls) == 11:
+    def diverging(self, result):
+        if sum(trained) == 10:
             return autodiff.constant(float("nan"))
-        return compute_loss(self, result, enc)
+        trained.append(len(result.pack.docs))
+        return compute_loss(self, result)
 
     monkeypatch.setattr(model.RelationExtractor, "compute_loss", diverging)
     out = run.Outcome()

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from structrel.batching import (
+    PACK_BUDGET,
+    Pack,
     TruncationWarning,
     encode_document,
     make_batches,
+    pack_documents,
     truncate_document,
 )
 from structrel.corpus import (
@@ -358,6 +361,83 @@ class TestBatching:
         etypes = {"ENT": 0}
         with pytest.raises(ValueError, match="capacity"):
             encode_document(doc, vocab, etypes, coref_cap=1, max_len=8)
+
+
+def encode_all(docs, max_len=64):
+    vocab = build_vocab(docs)
+    etypes = {t: i for i, t in enumerate(entity_type_labels(docs))}
+    return [encode_document(d, vocab, etypes, 64, max_len) for d in docs]
+
+
+def flat_doc(doc_id: str, n: int) -> Document:
+    """One sentence of n tokens, its first token an entity."""
+    return Document(doc_id, (tuple(f"t{i}" for i in range(n)),),
+                    (Entity("ENT", (Mention(0, 0, 1, "t0"),)),), ())
+
+
+class TestPacking:
+    @pytest.mark.parametrize("max_len", [32, 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_order_kept_budget_held_and_packs_full(self, seed, max_len):
+        rng = np.random.default_rng(seed)
+        encs = encode_all([random_document(rng, f"p{i}") for i in range(40)])
+        budget = PACK_BUDGET * max_len ** 2
+        packs = list(pack_documents(iter(encs), max_len))
+        assert [enc for pack in packs for enc in pack.docs] == encs
+        cells = [sum(enc.n ** 2 for enc in pack.docs) for pack in packs]
+        assert max(cells) <= budget
+        # a pack closes only when the next document would not fit
+        for pack_cells, following in zip(cells, packs[1:]):
+            assert pack_cells + following.docs[0].n ** 2 > budget
+        assert max(len(pack.docs) for pack in packs) > 2
+
+    def test_a_max_len_document_always_fits(self):
+        L = 6
+        encs = encode_all([flat_doc(f"d{i}", n)
+                           for i, n in enumerate([L, L, L, 1, L])], L)
+        sizes = [[enc.doc.doc_id for enc in pack.docs]
+                 for pack in pack_documents(encs, L)]
+        # two max_len documents fill the budget; the third packs alone
+        # until a document of one token joins it
+        assert sizes == [["d0", "d1"], ["d2", "d3"], ["d4"]]
+        assert [len(p.docs) for p in pack_documents(encs[:1], L)] == [1]
+        assert list(pack_documents([], L)) == []
+
+    def test_pack_stacks_rows_entities_pairs_and_structure(self):
+        rng = np.random.default_rng(3)
+        encs = [enc for enc in encode_all(
+            [random_document(rng, f"s{i}") for i in range(12)])
+            if enc.n_entities][:3]
+        pack = Pack(tuple(encs))
+        n = [enc.n for enc in encs]
+        assert pack.token_bounds.tolist() == [0, *np.cumsum(n).tolist()]
+        assert pack.entity_bounds.tolist() == [
+            0, *np.cumsum([enc.n_entities for enc in encs]).tolist()]
+        assert pack.pair_bounds[-1] == pack.n_pairs == sum(
+            len(enc.pair_layout.pairs) for enc in encs)
+        word, pos, etype, coref = pack.rows
+        assert word.tolist() == [i for enc in encs for i in enc.word_idx]
+        assert pos.tolist() == [i for k in n for i in range(k)]
+        assert etype.tolist() == [i for enc in encs for i in enc.etype_idx]
+        assert coref.tolist() == [i for enc in encs for i in enc.coref_idx]
+        assert pack.layouts == tuple(enc.pair_layout for enc in encs)
+        pool = pack.pool_weights(np.float32)
+        codes = pack.structure.codes
+        assert pool.dtype == np.float32
+        expect_pool = np.zeros(pool.shape)
+        expect_codes = np.zeros(codes.shape, dtype=np.int8)
+        for enc, e_lo, t_lo in zip(encs, pack.entity_bounds,
+                                   pack.token_bounds):
+            expect_pool[e_lo:e_lo + enc.n_entities,
+                        t_lo:t_lo + enc.n] = enc.pool_weights
+            expect_codes[t_lo:t_lo + enc.n,
+                         t_lo:t_lo + enc.n] = enc.structure.codes
+        assert np.array_equal(pool, expect_pool.astype(np.float32))
+        assert np.array_equal(codes, expect_codes)
+        assert np.count_nonzero(codes) == sum(
+            enc.structure.cells[0].size for enc in encs)
+        assert [m for _, _, m in pack.structure.segments()] == [
+            enc.structure for enc in encs]
 
 
 def brute_force_rule(doc):

@@ -39,18 +39,19 @@ FLOAT64_LOSSES = {
 # (``model.pair_scores``), which sums the head's products in another
 # order than that code's per-pair ``e_s @ W``, with the decomposed
 # bias's gradients summed per slot by ``np.bincount``, one cell after
-# another, where a segment sum added them pairwise, and with the
-# embedding node adding each token's gradient straight into its table
-# rows, where ``take_rows`` summed a document's tokens per row first
-# and added the sums: the biaffine run's second loss and the decomp
-# run's last two move by a unit or two in the last place.  The block
-# tails, the loss node and the flat Adam step alone leave every loss
-# bit-equal.
+# another, where a segment sum added them pairwise, with the embedding
+# node adding each token's gradient straight into its table rows, where
+# ``take_rows`` summed a document's tokens per row first and added the
+# sums, and with each batch run in packs of documents, whose row-wise
+# products, parameter gradients and loss sum over all the pack's rows
+# at once: the biaffine run's last loss and the decomp run's second move
+# by a unit or two in the last place.  The block tails, the loss node
+# and the flat Adam step alone leave every loss bit-equal.
 FACTORED_HEAD_LOSSES = {
-    "biaffine": ["75.00107278567437", "28.643522210292147",
-                 "17.984173934591183"],
-    "decomp": ["75.09838592359552", "28.692550894242984",
-               "17.859254643104414"],
+    "biaffine": ["75.00107278567437", "28.64352221029214",
+                 "17.98417393459119"],
+    "decomp": ["75.09838592359552", "28.692550894242988",
+               "17.859254643104418"],
 }
 
 

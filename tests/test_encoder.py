@@ -29,6 +29,7 @@ from structrel.encoder import (
 from structrel.structure import (
     STRUCTURED_TYPES,
     DependencyType,
+    PackedStructure,
     StructureMatrix,
     apply_ablation,
     build_structure_matrix,
@@ -60,6 +61,12 @@ def fixture_structure(doc_fixture) -> StructureMatrix:
 
 def all_na(n: int) -> StructureMatrix:
     return StructureMatrix("na", np.zeros((n, n), dtype=np.int8))
+
+
+def packed(*matrices: StructureMatrix) -> PackedStructure:
+    """The structures as the encoder takes them: their documents' tokens
+    stacked as rows, in order."""
+    return PackedStructure.of(matrices)
 
 
 # Dense reference: the bias of one type over every query/key pair, then
@@ -671,10 +678,10 @@ class TestSlotGrid:
         store = make_store(cfg)
         randomize_bias_params(store, np.random.default_rng(1))
         x = Tensor(np.random.default_rng(2).normal(size=(S.n, 8)))
-        sum_all(encoder_forward(store, x, S, cfg)).backward()
+        sum_all(encoder_forward(store, x, packed(S), cfg)).backward()
         assert "slots" not in vars(S)
         cfg = encoder_config("biaffine", heads=2, d_model=8)
-        sum_all(encoder_forward(make_store(cfg), x, S, cfg)).backward()
+        sum_all(encoder_forward(make_store(cfg), x, packed(S), cfg)).backward()
         assert "slots" in vars(S)
 
 
@@ -732,10 +739,49 @@ class TestStructuredAttention:
             codes = random_symmetric_codes(rng, n)
             x = rng.normal(size=(n, 8))
             got = encoder_forward(store, Tensor(x),
-                                  StructureMatrix("s", codes), cfg).values
+                                  packed(StructureMatrix("s", codes)),
+                                  cfg).values
             np.testing.assert_allclose(got, reference_encoder(store, x, codes,
                                                               cfg),
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("form", [dict(mode="none")] + BIAS_FORMS,
+                             ids=form_id)
+    def test_a_pack_equals_its_documents_alone(self, form):
+        # Stacked rows attend within their own document only: the pack's
+        # output rows and input gradient are each document's, and its
+        # parameter gradients their sum, to rounding.  A document without
+        # tokens adds no row and no work.
+        rng = np.random.default_rng(11)
+        cfg = encoder_config(layers=2, heads=2, d_model=8, **form)
+        store = make_store(cfg, 4)
+        randomize_bias_params(store, rng)
+        sizes = [5, 0, 9, 1, 7]
+        matrices = [StructureMatrix(f"s{i}", random_symmetric_codes(rng, n))
+                    for i, n in enumerate(sizes)]
+        xs = [rng.normal(size=(n, 8)) for n in sizes]
+        readouts = [rng.normal(size=(n, 8)) for n in sizes]
+
+        def run(docs):
+            x = Tensor(np.concatenate([xs[i] for i in docs]))
+            out = encoder_forward(store, x, packed(*(matrices[i]
+                                                     for i in docs)), cfg)
+            readout = np.concatenate([readouts[i] for i in docs])
+            sum_all(mul(out, Tensor(readout))).backward()
+            return out.values, x.grad
+
+        for p in store:
+            p.tensor.grad = np.zeros_like(p.values)
+        alone = [run([i]) for i in range(len(sizes))]
+        expect = [np.concatenate(parts) for parts in zip(*alone)]
+        expect += [p.tensor.grad.copy() for p in store]
+        for p in store:
+            p.tensor.grad = np.zeros_like(p.values)
+        got = [*run(range(len(sizes))), *(p.tensor.grad for p in store)]
+        names = ["values", "x"] + [p.name for p in store]
+        for name, g, e in zip(names, got, expect):
+            assert g.shape == e.shape, name
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max(), name
 
     @pytest.mark.parametrize("form", BIAS_FORMS, ids=form_id)
     def test_grad_check_every_parameter(self, form):
@@ -752,7 +798,8 @@ class TestStructuredAttention:
         readout = Tensor(rng.normal(size=(n, 4)))
 
         def build():
-            return sum_all(mul(encoder_forward(store, x.tensor, S, cfg),
+            return sum_all(mul(encoder_forward(store, x.tensor, packed(S),
+                                               cfg),
                                readout))
 
         err = grad_check(build, [x, *store], step=1e-5,
@@ -766,7 +813,7 @@ class TestStructuredAttention:
         cfg = encoder_config("biaffine", heads=2, d_model=8)
         store = make_store(cfg, 5)
         loss = sum_all(structured_attention(store, Tensor(np.ones((S.n, 8))),
-                                            S, 0, cfg))
+                                            packed(S), 0, cfg))
         loss.backward()
         with pytest.raises(RuntimeError, match="spent"):
             loss.backward()
@@ -783,14 +830,14 @@ class TestStructuredAttention:
         store = make_store(cfg, 5)
         x = Tensor(np.ones((S.n + delta, 8)))
         with pytest.raises(ValueError, match="tokens"):
-            structured_attention(store, x, S, 0, cfg)
+            structured_attention(store, x, packed(S), 0, cfg)
 
     def test_one_node_per_layer_with_all_parents(self, two_sentence_doc):
         S = fixture_structure(two_sentence_doc)
         cfg = encoder_config("decomp", layers=1, heads=2, d_model=8)
         store = make_store(cfg, 5)
         x = Tensor(np.ones((S.n, 8)))
-        node = structured_attention(store, x, S, 0, cfg)
+        node = structured_attention(store, x, packed(S), 0, cfg)
         assert node.shape == (S.n, 8)
         expect = [x] + [p.tensor for p in store
                         if p.name == "layer0.wqkv"
@@ -887,7 +934,7 @@ class TestEncoderForward:
         for name in ("ffn.w1", "ffn.w2", "ffn.b1", "ffn.b2"):
             store[f"layer0.{name}"].tensor.values[...] = 0.0
         x = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
-        out = encoder_forward(store, Tensor(x), all_na(3), cfg).values
+        out = encoder_forward(store, Tensor(x), packed(all_na(3)), cfg).values
 
         wq, wk, wv = store["layer0.wqkv"].values
         wo = store["layer0.wo"].values
@@ -911,10 +958,10 @@ class TestEncoderForward:
         cfg_none = encoder_config(layers=2, heads=2, d_model=8)
         cfg_empty = encoder_config("biaffine", layers=2, heads=2, d_model=8,
                                    structured_layers="none")
-        out_none = encoder_forward(make_store(cfg_none, 3), Tensor(x), S,
-                                   cfg_none).values
-        out_empty = encoder_forward(make_store(cfg_empty, 3), Tensor(x), S,
-                                    cfg_empty).values
+        out_none = encoder_forward(make_store(cfg_none, 3), Tensor(x),
+                                   packed(S), cfg_none).values
+        out_empty = encoder_forward(make_store(cfg_empty, 3), Tensor(x),
+                                    packed(S), cfg_empty).values
         assert out_none.tobytes() == out_empty.tobytes()
 
     def test_baseline_equivalence_three_ways(self, two_sentence_doc):
@@ -933,10 +980,12 @@ class TestEncoderForward:
                 p.tensor.values = rng.normal(size=p.values.shape) * 0.3
         for trial in range(20):
             x = np.random.default_rng(trial).normal(size=(S.n, 8))
-            a = encoder_forward(store_none, Tensor(x), S, cfg_none).values
-            b = encoder_forward(store_zero, Tensor(x), S, cfg_bi).values
-            c = encoder_forward(store_trained, Tensor(x), all_na(S.n),
+            a = encoder_forward(store_none, Tensor(x), packed(S),
+                                cfg_none).values
+            b = encoder_forward(store_zero, Tensor(x), packed(S),
                                 cfg_bi).values
+            c = encoder_forward(store_trained, Tensor(x),
+                                packed(all_na(S.n)), cfg_bi).values
             assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_only_structured_layers_emit_records(self, two_sentence_doc):
@@ -945,7 +994,7 @@ class TestEncoderForward:
                              structured_layers="2")
         store = make_store(cfg, 2)
         recorder = BiasRecorder(cfg.layers)
-        encoder_forward(store, Tensor(np.zeros((S.n, 8))), S, cfg,
+        encoder_forward(store, Tensor(np.zeros((S.n, 8))), packed(S), cfg,
                         recorder=recorder)
         assert recorder.counts[2].any()
         assert not recorder.counts[:2].any()
@@ -961,10 +1010,11 @@ class TestEncoderForward:
             if ".bias." in p.name:
                 p.tensor.values = rng.normal(size=p.values.shape) * 0.2
         x = rng.normal(size=(S.n, 8))
-        out = encoder_forward(store, Tensor(x), S, cfg).values
+        out = encoder_forward(store, Tensor(x), packed(S), cfg).values
         perm = rng.permutation(S.n)
         S_perm = StructureMatrix("p", S.codes[np.ix_(perm, perm)])
-        out_perm = encoder_forward(store, Tensor(x[perm]), S_perm, cfg).values
+        out_perm = encoder_forward(store, Tensor(x[perm]), packed(S_perm),
+                                   cfg).values
         assert np.allclose(out_perm, out[perm], rtol=1e-10, atol=1e-12)
 
     def test_gradients_reach_transformation_parameters(self, two_sentence_doc):
@@ -984,7 +1034,7 @@ class TestEncoderForward:
             params = [p for p in store if ".bias." in p.name]
 
             def build():
-                out = encoder_forward(store, Tensor(x), S, cfg)
+                out = encoder_forward(store, Tensor(x), packed(S), cfg)
                 return sum_all(mul(out, constant(readout)))
 
             err = grad_check(build, params, max_elements_per_param=6)
@@ -1025,7 +1075,7 @@ class TestBiasRecorderAndHeatmap:
                              structured_layers="0,1")
         store = make_store(cfg, 1)
         recorder = BiasRecorder(cfg.layers)
-        encoder_forward(store, Tensor(np.ones((S.n, 8))), S, cfg,
+        encoder_forward(store, Tensor(np.ones((S.n, 8))), packed(S), cfg,
                         recorder=recorder)
         assert recorder.counts.any()
         assert not recorder.sums.any()

@@ -15,7 +15,14 @@ from structrel.autodiff import (
     save_checkpoint,
     sigmoid,
 )
-from structrel.batching import PairLayout, TruncationWarning, pair_row
+from structrel import harness
+from structrel.batching import (
+    Pack,
+    PairLayout,
+    TruncationWarning,
+    pack_documents,
+    pair_row,
+)
 from structrel.config import ModelConfig, load_config, save_config
 from structrel.corpus import Document, Entity, Mention, RelationFact
 from structrel.encoder import BiasRecorder, export_bias_heatmap
@@ -209,48 +216,73 @@ class TestTrain:
         train_docs, dev_docs = tiny_corpus
         monkeypatch.setattr(
             RelationExtractor, "compute_loss",
-            lambda self, result, enc: Tensor(float("nan")),
+            lambda self, result: Tensor(float("nan")),
         )
         with pytest.raises(DivergenceError, match="step 0"):
             train(small_config(), train_docs, dev_docs)
 
 
-class TestPerDocumentBackward:
+def per_document_backward(model, batch) -> float:
+    """The step's gradient as training took it before packing: each
+    document's forward, loss and backward of ``loss / B`` on its own, in
+    batch order; returns the losses' sum times ``1 / B``."""
+    share = 1.0 / len(batch)
+    weight = constant(share, model.store.dtype)
+    total = 0.0
+    for enc in batch:
+        loss = model.compute_loss(model.forward(Pack((enc,))))
+        mul(loss, weight).backward()
+        total += float(loss.values)
+    return total * share
+
+
+def solo_doc() -> Document:
+    """A document with one entity, so no pair."""
+    return Document("solo", (("a", "b"),),
+                    (Entity("ENT", (Mention(0, 0, 1, "a"),)),), ())
+
+
+def mixed_encodings(model, docs) -> list:
+    """``docs`` with a one-entity document and the over-length document
+    put after the first, all encoded; the second two share the first
+    pack with it under ``small_config``'s max_len."""
+    with pytest.warns(TruncationWarning):
+        encs = [_encode(model, doc)
+                for doc in [docs[0], solo_doc(), over_length_doc(), *docs[1:]]]
+    assert encs[1].n_entities == 1 and encs[2].n == model.cfg.max_len
+    packs = list(pack_documents(encs, model.cfg.max_len))
+    assert len(packs) > 1 and packs[0].docs[:3] == tuple(encs[:3])
+    return encs
+
+
+class TestPackedBackward:
     @float64
     @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
-    def test_equals_one_backward_of_the_summed_batch(self, tiny_corpus, mode):
-        docs = tiny_corpus[0][:4]
-        model = build_model(small_config(mode=mode), docs)
-        encodings = [_encode(model, doc) for doc in docs]
+    def test_equals_the_per_document_backward(self, tiny_corpus, mode):
+        model = build_model(small_config(mode=mode), tiny_corpus[0],
+                            schema=["r0", "r1"])
+        encodings = mixed_encodings(model, tiny_corpus[0][:6])
         optimizer = model.make_optimizer()
-
-        # Reference: every document's graph alive, one backward.
         optimizer.zero_grad()
-        losses = [model.compute_loss(model.forward(enc), enc)
-                  for enc in encodings]
-        total = losses[0]
-        for extra in losses[1:]:
-            total = add(total, extra)
-        mean_loss = mul(total, constant(1.0 / len(losses)))
-        mean_loss.backward()
-        expect = {p.name: p.tensor.grad.copy() for p in optimizer.params}
-
+        expect_value = per_document_backward(model, encodings)
+        expect = optimizer.grads.copy()
         optimizer.zero_grad()
         value = _backward_batch(model, encodings, step=0, epoch=0)
-        assert value.hex() == float(mean_loss.values).hex()
-        assert any(np.any(g != 0.0) for g in expect.values())
-        for p in optimizer.params:
-            assert p.tensor.grad.tobytes() == expect[p.name].tobytes(), p.name
+        assert abs(value - expect_value) <= 1e-12 * abs(expect_value)
+        scale = np.abs(expect).max()
+        assert scale > 0.0
+        assert np.abs(optimizer.grads - expect).max() <= 1e-12 * scale
 
-    def test_divergence_stops_before_the_next_document(self, tiny_corpus,
-                                                       monkeypatch):
-        docs = tiny_corpus[0][:4]
+    def test_divergence_stops_before_the_next_pack(self, tiny_corpus,
+                                                   monkeypatch):
+        docs = tiny_corpus[0] + tiny_corpus[1]
         model = build_model(small_config(), docs)
         encodings = [_encode(model, doc) for doc in docs]
+        assert len(list(pack_documents(encodings, model.cfg.max_len))) > 2
         seen = []
 
-        def loss_of(self, result, enc):
-            seen.append(enc.doc.doc_id)
+        def loss_of(self, result):
+            seen.append(result.pack)
             return Tensor(float("inf") if len(seen) == 2 else 1.0)
 
         monkeypatch.setattr(RelationExtractor, "compute_loss", loss_of)
@@ -259,6 +291,89 @@ class TestPerDocumentBackward:
                            match=r"non-finite loss at step 7 \(epoch 3\)"):
             _backward_batch(model, encodings, step=7, epoch=3)
         assert len(seen) == 2
+
+
+class TestPackedInference:
+    """Inference in packs gives the logits, predictions and bias records
+    of one-document packs, to rounding."""
+
+    @staticmethod
+    def run(model, docs, monkeypatch):
+        sizes = []
+        forward = RelationExtractor.forward
+
+        def counted(self, pack, recorder=None):
+            sizes.append(len(pack.docs))
+            return forward(self, pack, recorder)
+
+        monkeypatch.setattr(RelationExtractor, "forward", counted)
+        recorder = BiasRecorder(model.cfg.layers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            results = list(_forward_docs(model, docs, recorder))
+        monkeypatch.setattr(RelationExtractor, "forward", forward)
+        return sizes, results, recorder
+
+    @float64
+    @pytest.mark.parametrize("mode", ["biaffine", "decomp"])
+    def test_equals_one_document_packs(self, tiny_corpus, mode,
+                                       monkeypatch):
+        model = train(small_config(mode=mode), tiny_corpus[0],
+                      schema=["r0", "r1"]).model
+        docs = [tiny_corpus[1][0], solo_doc(), over_length_doc(),
+                *tiny_corpus[1][1:], *tiny_corpus[0]]
+        sizes, packed, packed_recorder = self.run(model, docs, monkeypatch)
+        assert sizes[0] >= 3 and len(sizes) < len(docs)
+        monkeypatch.setattr(harness, "pack_documents",
+                            lambda encodings, max_len:
+                            (Pack((enc,)) for enc in encodings))
+        sizes, alone, alone_recorder = self.run(model, docs, monkeypatch)
+        assert sizes == [1] * len(docs)
+
+        assert [(r.doc_id, r.pairs, r.ordinals) for r in packed] == [
+            (r.doc_id, r.pairs, r.ordinals) for r in alone]
+        assert [r.logits is None for r in packed] == [
+            r.logits is None for r in alone]
+        got = np.concatenate([r.logits for r in packed if r.pairs])
+        expect = np.concatenate([r.logits for r in alone if r.pairs])
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        # a threshold half way between two probabilities far apart
+        probs = np.unique(sigmoid(expect))
+        gap = np.argmax(np.diff(probs[probs.size // 4:-probs.size // 4]))
+        theta = float(probs[probs.size // 4 + gap:][:2].mean())
+        predicted = [[(f.doc_id, f.h, f.t, f.r) for f in model.predict(r, theta)]
+                     for r in packed]
+        assert predicted == [
+            [(f.doc_id, f.h, f.t, f.r) for f in model.predict(r, theta)]
+            for r in alone]
+        assert any(predicted) and not all(predicted)
+        assert np.array_equal(packed_recorder.counts, alone_recorder.counts)
+        assert packed_recorder.counts.any()
+        np.testing.assert_allclose(packed_recorder.sums, alone_recorder.sums,
+                                   rtol=1e-12, atol=0.0)
+
+
+class TestDocumentWithoutTokens:
+    """A document without tokens (``"sents": [[]]`` parses) adds no row
+    to its pack: it trains, evaluates and records nothing, where a
+    softmax over no keys used to fail with numpy's zero-size
+    reduction error."""
+
+    EMPTY = (Document("empty", ((),), (), ()), Document("none", (), (), ()))
+
+    def test_training_and_inference_pass_it_by(self, tiny_corpus):
+        train_docs, dev_docs = tiny_corpus
+        trained = train(small_config(epochs=2), [*self.EMPTY, *train_docs])
+        assert all(math.isfinite(e.train_loss) for e in trained.log)
+        model = trained.model
+        docs = [dev_docs[0], *self.EMPTY, *dev_docs[1:]]
+        report, predictions = evaluate(model, docs, threshold=0.3)
+        expect_report, expect = evaluate(model, dev_docs, threshold=0.3)
+        assert report == expect_report and predictions == expect
+        results = list(_forward_docs(model, self.EMPTY))
+        assert [(r.doc_id, r.pairs, r.logits) for r in results] == [
+            ("empty", [], None), ("none", [], None)]
+        assert tune_threshold(model, list(self.EMPTY)) == model.cfg.threshold
 
 
 class TestEvaluateModel:
@@ -304,22 +419,17 @@ class TestTuneThreshold:
         model = result.model
 
         # Overwrite forward results: gold cells get 0.9, the rest 0.1.
-        original_forward = RelationExtractor.forward
-
-        def rigged(self, enc, recorder=None):
-            out = original_forward(self, enc, recorder)
-            if out.logits is None:
-                return out
+        def separated(model, enc, result):
             gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
-            values = np.full_like(out.logits.values, 0.1)
-            for i, (s, o) in enumerate(out.pairs):
-                for j, r in enumerate(self.schema):
+            values = np.full(result.logits.shape, 0.1)
+            for i, (s, o) in enumerate(result.pairs):
+                for j, r in enumerate(model.schema):
                     if (s, o, r) in gold:
                         values[i, j] = 0.9
-            out.logits.values = logits_of(values)
-            return out
+            return values
 
-        monkeypatch.setattr(RelationExtractor, "forward", rigged)
+        monkeypatch.setattr(RelationExtractor, "forward",
+                            rigged_forward(separated))
         theta = tune_threshold(model, dev_docs)
         assert theta == pytest.approx(0.9)
         report, _ = evaluate(model, dev_docs, threshold=theta)
@@ -334,6 +444,25 @@ def logits_of(probabilities):
         return np.log(p) - np.log1p(-p)
 
 
+def rigged_forward(probabilities):
+    """A forward whose logits are ``logits_of`` the probabilities that
+    ``probabilities(model, enc, result)`` gives, (P, M), for each
+    document of the pack that has pairs; ``result`` is the document's
+    :class:`DocumentResult`, its pairs numbered within the encoding."""
+    original_forward = RelationExtractor.forward
+
+    def rigged(self, pack, recorder=None):
+        out = original_forward(self, pack, recorder)
+        if out.logits is not None:
+            parts = [probabilities(self, enc, result)
+                     for enc, result in zip(pack.docs, out.documents())
+                     if result.logits is not None]
+            out.logits.values = logits_of(np.concatenate(parts))
+        return out
+
+    return rigged
+
+
 def reference_tune_threshold(model, dev_docs):
     """The per-cell sweep that the vectorised one replaced."""
     gold = _gold_facts(dev_docs)
@@ -341,7 +470,7 @@ def reference_tune_threshold(model, dev_docs):
     for result in _forward_docs(model, dev_docs):
         if result.logits is None:
             continue
-        for (s, o), row in zip(result.pairs, sigmoid(result.logits.values)):
+        for (s, o), row in zip(result.pairs, sigmoid(result.logits)):
             for r, p in zip(model.schema, row):
                 probs.append(float(p))
                 flags.append((result.doc_id, s, o, r) in gold)
@@ -366,7 +495,7 @@ def reference_tune_threshold(model, dev_docs):
 def reference_predict(model, result, threshold):
     """The per-cell loop that the vectorised ``predict`` replaced."""
     out = []
-    values = sigmoid(result.logits.values)
+    values = sigmoid(result.logits)
     for i, (s, o) in enumerate(result.pairs):
         for j, r in enumerate(model.schema):
             if values[i, j] >= threshold:
@@ -379,17 +508,11 @@ def quantised_forward(levels):
     """A forward whose probabilities are drawn per document from
     ``levels`` values in [0, 1], both ends included, so cells tie; the
     logits are infinite at the ends."""
-    original_forward = RelationExtractor.forward
+    def quantised(model, enc, result):
+        rng = np.random.default_rng(zlib.crc32(enc.doc.doc_id.encode()))
+        return rng.integers(0, levels, size=result.logits.shape) / (levels - 1)
 
-    def rigged(self, enc, recorder=None):
-        out = original_forward(self, enc, recorder)
-        if out.logits is not None:
-            rng = np.random.default_rng(zlib.crc32(enc.doc.doc_id.encode()))
-            draws = rng.integers(0, levels, size=out.logits.shape)
-            out.logits.values = logits_of(draws / (levels - 1))
-        return out
-
-    return rigged
+    return rigged_forward(quantised)
 
 
 class TestVectorisedSweep:
@@ -425,19 +548,16 @@ class TestVectorisedSweep:
             (RelationFact(0, 1, "r0"), RelationFact(1, 2, "r0"),
              RelationFact(0, 2, "r1")),
         )
-        original_forward = RelationExtractor.forward
-
-        def rigged(self, enc, recorder=None):
-            out = original_forward(self, enc, recorder)
-            assert out.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
-                                 (2, 1)]
-            values = np.full(out.logits.shape, 0.1)
+        def ranked(model, enc, result):
+            assert result.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                    (2, 1)]
+            values = np.full(result.logits.shape, 0.1)
             values[0, 0], values[3, 0], values[1, 1] = 0.95, 0.75, 0.05
             values[0, 1], values[1, 0], values[2, 0] = 0.9, 0.85, 0.8
-            out.logits.values = logits_of(values)
-            return out
+            return values
 
-        monkeypatch.setattr(RelationExtractor, "forward", rigged)
+        monkeypatch.setattr(RelationExtractor, "forward",
+                            rigged_forward(ranked))
         best = float(sigmoid(logits_of(0.95)))
         assert best == pytest.approx(0.95, rel=1e-14)
         assert tune_threshold(model, [doc]) == best
@@ -512,14 +632,14 @@ class TestGoldPlacement:
         model, _, encs = setting
         scored = 0
         for enc in encs:
-            result = model.forward(enc)
+            result = model.forward(Pack((enc,)))
             if result.logits is None:
                 continue
             scored += 1
-            targets = dict_hits(model, result, enc.doc.facts)
+            targets = dict_hits(model, result.documents()[0], enc.doc.facts)
             expect = sum_all(bce_with_logits(
                 result.logits, targets.astype(result.logits.values.dtype)))
-            got = model.compute_loss(result, enc)
+            got = model.compute_loss(result)
             assert got.values.tobytes() == expect.values.tobytes()
         assert scored > 8
 
@@ -580,15 +700,12 @@ class TestOverLengthInference:
         # Ranked cells: gold 0.9, 0.8, 0.7, gold 0.6.  Over the 3 gold
         # facts the best threshold is 0.6 (F1 4/7 against 1/2 at 0.9);
         # counting only the 2 reachable ones would tie and pick 0.9.
-        original_forward = RelationExtractor.forward
+        def ranked(model, enc, result):
+            assert result.pairs == [(0, 1), (1, 0)]
+            return np.array([[0.9, 0.8], [0.6, 0.7]])
 
-        def rigged(self, enc, recorder=None):
-            out = original_forward(self, enc, recorder)
-            assert out.pairs == [(0, 1), (1, 0)]
-            out.logits.values = logits_of([[0.9, 0.8], [0.6, 0.7]])
-            return out
-
-        monkeypatch.setattr(RelationExtractor, "forward", rigged)
+        monkeypatch.setattr(RelationExtractor, "forward",
+                            rigged_forward(ranked))
         with pytest.warns(TruncationWarning):
             theta = tune_threshold(model, [over_length_doc()])
         assert theta == pytest.approx(0.6)

@@ -18,6 +18,7 @@ from structrel.autodiff import (
 from structrel.batching import (
     DISTANCE_BOUNDARIES,
     N_DISTANCE_BUCKETS,
+    Pack,
     PairLayout,
     distance_bucket,
     encode_document,
@@ -118,7 +119,7 @@ class TestDistanceBuckets:
 class TestEmbedInputs:
     def test_sum_of_four_tables(self):
         model, enc = make_model()
-        x = model.embed_inputs(enc).values
+        x = model.embed_inputs(Pack((enc,))).values
         word = model.store["embed.word"].values
         pos = model.store["embed.pos"].values
         etype = model.store["embed.etype"].values
@@ -140,7 +141,7 @@ class TestEmbedInputs:
             model.store[name].tensor.values = np.zeros_like(
                 model.store[name].values
             )
-        assert not model.embed_inputs(enc).values.any()
+        assert not model.embed_inputs(Pack((enc,))).values.any()
 
     def test_same_entity_mentions_share_coref_component(self):
         doc = Document(
@@ -164,7 +165,7 @@ class TestEmbedInputs:
         # encoded against a longer limit than the model's max_len of 16
         enc = encode_document(doc, model.vocab, model.etype_to_index, 8, 64)
         with pytest.raises(ValueError, match="max_len"):
-            model.embed_inputs(enc)
+            model.embed_inputs(Pack((enc,)))
 
 
 def table_inputs(seed: int, n: int = 9, d: int = 3):
@@ -237,7 +238,8 @@ class TestEmbeddingNode:
         readout = Tensor(np.random.default_rng(1).normal(
             size=(enc.n, model.cfg.d_model)))
         got = embedding_values_and_grads(
-            lambda ts, _: model.embed_inputs(enc), tables, None, readout)
+            lambda ts, _: model.embed_inputs(Pack((enc,))), tables, None,
+            readout)
         expect = embedding_values_and_grads(
             reference_embedding_sum, tables,
             [enc.word_idx, np.arange(enc.n), enc.etype_idx, enc.coref_idx],
@@ -259,14 +261,14 @@ class TestPooling:
         hidden = np.zeros((4, 8))
         hidden[0] = 1.0
         hidden[2] = 3.0
-        pooled = model.pool_entities(Tensor(hidden), enc).values
+        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
         assert np.allclose(pooled[0], 2.0)
 
     def test_single_token_entity_is_identity(self):
         model, enc = make_model()
         rng = np.random.default_rng(0)
         hidden = rng.normal(size=(enc.n, 8))
-        pooled = model.pool_entities(Tensor(hidden), enc).values
+        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
         assert np.array_equal(pooled[0], hidden[0])
         assert np.array_equal(pooled[1], hidden[2])
 
@@ -283,7 +285,7 @@ class TestPooling:
         )
         model, enc = make_model(doc=doc)
         hidden = rng.normal(size=(enc.n, 8))
-        pooled = model.pool_entities(Tensor(hidden), enc).values
+        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
         assert np.allclose(pooled[0], hidden[[0, 1, 5]].mean(axis=0))
         assert np.allclose(pooled[1], hidden[[3]].mean(axis=0))
 
@@ -301,8 +303,8 @@ class TestPooling:
         enc_rev = encode_document(doc_rev, model.vocab, model.etype_to_index,
                                   8, 16)
         hidden = np.random.default_rng(2).normal(size=(4, 8))
-        a = model.pool_entities(Tensor(hidden), enc_fwd).values
-        b = model.pool_entities(Tensor(hidden), enc_rev).values
+        a = model.pool_entities(Tensor(hidden), Pack((enc_fwd,))).values
+        b = model.pool_entities(Tensor(hidden), Pack((enc_rev,))).values
         assert np.array_equal(a, b)
 
 
@@ -310,7 +312,7 @@ class TestScoring:
     def test_zero_weights_give_half(self):
         model, enc = make_model()
         model.store["head.rel.W"].values[:] = 0.0
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         assert not result.logits.values.any()
         assert np.all(sigmoid(result.logits.values) == 0.5)
 
@@ -322,8 +324,8 @@ class TestScoring:
         model.store["head.rel.W"].tensor.values = np.array(
             [[0.0, 2.0], [0.0, 0.0]]
         )
-        pairs = model.pair_features(enc)
-        assert pairs.pairs == [(0, 1), (1, 0)]
+        pairs = model.pair_features(Pack((enc,)))
+        assert pairs[0].pairs == [(0, 1), (1, 0)]
         logits = model.score_relations(
             Tensor([[1.0, 0.0], [0.0, 1.0]]), pairs
         ).values
@@ -343,18 +345,18 @@ class TestScoring:
             (),
         )
         model, enc = make_model(doc=doc)
-        result = model.forward(enc)
-        assert result.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        result = model.forward(Pack((enc,)))
+        assert result.documents()[0].pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert result.logits.shape == (6, 2)
 
     @float64
     def test_scores_match_triple_loop(self):
         model, enc = make_model()
-        result = model.forward(enc)
-        entities = model.pool_entities(result.hidden, enc).values
+        result = model.forward(Pack((enc,)))
+        entities = model.pool_entities(result.hidden, Pack((enc,))).values
         dist = model.store["head.dist"].values
         starts = enc.first_starts
-        for i, (s, o) in enumerate(result.pairs):
+        for i, (s, o) in enumerate(result.documents()[0].pairs):
             e_s = np.concatenate(
                 [entities[s], dist[distance_bucket(starts[s] - starts[o])]]
             )
@@ -374,9 +376,9 @@ class TestScoring:
             (Entity("PER", (Mention(0, 0, 1, "Ada"),)),), (),
         )
         model, enc = make_model(doc=doc)
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         assert result.logits is None
-        assert float(model.compute_loss(result, enc).values) == 0.0
+        assert float(model.compute_loss(result).values) == 0.0
 
 
 def join(parts) -> Tensor:
@@ -504,7 +506,7 @@ class TestRelationHeadNode:
         tensors = [p.tensor for p in params]
         results = []
         for score in (
-                lambda: pair_scores(*tensors, layout),
+                lambda: pair_scores(*tensors, [layout]),
                 lambda: reference_scores(*tensors, layout, STARTS[n],
                                          m if k == "all" else int(k))):
             for t in tensors:
@@ -526,7 +528,7 @@ class TestRelationHeadNode:
         params, upstream, layout = head_inputs(3, 2, d_dist, d=3)
 
         def build():
-            scores = pair_scores(*(p.tensor for p in params), layout)
+            scores = pair_scores(*(p.tensor for p in params), [layout])
             return sum_all(mul(scores, upstream))
 
         err = grad_check(build, list(params))
@@ -537,7 +539,7 @@ class TestRelationHeadNode:
         params, upstream, layout = head_inputs(3, 5, 8, dtype)
         for p in params:
             p.tensor.grad = None
-        scores = pair_scores(*(p.tensor for p in params), layout)
+        scores = pair_scores(*(p.tensor for p in params), [layout])
         sum_all(mul(scores, upstream)).backward()
         assert scores.values.dtype == dtype
         assert all(p.tensor.grad.dtype == dtype for p in params)
@@ -546,7 +548,7 @@ class TestRelationHeadNode:
         (x, dist, w), _, layout = head_inputs(3, 5, 8)
         with pytest.raises(ShapeError, match="weights of shape"):
             pair_scores(x.tensor, dist.tensor, Tensor(w.values[:, :-1]),
-                        layout)
+                        [layout])
 
     def test_one_parameter_whatever_the_schema(self):
         counts = {len(make_model(schema=[f"r{i}" for i in range(width)])[0]
@@ -624,7 +626,7 @@ class TestPairLayout:
     def test_computed_once_per_encoding_and_read_only(self):
         model, enc = make_model()
         assert enc.pair_layout is enc.pair_layout
-        assert model.pair_features(enc) is enc.pair_layout
+        assert model.pair_features(Pack((enc,)))[0] is enc.pair_layout
         assert enc.pool_weights is enc.pool_weights
         for arr in (enc.pair_layout.buckets, enc.pair_layout.cells,
                     enc.pool_weights):
@@ -637,29 +639,29 @@ class TestLoss:
     def test_uniform_probabilities_give_pairs_times_relations_ln2(self):
         model, enc = make_model()
         model.store["head.rel.W"].values[:] = 0.0
-        result = model.forward(enc)
-        loss = float(model.compute_loss(result, enc).values)
+        result = model.forward(Pack((enc,)))
+        loss = float(model.compute_loss(result).values)
         assert loss == pytest.approx(2 * 2 * math.log(2), rel=1e-12)
 
     def test_confident_correct_predictions_near_zero_loss(self):
         model, enc = make_model()
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         logits = np.full_like(result.logits.values, -40.0)
-        row = result.pairs.index((0, 1))
+        row = result.documents()[0].pairs.index((0, 1))
         logits[row, model.rel_to_index["knows"]] = 40.0
         result.logits.values = logits
-        loss = float(model.compute_loss(result, enc).values)
+        loss = float(model.compute_loss(result).values)
         # nothing is clipped: each of the 4 cells adds log1p(exp(-40))
         assert loss == pytest.approx(4 * math.exp(-40.0), rel=1e-12)
 
     @float64
     def test_matches_brute_force_bce(self):
         model, enc = make_model()
-        result = model.forward(enc)
-        loss = float(model.compute_loss(result, enc).values)
+        result = model.forward(Pack((enc,)))
+        loss = float(model.compute_loss(result).values)
         gold = {(f.h, f.t, f.r) for f in enc.doc.facts}
         expect = 0.0
-        for i, (s, o) in enumerate(result.pairs):
+        for i, (s, o) in enumerate(result.documents()[0].pairs):
             for j, r in enumerate(model.schema):
                 p = 1.0 / (1.0 + math.exp(-result.logits.values[i, j]))
                 y = 1.0 if (s, o, r) in gold else 0.0
@@ -671,14 +673,14 @@ class TestLoss:
         doc = Document(doc.doc_id, doc.sentences, doc.entities,
                        (RelationFact(0, 1, "mystery"),))
         model, enc = make_model(doc=doc)
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         with pytest.raises(ValueError, match="mystery"):
-            model.compute_loss(result, enc)
+            model.compute_loss(result)
 
     def test_loss_is_non_negative(self):
         model, enc = make_model()
-        result = model.forward(enc)
-        assert float(model.compute_loss(result, enc).values) >= 0.0
+        result = model.forward(Pack((enc,)))
+        assert float(model.compute_loss(result).values) >= 0.0
 
 
 def loss_inputs(seed: int, dtype="float64"):
@@ -739,24 +741,24 @@ class TestLossNode:
 class TestPredict:
     def test_threshold_is_inclusive(self):
         model, enc = make_model()
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         result.logits.values = np.zeros_like(result.logits.values)
-        facts = model.predict(result, threshold=0.5)
-        assert len(facts) == len(result.pairs) * len(model.schema)
+        facts = model.predict(result.documents()[0], threshold=0.5)
+        assert len(facts) == len(result.documents()[0].pairs) * len(model.schema)
 
     def test_high_threshold_empties_predictions(self):
         model, enc = make_model()
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         result.logits.values = np.zeros_like(result.logits.values)
-        assert model.predict(result, threshold=1.0 - 1e-9) == []
+        assert model.predict(result.documents()[0], threshold=1.0 - 1e-9) == []
 
     def test_raising_threshold_never_adds_predictions(self):
         model, enc = make_model()
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         previous = None
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
             facts = {
-                (p.h, p.t, p.r) for p in model.predict(result, theta)
+                (p.h, p.t, p.r) for p in model.predict(result.documents()[0], theta)
             }
             if previous is not None:
                 assert facts <= previous
@@ -764,9 +766,9 @@ class TestPredict:
 
     def test_invalid_threshold_rejected(self):
         model, enc = make_model()
-        result = model.forward(enc)
+        result = model.forward(Pack((enc,)))
         with pytest.raises(ValueError):
-            model.predict(result, threshold=0.0)
+            model.predict(result.documents()[0], threshold=0.0)
 
 
 class TestFullModelGradients:
@@ -779,8 +781,8 @@ class TestFullModelGradients:
                 p.tensor.values = rng.normal(size=p.values.shape) * 0.1
 
         def build():
-            result = model.forward(enc)
-            return model.compute_loss(result, enc)
+            result = model.forward(Pack((enc,)))
+            return model.compute_loss(result)
 
         params = list(model.store)
         err = grad_check(build, params, max_elements_per_param=4)
@@ -799,8 +801,8 @@ class TestBaselineEquivalenceWithLoss:
             model = RelationExtractor(cfg, vocab, etypes, ["knows"])
             enc = encode_document(doc, vocab, model.etype_to_index, 8, 16,
                                   excluded)
-            result = model.forward(enc)
-            return float(model.compute_loss(result, enc).values)
+            result = model.forward(Pack((enc,)))
+            return float(model.compute_loss(result).values)
 
         from structrel.structure import STRUCTURED_TYPES
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from structrel import autodiff, encoder, harness
+from structrel.batching import Pack
 from structrel.synth import SynthSpec, generate_synthetic
 
 from test_harness import small_config
@@ -25,8 +26,9 @@ def setup(mode: str):
     return model, encs
 
 
-def loss_of(model, enc):
-    return model.compute_loss(model.forward(enc), enc)
+def loss_of(model, *encs):
+    """The loss of the encodings run as one pack."""
+    return model.compute_loss(model.forward(Pack(encs)))
 
 
 def graph_values(root) -> list[np.ndarray]:
@@ -77,8 +79,8 @@ def test_nothing_kept_lives_in_a_scratch_buffer(mode, compute_dtype,
 
     monkeypatch.setattr(autodiff.Tensor, "_accumulate", watched)
     kept = []
-    for enc in encs:
-        loss = loss_of(model, enc)
+    for pack in [(enc,) for enc in encs] + [tuple(encs)]:
+        loss = loss_of(model, *pack)
         kept += graph_values(loss)
         loss.backward()
     optimizer.step()
@@ -137,7 +139,7 @@ def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
         grads.append(parameter_grads(model))
         optimizer.step()
     for enc in encs:
-        outputs.append(model.forward(enc).logits.values.tobytes())
+        outputs.append(model.forward(Pack((enc,))).logits.values.tobytes())
     return outputs, grads, model.parameter_arrays()
 
 
