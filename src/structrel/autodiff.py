@@ -9,9 +9,9 @@ added into it.  An inner node's gradient is released as soon as its own
 backward rule has consumed it; only leaves keep theirs, and a
 :func:`constant` takes none.
 
-The generic ops here are :func:`matmul` and :func:`mul`.  The model's
-other nodes are written by hand where they are used, one per piece of
-work (a layer's attention, a block's tail, the embeddings, the relation
+The generic op here is :func:`mul`.  The model's other nodes are
+written by hand where they are used, one per piece of work (a layer's
+attention, a block's tail, the embeddings, the pooling, the relation
 head, the loss), each a ``Tensor`` built with its parents and backward
 closure, because a step's fixed cost is paid per node.
 
@@ -163,7 +163,7 @@ class _Constant(Tensor):
 
 def constant(values, dtype=None) -> Tensor:
     """A leaf holding ``values``, cast to ``dtype`` when one is given.  It
-    takes no gradient, and :func:`matmul` computes none for it."""
+    takes no gradient."""
     return _Constant(values if dtype is None else np.asarray(values, dtype))
 
 
@@ -187,25 +187,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def _backward(grad):
         a._accumulate(_unbroadcast(grad * b.values, a.shape))
         b._accumulate(_unbroadcast(grad * a.values, b.shape))
-
-    out._backward = _backward
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(
-            f"matmul expects 2-d operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values, (a, b))
-
-    def _backward(grad):
-        if not isinstance(a, _Constant):
-            a._accumulate(grad @ b.values.T)
-        if not isinstance(b, _Constant):
-            b._accumulate(a.values.T @ grad)
 
     out._backward = _backward
     return out

@@ -383,18 +383,6 @@ class Pack:
     def structure(self) -> PackedStructure:
         return PackedStructure.of(enc.structure for enc in self.docs)
 
-    def pool_weights(self, dtype) -> np.ndarray:
-        """(ΣN, Σn), in ``dtype``: every document's
-        :attr:`EncodedDocument.pool_weights` on its own block of the
-        diagonal, so that ``pool_weights @ hidden`` is the mean of every
-        entity's tokens."""
-        pool = np.zeros((int(self.entity_bounds[-1]), self.n), dtype=dtype)
-        for enc, e_lo, t_lo in zip(self.docs, self.entity_bounds,
-                                   self.token_bounds):
-            pool[e_lo:e_lo + enc.n_entities,
-                 t_lo:t_lo + enc.n] = enc.pool_weights
-        return pool
-
 
 def _bounds(sizes: Sequence[int]) -> np.ndarray:
     bounds = np.zeros(len(sizes) + 1, dtype=np.int64)

@@ -14,11 +14,12 @@ probabilities, with :func:`~structrel.autodiff.sigmoid`.
 The model runs a :class:`~structrel.batching.Pack` of documents as one
 graph, their tokens stacked as rows (Σn, d), their entities (ΣN, d)
 and their pairs (ΣP, M), each in document order; a single document is a
-pack of one.  A pack's forward is eight nodes with a two-layer encoder,
+pack of one.  A pack's forward is seven nodes with a two-layer encoder,
 whatever its number of documents: the embeddings, each layer's
-attention and tail, the block-diagonal pooling matrix and its product,
-and the head; training adds the loss.  Only the attention and the head
-loop over the documents inside their nodes.
+attention and tail, the pooling and the head; training adds the loss.
+The attention, the pooling and the head loop over the documents inside
+their nodes, the pooling as a block-diagonal product whose zero blocks
+are never built.
 
 The head is one graph node, :func:`pair_scores`, for every pair and
 relation of the pack.  It runs each document's products on their own:
@@ -79,7 +80,6 @@ from .autodiff import (
     ShapeError,
     Tensor,
     constant,
-    matmul,
     sigmoid,
     xavier_uniform,
 )
@@ -184,6 +184,33 @@ def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
         dist._accumulate(dtable)
 
     return Tensor(scores, (entities, dist, w), _backward)
+
+
+def pool_blocks(hidden: Tensor, pack: Pack) -> Tensor:
+    """Every entity's mean over its mention tokens, for every document of
+    a pack, as one graph node: (ΣN, d), the product of the pack's
+    block-diagonal pooling matrix with its stacked token rows ``hidden``
+    (Σn, d).  Block i is document i's
+    :attr:`~structrel.batching.EncodedDocument.pool_weights`, (N_i, n_i),
+    against the document's rows; the zero blocks are neither built nor
+    multiplied, so work and memory grow with Σ N_i n_i rather than
+    ΣN Σn."""
+    h = hidden.values
+    blocks = [(slice(e_lo, e_lo + enc.n_entities), slice(t_lo, t_lo + enc.n),
+               enc.pool_weights.astype(h.dtype, copy=False))
+              for enc, e_lo, t_lo in zip(pack.docs, pack.entity_bounds,
+                                         pack.token_bounds)]
+    pooled = np.empty((int(pack.entity_bounds[-1]), h.shape[1]), h.dtype)
+    for e_rows, t_rows, weights in blocks:
+        np.matmul(weights, h[t_rows], out=pooled[e_rows])
+
+    def _backward(grad):
+        dh = np.empty_like(h)  # every row lies in one block
+        for e_rows, t_rows, weights in blocks:
+            np.matmul(weights.T, grad[e_rows], out=dh[t_rows])
+        hidden._accumulate(dh)
+
+    return Tensor(pooled, (hidden,), _backward)
 
 
 def embedding_sum(tables: Sequence[Tensor],
@@ -327,10 +354,9 @@ class RelationExtractor:
             pack.rows)
 
     def pool_entities(self, hidden: Tensor, pack: Pack) -> Tensor:
-        """Average each entity's mention tokens by one block-diagonal
-        product over the pack's rows; (ΣN, d_model)."""
-        return matmul(constant(pack.pool_weights(hidden.values.dtype)),
-                      hidden)
+        """Average each entity's mention tokens, one node over the pack's
+        rows (:func:`pool_blocks`); (ΣN, d_model)."""
+        return pool_blocks(hidden, pack)
 
     def pair_features(self, pack: Pack) -> tuple[PairLayout, ...]:
         """Every document's ordered entity pairs, subject-major, with

@@ -1,11 +1,12 @@
 """Generic graph ops that the model no longer builds, kept as references
 for the hand-written nodes that replaced them.
 
-``encoder.block_tail`` replaced a layer's ``matmul``, ``add``,
+``encoder.block_tail`` replaced a layer's :func:`matmul`, ``add``,
 ``layer_norm`` and ``relu`` ops after the attention;
 ``model.embedding_sum`` replaced four :func:`take_rows` and three
-:func:`add`; ``model.sigmoid_cross_entropy`` replaced :func:`sum_all` of
-:func:`bce_with_logits`.  Each op is as it last stood in
+:func:`add`; ``model.pool_blocks`` replaced the :func:`matmul` of a
+constant pooling matrix; ``model.sigmoid_cross_entropy`` replaced
+:func:`sum_all` of :func:`bce_with_logits`.  Each op is as it last stood in
 ``structrel.autodiff``, so a test can build the graph the model built
 and compare values and gradients with the node.
 """
@@ -15,10 +16,29 @@ from structrel.autodiff import (
     ShapeError,
     Tensor,
     _as_array,
+    _Constant,
     _unbroadcast,
-    matmul,
     sigmoid,
 )
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.values.ndim != 2 or b.values.ndim != 2:
+        raise ShapeError(
+            f"matmul expects 2-d operands, got {a.shape} and {b.shape}"
+        )
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    out = Tensor(a.values @ b.values, (a, b))
+
+    def _backward(grad):
+        if not isinstance(a, _Constant):
+            a._accumulate(grad @ b.values.T)
+        if not isinstance(b, _Constant):
+            b._accumulate(a.values.T @ grad)
+
+    out._backward = _backward
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

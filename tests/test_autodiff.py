@@ -13,7 +13,6 @@ from structrel.autodiff import (
     constant,
     grad_check,
     load_checkpoint,
-    matmul,
     mul,
     save_checkpoint,
     sigmoid,
@@ -24,6 +23,7 @@ from reference_ops import (
     add,
     bce_with_logits,
     layer_norm,
+    matmul,
     relu,
     sum_all,
     take_rows,

@@ -159,13 +159,12 @@ def test_relation_head_is_one_node_whatever_the_schema():
 
 
 @pytest.mark.parametrize("mode", ["none", "biaffine", "decomp"])
-def test_a_pack_forward_builds_9_nodes_whatever_its_document_count(mode):
+def test_a_pack_forward_builds_8_nodes_whatever_its_document_count(mode):
     # Pinned work: the forward and loss of a two-layer model over a pack.
     # One node for the embeddings, two per layer (the attention and the
-    # block's tail), two for the pooling (its constant matrix and the
-    # product), one for the relation head and one for the loss, for one
-    # document as for three.  The generic ops they replaced (34 nodes
-    # per document) must not come back.
+    # block's tail), one for the pooling, one for the relation head and
+    # one for the loss, for one document as for three.  The generic ops
+    # they replaced (34 nodes per document) must not come back.
     docs = generate_synthetic(SynthSpec(n_docs=3, seed=5))
     config = small_config(layers=2, mode=mode)
     built = harness.build_model(config, docs)
@@ -180,7 +179,7 @@ def test_a_pack_forward_builds_9_nodes_whatever_its_document_count(mode):
         with spans.Tracer() as tracer:
             tracer.measure("step", "train", step)
         totals = tracer.totals("train")
-        assert totals["autodiff.nodes"] == 9
+        assert totals["autodiff.nodes"] == 8
         assert totals["encoder.attend.calls"] == 2 * count
 
 

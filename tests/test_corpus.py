@@ -421,18 +421,11 @@ class TestPacking:
         assert etype.tolist() == [i for enc in encs for i in enc.etype_idx]
         assert coref.tolist() == [i for enc in encs for i in enc.coref_idx]
         assert pack.layouts == tuple(enc.pair_layout for enc in encs)
-        pool = pack.pool_weights(np.float32)
         codes = pack.structure.codes
-        assert pool.dtype == np.float32
-        expect_pool = np.zeros(pool.shape)
         expect_codes = np.zeros(codes.shape, dtype=np.int8)
-        for enc, e_lo, t_lo in zip(encs, pack.entity_bounds,
-                                   pack.token_bounds):
-            expect_pool[e_lo:e_lo + enc.n_entities,
-                        t_lo:t_lo + enc.n] = enc.pool_weights
+        for enc, t_lo in zip(encs, pack.token_bounds):
             expect_codes[t_lo:t_lo + enc.n,
                          t_lo:t_lo + enc.n] = enc.structure.codes
-        assert np.array_equal(pool, expect_pool.astype(np.float32))
         assert np.array_equal(codes, expect_codes)
         assert np.count_nonzero(codes) == sum(
             enc.structure.cells[0].size for enc in encs)

@@ -37,11 +37,12 @@ from structrel.model import (
     RelationExtractor,
     embedding_sum,
     pair_scores,
+    pool_blocks,
     sigmoid_cross_entropy,
 )
 from structrel.synth import SynthSpec, generate_synthetic
 
-from conftest import float64
+from conftest import float64, random_document
 from reference_ops import (
     reference_cross_entropy,
     reference_embedding_sum,
@@ -306,6 +307,45 @@ class TestPooling:
         a = model.pool_entities(Tensor(hidden), Pack((enc_fwd,))).values
         b = model.pool_entities(Tensor(hidden), Pack((enc_rev,))).values
         assert np.array_equal(a, b)
+
+
+class TestPackPooling:
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"],
+                             indirect=True)
+    def test_equals_each_document_pooled_alone(self, compute_dtype):
+        # The block-diagonal product over a pack, a document without
+        # entities among them: every block is the document's own
+        # product, so values and gradients are bit-equal.
+        rng = np.random.default_rng(8)
+        docs = [random_document(rng, f"p{i}") for i in range(6)]
+        docs.insert(2, Document("bare", (("x", "y", "z"),), (), ()))
+        model = harness.build_model(small_config(), docs, schema=["r"])
+        encs = [harness._encode(model, doc) for doc in docs]
+        assert any(not enc.n_entities for enc in encs)
+        d = model.cfg.d_model
+        hidden = [rng.normal(size=(enc.n, d)).astype(compute_dtype)
+                  for enc in encs]
+        upstream = [rng.normal(size=(enc.n_entities, d)).astype(
+            compute_dtype) for enc in encs]
+
+        def pooled(docs):
+            h = Tensor(np.concatenate([hidden[i] for i in docs]))
+            out = pool_blocks(h, Pack(tuple(encs[i] for i in docs)))
+            up = np.concatenate([upstream[i] for i in docs])
+            sum_all(mul(out, Tensor(up))).backward()
+            return out.values, h.grad
+
+        alone = [pooled([i]) for i in range(len(encs))]
+        got = pooled(range(len(encs)))
+        for g, parts in zip(got, zip(*alone)):
+            assert g.dtype == compute_dtype
+            assert g.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_pool_entities_is_one_node(self):
+        model, enc = make_model()
+        hidden = Tensor(np.ones((enc.n, 8)))
+        pooled = model.pool_entities(hidden, Pack((enc,)))
+        assert pooled._parents == (hidden,)
 
 
 class TestScoring:
