@@ -110,9 +110,12 @@ class Tensor:
         The gradient is 2-d, (rows, d).  ``np.add.at`` runs on its flat
         view at the flat positions ``rows[i] * d + j``, which gives every
         element the same additions in the same order as ``np.add.at`` on
-        whole rows, several times faster."""
+        whole rows, several times faster.  A gradient assigned in another
+        layout is copied to C order first, so that the flat view is one."""
         if self.grad is None:
             self.grad = np.zeros_like(self._values)
+        elif not self.grad.flags.c_contiguous:
+            self.grad = np.ascontiguousarray(self.grad)
         d = self.grad.shape[1]
         flat = (np.asarray(rows)[:, None] * d + np.arange(d)).ravel()
         np.add.at(self.grad.reshape(-1), flat, grad.reshape(-1))

@@ -88,6 +88,12 @@ class TestForward:
         np.add.at(expect, idx, grad)
         assert fresh.grad.tobytes() == expect.tobytes()
 
+    def test_row_accumulation_into_a_transposed_gradient(self):
+        table = Tensor(np.zeros((3, 2)))
+        table.grad = np.arange(6.0).reshape(2, 3).T
+        table._accumulate_rows(np.array([0, 0, 2]), np.ones((3, 2)))
+        assert table.grad.tolist() == [[2.0, 5.0], [1.0, 4.0], [3.0, 6.0]]
+
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
