@@ -6,14 +6,14 @@ graph in reverse topological order and accumulates gradients into every
 reachable node.  A node's first gradient is stored as a copy (backward
 rules may hand one array to two parents, or pass views), later ones are
 added into it.  An inner node's gradient is released as soon as its own
-backward rule has consumed it; only leaves keep theirs, and a
-:func:`constant` takes none.
+backward rule has consumed it; only leaves keep theirs.  A backward may
+start from a scaled gradient, as a batch's mean loss asks of each pack.
 
-The generic op here is :func:`mul`.  The model's other nodes are
-written by hand where they are used, one per piece of work (a layer's
-attention, a block's tail, the embeddings, the pooling, the relation
-head, the loss), each a ``Tensor`` built with its parents and backward
-closure, because a step's fixed cost is paid per node.
+There are no generic ops here.  The model's nodes are written by hand
+where they are used, one per piece of work (a layer's attention, a
+block's tail, the embeddings, the pooling, the relation head, the loss),
+each a ``Tensor`` built with its parents and backward closure, because a
+step's fixed cost is paid per node.
 
 A node's values keep their own dtype when it is float32 or float64, and
 anything else becomes float64; gradients take the dtype of their node.
@@ -120,8 +120,10 @@ class Tensor:
         flat = (np.asarray(rows)[:, None] * d + np.arange(d)).ravel()
         np.add.at(self.grad.reshape(-1), flat, grad.reshape(-1))
 
-    def backward(self) -> None:
-        """Reverse-accumulate gradients from a scalar loss.
+    def backward(self, scale: float = 1.0) -> None:
+        """Reverse-accumulate the gradients of ``scale`` times a scalar
+        loss: the walk starts from the gradient ``scale``, in the loss's
+        dtype.
 
         Leaves gain (or add to) their ``grad``.  Each inner node's
         ``grad`` is set to None once its backward rule has run, so at most
@@ -148,51 +150,11 @@ class Tensor:
                 # its children's rules
                 if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.values))
+        self._accumulate(np.full_like(self.values, scale))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
-
-
-class _Constant(Tensor):
-    """A leaf that takes no gradient."""
-
-    __slots__ = ()
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        pass
-
-
-def constant(values, dtype=None) -> Tensor:
-    """A leaf holding ``values``, cast to ``dtype`` when one is given.  It
-    takes no gradient."""
-    return _Constant(values if dtype is None else np.asarray(values, dtype))
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        values = a.values * b.values
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(values, (a, b))
-
-    def _backward(grad):
-        a._accumulate(_unbroadcast(grad * b.values, a.shape))
-        b._accumulate(_unbroadcast(grad * a.values, b.shape))
-
-    out._backward = _backward
-    return out
 
 
 def sigmoid(x: np.ndarray, dtype=np.float64) -> np.ndarray:

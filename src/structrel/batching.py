@@ -43,6 +43,7 @@ DISTANCE_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 N_DISTANCE_BUCKETS = 2 * len(DISTANCE_BOUNDARIES) + 1
 
 _BOUNDARIES = np.asarray(DISTANCE_BOUNDARIES)
+_BOUNDARIES.flags.writeable = False
 
 
 def distance_bucket(distance):

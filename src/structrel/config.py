@@ -30,6 +30,11 @@ _MODE_DEFAULTS = {
 }
 TOGGLES = tuple(_MODE_DEFAULTS["none"])
 
+#: The least value of each size, count and limit.
+_MINIMUMS = dict(layers=0, heads=1, d_model=1, ffn_mult=0, d_dist=0,
+                 max_len=1, coref_cap=0, vocab_min_count=0, epochs=0,
+                 batch_size=1)
+
 
 @dataclass
 class ModelConfig:
@@ -73,6 +78,10 @@ class ModelConfig:
             )
         if self.mode == "decomp" and self.bias_core:
             raise ValueError("the bilinear core belongs to biaffine mode")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got "
+                                 f"{getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} is not divisible by {self.heads} heads"

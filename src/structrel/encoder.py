@@ -40,21 +40,6 @@ gathered per cell (as Shaw et al., arXiv 1803.02155, gather relative
 positions) and their gradients summed per slot by ``np.bincount``.  The
 cell biases are added into the scores at their cells.
 
-Temporaries that die inside the forward or the backward call (the
-``q A`` table, the slot grid and its gradient, the score, ``q A`` and
-projection gradients) are :func:`scratch` arrays, views of process-wide
-buffers reused from pack to pack.  Full-size temporaries taken from the
-C allocator come from fresh pages and go back to the system when freed,
-so every training step would fault them in again; a scratch buffer is
-faulted in once.  The projections' gradient ``attn.d_qkv``, (3H, Σn,
-d_h), is sized by the pack; the others are sized by one document and
-reused by every segment of the loop.  The rule for using one: the array
-dies inside the call that asks for it.  It is never a graph value or
-gradient, never saved for the backward (another graph's forward may run
-before it) and never returned.  One name serves one temporary at a
-time, so two arrays alive together need two names.  The buffers are
-process-wide, so the encoder is single-threaded.
-
 A forward given a :class:`BiasRecorder` adds every biased layer's cell
 biases, all heads at once, into one running sum and count per layer and
 dependency type; :func:`export_bias_heatmap` renders their ratios, the
@@ -90,22 +75,6 @@ if TYPE_CHECKING:
     from .config import ModelConfig
 
 N_TYPES = len(STRUCTURED_TYPES)
-
-_SCRATCH: dict[tuple[str, np.dtype], np.ndarray] = {}
-
-
-def scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A C-contiguous view of shape ``shape`` and dtype ``dtype`` into the
-    buffer ``(name, dtype)``, which lives as long as the process and only
-    grows.  The view's contents are whatever the last user left; the
-    module docstring gives the rule for using one."""
-    size = math.prod(shape)
-    key = (name, np.dtype(dtype))
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < size:
-        buf = _SCRATCH[key] = np.empty(size, dtype=key[1])
-    return buf[:size].reshape(shape)
-
 
 def dep_name(dep: DependencyType) -> str:
     """The lower-case name of a dependency type, as exclusion lists and
@@ -228,13 +197,10 @@ class CellBias:
         if "A" in self.terms:
             a = self.terms["A"]
             slots = self.structure.slots
-            g_grid = scratch("attn.d_grid", (heads, slots.used.size, n),
-                             grad.dtype)
-            g_grid.fill(0.0)
+            g_grid = np.zeros((heads, slots.used.size, n), grad.dtype)
             g_grid.reshape(heads, -1)[:, slots.flat] = grad
             dk += np.matmul(g_grid.transpose(0, 2, 1), self.qa_used)
-            d_qa = scratch("attn.d_qa", (heads, n * N_TYPES, dh), q.dtype)
-            d_qa.fill(0.0)
+            d_qa = np.zeros((heads, n * N_TYPES, dh), q.dtype)
             d_qa[:, slots.used] = np.matmul(g_grid, k)
             d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
             dq += np.matmul(d_qa, a.values.transpose(0, 2, 1))
@@ -291,14 +257,10 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     qa_used = None
     if "A" in terms:
         slots = structure.slots
-        qa = np.matmul(q, terms["A"].values,
-                       out=scratch("attn.qa", (heads, n, N_TYPES * dh),
-                                   q.dtype))
+        qa = np.matmul(q, terms["A"].values)
         qa_used = np.take(qa.reshape(heads, n * N_TYPES, dh), slots.used,
                           axis=1)
-        grid = np.matmul(qa_used, k.transpose(0, 2, 1),
-                         out=scratch("attn.grid",
-                                     (heads, slots.used.size, n), q.dtype))
+        grid = np.matmul(qa_used, k.transpose(0, 2, 1))
         parts.append(np.take(grid.reshape(heads, -1), slots.flat, axis=1))
     for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
         if suffix in terms:
@@ -426,7 +388,8 @@ def structured_attention(store: ParameterStore, x: Tensor,
                                "build the graph again to run backward again")
         spent = True
         g_all = grad.reshape(n, heads, dh).transpose(1, 0, 2)
-        d_qkv = scratch("attn.d_qkv", qkv.shape, qkv.dtype)
+        # every row is written by the one segment that holds it
+        d_qkv = np.empty(qkv.shape, qkv.dtype)
         dq_all, dk_all, dv_all = (d_qkv[:heads], d_qkv[heads:2 * heads],
                                   d_qkv[2 * heads:])
         for lo, hi, matrix, probs, bias in segments:
@@ -434,9 +397,7 @@ def structured_attention(store: ParameterStore, x: Tensor,
                           v_all[:, lo:hi])
             dq, dk = dq_all[:, lo:hi], dk_all[:, lo:hi]
             np.matmul(probs.transpose(0, 2, 1), g, out=dv_all[:, lo:hi])
-            d_scores = np.matmul(g, v.transpose(0, 2, 1),
-                                 out=scratch("attn.d_scores", probs.shape,
-                                             probs.dtype))
+            d_scores = np.matmul(g, v.transpose(0, 2, 1))
             # softmax backward, P * dP - P * sum(P * dP), then the
             # 1/sqrt(d_h) scale; the weights are spent, so they hold
             # P * sum(P * dP)

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import constant, load_checkpoint, mul, save_checkpoint, sigmoid
+from .autodiff import load_checkpoint, save_checkpoint, sigmoid
 from .batching import (
     EncodedDocument,
     encode_document,
@@ -240,14 +240,12 @@ def _backward_batch(model: RelationExtractor,
     batch order times ``1 / B``, is that graph's value.  Both equal the
     sums over single documents to rounding: a pack adds its rows'
     gradients and its cells' losses in other orders.  A pack with a pair
-    of entities builds 2L + 5 nodes for L
-    layers, whatever its number of documents: the embeddings, each
-    layer's attention and block tail, the pooling's constant and
-    product, the relation head and the loss.  Besides those the step
-    builds one scaling per pack and one constant ``1 / B``.
+    of entities builds 2L + 4 nodes for L layers, whatever its number of
+    documents: the embeddings, each layer's attention and block tail,
+    the pooling, the relation head and the loss, whose backward starts
+    from ``1 / B``.
     """
     share = 1.0 / len(batch)
-    weight = constant(share, model.store.dtype)
     total = 0.0
     for pack in pack_documents(batch, model.cfg.max_len):
         loss = model.compute_loss(model.forward(pack))
@@ -256,7 +254,7 @@ def _backward_batch(model: RelationExtractor,
             raise DivergenceError(
                 f"non-finite loss at step {step} (epoch {epoch})"
             )
-        mul(loss, weight).backward()
+        loss.backward(share)
         total += value
         del loss  # free this pack's graph before the next forward
     return total * share

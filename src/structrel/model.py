@@ -79,7 +79,6 @@ from .autodiff import (
     ParameterStore,
     ShapeError,
     Tensor,
-    constant,
     sigmoid,
     xavier_uniform,
 )
@@ -385,9 +384,10 @@ class RelationExtractor:
 
     def compute_loss(self, result: ForwardResult) -> Tensor:
         """Summed sigmoid cross entropy of the logits over every ordered
-        pair and every relation of every document of the pack."""
+        pair and every relation of every document of the pack; a pack
+        without pairs has the loss 0, a leaf."""
         if result.logits is None:
-            return constant(0.0, self.store.dtype)
+            return Tensor(np.zeros((), self.store.dtype))
         targets = np.zeros(result.logits.shape,
                            dtype=result.logits.values.dtype)
         pack = result.pack

@@ -1,25 +1,60 @@
 """Generic graph ops that the model no longer builds, kept as references
-for the hand-written nodes that replaced them.
+for the hand-written nodes that replaced them, and to build test graphs
+around a node.
 
 ``encoder.block_tail`` replaced a layer's :func:`matmul`, ``add``,
 ``layer_norm`` and ``relu`` ops after the attention;
 ``model.embedding_sum`` replaced four :func:`take_rows` and three
 :func:`add`; ``model.pool_blocks`` replaced the :func:`matmul` of a
 constant pooling matrix; ``model.sigmoid_cross_entropy`` replaced
-:func:`sum_all` of :func:`bce_with_logits`.  Each op is as it last stood in
-``structrel.autodiff``, so a test can build the graph the model built
-and compare values and gradients with the node.
+:func:`sum_all` of :func:`bce_with_logits`; ``Tensor.backward(scale)``
+replaced :func:`mul` by a :func:`constant` ``1 / B``.  Each op is as it
+last stood in ``structrel.autodiff``, so a test can build the graph the
+model built and compare values and gradients with the node.
 """
 import numpy as np
 
-from structrel.autodiff import (
-    ShapeError,
-    Tensor,
-    _as_array,
-    _Constant,
-    _unbroadcast,
-    sigmoid,
-)
+from structrel.autodiff import ShapeError, Tensor, _as_array, sigmoid
+
+
+class _Constant(Tensor):
+    """A leaf that takes no gradient."""
+
+    __slots__ = ()
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        pass
+
+
+def constant(values, dtype=None) -> Tensor:
+    """A leaf holding ``values``, cast to ``dtype`` when one is given.  It
+    takes no gradient."""
+    return _Constant(values if dtype is None else np.asarray(values, dtype))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        values = a.values * b.values
+    except ValueError:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor(values, (a, b))
+
+    def _backward(grad):
+        a._accumulate(_unbroadcast(grad * b.values, a.shape))
+        b._accumulate(_unbroadcast(grad * a.values, b.shape))
+
+    out._backward = _backward
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -10,10 +10,8 @@ from structrel.autodiff import (
     ParameterStore,
     ShapeError,
     Tensor,
-    constant,
     grad_check,
     load_checkpoint,
-    mul,
     save_checkpoint,
     sigmoid,
     xavier_uniform,
@@ -22,8 +20,10 @@ from structrel.autodiff import (
 from reference_ops import (
     add,
     bce_with_logits,
+    constant,
     layer_norm,
     matmul,
+    mul,
     relu,
     sum_all,
     take_rows,

@@ -1,6 +1,7 @@
 """Every ``structrel`` subcommand, run through ``cli.main`` on a small
 synthetic corpus, and the one-line error of a malformed corpus."""
 import json
+import shutil
 
 import pytest
 
@@ -249,6 +250,39 @@ def test_integer_list_flag_names_flag(corpus, tmp_path, capsys, argv,
              else [])
     assert run(argv + extra + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+BELOW_MINIMUM = [("heads", 0, 1), ("heads", -2, 1), ("d_model", 0, 1),
+                 ("max_len", 0, 1), ("batch_size", 0, 1), ("layers", -1, 0),
+                 ("ffn_mult", -1, 0), ("d_dist", -1, 0), ("coref_cap", -1, 0),
+                 ("epochs", -1, 0), ("vocab_min_count", -1, 0)]
+
+
+@pytest.mark.parametrize("name, value, least", BELOW_MINIMUM)
+def test_flag_below_its_minimum_names_the_field(corpus, tmp_path, capsys,
+                                                name, value, least):
+    _, train, _ = corpus
+    out = tmp_path / "run"
+    assert run(["train", "--train", train, "--out", out] + MODEL_FLAGS
+               + ["--" + name.replace("_", "-"), value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {name} must be at least {least}, got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value, least", BELOW_MINIMUM)
+def test_run_config_below_a_minimum_names_file_and_field(
+        corpus, run_dir, tmp_path, capsys, name, value, least):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    config = copy / "config.txt"
+    lines = config.read_text().splitlines()
+    lines = [f"{name} = {value}" if line.startswith(f"{name} = ") else line
+             for line in lines]
+    config.write_text("\n".join(lines) + "\n")
+    assert run(["eval", "--run", copy, "--docs", corpus[2]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: {name} must be at least {least}, got {value}\n")
 
 
 def with_entity_type(src, dest, etype):

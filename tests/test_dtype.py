@@ -13,7 +13,6 @@ from structrel import encoder, harness
 from structrel.autodiff import (
     ParameterStore,
     Tensor,
-    constant,
     grad_check,
     sigmoid,
 )
@@ -87,7 +86,7 @@ def test_float32_training_moves_the_losses_by_rounding_only(mode):
 def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
     model = harness.build_model(small_config(layers=2, mode=mode), docs)
-    # one document with a single entity, whose loss is a constant
+    # one document with a single entity, whose loss is a zero leaf
     solo = Document("solo", (("a", "b"),),
                     (Entity("ENT", (Mention(0, 0, 1, "a"),)),), ())
     encs = [harness._encode(model, doc) for doc in [*docs, solo]]
@@ -127,7 +126,6 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", recorded_init)
     monkeypatch.setattr(Tensor, "_accumulate", recorded_accumulate)
     monkeypatch.setattr(Tensor, "_accumulate_rows", recorded_accumulate_rows)
-    monkeypatch.setattr(encoder, "_SCRATCH", {})
     optimizer = model.make_optimizer()
     optimizer.zero_grad()
     harness._backward_batch(model, encs, step=0, epoch=0)
@@ -139,11 +137,9 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     kept["parameter gradient"] = [p.tensor.grad for p in model.store]
     kept["Adam array"] = [optimizer.values, optimizer.grads, optimizer.m,
                           optimizer.v, *optimizer._work]
-    kept["scratch buffer"] = list(encoder._SCRATCH.values())
     assert all(kept.values())
     for what, group in kept.items():
         assert {a.dtype for a in group} == {np.dtype(np.float32)}, what
-    assert {dtype for _, dtype in encoder._SCRATCH} == {np.dtype(np.float32)}
 
 
 def test_sigmoid_of_large_float32_logits_stays_below_one():
@@ -178,4 +174,4 @@ class TestStoreAndValues:
         for values in ([1, 2], np.zeros(2, dtype=np.float16),
                        np.ones(2, dtype=bool), 3, 0.5):
             assert Tensor(values).values.dtype == np.float64
-        assert constant(0.5, np.float32).values.dtype == np.float32
+        assert Tensor(np.zeros((), np.float32)).values.dtype == np.float32

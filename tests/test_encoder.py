@@ -8,8 +8,9 @@ from structrel.autodiff import (
     ParameterStore,
     Tensor,
     grad_check,
-    mul,
 )
+from structrel import encoder, harness
+from structrel.batching import Pack
 from structrel.config import ModelConfig
 from structrel.encoder import (
     TAIL_PARAMS,
@@ -21,7 +22,6 @@ from structrel.encoder import (
     export_bias_heatmap,
     init_encoder_params,
     project_qkv,
-    scratch,
     structured_attention,
     structured_scores,
     type_bias,
@@ -37,7 +37,8 @@ from structrel.structure import (
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import random_document, raw_scores
-from reference_ops import reference_block_tail, sum_all
+from reference_ops import constant, mul, reference_block_tail, sum_all
+from test_harness import small_config
 
 D = DependencyType
 
@@ -1018,8 +1019,6 @@ class TestEncoderForward:
         assert np.allclose(out_perm, out[perm], rtol=1e-10, atol=1e-12)
 
     def test_gradients_reach_transformation_parameters(self, two_sentence_doc):
-        from structrel.autodiff import constant
-
         S = fixture_structure(two_sentence_doc)
         readout = np.random.default_rng(55).normal(size=(S.n, 8))
         for mode in ("biaffine", "decomp"):
@@ -1095,24 +1094,126 @@ class TestBiasRecorderAndHeatmap:
         assert rows[0][2:] == ["0", "0"]
 
 
-class TestScratch:
-    def test_views_reuse_one_buffer_that_only_grows(self):
-        small = scratch("test.grow", (2, 3), np.float64)
-        again = scratch("test.grow", (3,), np.float64)
-        assert again.base is small.base
-        big = scratch("test.grow", (4, 5), np.float64)
-        assert big.shape == (4, 5) and big.flags.c_contiguous
-        assert big.base is not small.base
-        assert scratch("test.grow", (6,), np.float64).base is big.base
+# Two graphs alive at once give the gradients each gives alone, and no
+# array the encoder takes uninitialised is read before it is written.
+MODES = ["biaffine", "decomp"]
+DTYPES = ["float32", "float64"]
 
-    def test_names_do_not_share_memory(self):
-        a = scratch("test.a", (8,), np.float64)
-        b = scratch("test.b", (8,), np.float64)
-        assert not np.shares_memory(a, b)
 
-    def test_each_dtype_has_its_own_buffer(self):
-        wide = scratch("test.dtype", (8,), np.float64)
-        narrow = scratch("test.dtype", (8,), "float32")
-        assert wide.dtype == np.float64 and narrow.dtype == np.float32
-        assert not np.shares_memory(wide, narrow)
-        assert scratch("test.dtype", (4,), np.float32).base is narrow.base
+def setup(mode: str):
+    docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
+    config = small_config(layers=2, heads=2, mode=mode)
+    model = harness.build_model(config, docs)
+    encs = [harness._encode(model, doc) for doc in docs]
+    encs = [enc for enc in encs if enc.n_entities >= 2]
+    assert len(encs) >= 2 and all(enc.structure.cells[0].size for enc in encs)
+    return model, encs
+
+
+def loss_of(model, *encs):
+    """The loss of the encodings run as one pack."""
+    return model.compute_loss(model.forward(Pack(encs)))
+
+
+def parameter_grads(model) -> dict:
+    return {p.name: None if p.tensor.grad is None else p.tensor.grad.copy()
+            for p in model.store}
+
+
+def clear_grads(model) -> None:
+    for p in model.store:
+        p.tensor.grad = None
+
+
+def assert_same(got: dict, expect: dict) -> None:
+    assert got.keys() == expect.keys()
+    for name in expect:
+        if expect[name] is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].tobytes() == expect[name].tobytes(), name
+
+
+@pytest.mark.parametrize("compute_dtype", DTYPES, indirect=True)
+@pytest.mark.parametrize("mode", MODES)
+def test_interleaved_graphs_give_the_sequential_gradients(mode,
+                                                          compute_dtype):
+    model, encs = setup(mode)
+    a, b = encs[:2]
+    alone = {}
+    for name, enc in (("a", a), ("b", b)):
+        clear_grads(model)
+        loss = loss_of(model, enc)
+        alone[name] = (loss.values.tobytes(), None)
+        loss.backward()
+        alone[name] = (alone[name][0], parameter_grads(model))
+    # forward A, forward B, backward B, backward A
+    clear_grads(model)
+    loss_a = loss_of(model, a)
+    loss_b = loss_of(model, b)
+    assert loss_a.values.tobytes() == alone["a"][0]
+    assert loss_b.values.tobytes() == alone["b"][0]
+    loss_b.backward()
+    assert_same(parameter_grads(model), alone["b"][1])
+    clear_grads(model)
+    loss_a.backward()
+    assert_same(parameter_grads(model), alone["a"][1])
+
+
+def two_steps(mode: str) -> tuple[list[bytes], list[dict], dict]:
+    """Losses of two Adam steps over one pack per document and one pack of
+    all, then the trained model's logits; the gradients of each step; the
+    trained parameters."""
+    model, encs = setup(mode)
+    optimizer = model.make_optimizer()
+    outputs, grads = [], []
+    for _ in range(2):
+        optimizer.zero_grad()
+        for pack in [(enc,) for enc in encs] + [tuple(encs)]:
+            loss = loss_of(model, *pack)
+            outputs.append(loss.values.tobytes())
+            loss.backward()
+        grads.append(parameter_grads(model))
+        optimizer.step()
+    for enc in encs:
+        outputs.append(model.forward(Pack((enc,))).logits.values.tobytes())
+    return outputs, grads, model.parameter_arrays()
+
+
+class NanFilledNumpy:
+    """numpy as the encoder sees it, except that every array ``empty`` and
+    ``empty_like`` return is filled with NaN; their shapes are recorded
+    in ``handed``."""
+
+    def __init__(self):
+        self.handed = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _poisoned(self, out: np.ndarray) -> np.ndarray:
+        out.fill(np.nan)
+        self.handed.append(out.shape)
+        return out
+
+    def empty(self, *args, **kwargs):
+        return self._poisoned(np.empty(*args, **kwargs))
+
+    def empty_like(self, *args, **kwargs):
+        return self._poisoned(np.empty_like(*args, **kwargs))
+
+
+@pytest.mark.parametrize("compute_dtype", DTYPES, indirect=True)
+@pytest.mark.parametrize("mode", MODES)
+def test_no_uninitialised_array_is_read(mode, compute_dtype, monkeypatch):
+    clean = two_steps(mode)
+    poisoned = NanFilledNumpy()
+    monkeypatch.setattr(encoder, "np", poisoned)
+    outputs, grads, params = two_steps(mode)
+    # the heads' outputs, (Σn, d), and the projections' gradient, (3H, Σn,
+    # d_h)
+    assert {len(shape) for shape in poisoned.handed} == {2, 3}
+    assert outputs == clean[0]
+    for got, expect in zip(grads, clean[1]):
+        assert_same(got, expect)
+    assert_same(params, clean[2])

@@ -9,9 +9,7 @@ import pytest
 
 from structrel.autodiff import (
     Tensor,
-    constant,
     load_checkpoint,
-    mul,
     save_checkpoint,
     sigmoid,
 )
@@ -51,7 +49,7 @@ from structrel.structure import STRUCTURED_TYPES, DependencyType
 from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import float64, raw_scores
-from reference_ops import add, bce_with_logits, sum_all
+from reference_ops import add, bce_with_logits, constant, mul, sum_all
 
 A = ("docA", 0, 1, "r0")
 B = ("docA", 1, 2, "r0")
@@ -272,6 +270,29 @@ class TestPackedBackward:
         scale = np.abs(expect).max()
         assert scale > 0.0
         assert np.abs(optimizer.grads - expect).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("compute_dtype", ["float32", "float64"],
+                             indirect=True)
+    def test_scaled_backward_is_bit_equal_to_the_scaling_node(
+            self, tiny_corpus, compute_dtype, monkeypatch):
+        # one document per pack, so only the scaling differs: a backward
+        # seeded with 1 / B against the product with a constant 1 / B, for
+        # B = 7, which neither dtype holds exactly
+        model = build_model(small_config(), tiny_corpus[0],
+                            schema=["r0", "r1"])
+        encodings = mixed_encodings(model, tiny_corpus[0][:5])
+        assert len(encodings) == 7
+        optimizer = model.make_optimizer()
+        optimizer.zero_grad()
+        expect_value = per_document_backward(model, encodings)
+        expect = optimizer.grads.copy()
+        assert expect.dtype == compute_dtype and expect.any()
+        monkeypatch.setattr(harness, "pack_documents", lambda encs, max_len:
+                            (Pack((enc,)) for enc in encs))
+        optimizer.zero_grad()
+        value = _backward_batch(model, encodings, step=0, epoch=0)
+        assert value == expect_value
+        assert optimizer.grads.tobytes() == expect.tobytes()
 
     def test_divergence_stops_before_the_next_pack(self, tiny_corpus,
                                                    monkeypatch):

@@ -9,9 +9,7 @@ from structrel.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
-    constant,
     grad_check,
-    mul,
     sigmoid,
     xavier_uniform,
 )
@@ -44,6 +42,8 @@ from structrel.synth import SynthSpec, generate_synthetic
 
 from conftest import float64, random_document
 from reference_ops import (
+    constant,
+    mul,
     reference_cross_entropy,
     reference_embedding_sum,
     sum_all,
