@@ -21,6 +21,7 @@ from .batching import (
     EncodedDocument,
     distance_bucket,
     encode_document,
+    encode_documents,
     make_batches,
 )
 from .config import ModelConfig, load_config, save_config

@@ -1,26 +1,29 @@
 """Document encoding and batching.
 
 A document is cut to the model's ``max_len`` and turned into index
-arrays (word, entity-type, coreference ordinal; position is implicit)
-plus its structure matrix.  Training encodes each document once and
-batches are seeded chunks of those encodings; inference encodes the
-documents in order as it runs them.  What the model derives from an
-encoding alone, the entity-pooling weights and the layout of the entity
-pairs, is computed on first use and kept with it, so training's epochs
-compute it once per document.
+arrays (word, entity-type, coreference ordinal; position is implicit),
+its structure matrix, its entity-pooling weights and the layout of its
+entity pairs.  Documents are encoded in groups
+(:func:`encode_documents`): each is cut, checked and read on its own,
+and the numpy work runs once per group, whose encodings hold read-only
+views into shared arrays.  Training encodes all its documents in one
+group, once, and batches are seeded chunks of those encodings; inference
+encodes each pack's documents as one group as it runs them.
 
 The model runs packs (:class:`Pack`), not single documents: consecutive
 encodings whose tokens are stacked as the rows of one graph
-(:func:`pack_documents`).  Training packs each batch, inference the
-documents in corpus order.  Every part of the model but the attention
-works row by row, so a pack pays each numpy call once for all its
-documents.  The attention runs per document, and its weights, one (n, n)
-grid per head and document, bound a pack's size: a pack's documents
-hold at most ``PACK_BUDGET * max_len**2`` cells between them.
+(:func:`pack_spans`).  Training packs each batch, inference the
+documents in corpus order, by their lengths after the cut.  Every part
+of the model but the attention works row by row, so a pack pays each
+numpy call once for all its documents.  The attention runs per
+document, and its weights, one (n, n) grid per head and document, bound
+a pack's size: a pack's documents hold at most ``PACK_BUDGET *
+max_len**2`` cells between them.  Its rows are bound too, to
+``PACK_ROWS * max_len``, so that many short documents do not make one
+large graph.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,14 +31,24 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Document, Entity, Mention, RelationFact, Vocabulary
+from .corpus import (
+    Document,
+    Entity,
+    Mention,
+    RelationFact,
+    Vocabulary,
+    validate_document,
+)
 from .structure import (
     DependencyType,
     PackedStructure,
     StructureMatrix,
-    apply_ablation,
-    build_structure_matrix,
+    dependency_codes,
+    dependency_table,
 )
+# Nothing here builds one document's structure any more; the benchmark's
+# tracer (benchmark/spans.py) still wraps the name in this module.
+from .structure import build_structure_matrix  # noqa: F401
 
 #: Symmetric distance-bucket boundaries; index 9 is distance zero, positive
 #: distances grow to the right, negative mirror to the left.
@@ -107,7 +120,7 @@ class PairLayout:
     pair meets four (subject row, object row) cells of a (rows, rows)
     grid; ``cells`` (2, 4, P) holds their subject rows and object rows,
     in the order (s, o), (s, b_o), (b_s, o), (b_s, b_o).  Every array is
-    read-only.
+    read-only.  :func:`pair_layouts` builds them.
     """
 
     pairs: list[tuple[int, int]]
@@ -119,26 +132,6 @@ class PairLayout:
     def entities(self) -> int:
         """N, the entities whose pairs these are."""
         return self.rows - self.buckets.size
-
-    @classmethod
-    def of(cls, first_starts: Sequence[int]) -> PairLayout:
-        starts = np.asarray(first_starts, dtype=np.int64)
-        n = starts.size
-        subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
-        subject_buckets = distance_bucket(starts[subjects] - starts[objects])
-        used = np.zeros(N_DISTANCE_BUCKETS, dtype=bool)
-        used[subject_buckets] = True
-        used |= used[::-1]
-        buckets = np.flatnonzero(used)
-        row_of = n - 1 + np.cumsum(used)
-        cells = np.empty((2, 4, subjects.size), dtype=np.int64)
-        cells[0, :2] = subjects
-        cells[0, 2:] = row_of[subject_buckets]
-        cells[1, ::2] = objects
-        cells[1, 1::2] = row_of[::-1][subject_buckets]
-        _read_only(buckets, cells)
-        return cls(list(zip(subjects.tolist(), objects.tolist())),
-                   n + buckets.size, buckets, cells)
 
     @cached_property
     def sums(self) -> CellSums:
@@ -164,16 +157,62 @@ class PairLayout:
         return CellSums(single, multi, multi_pairs, multi_starts)
 
 
+def pair_layouts(first_starts: np.ndarray,
+                 entity_counts: Sequence[int]) -> list[PairLayout]:
+    """The :class:`PairLayout` of each of several documents, built
+    together: document i's entities are the next ``entity_counts[i]`` of
+    ``first_starts``, each entity's earliest mention start.  One
+    :func:`distance_bucket` call takes every pair's subject bucket, and a
+    (documents, buckets) grid marks the buckets each document uses.  The
+    layouts' arrays are read-only views into shared arrays."""
+    counts = np.asarray(entity_counts, dtype=np.int64)
+    pair_bounds = _bounds(counts * (counts - 1))
+    doc = np.repeat(np.arange(counts.size), np.diff(pair_bounds))
+    local = np.arange(pair_bounds[-1]) - pair_bounds[doc]
+    subjects, rest = np.divmod(local, (counts - 1)[doc])
+    objects = rest + (rest >= subjects)
+    first = _bounds(counts)[doc]
+    subject_buckets = distance_bucket(first_starts[first + subjects]
+                                      - first_starts[first + objects])
+    used = np.zeros((counts.size, N_DISTANCE_BUCKETS), dtype=bool)
+    used[doc, subject_buckets] = True
+    used |= used[:, ::-1]
+    row_of = (counts - 1)[:, None] + np.cumsum(used, axis=1)
+    cells = np.empty((2, 4, doc.size), dtype=np.int64)
+    cells[0, :2] = subjects
+    cells[0, 2:] = row_of[doc, subject_buckets]
+    cells[1, ::2] = objects
+    cells[1, 1::2] = row_of[doc, N_DISTANCE_BUCKETS - 1 - subject_buckets]
+    buckets = np.nonzero(used)[1]
+    bucket_bounds = _bounds(np.count_nonzero(used, axis=1))
+    _read_only(buckets, cells)
+    pairs = list(zip(subjects.tolist(), objects.tolist()))
+    return [PairLayout(pairs[p_lo:p_hi], n + b_hi - b_lo,
+                       buckets[b_lo:b_hi], cells[:, :, p_lo:p_hi])
+            for n, p_lo, p_hi, b_lo, b_hi in zip(
+                counts.tolist(), pair_bounds[:-1].tolist(),
+                pair_bounds[1:].tolist(), bucket_bounds[:-1].tolist(),
+                bucket_bounds[1:].tolist())]
+
+
 @dataclass(frozen=True)
 class EncodedDocument:
+    """A document as the model reads it.  Its arrays are read-only views
+    into arrays shared by the documents encoded with it
+    (:func:`encode_documents`)."""
+
     doc: Document             # the document as encoded, after truncation
     word_idx: np.ndarray      # (n,) vocabulary indices
     etype_idx: np.ndarray     # (n,) 0 = non-entity, else 1 + type ordinal
     coref_idx: np.ndarray     # (n,) 0 = non-entity, else 1 + entity ordinal
     structure: StructureMatrix
-    entity_tokens: tuple[tuple[int, ...], ...]
-    first_starts: tuple[int, ...]  # earliest mention start per entity
+    first_starts: np.ndarray  # (N,) earliest mention start per entity
     entity_ordinals: tuple[int, ...]  # each entity's ordinal before truncation
+    # (N, n), float64: row ``e`` holds ``1 / k`` at each of entity ``e``'s
+    # k mention tokens, so that ``pool_weights @ hidden`` is the mean of
+    # every entity's tokens
+    pool_weights: np.ndarray
+    pair_layout: PairLayout   # the ordered pairs of the entities
 
     @property
     def n(self) -> int:
@@ -181,25 +220,7 @@ class EncodedDocument:
 
     @property
     def n_entities(self) -> int:
-        return len(self.entity_tokens)
-
-    @cached_property
-    def pool_weights(self) -> np.ndarray:
-        """(N, n), float64: row ``e`` holds ``1 / k`` at each of entity
-        ``e``'s k mention tokens, so that ``pool_weights @ hidden`` is the
-        mean of every entity's tokens."""
-        counts = [len(tokens) for tokens in self.entity_tokens]
-        pool = np.zeros((self.n_entities, self.n))
-        rows = np.repeat(np.arange(self.n_entities), counts)
-        cols = list(itertools.chain.from_iterable(self.entity_tokens))
-        pool[rows, cols] = np.repeat(1.0 / np.asarray(counts, float), counts)
-        _read_only(pool)
-        return pool
-
-    @cached_property
-    def pair_layout(self) -> PairLayout:
-        """The ordered entity pairs of the encoded document."""
-        return PairLayout.of(self.first_starts)
+        return len(self.first_starts)
 
 
 def encode_document(doc: Document, vocab: Vocabulary,
@@ -207,44 +228,124 @@ def encode_document(doc: Document, vocab: Vocabulary,
                     max_len: int,
                     excluded: frozenset[DependencyType] = frozenset(),
                     ) -> EncodedDocument:
-    """Truncate a document to ``max_len`` tokens and encode what is left."""
-    doc, ordinals = truncate_document(doc, max_len)
-    n = doc.token_count()
-    word_idx = np.array([vocab.index(tok) for tok in doc.tokens()], dtype=np.int64)
-    etype_idx = np.zeros(n, dtype=np.int64)
-    coref_idx = np.zeros(n, dtype=np.int64)
-    entity_tokens = []
-    first_starts = []
-    for e_ord, entity in enumerate(doc.entities):
-        if e_ord + 1 > coref_cap:
-            raise ValueError(
-                f"doc {doc.doc_id!r}: entity ordinal {e_ord} exceeds the "
-                f"coreference table capacity {coref_cap}"
-            )
-        if entity.etype not in etype_to_index:
-            raise ValueError(
-                f"doc {doc.doc_id!r}: unknown entity type {entity.etype!r}"
-            )
-        tokens = doc.mention_tokens(e_ord)
-        entity_tokens.append(tuple(tokens))
-        starts = [doc.global_span(m)[0] for m in entity.mentions]
-        first_starts.append(min(starts))
-        for t in tokens:
-            etype_idx[t] = 1 + etype_to_index[entity.etype]
-            coref_idx[t] = 1 + e_ord
-    structure = build_structure_matrix(doc)
-    if excluded:
-        structure = apply_ablation(structure, excluded)
-    return EncodedDocument(
-        doc=doc,
-        word_idx=word_idx,
-        etype_idx=etype_idx,
-        coref_idx=coref_idx,
-        structure=structure,
-        entity_tokens=tuple(entity_tokens),
-        first_starts=tuple(first_starts),
-        entity_ordinals=ordinals,
-    )
+    """Truncate a document to ``max_len`` tokens and encode what is left:
+    :func:`encode_documents` of one document."""
+    return encode_documents([doc], vocab, etype_to_index, coref_cap,
+                            max_len, excluded)[0]
+
+
+def encode_documents(docs: Iterable[Document], vocab: Vocabulary,
+                     etype_to_index: dict[str, int], coref_cap: int,
+                     max_len: int,
+                     excluded: frozenset[DependencyType] = frozenset(),
+                     ) -> list[EncodedDocument]:
+    """Truncate documents to ``max_len`` tokens and encode what is left,
+    one :class:`EncodedDocument` per document, in order.
+
+    Each document is cut, checked (the coreference table's capacity,
+    the entity types, :func:`~structrel.corpus.validate_document`) and
+    read into flat lists on its own, so a bad document raises what it
+    would raise alone.  The numpy work then runs once for the group:
+    the index arrays, every token's sentence and entity, the entities'
+    first starts, the pooling weights in one buffer and the pair layouts
+    (:func:`pair_layouts`).  Only the structure is built per document,
+    one lookup in the decision table over its tokens
+    (:func:`~structrel.structure.dependency_codes`), with the excluded
+    types mapped to NA.
+    """
+    table = dependency_table(excluded)
+    lookup, unk = vocab.word_to_index.get, vocab.unk_index
+    cut: list[tuple[Document, tuple[int, ...]]] = []
+    words: list[int] = []
+    token_counts: list[int] = []
+    sentence_sizes: list[int] = []
+    entity_counts: list[int] = []
+    entity_types: list[int] = []     # per entity, 1 + type ordinal
+    mention_counts: list[int] = []   # per entity
+    mention_entities: list[int] = []  # per mention, its entity in the group
+    starts: list[int] = []           # per mention, its span in its document
+    ends: list[int] = []
+    for doc in docs:
+        doc, ordinals = truncate_document(doc, max_len)
+        for e_ord, entity in enumerate(doc.entities):
+            if e_ord + 1 > coref_cap:
+                raise ValueError(
+                    f"doc {doc.doc_id!r}: entity ordinal {e_ord} exceeds the "
+                    f"coreference table capacity {coref_cap}"
+                )
+            if entity.etype not in etype_to_index:
+                raise ValueError(
+                    f"doc {doc.doc_id!r}: unknown entity type {entity.etype!r}"
+                )
+        validate_document(doc)
+        offsets = doc.sentence_offsets
+        for entity in doc.entities:
+            mention_counts.append(len(entity.mentions))
+            for m in entity.mentions:
+                base = offsets[m.sent_id]
+                starts.append(base + m.start)
+                ends.append(base + m.end)
+                mention_entities.append(len(entity_types))
+            entity_types.append(1 + etype_to_index[entity.etype])
+        tokens = [lookup(tok, unk) for sent in doc.sentences for tok in sent]
+        words += tokens
+        token_counts.append(len(tokens))
+        sentence_sizes += map(len, doc.sentences)
+        entity_counts.append(len(doc.entities))
+        cut.append((doc, ordinals))
+
+    token_bounds = _bounds(token_counts)
+    entity_bounds = _bounds(entity_counts)
+    word_idx = np.array(words, dtype=np.int64)
+    sentence = np.repeat(np.arange(len(sentence_sizes)), sentence_sizes)
+    starts = np.array(starts, dtype=np.int64)
+    lengths = np.array(ends, dtype=np.int64) - starts
+    # every mention token, mention after mention: its entity in the group,
+    # that entity's document and ordinal there, and its column there
+    of_token = np.repeat(np.arange(lengths.size), lengths)
+    token_entity = np.array(mention_entities, dtype=np.int64)[of_token]
+    token_doc = np.repeat(np.arange(len(cut)), entity_counts)[token_entity]
+    ordinal = token_entity - entity_bounds[token_doc]
+    column = (starts[of_token] + np.arange(of_token.size)
+              - _bounds(lengths)[of_token])
+    row = token_bounds[token_doc] + column
+    entity = np.full(word_idx.size, -1, dtype=np.int64)
+    entity[row] = token_entity
+    etype_idx = np.zeros(word_idx.size, dtype=np.int64)
+    etype_idx[row] = np.array(entity_types, dtype=np.int64)[token_entity]
+    coref_idx = np.zeros(word_idx.size, dtype=np.int64)
+    coref_idx[row] = ordinal + 1
+    first_mention = _bounds(mention_counts)[:-1]
+    first_starts = np.minimum.reduceat(starts, first_mention)
+    token_totals = np.add.reduceat(lengths, first_mention)
+    # document i's (N_i, n_i) pooling weights, one block after another
+    n = np.array(token_counts, dtype=np.int64)
+    pool_bounds = _bounds(np.array(entity_counts, dtype=np.int64) * n)
+    pool = np.zeros(int(pool_bounds[-1]))
+    pool[pool_bounds[token_doc] + ordinal * n[token_doc] + column] = (
+        1.0 / token_totals)[token_entity]
+    _read_only(word_idx, etype_idx, coref_idx, first_starts, pool)
+    layouts = pair_layouts(first_starts, entity_counts)
+
+    encodings = []
+    t_b, e_b, p_b = (bounds.tolist() for bounds in
+                     (token_bounds, entity_bounds, pool_bounds))
+    for i, ((doc, ordinals), layout) in enumerate(zip(cut, layouts)):
+        tokens = slice(t_b[i], t_b[i + 1])
+        codes = dependency_codes(sentence[tokens], entity[tokens], table)
+        encodings.append(EncodedDocument(
+            doc=doc,
+            word_idx=word_idx[tokens],
+            etype_idx=etype_idx[tokens],
+            coref_idx=coref_idx[tokens],
+            structure=StructureMatrix(doc.doc_id, codes),
+            first_starts=first_starts[e_b[i]:e_b[i + 1]],
+            entity_ordinals=ordinals,
+            pool_weights=pool[p_b[i]:p_b[i + 1]].reshape(
+                e_b[i + 1] - e_b[i], token_counts[i]),
+            pair_layout=layout,
+        ))
+    return encodings
 
 
 def truncate_document(doc: Document,
@@ -326,6 +427,13 @@ def make_batches(encodings: Sequence[EncodedDocument], batch_size: int,
 #: ``PACK_BUDGET * max_len**2``.
 PACK_BUDGET = 2
 
+#: A pack's documents hold at most this many ``max_len`` documents'
+#: tokens: the sum of their lengths is at most ``PACK_ROWS * max_len``.
+#: Short documents reach this bound before the cells' one, and it keeps
+#: the rows of a pack's graph and of its encodings' shared arrays to
+#: those of eight ``max_len`` documents.
+PACK_ROWS = 8
+
 
 @dataclass(frozen=True)
 class Pack:
@@ -392,22 +500,34 @@ def _bounds(sizes: Sequence[int]) -> np.ndarray:
     return bounds
 
 
+def pack_spans(lengths: Iterable[int],
+               max_len: int) -> Iterator[tuple[int, int]]:
+    """Cut documents of the given token counts, in order, into packs:
+    the ``(lo, hi)`` index range of each pack's documents.  A document
+    joins the open pack while the pack's documents' squared lengths sum
+    to at most ``PACK_BUDGET * max_len**2`` and their lengths to at most
+    ``PACK_ROWS * max_len``, and opens the next pack otherwise.  A
+    document cut to ``max_len`` always fits an empty pack.  Lengths are
+    read one ahead of the range yielded."""
+    cell_budget = PACK_BUDGET * max_len ** 2
+    row_budget = PACK_ROWS * max_len
+    lo = hi = cells = rows = 0
+    for n in lengths:
+        if hi > lo and (cells + n * n > cell_budget
+                        or rows + n > row_budget):
+            yield lo, hi
+            lo, cells, rows = hi, 0, 0
+        cells += n * n
+        rows += n
+        hi += 1
+    if hi > lo:
+        yield lo, hi
+
+
 def pack_documents(encodings: Iterable[EncodedDocument],
                    max_len: int) -> Iterator[Pack]:
-    """Consecutive encodings, in order, as packs: a document joins the
-    open pack while the pack's documents' squared lengths sum to at most
-    ``PACK_BUDGET * max_len**2``, and opens the next pack otherwise.  A
-    document cut to ``max_len`` always fits an empty pack.  Encodings
-    are read one ahead of the pack yielded."""
-    budget = PACK_BUDGET * max_len ** 2
-    docs: list[EncodedDocument] = []
-    cells = 0
-    for enc in encodings:
-        cost = enc.n ** 2
-        if docs and cells + cost > budget:
-            yield Pack(tuple(docs))
-            docs, cells = [], 0
-        docs.append(enc)
-        cells += cost
-    if docs:
-        yield Pack(tuple(docs))
+    """Encodings, in order, as the packs of :func:`pack_spans` by their
+    lengths."""
+    encodings = tuple(encodings)
+    return (Pack(encodings[lo:hi]) for lo, hi in
+            pack_spans([enc.n for enc in encodings], max_len))

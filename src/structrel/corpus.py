@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,17 +63,26 @@ class RelationFact:
 
 @dataclass(frozen=True)
 class Document:
+    """A document's sentences, entities and facts.
+
+    ``sentence_offsets`` holds each sentence's first token in document
+    order.  It is computed once, at construction, and kept outside the
+    fields, so equality, hashing and ``dataclasses.replace`` see only the
+    fields.
+    """
+
     doc_id: str
     sentences: tuple[tuple[str, ...], ...]
     entities: tuple[Entity, ...]
     facts: tuple[RelationFact, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sentences", tuple(tuple(s) for s in self.sentences)
-        )
+        sentences = tuple(tuple(s) for s in self.sentences)
+        object.__setattr__(self, "sentences", sentences)
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "facts", tuple(self.facts))
+        object.__setattr__(self, "sentence_offsets", tuple(
+            accumulate(map(len, sentences), initial=0))[:-1])
 
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
@@ -81,25 +90,9 @@ class Document:
     def tokens(self) -> list[str]:
         return [tok for sent in self.sentences for tok in sent]
 
-    def sentence_offsets(self) -> list[int]:
-        offsets = []
-        total = 0
-        for sent in self.sentences:
-            offsets.append(total)
-            total += len(sent)
-        return offsets
-
     def global_span(self, mention: Mention) -> tuple[int, int]:
-        base = self.sentence_offsets()[mention.sent_id]
+        base = self.sentence_offsets[mention.sent_id]
         return base + mention.start, base + mention.end
-
-    def mention_tokens(self, entity_index: int) -> list[int]:
-        """Global token indices across all mentions of one entity."""
-        out = []
-        for mention in self.entities[entity_index].mentions:
-            lo, hi = self.global_span(mention)
-            out.extend(range(lo, hi))
-        return out
 
 
 def read_text(path) -> str:

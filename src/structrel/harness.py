@@ -17,12 +17,17 @@ import numpy as np
 from .autodiff import load_checkpoint, save_checkpoint, sigmoid
 from .batching import (
     EncodedDocument,
-    encode_document,
+    Pack,
+    encode_documents,
     kept_mentions,
     make_batches,
     pack_documents,
+    pack_spans,
     pair_row,
 )
+# Nothing here encodes one document at a time any more; the benchmark's
+# tracer (benchmark/spans.py) still wraps the name in this module.
+from .batching import encode_document  # noqa: F401
 from .config import TOGGLES, ModelConfig, load_config, save_config
 from .corpus import (
     Document,
@@ -119,24 +124,32 @@ def check_corpus(path, docs: Sequence[Document], config: ModelConfig,
                 f"{config.coref_cap}")
 
 
-def _encode(model: RelationExtractor, doc: Document) -> EncodedDocument:
+def _encode(model: RelationExtractor,
+            docs: Sequence[Document]) -> list[EncodedDocument]:
+    """The documents truncated and encoded for ``model``, as one group
+    (:func:`~structrel.batching.encode_documents`)."""
     cfg = model.cfg
-    return encode_document(doc, model.vocab, model.etype_to_index,
-                           cfg.coref_cap, cfg.max_len,
-                           cfg.excluded_dependency_set())
+    return encode_documents(docs, model.vocab, model.etype_to_index,
+                            cfg.coref_cap, cfg.max_len,
+                            cfg.excluded_dependency_set())
 
 
 def _forward_docs(model: RelationExtractor, docs: Sequence[Document],
                   recorder: Optional[BiasRecorder] = None,
                   ) -> Iterator[DocumentResult]:
-    """The inference loop: truncate and encode the documents in order,
-    run them in packs (:func:`~structrel.batching.pack_documents`) with
-    frozen parameters, and yield each document's result in order.  One
-    pack's graph is alive at a time.  Pairs are renumbered to the
-    document's own entity ordinals, so facts about truncated-away
-    entities are simply absent."""
-    encodings = (_encode(model, doc) for doc in docs)
-    for pack in pack_documents(encodings, model.cfg.max_len):
+    """The inference loop: cut the documents, in order, into packs by
+    their lengths after truncation, ``min(token_count, max_len)``, with
+    the rule training's batches are packed by
+    (:func:`~structrel.batching.pack_spans`); encode each pack's
+    documents as one group, run the pack with frozen parameters, and
+    yield each document's result in order.  One pack's encodings and
+    graph are alive at a time.  Pairs are renumbered to the document's
+    own entity ordinals, so facts about truncated-away entities are
+    simply absent."""
+    max_len = model.cfg.max_len
+    lengths = [min(doc.token_count(), max_len) for doc in docs]
+    for lo, hi in pack_spans(lengths, max_len):
+        pack = Pack(tuple(_encode(model, docs[lo:hi])))
         for result in model.forward(pack, recorder=recorder).documents():
             ordinals = result.ordinals
             yield dataclasses.replace(
@@ -268,9 +281,10 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     tracking on dev F1: with dev documents, every epoch is evaluated and
     the best one's parameters kept; without, the last epoch's.
 
-    Each training document is truncated and encoded once, before the
-    first epoch; every epoch shuffles those encodings into batches with
-    its own seed.
+    The training documents are truncated and encoded once, as one group
+    (:func:`~structrel.batching.encode_documents`), before the first
+    epoch; every epoch shuffles those encodings into batches with its
+    own seed.
 
     A batch is one optimizer step on the mean of its documents' losses.
     :func:`_backward_batch` builds that gradient by a backward per pack
@@ -283,7 +297,7 @@ def train(config: ModelConfig, train_docs: Sequence[Document],
     """
     model = build_model(config, train_docs, schema)
     optimizer = model.make_optimizer()
-    encodings = [_encode(model, doc) for doc in train_docs]
+    encodings = _encode(model, train_docs)
     best_arrays: Optional[dict[str, np.ndarray]] = None
     best_dev = -1.0
     log: list[EpochLog] = []

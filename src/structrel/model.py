@@ -359,7 +359,7 @@ class RelationExtractor:
 
     def pair_features(self, pack: Pack) -> tuple[PairLayout, ...]:
         """Every document's ordered entity pairs, subject-major, with
-        their distance buckets; computed once per encoding."""
+        their distance buckets, as laid out when they were encoded."""
         return pack.layouts
 
     def score_relations(self, entities: Tensor,

@@ -144,37 +144,81 @@ class QuerySlots:
     flat: np.ndarray
 
 
+#: The decision table: the code of a token pair (i, j), keyed by
+#: ``(in_i * 2 + in_j) * 4 + same_sentence * 2 + same_entity``, where
+#: ``in_i`` says that token i lies in a mention.  Read-only.
+DEPENDENCY_TABLE = np.array([
+    # neither token in a mention
+    DependencyType.NA, DependencyType.NA, DependencyType.NA, DependencyType.NA,
+    # only j in a mention; i and j are never one entity
+    DependencyType.NA, DependencyType.NA,
+    DependencyType.INTRA_NE, DependencyType.INTRA_NE,
+    # only i in a mention
+    DependencyType.NA, DependencyType.NA,
+    DependencyType.INTRA_NE, DependencyType.INTRA_NE,
+    # both in mentions: other sentence, other sentence and one entity,
+    # one sentence, one sentence and one entity
+    DependencyType.INTER_RELATE, DependencyType.INTER_COREF,
+    DependencyType.INTRA_RELATE, DependencyType.INTRA_COREF,
+], dtype=np.int8)
+DEPENDENCY_TABLE.setflags(write=False)
+
+
+def dependency_table(excluded: Iterable[DependencyType] = ()) -> np.ndarray:
+    """:data:`DEPENDENCY_TABLE` with every excluded type mapped to NA,
+    read-only.  ``excluded`` is refused as :func:`apply_ablation`
+    refuses it."""
+    table = _ablation_map(excluded)[DEPENDENCY_TABLE]
+    table.setflags(write=False)
+    return table
+
+
+def dependency_codes(sentence: np.ndarray, entity: np.ndarray,
+                     table: np.ndarray = DEPENDENCY_TABLE) -> np.ndarray:
+    """The (n, n) int8 codes of a document's tokens, looked up in
+    ``table`` (:func:`dependency_table`) from two per-token arrays: the
+    sentence index and the entity index, -1 outside every mention.  Any
+    numbering works for either as long as it tells equal from unequal."""
+    in_mention = (entity >= 0).astype(np.int8)
+    key = np.add.outer(in_mention * np.int8(8), in_mention * np.int8(4))
+    same_sentence = np.equal.outer(sentence, sentence).view(np.int8)
+    key += same_sentence
+    key += same_sentence
+    key += np.equal.outer(entity, entity).view(np.int8)
+    return table[key]
+
+
 def build_structure_matrix(doc) -> StructureMatrix:
     """Materialize the dependency grid for a document.
 
     The document is checked by :func:`validate_document` first, which
-    names the offending mention of any bad span or overlap.  The decision
-    table is evaluated for all pairs at once from two per-token arrays,
-    the sentence index and the entity index (-1 outside every mention).
+    names the offending mention of any bad span or overlap.  The codes
+    are one lookup in :data:`DEPENDENCY_TABLE` for all pairs at once
+    (:func:`dependency_codes`).
     """
     validate_document(doc)
     sent = np.repeat(np.arange(len(doc.sentences)),
                      [len(s) for s in doc.sentences])
-    n = doc.token_count()
-    ent = np.full(n, -1, dtype=np.int64)
+    ent = np.full(doc.token_count(), -1, dtype=np.int64)
     for e_idx, entity in enumerate(doc.entities):
         for mention in entity.mentions:
             lo, hi = doc.global_span(mention)
             ent[lo:hi] = e_idx
-    in_mention = ent >= 0
+    return StructureMatrix(doc.doc_id, dependency_codes(sent, ent))
 
-    same_sent = sent[:, None] == sent[None, :]
-    both = in_mention[:, None] & in_mention[None, :]
-    one = in_mention[:, None] ^ in_mention[None, :]
-    same_ent = (ent[:, None] == ent[None, :]) & both
 
-    codes = np.full((n, n), DependencyType.NA, dtype=np.int8)
-    codes[both & same_ent & same_sent] = DependencyType.INTRA_COREF
-    codes[both & same_ent & ~same_sent] = DependencyType.INTER_COREF
-    codes[both & ~same_ent & same_sent] = DependencyType.INTRA_RELATE
-    codes[both & ~same_ent & ~same_sent] = DependencyType.INTER_RELATE
-    codes[one & same_sent] = DependencyType.INTRA_NE
-    return StructureMatrix(doc.doc_id, codes)
+def _ablation_map(excluded: Iterable[DependencyType]) -> np.ndarray:
+    """Every code, indexed by itself, with each excluded type's set to
+    NA; NA itself and anything but a structured type are refused."""
+    excluded = set(excluded)
+    if DependencyType.NA in excluded:
+        raise ValueError("NA cannot be excluded; it is the absence of structure")
+    for dep in excluded:
+        if dep not in STRUCTURED_TYPES:
+            raise ValueError(f"unknown dependency type in exclusion set: {dep!r}")
+    codes = np.arange(len(DependencyType), dtype=np.int8)
+    codes[[int(dep) for dep in excluded]] = DependencyType.NA
+    return codes
 
 
 def apply_ablation(
@@ -185,17 +229,7 @@ def apply_ablation(
     Idempotent and monotone; excluding nothing returns an equal matrix.
     NA itself cannot be excluded.
     """
-    excluded = set(excluded)
-    if DependencyType.NA in excluded:
-        raise ValueError("NA cannot be excluded; it is the absence of structure")
-    for dep in excluded:
-        if dep not in STRUCTURED_TYPES:
-            raise ValueError(f"unknown dependency type in exclusion set: {dep!r}")
-    if not excluded:
-        return StructureMatrix(m.doc_id, m.codes.copy())
-    mask = np.isin(m.codes, [int(d) for d in excluded])
-    codes = np.where(mask, np.int8(DependencyType.NA), m.codes)
-    return StructureMatrix(m.doc_id, codes)
+    return StructureMatrix(m.doc_id, _ablation_map(excluded)[m.codes])
 
 
 # On-disk grid format: one tab-separated text header line "doc_id<TAB>n",

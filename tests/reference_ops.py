@@ -11,10 +11,28 @@ constant pooling matrix; ``model.sigmoid_cross_entropy`` replaced
 replaced :func:`mul` by a :func:`constant` ``1 / B``.  Each op is as it
 last stood in ``structrel.autodiff``, so a test can build the graph the
 model built and compare values and gradients with the node.
+
+:func:`reference_encode_document` is the encoder of one document at a
+time that ``batching.encode_documents`` replaced, with the structure
+built by boolean masks as ``structure.build_structure_matrix`` built it
+before its decision table.
 """
+import itertools
+
 import numpy as np
 
 from structrel.autodiff import ShapeError, Tensor, _as_array, sigmoid
+from structrel.batching import (
+    N_DISTANCE_BUCKETS,
+    distance_bucket,
+    truncate_document,
+)
+from structrel.corpus import validate_document
+from structrel.structure import (
+    STRUCTURED_TYPES,
+    DependencyType,
+    StructureMatrix,
+)
 
 
 class _Constant(Tensor):
@@ -212,3 +230,116 @@ def reference_embedding_sum(tables, rows) -> Tensor:
 def reference_cross_entropy(logits: Tensor, targets) -> Tensor:
     """``model.sigmoid_cross_entropy`` as the elementwise loss and a sum."""
     return sum_all(bce_with_logits(logits, targets))
+
+
+# ---- the encoder of one document at a time ------------------------------
+
+
+def reference_structure_matrix(doc) -> StructureMatrix:
+    """The dependency grid of a document, by boolean masks over the
+    token pairs."""
+    validate_document(doc)
+    sent = np.repeat(np.arange(len(doc.sentences)),
+                     [len(s) for s in doc.sentences])
+    n = doc.token_count()
+    ent = np.full(n, -1, dtype=np.int64)
+    for e_idx, entity in enumerate(doc.entities):
+        for mention in entity.mentions:
+            lo, hi = doc.global_span(mention)
+            ent[lo:hi] = e_idx
+    in_mention = ent >= 0
+
+    same_sent = sent[:, None] == sent[None, :]
+    both = in_mention[:, None] & in_mention[None, :]
+    one = in_mention[:, None] ^ in_mention[None, :]
+    same_ent = (ent[:, None] == ent[None, :]) & both
+
+    codes = np.full((n, n), DependencyType.NA, dtype=np.int8)
+    codes[both & same_ent & same_sent] = DependencyType.INTRA_COREF
+    codes[both & same_ent & ~same_sent] = DependencyType.INTER_COREF
+    codes[both & ~same_ent & same_sent] = DependencyType.INTRA_RELATE
+    codes[both & ~same_ent & ~same_sent] = DependencyType.INTER_RELATE
+    codes[one & same_sent] = DependencyType.INTRA_NE
+    return StructureMatrix(doc.doc_id, codes)
+
+
+def reference_ablation(m: StructureMatrix, excluded) -> StructureMatrix:
+    """Every cell of an excluded type replaced with NA."""
+    excluded = set(excluded)
+    if DependencyType.NA in excluded:
+        raise ValueError("NA cannot be excluded; it is the absence of structure")
+    for dep in excluded:
+        if dep not in STRUCTURED_TYPES:
+            raise ValueError(f"unknown dependency type in exclusion set: {dep!r}")
+    if not excluded:
+        return StructureMatrix(m.doc_id, m.codes.copy())
+    mask = np.isin(m.codes, [int(d) for d in excluded])
+    codes = np.where(mask, np.int8(DependencyType.NA), m.codes)
+    return StructureMatrix(m.doc_id, codes)
+
+
+def reference_pair_layout(first_starts) -> dict:
+    """The fields of one document's ``PairLayout``: pairs, rows, buckets
+    and cells."""
+    starts = np.asarray(first_starts, dtype=np.int64)
+    n = starts.size
+    subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
+    subject_buckets = distance_bucket(starts[subjects] - starts[objects])
+    used = np.zeros(N_DISTANCE_BUCKETS, dtype=bool)
+    used[subject_buckets] = True
+    used |= used[::-1]
+    buckets = np.flatnonzero(used)
+    row_of = n - 1 + np.cumsum(used)
+    cells = np.empty((2, 4, subjects.size), dtype=np.int64)
+    cells[0, :2] = subjects
+    cells[0, 2:] = row_of[subject_buckets]
+    cells[1, ::2] = objects
+    cells[1, 1::2] = row_of[::-1][subject_buckets]
+    return dict(pairs=list(zip(subjects.tolist(), objects.tolist())),
+                rows=n + buckets.size, buckets=buckets, cells=cells)
+
+
+def reference_encode_document(doc, vocab, etype_to_index, coref_cap: int,
+                              max_len: int, excluded=frozenset()) -> dict:
+    """The fields of ``batching.EncodedDocument`` for one document, each
+    computed on its own; ``pair_layout`` is
+    :func:`reference_pair_layout`'s dict."""
+    doc, ordinals = truncate_document(doc, max_len)
+    n = doc.token_count()
+    word_idx = np.array([vocab.index(tok) for tok in doc.tokens()],
+                        dtype=np.int64)
+    etype_idx = np.zeros(n, dtype=np.int64)
+    coref_idx = np.zeros(n, dtype=np.int64)
+    entity_tokens = []
+    first_starts = []
+    for e_ord, entity in enumerate(doc.entities):
+        if e_ord + 1 > coref_cap:
+            raise ValueError(
+                f"doc {doc.doc_id!r}: entity ordinal {e_ord} exceeds the "
+                f"coreference table capacity {coref_cap}"
+            )
+        if entity.etype not in etype_to_index:
+            raise ValueError(
+                f"doc {doc.doc_id!r}: unknown entity type {entity.etype!r}"
+            )
+        tokens = [t for m in entity.mentions
+                  for t in range(*doc.global_span(m))]
+        entity_tokens.append(tuple(tokens))
+        starts = [doc.global_span(m)[0] for m in entity.mentions]
+        first_starts.append(min(starts))
+        for t in tokens:
+            etype_idx[t] = 1 + etype_to_index[entity.etype]
+            coref_idx[t] = 1 + e_ord
+    structure = reference_structure_matrix(doc)
+    if excluded:
+        structure = reference_ablation(structure, excluded)
+    counts = [len(tokens) for tokens in entity_tokens]
+    pool = np.zeros((len(entity_tokens), n))
+    rows = np.repeat(np.arange(len(entity_tokens)), counts)
+    cols = list(itertools.chain.from_iterable(entity_tokens))
+    pool[rows, cols] = np.repeat(1.0 / np.asarray(counts, float), counts)
+    return dict(doc=doc, word_idx=word_idx, etype_idx=etype_idx,
+                coref_idx=coref_idx, structure=structure,
+                first_starts=np.array(first_starts, dtype=np.int64),
+                entity_ordinals=ordinals, pool_weights=pool,
+                pair_layout=reference_pair_layout(first_starts))

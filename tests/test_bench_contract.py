@@ -44,22 +44,36 @@ def packs_per_training(config, docs) -> int:
     """The packs that ``harness.train`` runs: each epoch's batches, each
     packed on its own."""
     built = harness.build_model(config, docs)
-    encodings = [harness._encode(built, doc) for doc in docs]
+    encodings = harness._encode(built, docs)
     return sum(len(list(batching.pack_documents(batch, config.max_len)))
                for epoch in range(config.epochs)
                for batch in batching.make_batches(
                    encodings, config.batch_size, config.seed + epoch))
 
 
-def test_training_encodes_each_document_once():
+def test_training_encodes_each_document_once(monkeypatch):
+    # One group, encoded before the first epoch, holds every training
+    # document once, and each is cut once.  Documents are encoded in
+    # groups, so the per-document spans of ``encode_document`` and
+    # ``build_structure_matrix`` see no work.
     docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
     config = small_config(epochs=3, batch_size=4)
+    groups = []
+    encode_documents = harness.encode_documents
+
+    def counted(group, *args):
+        groups.append([doc.doc_id for doc in group])
+        return encode_documents(group, *args)
+
+    monkeypatch.setattr(harness, "encode_documents", counted)
     with spans.Tracer() as tracer:
         tracer.measure("harness.train", "train", harness.train, config, docs)
     totals = tracer.totals("train")
     assert totals["harness.make_batches.calls"] == 3
-    assert totals["batching.encode_document.calls"] == 6
-    assert totals["batching.build_structure_matrix.calls"] == 6
+    assert groups == [[doc.doc_id for doc in docs]]
+    assert totals["batching.truncate_document.calls"] == 6
+    assert totals["batching.encode_document.calls"] == 0
+    assert totals["batching.build_structure_matrix.calls"] == 0
     # one forward per pack: 2 batches an epoch, the first of them in one
     # or two packs
     packs = packs_per_training(config, docs)
@@ -127,7 +141,7 @@ def test_attention_is_one_node_per_layer_whatever_the_heads(mode):
     for heads in (1, 4):
         config = small_config(layers=3, heads=heads, d_model=16, mode=mode)
         model = harness.build_model(config, docs)
-        pack = batching.Pack((harness._encode(model, docs[0]),))
+        pack = batching.Pack(tuple(harness._encode(model, docs[:1])))
         with spans.Tracer() as tracer:
             tracer.measure("model.forward", "infer", model.forward, pack)
         totals[heads] = tracer.totals("infer")
@@ -147,7 +161,7 @@ def test_relation_head_is_one_node_whatever_the_schema():
     for width in (1, 40):
         schema = [f"r{i}" for i in range(width)]
         model = harness.build_model(config, docs, schema)
-        enc = harness._encode(model, docs[0])
+        enc, = harness._encode(model, docs[:1])
         assert enc.n_entities >= 2
         with spans.Tracer() as tracer:
             tracer.measure("model.forward", "infer", model.forward,
@@ -168,7 +182,7 @@ def test_a_pack_forward_builds_8_nodes_whatever_its_document_count(mode):
     docs = generate_synthetic(SynthSpec(n_docs=3, seed=5))
     config = small_config(layers=2, mode=mode)
     built = harness.build_model(config, docs)
-    encs = [harness._encode(built, doc) for doc in docs]
+    encs = harness._encode(built, docs)
     assert all(enc.n_entities >= 2 for enc in encs)
     for count in (1, 2, 3):
         pack = batching.Pack(tuple(encs[:count]))

@@ -89,7 +89,7 @@ def test_one_float32_step_keeps_everything_float32(mode, monkeypatch):
     # one document with a single entity, whose loss is a zero leaf
     solo = Document("solo", (("a", "b"),),
                     (Entity("ENT", (Mention(0, 0, 1, "a"),)),), ())
-    encs = [harness._encode(model, doc) for doc in [*docs, solo]]
+    encs = harness._encode(model, [*docs, solo])
     assert sum(enc.n_entities >= 2 for enc in encs) >= 2
     values, grads, handed, encoder_arrays = [], [], [], []
     init = Tensor.__init__

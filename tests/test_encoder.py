@@ -1104,7 +1104,7 @@ def setup(mode: str):
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=7))
     config = small_config(layers=2, heads=2, mode=mode)
     model = harness.build_model(config, docs)
-    encs = [harness._encode(model, doc) for doc in docs]
+    encs = harness._encode(model, docs)
     encs = [enc for enc in encs if enc.n_entities >= 2]
     assert len(encs) >= 2 and all(enc.structure.cells[0].size for enc in encs)
     return model, encs

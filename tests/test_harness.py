@@ -16,9 +16,9 @@ from structrel.autodiff import (
 from structrel import harness
 from structrel.batching import (
     Pack,
-    PairLayout,
     TruncationWarning,
     pack_documents,
+    pair_layouts,
     pair_row,
 )
 from structrel.config import ModelConfig, load_config, save_config
@@ -203,7 +203,7 @@ class TestTrain:
             assert np.array_equal(p.values, result.best_arrays[p.name])
             assert np.shares_memory(p.values, optimizer.values), p.name
         optimizer.zero_grad()
-        _backward_batch(model, [_encode(model, doc) for doc in train_docs],
+        _backward_batch(model, _encode(model, train_docs),
                         step=0, epoch=0)
         optimizer.step()
         moved = [p.name for p in model.store
@@ -245,8 +245,8 @@ def mixed_encodings(model, docs) -> list:
     put after the first, all encoded; the second two share the first
     pack with it under ``small_config``'s max_len."""
     with pytest.warns(TruncationWarning):
-        encs = [_encode(model, doc)
-                for doc in [docs[0], solo_doc(), over_length_doc(), *docs[1:]]]
+        encs = _encode(model, [docs[0], solo_doc(), over_length_doc(),
+                               *docs[1:]])
     assert encs[1].n_entities == 1 and encs[2].n == model.cfg.max_len
     packs = list(pack_documents(encs, model.cfg.max_len))
     assert len(packs) > 1 and packs[0].docs[:3] == tuple(encs[:3])
@@ -298,7 +298,7 @@ class TestPackedBackward:
                                                    monkeypatch):
         docs = tiny_corpus[0] + tiny_corpus[1]
         model = build_model(small_config(), docs)
-        encodings = [_encode(model, doc) for doc in docs]
+        encodings = _encode(model, docs)
         assert len(list(pack_documents(encodings, model.cfg.max_len))) > 2
         seen = []
 
@@ -345,9 +345,9 @@ class TestPackedInference:
                 *tiny_corpus[1][1:], *tiny_corpus[0]]
         sizes, packed, packed_recorder = self.run(model, docs, monkeypatch)
         assert sizes[0] >= 3 and len(sizes) < len(docs)
-        monkeypatch.setattr(harness, "pack_documents",
-                            lambda encodings, max_len:
-                            (Pack((enc,)) for enc in encodings))
+        monkeypatch.setattr(harness, "pack_spans",
+                            lambda lengths, max_len:
+                            ((i, i + 1) for i in range(len(lengths))))
         sizes, alone, alone_recorder = self.run(model, docs, monkeypatch)
         assert sizes == [1] * len(docs)
 
@@ -634,7 +634,7 @@ class TestGoldPlacement:
         docs += [entities_reversed(doc) for doc in docs]
         model = build_model(small_config(max_len=10), docs)
         with pytest.warns(TruncationWarning):
-            encs = [_encode(model, doc) for doc in docs]
+            encs = _encode(model, docs)
         ordinals = [enc.entity_ordinals for enc in encs]
         assert any(o and o[0] > 0 for o in ordinals)
         assert any(len(enc.doc.facts) < len(doc.facts)
@@ -643,7 +643,7 @@ class TestGoldPlacement:
 
     def test_rows_of_the_dict(self):
         for n in range(7):
-            pairs = PairLayout.of(range(n)).pairs if n else []
+            pairs = pair_layouts(np.arange(n), [n])[0].pairs
             row_of = {pair: i for i, pair in enumerate(pairs)}
             for h in range(-1, n + 1):
                 for t in range(-1, n + 1):

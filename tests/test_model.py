@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structrel import harness
+from structrel import batching, harness
 from structrel.autodiff import (
     Parameter,
     ShapeError,
@@ -20,6 +20,7 @@ from structrel.batching import (
     PairLayout,
     distance_bucket,
     encode_document,
+    pair_layouts,
 )
 from structrel.config import ModelConfig
 from structrel.corpus import (
@@ -232,7 +233,7 @@ class TestEmbeddingNode:
     def test_model_embedding_matches_the_graph_ops(self):
         docs = generate_synthetic(SynthSpec(n_docs=2, seed=5))
         model = harness.build_model(small_config(), docs)
-        enc = harness._encode(model, docs[0])
+        enc, = harness._encode(model, docs[:1])
         assert np.unique(enc.etype_idx).size < enc.n
         tables = [model.store[f"embed.{name}"]
                   for name in ("word", "pos", "etype", "coref")]
@@ -320,7 +321,7 @@ class TestPackPooling:
         docs = [random_document(rng, f"p{i}") for i in range(6)]
         docs.insert(2, Document("bare", (("x", "y", "z"),), (), ()))
         model = harness.build_model(small_config(), docs, schema=["r"])
-        encs = [harness._encode(model, doc) for doc in docs]
+        encs = harness._encode(model, docs)
         assert any(not enc.n_entities for enc in encs)
         d = model.cfg.d_model
         hidden = [rng.normal(size=(enc.n, d)).astype(compute_dtype)
@@ -504,6 +505,12 @@ def reference_scores(entities: Tensor, dist: Tensor, w: Tensor,
     return bilinear_scores(e_s, e_o, w, k)
 
 
+def layout_of(starts) -> PairLayout:
+    """The pair layout of one document whose entities start at
+    ``starts``."""
+    return pair_layouts(np.asarray(starts, dtype=np.int64), [len(starts)])[0]
+
+
 #: First mention starts per entity count.  Each layout holds both end
 #: buckets, 0 and 18, distances of 256 and more; those of three and nine
 #: entities repeat buckets, so some grid cells sum several pairs.
@@ -525,13 +532,13 @@ def head_inputs(n: int, m: int, d_dist: int, dtype="float64", d: int = 6,
               param("dist", (N_DISTANCE_BUCKETS, d_dist)),
               param("W", (d_e, m * d_e)))
     upstream = constant(rng.normal(size=(n * (n - 1), m)).astype(dtype))
-    return params, upstream, PairLayout.of(STARTS[n])
+    return params, upstream, layout_of(STARTS[n])
 
 
 class TestRelationHeadNode:
     @pytest.mark.parametrize("n", sorted(STARTS))
     def test_layouts_repeat_buckets_and_reach_both_ends(self, n):
-        layout = PairLayout.of(STARTS[n])
+        layout = layout_of(STARTS[n])
         buckets = subject_buckets(layout, STARTS[n]).tolist()
         assert {0, N_DISTANCE_BUCKETS - 1} <= set(buckets)
         assert len(set(buckets)) < len(buckets) or n == 2
@@ -609,7 +616,7 @@ class TestRelationHeadNode:
 class TestPairLayout:
     def test_pairs_and_buckets_per_pair(self):
         starts = (4, 0, 30)
-        layout = PairLayout.of(starts)
+        layout = layout_of(starts)
         assert layout.pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
                                 (2, 1)]
         assert subjects(layout).tolist() == [s for s, _ in layout.pairs]
@@ -623,7 +630,7 @@ class TestPairLayout:
     def test_every_pair_meets_its_four_cells(self):
         # Each pair's value summed into the grid by the single and multi
         # cells lands in its four (subject row, object row) cells.
-        layout = PairLayout.of(STARTS[9])
+        layout = layout_of(STARTS[9])
         p, rows = len(layout.pairs), layout.rows
         values = np.random.default_rng(0).normal(size=p)
         grid = np.zeros((rows, rows))
@@ -647,21 +654,20 @@ class TestPairLayout:
                 (a, b) for a in sides[0] for b in sides[1])
 
     def test_training_builds_each_layout_once(self, monkeypatch):
+        # one pair_layouts call, before the first epoch, for every
+        # training document
         docs = generate_synthetic(SynthSpec(n_docs=6, seed=2))
         config = small_config(epochs=3, batch_size=4)
-        model = harness.build_model(config, docs)
-        scored = sum(harness._encode(model, doc).n_entities >= 2
-                     for doc in docs)
         built = []
-        of = PairLayout.of.__func__
+        original = batching.pair_layouts
 
-        def counted(cls, first_starts):
-            built.append(tuple(first_starts))
-            return of(cls, first_starts)
+        def counted(first_starts, entity_counts):
+            built.append(list(entity_counts))
+            return original(first_starts, entity_counts)
 
-        monkeypatch.setattr(PairLayout, "of", classmethod(counted))
+        monkeypatch.setattr(batching, "pair_layouts", counted)
         harness.train(config, docs)
-        assert len(built) == scored > 0
+        assert built == [[len(doc.entities) for doc in docs]]
 
     def test_computed_once_per_encoding_and_read_only(self):
         model, enc = make_model()
@@ -669,7 +675,8 @@ class TestPairLayout:
         assert model.pair_features(Pack((enc,)))[0] is enc.pair_layout
         assert enc.pool_weights is enc.pool_weights
         for arr in (enc.pair_layout.buckets, enc.pair_layout.cells,
-                    enc.pool_weights):
+                    enc.pool_weights, enc.word_idx, enc.etype_idx,
+                    enc.coref_idx, enc.first_starts):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
