@@ -21,6 +21,12 @@ a pack's size: a pack's documents hold at most ``PACK_BUDGET *
 max_len**2`` cells between them.  Its rows are bound too, to
 ``PACK_ROWS * max_len``, so that many short documents do not make one
 large graph.
+
+Each encoding's structure also names the rows that entity pooling reads,
+the document's mention tokens, ascending
+(:attr:`~structrel.structure.StructureMatrix.read`), and a pack stacks
+them (:attr:`~structrel.structure.PackedStructure.read_rows`): the
+encoder's last block computes only those rows.
 """
 from __future__ import annotations
 
@@ -247,11 +253,11 @@ def encode_documents(docs: Iterable[Document], vocab: Vocabulary,
     read into flat lists on its own, so a bad document raises what it
     would raise alone.  The numpy work then runs once for the group:
     the index arrays, every token's sentence and entity, the entities'
-    first starts, the pooling weights in one buffer and the pair layouts
-    (:func:`pair_layouts`).  Only the structure is built per document,
-    one lookup in the decision table over its tokens
-    (:func:`~structrel.structure.dependency_codes`), with the excluded
-    types mapped to NA.
+    first starts, the pooling weights in one buffer, the mention tokens
+    that pooling reads and the pair layouts (:func:`pair_layouts`).  Only
+    the structure is built per document, one lookup in the decision table
+    over its tokens (:func:`~structrel.structure.dependency_codes`), with
+    the excluded types mapped to NA; it holds the document's read tokens.
     """
     table = dependency_table(excluded)
     lookup, unk = vocab.word_to_index.get, vocab.unk_index
@@ -324,12 +330,17 @@ def encode_documents(docs: Iterable[Document], vocab: Vocabulary,
     pool = np.zeros(int(pool_bounds[-1]))
     pool[pool_bounds[token_doc] + ordinal * n[token_doc] + column] = (
         1.0 / token_totals)[token_entity]
-    _read_only(word_idx, etype_idx, coref_idx, first_starts, pool)
+    # every document's mention tokens, ascending: the rows pooling reads
+    read = np.flatnonzero(entity >= 0)
+    read_bounds = np.searchsorted(read, token_bounds)
+    read -= np.repeat(token_bounds[:-1], np.diff(read_bounds))
+    _read_only(word_idx, etype_idx, coref_idx, first_starts, pool, read)
     layouts = pair_layouts(first_starts, entity_counts)
 
     encodings = []
-    t_b, e_b, p_b = (bounds.tolist() for bounds in
-                     (token_bounds, entity_bounds, pool_bounds))
+    t_b, e_b, p_b, r_b = (bounds.tolist() for bounds in
+                          (token_bounds, entity_bounds, pool_bounds,
+                           read_bounds))
     for i, ((doc, ordinals), layout) in enumerate(zip(cut, layouts)):
         tokens = slice(t_b[i], t_b[i + 1])
         codes = dependency_codes(sentence[tokens], entity[tokens], table)
@@ -338,7 +349,8 @@ def encode_documents(docs: Iterable[Document], vocab: Vocabulary,
             word_idx=word_idx[tokens],
             etype_idx=etype_idx[tokens],
             coref_idx=coref_idx[tokens],
-            structure=StructureMatrix(doc.doc_id, codes),
+            structure=StructureMatrix(doc.doc_id, codes,
+                                      read[r_b[i]:r_b[i + 1]]),
             first_starts=first_starts[e_b[i]:e_b[i + 1]],
             entity_ordinals=ordinals,
             pool_weights=pool[p_b[i]:p_b[i + 1]].reshape(

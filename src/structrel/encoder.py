@@ -28,6 +28,22 @@ output projection, both residual layer norms and the feed-forward
 network, works row by row and is the other node (:func:`block_tail`),
 its backward written out by hand as well.
 
+The encoder's output feeds entity pooling, which reads only each
+entity's mention tokens, the structure's read tokens
+(:attr:`StructureMatrix.read`, stacked as
+:attr:`PackedStructure.read_rows`).  Every block but the last computes
+every row, as the next block's keys and values need them all.  The last
+computes only the read rows, m of a document's n tokens: their queries
+(H, m, d_h) against every row's keys and values, as Funnel-Transformer
+pools only the queries (Dai et al., arXiv 2006.03236), the bias at the
+cells of those queries (:attr:`StructureMatrix.read_cells`), and their
+tails; its output, and the encoder's, is (Σm, d).  Each product over a
+subset of rows computes those rows as the product over every row does,
+so the read rows, and the logits made from them, are bit-equal to an
+encoder whose last block computes every row; the gradients agree to
+rounding, as sums that skipped the other rows' exact zeros now run
+without them.
+
 The bias is computed only where there is structure; NA cells carry no
 parameters and are never computed, so a model whose structure is all NA
 computes the same function as the unstructured baseline.  Each term's
@@ -44,6 +60,8 @@ A forward given a :class:`BiasRecorder` adds every biased layer's cell
 biases, all heads at once, into one running sum and count per layer and
 dependency type; :func:`export_bias_heatmap` renders their ratios, the
 mean bias by layer and type.  Nothing is kept per document or head.
+The recorder takes every cell, so with one the last block, too,
+computes every row.
 
 Each layer stores its attention parameters in the layout the node
 computes with (:func:`init_encoder_params`): one (3H, d, d_h) array of
@@ -68,6 +86,7 @@ from .structure import (
     STRUCTURED_TYPES,
     DependencyType,
     PackedStructure,
+    ReadCells,
     StructureMatrix,
 )
 
@@ -153,37 +172,46 @@ def init_encoder_params(store: ParameterStore, rng: np.random.Generator,
         store.create(f"layer{l}.ln2.bias", np.zeros(d))
 
 
-def project_qkv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Queries, keys and values of every head, no biases.
+def project_qkv(x: np.ndarray, w: np.ndarray,
+                rows: Optional[np.ndarray] = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every head's queries of the rows ``rows`` of ``x``, every row when
+    None, (H, m, d_h); and every head's keys, then values, of every row,
+    (2H, n, d_h); no biases.
 
-    ``w`` is a layer's ``wqkv``, (3H, d, d_h); the result is (3H, n, d_h),
-    one (n, d) @ (d, d_h) product per slice.
+    ``w`` is a layer's ``wqkv``, (3H, d, d_h); each slice is one (rows,
+    d) @ (d, d_h) product.
     """
-    return np.matmul(x, w)
+    heads = w.shape[0] // 3
+    queries = x if rows is None else x[rows]
+    return np.matmul(queries, w[:heads]), np.matmul(x, w[heads:])
 
 
 @dataclass
 class CellBias:
     """One layer's attentive bias at the structured cells, for all heads.
 
-    ``values[h, c]`` is head ``h``'s bias at cell ``c`` of
-    ``structure.cells``.  ``terms`` maps each enabled term's parameter
-    suffix (``A``, ``qvec``, ``kvec``, ``b``) to the layer's parameter of
-    that term, laid out as :func:`init_encoder_params` lays it out.
+    ``structure`` holds the cells of m queries against n keys: a
+    :class:`StructureMatrix` (m = n) or its
+    :attr:`~StructureMatrix.read_cells`.  ``values[h, c]`` is head
+    ``h``'s bias at cell ``c`` of ``structure.cells``.  ``terms`` maps
+    each enabled term's parameter suffix (``A``, ``qvec``, ``kvec``,
+    ``b``) to the layer's parameter of that term, laid out as
+    :func:`init_encoder_params` lays it out.
     ``qa_used`` holds the biaffine core's ``q_i A_s`` rows at the used
     query slots of ``structure.slots``, (H, R, d_h).
     """
 
     values: np.ndarray
-    structure: StructureMatrix
+    structure: StructureMatrix | ReadCells
     terms: dict[str, Tensor]
     qa_used: Optional[np.ndarray] = None
 
     def backward(self, grad: np.ndarray, q: np.ndarray, k: np.ndarray,
                  dq: np.ndarray, dk: np.ndarray) -> None:
         """Given ``grad`` (H, c) at the cell biases, add the query and key
-        gradients into ``dq`` and ``dk`` (H, n, d_h) and accumulate the
-        parameters' gradients.
+        gradients into ``dq`` (H, m, d_h) and ``dk`` (H, n, d_h) and
+        accumulate the parameters' gradients.
 
         The core's gradient is scattered onto the slot grid, ``G`` (H, R,
         n), zero where there is no cell; then ``dk += G^T (q A)_used``,
@@ -193,16 +221,17 @@ class CellBias:
         ``np.bincount`` each.
         """
         rows, cols, types = self.structure.cells
-        heads, n, dh = q.shape
+        heads, m, dh = q.shape
+        n = k.shape[1]
         if "A" in self.terms:
             a = self.terms["A"]
             slots = self.structure.slots
             g_grid = np.zeros((heads, slots.used.size, n), grad.dtype)
             g_grid.reshape(heads, -1)[:, slots.flat] = grad
             dk += np.matmul(g_grid.transpose(0, 2, 1), self.qa_used)
-            d_qa = np.zeros((heads, n * N_TYPES, dh), q.dtype)
+            d_qa = np.zeros((heads, m * N_TYPES, dh), q.dtype)
             d_qa[:, slots.used] = np.matmul(g_grid, k)
-            d_qa = d_qa.reshape(heads, n, N_TYPES * dh)
+            d_qa = d_qa.reshape(heads, m, N_TYPES * dh)
             dq += np.matmul(d_qa, a.values.transpose(0, 2, 1))
             a._accumulate(np.matmul(q.transpose(0, 2, 1), d_qa))
         head = np.arange(heads)[:, None]
@@ -210,10 +239,11 @@ class CellBias:
                                             ("kvec", cols, k, dk)):
             if suffix in self.terms:
                 vec = self.terms[suffix]
-                slot = head * (n * N_TYPES) + token * N_TYPES + types
+                size = side.shape[1]
+                slot = head * (size * N_TYPES) + token * N_TYPES + types
                 d_t = np.bincount(slot.ravel(), weights=grad.ravel(),
-                                  minlength=heads * n * N_TYPES)
-                d_t = d_t.astype(grad.dtype).reshape(heads, n, N_TYPES)
+                                  minlength=heads * size * N_TYPES)
+                d_t = d_t.astype(grad.dtype).reshape(heads, size, N_TYPES)
                 d_side += np.matmul(d_t, vec.values.transpose(0, 2, 1))
                 vec._accumulate(np.matmul(side.transpose(0, 2, 1), d_t))
         if "b" in self.terms:
@@ -225,22 +255,24 @@ class CellBias:
 
 
 def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
-              layer: int, structure: StructureMatrix,
+              layer: int, structure: StructureMatrix | ReadCells,
               cfg: ModelConfig) -> CellBias:
     """The attentive bias of every head of one layer at the structure's
     cells.
 
-    ``q`` and ``k`` are (H, n, d_h).  The cells are
-    :attr:`StructureMatrix.cells`, ``(rows, cols, types)``; entry ``[h, c]``
+    ``q`` is (H, m, d_h) and ``k`` (H, n, d_h), the queries and keys of
+    ``structure``'s cells, ``(rows, cols, types)``: a
+    :class:`StructureMatrix`'s (m = n) or its
+    :attr:`~StructureMatrix.read_cells`' (m read tokens); entry ``[h, c]``
     of the returned values is head ``h``'s bias of type
     ``STRUCTURED_TYPES[types[c]]`` between query ``rows[c]`` and key
     ``cols[c]``.  Each term's parameter holds every head's five types side
     by side (``A_cat`` and so on, see :func:`init_encoder_params`):
 
     * biaffine core ``q_i A_s k_j``: row ``i*5 + s`` of ``q A_cat``
-      reshaped to (5n, d_h) is the query slot ``(i, s)``; the used slots'
-      rows times ``k^T`` make the (H, R, n) grid of
-      :attr:`StructureMatrix.slots`, and each cell is read off it;
+      reshaped to (5m, d_h) is the query slot ``(i, s)``; the used slots'
+      rows times ``k^T`` make the (H, R, n) grid of the structure's
+      ``slots``, and each cell is read off it;
     * query-conditioned ``q_i K_s``: cell ``(i, s)`` of ``q qvec_cat``;
     * key-conditioned ``Q_s k_j``: cell ``(j, s)`` of ``k kvec_cat``;
     * prior ``b_s``: slot ``s`` of ``b_cat``.
@@ -250,7 +282,7 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     of :func:`_bias_layers`.  Nothing is computed for NA cells.
     """
     rows, cols, types = structure.cells
-    heads, n, dh = q.shape
+    heads, m, dh = q.shape
     terms = {suffix: store[f"layer{layer}.bias.{suffix}"].tensor
              for suffix in _bias_terms(cfg)}
     parts: list[np.ndarray] = []
@@ -258,14 +290,14 @@ def type_bias(store: ParameterStore, q: np.ndarray, k: np.ndarray,
     if "A" in terms:
         slots = structure.slots
         qa = np.matmul(q, terms["A"].values)
-        qa_used = np.take(qa.reshape(heads, n * N_TYPES, dh), slots.used,
+        qa_used = np.take(qa.reshape(heads, m * N_TYPES, dh), slots.used,
                           axis=1)
         grid = np.matmul(qa_used, k.transpose(0, 2, 1))
         parts.append(np.take(grid.reshape(heads, -1), slots.flat, axis=1))
     for suffix, side, token in (("qvec", q, rows), ("kvec", k, cols)):
         if suffix in terms:
             table = np.matmul(side, terms[suffix].values)
-            parts.append(np.take(table.reshape(heads, n * N_TYPES),
+            parts.append(np.take(table.reshape(heads, -1),
                                  token * N_TYPES + types, axis=1))
     if "b" in terms:
         parts.append(np.take(terms["b"].values, types, axis=1))
@@ -293,24 +325,28 @@ class BiasRecorder:
 
 
 def structured_scores(store: ParameterStore, q: np.ndarray, k: np.ndarray,
-                      structure: StructureMatrix, layer: int,
+                      structure: StructureMatrix | ReadCells, layer: int,
                       cfg: ModelConfig,
                       recorder: Optional[BiasRecorder] = None,
                       ) -> tuple[np.ndarray, Optional[CellBias]]:
     """Every head's attention scores with structural bias,
-    ``(q k^T + bias) / sqrt(d_h)``, as (H, n, n); and the bias.
+    ``(q k^T + bias) / sqrt(d_h)``, as (H, m, n) for m queries ``q`` and
+    n keys ``k``; and the bias.
 
-    The bias is computed by :func:`type_bias` only at the structure's
-    non-NA cells and added into the scores there; NA cells receive
-    nothing, and a structure without cells, or a layer outside
-    :func:`_bias_layers`, leaves the raw scores untouched and returns no
-    bias.
+    ``structure`` holds the cells of those queries and keys: a
+    :class:`StructureMatrix` when every token is a query, its
+    :attr:`~StructureMatrix.read_cells` when the read tokens are.  The
+    bias is computed by :func:`type_bias` only at its non-NA cells and
+    added into the scores there; NA cells receive nothing, and a
+    structure without cells, or a layer outside :func:`_bias_layers`,
+    leaves the raw scores untouched and returns no bias.
     """
-    heads, n, dh = q.shape
-    if structure.n != n:
+    heads, m, dh = q.shape
+    n = k.shape[1]
+    if (structure.queries, structure.n) != (m, n):
         raise ValueError(
-            f"structure matrix is {structure.n}x{structure.n} but the "
-            f"document has {n} tokens"
+            f"structure has {structure.queries} queries by {structure.n} "
+            f"keys but the document has {m} query and {n} key tokens"
         )
     scores = np.matmul(q, k.transpose(0, 2, 1))
     bias = None
@@ -320,7 +356,7 @@ def structured_scores(store: ParameterStore, q: np.ndarray, k: np.ndarray,
             bias = type_bias(store, q, k, layer, structure, cfg)
             if recorder is not None:
                 recorder.add(layer, types, bias.values)
-            scores.reshape(heads, n * n)[:, rows * n + cols] += bias.values
+            scores.reshape(heads, m * n)[:, rows * n + cols] += bias.values
     scores *= 1.0 / math.sqrt(dh)
     return scores, bias
 
@@ -340,19 +376,26 @@ def attend(scores: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def structured_attention(store: ParameterStore, x: Tensor,
                          structure: PackedStructure, layer: int,
                          cfg: ModelConfig,
-                         recorder: Optional[BiasRecorder] = None) -> Tensor:
+                         recorder: Optional[BiasRecorder] = None,
+                         read: bool = False) -> Tensor:
     """All heads of one layer's structured self-attention over a pack's
     documents as one graph node: the heads' outputs side by side, (Σn,
-    d).
+    d), or with ``read`` those of the rows ``structure.read_rows`` alone,
+    (Σm, d).
 
     ``x`` holds the documents' tokens stacked as rows, ``structure``
     their structures and row bounds.  The projections run once over all
-    rows; the scores, the softmax and the bias run per document, each on
-    the document's own rows, so no token attends to another document.
-    The node's parents are ``x``, the layer's ``wqkv`` and, when the
-    layer is biased and some document has cells, its bias parameters.
-    Its backward reuses the attention weights' storage, so it runs once
-    per forward, as one ``Tensor.backward`` runs it.
+    rows, the queries only over the read rows when ``read``; the scores,
+    the softmax and the bias run per document, each document's queries
+    against its own keys, so no token attends to another document, and
+    a document without queries computes nothing.  With ``read`` the
+    bias is taken at each document's
+    :attr:`~structrel.structure.StructureMatrix.read_cells`.  Keys and
+    values always come from every row.  The node's parents are ``x``,
+    the layer's ``wqkv`` and, when the layer is biased and some document
+    has cells, its bias parameters.  Its backward reuses the attention
+    weights' storage, so it runs once per forward, as one
+    ``Tensor.backward`` runs it.
     """
     if structure.n != x.shape[0]:
         raise ValueError(f"the structures cover {structure.n} rows but the "
@@ -360,22 +403,33 @@ def structured_attention(store: ParameterStore, x: Tensor,
     heads = cfg.heads
     w_param = store[f"layer{layer}.wqkv"].tensor
     w = w_param.values
-    qkv = project_qkv(x.values, w)
-    q_all, k_all, v_all = qkv[:heads], qkv[heads:2 * heads], qkv[2 * heads:]
-    n, dh = x.shape[0], w.shape[-1]
-    out = np.empty((n, heads * dh), dtype=qkv.dtype)
-    # (lo, hi, matrix, weights, bias) per document with tokens
+    rows = structure.read_rows if read else None
+    q_all, kv = project_qkv(x.values, w, rows)
+    k_all, v_all = kv[:heads], kv[heads:]
+    q_bounds = structure.read_bounds if read else structure.bounds
+    m, n, dh = q_all.shape[1], x.shape[0], w.shape[-1]
+    out = np.empty((m, heads * dh), dtype=q_all.dtype)
+    # (q_lo, q_hi, lo, hi, matrix, weights, bias) per document with
+    # tokens; a document without queries has no weights
     segments = []
     terms: dict[str, Tensor] = {}
-    for lo, hi, matrix in structure.segments():
+    for (lo, hi, matrix), q_lo, q_hi in zip(structure.segments(),
+                                            q_bounds[:-1].tolist(),
+                                            q_bounds[1:].tolist()):
         if lo == hi:
             continue
-        scores, bias = structured_scores(store, q_all[:, lo:hi],
+        if q_lo == q_hi:
+            segments.append((q_lo, q_hi, lo, hi, matrix, None, None))
+            continue
+        if read:
+            matrix = matrix.read_cells
+        scores, bias = structured_scores(store, q_all[:, q_lo:q_hi],
                                          k_all[:, lo:hi], matrix, layer,
                                          cfg, recorder=recorder)
         probs, heads_out = attend(scores, v_all[:, lo:hi])
-        out[lo:hi] = heads_out.transpose(1, 0, 2).reshape(hi - lo, -1)
-        segments.append((lo, hi, matrix, probs, bias))
+        out[q_lo:q_hi] = heads_out.transpose(1, 0, 2).reshape(q_hi - q_lo,
+                                                              -1)
+        segments.append((q_lo, q_hi, lo, hi, matrix, probs, bias))
         if bias is not None:
             terms = bias.terms
     factor = 1.0 / math.sqrt(dh)
@@ -387,15 +441,24 @@ def structured_attention(store: ParameterStore, x: Tensor,
             raise RuntimeError("the attention's saved arrays are spent; "
                                "build the graph again to run backward again")
         spent = True
-        g_all = grad.reshape(n, heads, dh).transpose(1, 0, 2)
-        # every row is written by the one segment that holds it
-        d_qkv = np.empty(qkv.shape, qkv.dtype)
-        dq_all, dk_all, dv_all = (d_qkv[:heads], d_qkv[heads:2 * heads],
-                                  d_qkv[2 * heads:])
-        for lo, hi, matrix, probs, bias in segments:
-            g, q, k, v = (g_all[:, lo:hi], q_all[:, lo:hi], k_all[:, lo:hi],
-                          v_all[:, lo:hi])
-            dq, dk = dq_all[:, lo:hi], dk_all[:, lo:hi]
+        g_all = grad.reshape(m, heads, dh).transpose(1, 0, 2)
+        # every row is written by the one segment that holds it; with
+        # every row a query, the queries' gradients share one array with
+        # the keys' and values', so the input's is one product
+        if rows is None:
+            d_qkv = np.empty((3 * heads, n, dh), q_all.dtype)
+            d_q, d_kv = d_qkv[:heads], d_qkv[heads:]
+        else:
+            d_q = np.empty(q_all.shape, q_all.dtype)
+            d_kv = np.empty(kv.shape, kv.dtype)
+        dk_all, dv_all = d_kv[:heads], d_kv[heads:]
+        for q_lo, q_hi, lo, hi, matrix, probs, bias in segments:
+            if probs is None:
+                d_kv[:, lo:hi] = 0.0
+                continue
+            g, q, k, v = (g_all[:, q_lo:q_hi], q_all[:, q_lo:q_hi],
+                          k_all[:, lo:hi], v_all[:, lo:hi])
+            dq, dk = d_q[:, q_lo:q_hi], dk_all[:, lo:hi]
             np.matmul(probs.transpose(0, 2, 1), g, out=dv_all[:, lo:hi])
             d_scores = np.matmul(g, v.transpose(0, 2, 1))
             # softmax backward, P * dP - P * sum(P * dP), then the
@@ -409,15 +472,28 @@ def structured_attention(store: ParameterStore, x: Tensor,
             np.matmul(d_scores, k, out=dq)
             np.matmul(d_scores.transpose(0, 2, 1), q, out=dk)
             if bias is not None:
-                rows, cols, _ = matrix.cells
-                size = hi - lo
-                bias.backward(np.take(d_scores.reshape(heads, size * size),
-                                      rows * size + cols, axis=1),
+                cell_rows, cell_cols, _ = matrix.cells
+                bias.backward(np.take(d_scores.reshape(heads, -1),
+                                      cell_rows * (hi - lo) + cell_cols,
+                                      axis=1),
                               q, k, dq, dk)
-        w_param._accumulate(np.matmul(x.values.T, d_qkv))
-        # every slice's dq_g @ w_g^T, summed as one (Σn, 3H*d_h) product
-        x._accumulate(d_qkv.transpose(1, 0, 2).reshape(n, 3 * heads * dh)
-                      @ w.transpose(0, 2, 1).reshape(-1, w.shape[1]))
+        xv = x.values
+        queries = xv if rows is None else xv[rows]
+        dw = np.empty(w.shape, w.dtype)
+        np.matmul(queries.T, d_q, out=dw[:heads])
+        np.matmul(xv.T, d_kv, out=dw[heads:])
+        w_param._accumulate(dw)
+        # every slice's d_g @ w_g^T, summed as one product per row set
+        w_t = w.transpose(0, 2, 1).reshape(-1, w.shape[1])
+        if rows is None:
+            dx = d_qkv.transpose(1, 0, 2).reshape(n, 3 * heads * dh) @ w_t
+        else:
+            q_cols = heads * dh
+            dx = (d_kv.transpose(1, 0, 2).reshape(n, 2 * q_cols)
+                  @ w_t[q_cols:])
+            dx[rows] += (d_q.transpose(1, 0, 2).reshape(m, q_cols)
+                         @ w_t[:q_cols])
+        x._accumulate(dx)
 
     return Tensor(out, (x, w_param, *terms.values()), _backward)
 
@@ -463,21 +539,24 @@ def _layer_norm_backward(grad: np.ndarray, gain: np.ndarray,
 
 
 def block_tail(store: ParameterStore, x: Tensor, heads: Tensor,
-               layer: int) -> Tensor:
+               layer: int, rows: Optional[np.ndarray] = None) -> Tensor:
     """Everything of one post-norm block after the attention, as one
     graph node: ``LN2(x1 + W2 relu(W1 x1 + b1) + b2)`` with ``x1 =
-    LN1(x + heads wo)``, (n, d).
+    LN1(x[rows] + heads wo)``, (m, d), where ``rows`` are distinct rows
+    of ``x``, every row when None.
 
-    ``x`` is the block's input and ``heads`` its attention node's output;
-    they and the layer's nine :data:`TAIL_PARAMS` are the node's parents.
-    Its backward runs the chain of the two layer norms, the feed-forward
-    network and the output projection by hand, each step the backward of
-    the graph op it replaced, so a float64 tail agrees with that graph to
-    rounding.
+    ``x`` is the block's input and ``heads`` its attention node's output
+    for those rows; they and the layer's nine :data:`TAIL_PARAMS` are the
+    node's parents.  Its backward runs the chain of the two layer norms,
+    the feed-forward network and the output projection by hand, each
+    step the backward of the graph op it replaced, so a float64 tail
+    agrees with that graph to rounding; ``x``'s other rows get a zero
+    gradient.
     """
     params = [store[f"layer{layer}.{name}"].tensor for name in TAIL_PARAMS]
     wo, g1, c1, w1, b1, w2, b2, g2, c2 = (p.values for p in params)
-    x1, xhat1, inv1 = _layer_norm(x.values + heads.values @ wo, g1, c1)
+    residual = x.values if rows is None else x.values[rows]
+    x1, xhat1, inv1 = _layer_norm(residual + heads.values @ wo, g1, c1)
     hidden = x1 @ w1
     hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
@@ -500,25 +579,58 @@ def block_tail(store: ParameterStore, x: Tensor, heads: Tensor,
         for param, g in zip(params, grads):
             param._accumulate(g)
         heads._accumulate(dr1 @ wo.T)
-        x._accumulate(dr1)
+        if rows is None:
+            x._accumulate(dr1)
+        else:
+            x._accumulate(_scatter_rows(dr1, rows, x.shape))
 
     return Tensor(out, (x, heads, *params), _backward)
+
+
+def _scatter_rows(values: np.ndarray, rows: np.ndarray,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of ``shape`` with ``values`` at the distinct rows ``rows``."""
+    out = np.zeros(shape, values.dtype)
+    out[rows] = values
+    return out
+
+
+def select_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """The distinct rows ``rows`` of ``x`` as a graph node; the other
+    rows get a zero gradient."""
+    def _backward(grad):
+        x._accumulate(_scatter_rows(grad, rows, x.shape))
+
+    return Tensor(x.values[rows], (x,), _backward)
 
 
 def encoder_forward(store: ParameterStore, x: Tensor,
                     structure: PackedStructure, cfg: ModelConfig,
                     recorder: Optional[BiasRecorder] = None) -> Tensor:
-    """Run the full block stack over a pack's stacked token rows ``x``,
-    two graph nodes per block: the attention
-    (:func:`structured_attention`) and the tail (:func:`block_tail`).
+    """Run the full block stack over a pack's stacked token rows ``x``
+    and return the hidden states of the rows that entity pooling reads,
+    ``structure.read_rows``, (Σm, d).
 
-    Layers outside ``cfg``'s structured range attend without bias.  Each
-    block is post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.
+    Each block is two graph nodes, the attention
+    (:func:`structured_attention`) and the tail (:func:`block_tail`),
+    and post-norm: ``LN(x + MHA(x))`` then ``LN(x + FFN(x))``.  Layers
+    outside ``cfg``'s structured range attend without bias.  Every block
+    but the last computes every row, as the next block's keys and values
+    need them; the last computes only the read rows: their queries
+    against every row's keys and values, and their tails.  A recorder
+    asks for the bias of every cell, so with one the last block, too,
+    computes every row; then, and in a stack without blocks, the read
+    rows are taken from the output (:func:`select_rows`).
     """
+    rows = structure.read_rows
+    last = cfg.layers - 1 if recorder is None else -1
     for l in range(cfg.layers):
+        read = l == last
         heads = structured_attention(store, x, structure, l, cfg,
-                                     recorder=recorder)
-        x = block_tail(store, x, heads, l)
+                                     recorder=recorder, read=read)
+        x = block_tail(store, x, heads, l, rows if read else None)
+    if last < 0:
+        x = select_rows(x, rows)
     return x
 
 

@@ -253,10 +253,11 @@ def _backward_batch(model: RelationExtractor,
     batch order times ``1 / B``, is that graph's value.  Both equal the
     sums over single documents to rounding: a pack adds its rows'
     gradients and its cells' losses in other orders.  A pack with a pair
-    of entities builds 2L + 4 nodes for L layers, whatever its number of
-    documents: the embeddings, each layer's attention and block tail,
-    the pooling, the relation head and the loss, whose backward starts
-    from ``1 / B``.
+    of entities builds 2L + 4 nodes for L >= 1 layers, whatever its
+    number of documents: the embeddings, each layer's attention and
+    block tail, the pooling, the relation head and the loss, whose
+    backward starts from ``1 / B``.  A pack without pairs runs no
+    encoder, and its loss is a zero leaf.
     """
     share = 1.0 / len(batch)
     total = 0.0

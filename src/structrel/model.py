@@ -14,12 +14,15 @@ probabilities, with :func:`~structrel.autodiff.sigmoid`.
 The model runs a :class:`~structrel.batching.Pack` of documents as one
 graph, their tokens stacked as rows (Σn, d), their entities (ΣN, d)
 and their pairs (ΣP, M), each in document order; a single document is a
-pack of one.  A pack's forward is seven nodes with a two-layer encoder,
-whatever its number of documents: the embeddings, each layer's
-attention and tail, the pooling and the head; training adds the loss.
-The attention, the pooling and the head loop over the documents inside
-their nodes, the pooling as a block-diagonal product whose zero blocks
-are never built.
+pack of one.  The encoder hands on the hidden states of the rows that
+pooling reads, the documents' mention tokens (Σm, d), as its last block
+computes only those (:func:`~structrel.encoder.encoder_forward`).  A
+pack's forward is seven nodes with a two-layer encoder, whatever its
+number of documents: the embeddings, each layer's attention and tail,
+the pooling and the head; training adds the loss.  A pack without pairs
+stops after the embeddings.  The attention, the pooling and the head
+loop over the documents inside their nodes, the pooling as a
+block-diagonal product whose zero blocks are never built.
 
 The head is one graph node, :func:`pair_scores`, for every pair and
 relation of the pack.  It runs each document's products on their own:
@@ -187,27 +190,37 @@ def pair_scores(entities: Tensor, dist: Tensor, w: Tensor,
 
 def pool_blocks(hidden: Tensor, pack: Pack) -> Tensor:
     """Every entity's mean over its mention tokens, for every document of
-    a pack, as one graph node: (ΣN, d), the product of the pack's
-    block-diagonal pooling matrix with its stacked token rows ``hidden``
-    (Σn, d).  Block i is document i's
+    a pack, as one graph node: (ΣN, d), from ``hidden`` (Σm, d), the
+    hidden states of the pack's read rows, ``pack.structure.read_rows``.
+
+    The read rows are set among zero rows, (Σn, d), and pooled by the
+    product of the pack's block-diagonal pooling matrix with them.  Block
+    i is document i's
     :attr:`~structrel.batching.EncodedDocument.pool_weights`, (N_i, n_i),
     against the document's rows; the zero blocks are neither built nor
     multiplied, so work and memory grow with Σ N_i n_i rather than
-    ΣN Σn."""
+    ΣN Σn.  The unread rows' weights are zero, so each product is the
+    one over every computed row, term for term; one over the read
+    columns alone would sum in another order where a BLAS kernel splits
+    its sums by the width (float32 at d = 8, measured).
+    """
     h = hidden.values
+    rows = pack.structure.read_rows
+    full = np.zeros((pack.n, h.shape[1]), h.dtype)
+    full[rows] = h
     blocks = [(slice(e_lo, e_lo + enc.n_entities), slice(t_lo, t_lo + enc.n),
                enc.pool_weights.astype(h.dtype, copy=False))
               for enc, e_lo, t_lo in zip(pack.docs, pack.entity_bounds,
                                          pack.token_bounds)]
     pooled = np.empty((int(pack.entity_bounds[-1]), h.shape[1]), h.dtype)
     for e_rows, t_rows, weights in blocks:
-        np.matmul(weights, h[t_rows], out=pooled[e_rows])
+        np.matmul(weights, full[t_rows], out=pooled[e_rows])
 
     def _backward(grad):
-        dh = np.empty_like(h)  # every row lies in one block
+        dh = np.empty_like(full)  # every row lies in one block
         for e_rows, t_rows, weights in blocks:
             np.matmul(weights.T, grad[e_rows], out=dh[t_rows])
-        hidden._accumulate(dh)
+        hidden._accumulate(dh[rows])
 
     return Tensor(pooled, (hidden,), _backward)
 
@@ -274,11 +287,13 @@ class DocumentResult:
 
 @dataclass
 class ForwardResult:
-    """A pack's forward: its graph's stacked hidden rows and logits."""
+    """A pack's forward: its graph's logits and the encoder's hidden
+    states of the rows that entity pooling reads.  A pack without pairs
+    has neither; its encoder did not run."""
 
     pack: Pack
     logits: Optional[Tensor]  # (ΣP, M), None when no document has a pair
-    hidden: Tensor  # (Σn, d)
+    hidden: Optional[Tensor]  # (Σm, d) rows pack.structure.read_rows
 
     def documents(self) -> list[DocumentResult]:
         """Every document's pairs and logits, in pack order; the logits
@@ -354,7 +369,7 @@ class RelationExtractor:
 
     def pool_entities(self, hidden: Tensor, pack: Pack) -> Tensor:
         """Average each entity's mention tokens, one node over the pack's
-        rows (:func:`pool_blocks`); (ΣN, d_model)."""
+        read rows (:func:`pool_blocks`); (ΣN, d_model)."""
         return pool_blocks(hidden, pack)
 
     def pair_features(self, pack: Pack) -> tuple[PairLayout, ...]:
@@ -371,11 +386,19 @@ class RelationExtractor:
 
     def forward(self, pack: Pack,
                 recorder: Optional[BiasRecorder] = None) -> ForwardResult:
+        """The pack's graph, from the embeddings to the logits.  A pack
+        without pairs stops after the embeddings, which refuse an
+        over-length document, as nothing reads its encoder's output; a
+        recorder, which takes the bias of every document's cells, still
+        runs its encoder."""
         x = self.embed_inputs(pack)
+        if not pack.n_pairs:
+            if recorder is not None:
+                encoder_forward(self.store, x, pack.structure, self.cfg,
+                                recorder=recorder)
+            return ForwardResult(pack, None, None)
         hidden = encoder_forward(self.store, x, pack.structure, self.cfg,
                                  recorder=recorder)
-        if not pack.n_pairs:
-            return ForwardResult(pack, None, hidden)
         entities = self.pool_entities(hidden, pack)
         logits = self.score_relations(entities, self.pair_features(pack))
         return ForwardResult(pack, logits, hidden)

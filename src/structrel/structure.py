@@ -7,13 +7,17 @@ non-entity token in the same sentence is ``INTRA_NE``; everything else,
 including all pairs of non-entity tokens, is ``NA``.  ``NA`` carries no
 parameters downstream, so an all-NA matrix makes the encoder behave exactly
 like its unstructured baseline.
+
+A matrix also names the tokens whose encoder output entity pooling reads
+(``StructureMatrix.read``); the encoder's last block computes only their
+queries, against the cells of :attr:`StructureMatrix.read_cells`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -45,23 +49,59 @@ STRUCTURED_TYPES = (
 )
 
 
+def _query_slots(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 n: int) -> QuerySlots:
+    """The :class:`QuerySlots` of ``cells``, ``(rows, cols, types)``
+    against ``n`` key tokens: one ``np.unique`` of the slots."""
+    rows, cols, types = cells
+    used, inverse = np.unique(rows * len(STRUCTURED_TYPES) + types,
+                              return_inverse=True)
+    flat = inverse * n + cols
+    for arr in (used, flat):
+        arr.setflags(write=False)
+    return QuerySlots(used, flat)
+
+
 @dataclass(frozen=True)
 class StructureMatrix:
-    """n x n grid of dependency codes over a document's tokens."""
+    """A document's dependency codes, an n x n grid of query token by key
+    token, and ``read``, the tokens whose encoder output entity pooling
+    reads, ascending: its entities' mention tokens, or every token when
+    none are given.
+
+    As the cells of its queries (:attr:`cells`, :attr:`slots`) a matrix
+    has ``queries == n`` rows; :attr:`read_cells` gives the m read
+    tokens' queries against every key.
+    """
 
     doc_id: str
     codes: np.ndarray  # int8, shape (n, n)
+    read: Optional[np.ndarray] = None  # (m,) int64 token indices
 
     def __post_init__(self):
         codes = np.asarray(self.codes, dtype=np.int8)
         if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
             raise ValueError(f"structure matrix must be square, got {codes.shape}")
+        n = codes.shape[0]
+        read = (np.arange(n) if self.read is None
+                else np.asarray(self.read, dtype=np.int64))
+        if read.ndim != 1 or (read.size and (
+                read[0] < 0 or read[-1] >= n
+                or not (read[1:] > read[:-1]).all())):
+            raise ValueError(f"structure {self.doc_id!r}: read tokens must be "
+                             f"distinct and ascending in range({n})")
         codes.setflags(write=False)
+        read.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "read", read)
 
     @property
     def n(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def queries(self) -> int:
+        return self.n
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,19 +119,61 @@ class StructureMatrix:
     @cached_property
     def slots(self) -> QuerySlots:
         """The cells on a dense grid of the query slots they use."""
-        rows, cols, types = self.cells
-        used, inverse = np.unique(rows * len(STRUCTURED_TYPES) + types,
-                                  return_inverse=True)
-        flat = inverse * self.n + cols
-        for arr in (used, flat):
+        return _query_slots(self.cells, self.n)
+
+    @cached_property
+    def read_cells(self) -> StructureMatrix | ReadCells:
+        """The cells of the read tokens' queries: a :class:`ReadCells`,
+        or the matrix itself when every token is read."""
+        if self.read.size == self.n:
+            return self
+        return ReadCells(self)
+
+
+@dataclass(frozen=True)
+class ReadCells:
+    """The cells of ``matrix`` whose query token is read, as the cells of
+    m queries, the read tokens in order, against the n key tokens.
+
+    ``cells`` and ``slots`` are those of :class:`StructureMatrix` with
+    each cell's query renumbered to its place among the read tokens, in
+    the same order; each is computed on first use, which only a biased
+    layer makes.
+    """
+
+    matrix: StructureMatrix
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
+
+    @property
+    def queries(self) -> int:
+        return self.matrix.read.size
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, cols, types = self.matrix.cells
+        is_read = np.zeros(self.n, dtype=bool)
+        is_read[self.matrix.read] = True
+        keep = is_read[rows]
+        place = np.cumsum(is_read) - 1
+        out = (place[rows[keep]], cols[keep], types[keep])
+        for arr in out:
             arr.setflags(write=False)
-        return QuerySlots(used, flat)
+        return out
+
+    @cached_property
+    def slots(self) -> QuerySlots:
+        return _query_slots(self.cells, self.n)
 
 
 @dataclass(frozen=True)
 class PackedStructure:
     """The structures of documents whose tokens are stacked as rows:
-    ``matrices[i]`` covers rows ``bounds[i]`` to ``bounds[i + 1]``.
+    ``matrices[i]`` covers rows ``bounds[i]`` to ``bounds[i + 1]``, and
+    its read tokens are rows ``read_bounds[i]`` to ``read_bounds[i + 1]``
+    of :attr:`read_rows`.
 
     No cell joins two documents; their tokens never attend to each
     other.
@@ -99,14 +181,13 @@ class PackedStructure:
 
     matrices: tuple[StructureMatrix, ...]
     bounds: np.ndarray  # (len(matrices) + 1,) row offsets, from 0
+    read_bounds: np.ndarray  # (len(matrices) + 1,) read-row offsets
 
     @classmethod
     def of(cls, matrices: Iterable[StructureMatrix]) -> PackedStructure:
         matrices = tuple(matrices)
-        bounds = np.zeros(len(matrices) + 1, dtype=np.int64)
-        np.cumsum([m.n for m in matrices], out=bounds[1:])
-        bounds.setflags(write=False)
-        return cls(matrices, bounds)
+        return cls(matrices, _offsets([m.n for m in matrices]),
+                   _offsets([m.read.size for m in matrices]))
 
     @property
     def n(self) -> int:
@@ -116,6 +197,16 @@ class PackedStructure:
         """``(lo, hi, matrix)`` per document, in row order."""
         return zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist(),
                    self.matrices)
+
+    @cached_property
+    def read_rows(self) -> np.ndarray:
+        """Every document's read tokens as rows of the pack, ascending,
+        (Σm,); read-only."""
+        rows = np.concatenate([np.empty(0, np.int64)]
+                              + [m.read for m in self.matrices])
+        rows += np.repeat(self.bounds[:-1], np.diff(self.read_bounds))
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -129,15 +220,23 @@ class PackedStructure:
         return codes
 
 
+def _offsets(sizes: list[int]) -> np.ndarray:
+    """``0`` and the running sums of ``sizes``, read-only."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    offsets.setflags(write=False)
+    return offsets
+
+
 @dataclass(frozen=True)
 class QuerySlots:
     """The structured cells laid out on a grid whose rows are query slots.
 
-    A query slot is a query token and a type, ``token * 5 + type``.
+    A query slot is a query row and a type, ``row * 5 + type``.
     ``used`` holds the slots that have at least one cell, ascending, and
-    ``flat`` the position of each cell of :attr:`StructureMatrix.cells`
-    in a (len(used), n) grid of those slots by key token.  No two cells
-    share a position.  Both arrays are read-only.
+    ``flat`` the position of each cell of the ``cells`` they were built
+    from in a (len(used), n) grid of those slots by key token.  No two
+    cells share a position.  Both arrays are read-only.
     """
 
     used: np.ndarray
@@ -229,7 +328,7 @@ def apply_ablation(
     Idempotent and monotone; excluding nothing returns an equal matrix.
     NA itself cannot be excluded.
     """
-    return StructureMatrix(m.doc_id, _ablation_map(excluded)[m.codes])
+    return StructureMatrix(m.doc_id, _ablation_map(excluded)[m.codes], m.read)
 
 
 # On-disk grid format: one tab-separated text header line "doc_id<TAB>n",

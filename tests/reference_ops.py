@@ -16,6 +16,11 @@ model built and compare values and gradients with the node.
 time that ``batching.encode_documents`` replaced, with the structure
 built by boolean masks as ``structure.build_structure_matrix`` built it
 before its decision table.
+
+:func:`full_rows_encoder` and :func:`full_rows_logits` are the forward
+as it stood before the encoder's last block computed only the rows that
+entity pooling reads: every block over every row, and
+:func:`full_rows_pool_blocks` pooling each document's rows.
 """
 import itertools
 
@@ -24,10 +29,19 @@ import numpy as np
 from structrel.autodiff import ShapeError, Tensor, _as_array, sigmoid
 from structrel.batching import (
     N_DISTANCE_BUCKETS,
+    Pack,
     distance_bucket,
+    encode_documents,
+    pack_spans,
     truncate_document,
 )
 from structrel.corpus import validate_document
+from structrel.encoder import (
+    BiasRecorder,
+    block_tail,
+    export_bias_heatmap,
+    structured_attention,
+)
 from structrel.structure import (
     STRUCTURED_TYPES,
     DependencyType,
@@ -343,3 +357,59 @@ def reference_encode_document(doc, vocab, etype_to_index, coref_cap: int,
                 first_starts=np.array(first_starts, dtype=np.int64),
                 entity_ordinals=ordinals, pool_weights=pool,
                 pair_layout=reference_pair_layout(first_starts))
+
+
+# ---- the forward over every row -------------------------------------------
+
+
+def full_rows_pool_blocks(hidden: Tensor, pack: Pack) -> Tensor:
+    """``model.pool_blocks`` over every row's hidden state ``hidden``
+    (Σn, d): each document's pooling weights times its rows."""
+    h = hidden.values
+    blocks = [(slice(e_lo, e_lo + enc.n_entities), slice(t_lo, t_lo + enc.n),
+               enc.pool_weights.astype(h.dtype, copy=False))
+              for enc, e_lo, t_lo in zip(pack.docs, pack.entity_bounds,
+                                         pack.token_bounds)]
+    pooled = np.empty((int(pack.entity_bounds[-1]), h.shape[1]), h.dtype)
+    for e_rows, t_rows, weights in blocks:
+        np.matmul(weights, h[t_rows], out=pooled[e_rows])
+
+    def _backward(grad):
+        dh = np.empty_like(h)
+        for e_rows, t_rows, weights in blocks:
+            np.matmul(weights.T, grad[e_rows], out=dh[t_rows])
+        hidden._accumulate(dh)
+
+    return Tensor(pooled, (hidden,), _backward)
+
+
+def full_rows_encoder(model, pack: Pack, recorder=None) -> Tensor:
+    """The embeddings and every block of ``model`` over every row of
+    ``pack``, (Σn, d)."""
+    x = model.embed_inputs(pack)
+    for layer in range(model.cfg.layers):
+        heads = structured_attention(model.store, x, pack.structure, layer,
+                                     model.cfg, recorder)
+        x = block_tail(model.store, x, heads, layer)
+    return x
+
+
+def full_rows_logits(model, pack: Pack) -> Tensor:
+    """The logits of a pack that has a pair, from every row."""
+    entities = full_rows_pool_blocks(full_rows_encoder(model, pack), pack)
+    return model.score_relations(entities, pack.layouts)
+
+
+def full_rows_bias_heatmap(model, docs) -> str:
+    """``harness.collect_bias_heatmap`` with every pack's encoder run over
+    every row."""
+    cfg = model.cfg
+    recorder = BiasRecorder(cfg.layers)
+    lengths = [min(doc.token_count(), cfg.max_len) for doc in docs]
+    for lo, hi in pack_spans(lengths, cfg.max_len):
+        encodings = encode_documents(docs[lo:hi], model.vocab,
+                                     model.etype_to_index, cfg.coref_cap,
+                                     cfg.max_len,
+                                     cfg.excluded_dependency_set())
+        full_rows_encoder(model, Pack(tuple(encodings)), recorder)
+    return export_bias_heatmap(recorder)

@@ -40,15 +40,19 @@ def test_tracer_restores_every_original():
     assert all(a is b for a, b in zip(before, after))
 
 
-def packs_per_training(config, docs) -> int:
+def training_packs(config, docs) -> list[batching.Pack]:
     """The packs that ``harness.train`` runs: each epoch's batches, each
     packed on its own."""
     built = harness.build_model(config, docs)
     encodings = harness._encode(built, docs)
-    return sum(len(list(batching.pack_documents(batch, config.max_len)))
-               for epoch in range(config.epochs)
-               for batch in batching.make_batches(
-                   encodings, config.batch_size, config.seed + epoch))
+    return [pack for epoch in range(config.epochs)
+            for batch in batching.make_batches(
+                encodings, config.batch_size, config.seed + epoch)
+            for pack in batching.pack_documents(batch, config.max_len)]
+
+
+def packs_per_training(config, docs) -> int:
+    return len(training_packs(config, docs))
 
 
 def test_training_encodes_each_document_once(monkeypatch):
@@ -81,25 +85,32 @@ def test_training_encodes_each_document_once(monkeypatch):
     assert totals["model.forward.calls"] == packs
 
 
-@pytest.mark.parametrize("mode, structured_layers, n_structured", [
-    ("biaffine", "all", 2),
-    ("decomp", "1", 1),
+@pytest.mark.parametrize("mode, structured_layers, earlier_layers", [
+    ("biaffine", "all", 1),
+    ("decomp", "1", 0),
 ])
 def test_bias_is_computed_only_at_structured_cells(mode, structured_layers,
-                                                   n_structured):
+                                                   earlier_layers):
     # A dense bias (every cell of every type) would count n*n*5 cells per
-    # head and layer; the gather counts each non-NA cell once.
+    # head and layer.  The gather counts each non-NA cell once per head in
+    # every structured layer but the last; the last computes only the
+    # rows that entity pooling reads, so it counts each cell whose query
+    # row is read.  A pack without pairs runs no encoder.
     docs = generate_synthetic(SynthSpec(n_docs=4, seed=3))
     config = small_config(epochs=1, layers=2, heads=2, mode=mode,
                           structured_layers=structured_layers)
     with spans.Tracer() as tracer:
         tracer.measure("harness.train", "train", harness.train, config, docs)
     totals = tracer.totals("train")
-    assert totals["model.forward.calls"] == packs_per_training(config, docs)
-    assert totals["model.forward.calls"] < 4
-    assert totals["structure.structured_cells"] > 0
-    assert totals["encoder.bias_cells"] == (
-        totals["structure.structured_cells"] * config.heads * n_structured)
+    packs = training_packs(config, docs)
+    assert totals["model.forward.calls"] == len(packs) < 4
+    encoded = [enc.structure for pack in packs if pack.n_pairs
+               for enc in pack.docs]
+    cells = sum(s.cells[0].size for s in encoded)
+    read_cells = sum(s.read_cells.cells[0].size for s in encoded)
+    assert totals["structure.structured_cells"] == cells > read_cells > 0
+    assert totals["encoder.bias_cells"] == config.heads * (
+        earlier_layers * cells + read_cells)
 
 
 def test_training_holds_one_pack_graph_at_a_time(monkeypatch):

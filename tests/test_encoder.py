@@ -205,23 +205,28 @@ class TestProjections:
         eye_slice[0, 0] = eye_slice[1, 1] = 1.0
         projection(store, 0, 0, 2, "wq")[...] = eye_slice
         x = np.arange(8, dtype=float).reshape(2, 4)
-        q = project_qkv(x, store["layer0.wqkv"].values)[0]
+        q = project_qkv(x, store["layer0.wqkv"].values)[0][0]
         assert np.array_equal(q, x[:, :2])
 
     def test_zero_input_gives_zero_qkv(self):
         store = make_store(encoder_config(d_model=4))
-        assert not project_qkv(np.zeros((3, 4)),
-                               store["layer0.wqkv"].values).any()
+        q, kv = project_qkv(np.zeros((3, 4)), store["layer0.wqkv"].values)
+        assert not q.any() and not kv.any()
 
     def test_shapes(self):
         store = make_store(encoder_config(heads=2, d_model=8))
         w = store["layer0.wqkv"].values
         assert w.shape == (6, 8, 4)
         x = np.random.default_rng(0).normal(size=(5, 8))
-        qkv = project_qkv(x, w)
-        assert qkv.shape == (6, 5, 4)
-        for slab, w_slice in zip(qkv, w):
+        q, kv = project_qkv(x, w)
+        assert q.shape == (2, 5, 4) and kv.shape == (4, 5, 4)
+        for slab, w_slice in zip([*q, *kv], w):
             assert slab.tobytes() == (x @ w_slice).tobytes()
+        # queries of some rows: those rows of every row's queries
+        rows = np.array([1, 3, 4])
+        q_rows, kv_rows = project_qkv(x, w, rows)
+        assert q_rows.tobytes() == q[:, rows].tobytes()
+        assert kv_rows.tobytes() == kv.tobytes()
 
     def test_bias_terms_stacked_per_layer(self):
         # one zero-initialised array per enabled term, every head's five

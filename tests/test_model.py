@@ -263,14 +263,16 @@ class TestPooling:
         hidden = np.zeros((4, 8))
         hidden[0] = 1.0
         hidden[2] = 3.0
-        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
+        pooled = model.pool_entities(Tensor(hidden[enc.structure.read]),
+                                     Pack((enc,))).values
         assert np.allclose(pooled[0], 2.0)
 
     def test_single_token_entity_is_identity(self):
         model, enc = make_model()
         rng = np.random.default_rng(0)
         hidden = rng.normal(size=(enc.n, 8))
-        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
+        pooled = model.pool_entities(Tensor(hidden[enc.structure.read]),
+                                     Pack((enc,))).values
         assert np.array_equal(pooled[0], hidden[0])
         assert np.array_equal(pooled[1], hidden[2])
 
@@ -287,7 +289,8 @@ class TestPooling:
         )
         model, enc = make_model(doc=doc)
         hidden = rng.normal(size=(enc.n, 8))
-        pooled = model.pool_entities(Tensor(hidden), Pack((enc,))).values
+        pooled = model.pool_entities(Tensor(hidden[enc.structure.read]),
+                                     Pack((enc,))).values
         assert np.allclose(pooled[0], hidden[[0, 1, 5]].mean(axis=0))
         assert np.allclose(pooled[1], hidden[[3]].mean(axis=0))
 
@@ -305,8 +308,10 @@ class TestPooling:
         enc_rev = encode_document(doc_rev, model.vocab, model.etype_to_index,
                                   8, 16)
         hidden = np.random.default_rng(2).normal(size=(4, 8))
-        a = model.pool_entities(Tensor(hidden), Pack((enc_fwd,))).values
-        b = model.pool_entities(Tensor(hidden), Pack((enc_rev,))).values
+        assert np.array_equal(enc_fwd.structure.read, enc_rev.structure.read)
+        hidden = Tensor(hidden[enc_fwd.structure.read])
+        a = model.pool_entities(hidden, Pack((enc_fwd,))).values
+        b = model.pool_entities(hidden, Pack((enc_rev,))).values
         assert np.array_equal(a, b)
 
 
@@ -330,7 +335,8 @@ class TestPackPooling:
             compute_dtype) for enc in encs]
 
         def pooled(docs):
-            h = Tensor(np.concatenate([hidden[i] for i in docs]))
+            h = Tensor(np.concatenate([hidden[i][encs[i].structure.read]
+                                       for i in docs]))
             out = pool_blocks(h, Pack(tuple(encs[i] for i in docs)))
             up = np.concatenate([upstream[i] for i in docs])
             sum_all(mul(out, Tensor(up))).backward()
@@ -344,7 +350,7 @@ class TestPackPooling:
 
     def test_pool_entities_is_one_node(self):
         model, enc = make_model()
-        hidden = Tensor(np.ones((enc.n, 8)))
+        hidden = Tensor(np.ones((enc.structure.read.size, 8)))
         pooled = model.pool_entities(hidden, Pack((enc,)))
         assert pooled._parents == (hidden,)
 
