@@ -37,12 +37,15 @@ computes only the read rows, m of a document's n tokens: their queries
 (H, m, d_h) against every row's keys and values, as Funnel-Transformer
 pools only the queries (Dai et al., arXiv 2006.03236), the bias at the
 cells of those queries (:attr:`StructureMatrix.read_cells`), and their
-tails; its output, and the encoder's, is (Σm, d).  Each product over a
-subset of rows computes those rows as the product over every row does,
-so the read rows, and the logits made from them, are bit-equal to an
-encoder whose last block computes every row; the gradients agree to
-rounding, as sums that skipped the other rows' exact zeros now run
-without them.
+tails; its output, and the encoder's, is (Σm, d).  A product over two
+rows or more of its operand computes each row as the product over every
+row does, so the read rows, and the logits made from them, are
+bit-equal to an encoder whose last block computes every row.  (numpy
+computes a one-row product by gemv, which rounds otherwise; a document
+with a pair has two read rows or more, and only the biaffine grid of one
+whose read rows use a single query slot, which takes several excluded
+types, meets that case.)  The gradients agree to rounding, as sums that
+added the other rows' exact zeros now run without them.
 
 The bias is computed only where there is structure; NA cells carry no
 parameters and are never computed, so a model whose structure is all NA

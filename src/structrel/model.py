@@ -200,9 +200,11 @@ def pool_blocks(hidden: Tensor, pack: Pack) -> Tensor:
     against the document's rows; the zero blocks are neither built nor
     multiplied, so work and memory grow with Σ N_i n_i rather than
     ΣN Σn.  The unread rows' weights are zero, so each product is the
-    one over every computed row, term for term; one over the read
-    columns alone would sum in another order where a BLAS kernel splits
-    its sums by the width (float32 at d = 8, measured).
+    one over every row, term for term, and the pooled entities are
+    bit-equal to those of an encoder that computed every row.  A product
+    over the read columns alone would sum in another order where the
+    BLAS kernel splits its sums by the output width (OpenBLAS 0.3.31 on
+    x86-64: float32 at widths 4, 8 and 24, measured).
     """
     h = hidden.values
     rows = pack.structure.read_rows

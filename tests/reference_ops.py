@@ -347,6 +347,9 @@ def reference_encode_document(doc, vocab, etype_to_index, coref_cap: int,
     structure = reference_structure_matrix(doc)
     if excluded:
         structure = reference_ablation(structure, excluded)
+    read = sorted(itertools.chain.from_iterable(entity_tokens))
+    structure = StructureMatrix(doc.doc_id, structure.codes,
+                                np.array(read, dtype=np.int64))
     counts = [len(tokens) for tokens in entity_tokens]
     pool = np.zeros((len(entity_tokens), n))
     rows = np.repeat(np.arange(len(entity_tokens)), counts)

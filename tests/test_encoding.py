@@ -58,6 +58,8 @@ def assert_equals_reference(enc: EncodedDocument, expect: dict) -> None:
         if name == "structure":
             assert got.doc_id == value.doc_id
             assert same_array(got.codes, value.codes), name
+            assert same_array(got.read, value.read), "read"
+            assert not got.read.flags.writeable
         elif name == "pair_layout":
             assert isinstance(got, PairLayout)
             assert got.pairs == value["pairs"]

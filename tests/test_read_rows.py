@@ -12,11 +12,16 @@ import pytest
 from structrel import harness
 from structrel import model as model_module
 from structrel.autodiff import Parameter, Tensor, grad_check
-from structrel.batching import Pack, TruncationWarning
+from structrel.batching import Pack, TruncationWarning, pack_spans
 from structrel.corpus import Document, Entity, Mention, RelationFact
 from structrel.encoder import block_tail, structured_attention
 from structrel.model import ForwardResult
-from structrel.structure import PackedStructure, StructureMatrix
+from structrel.structure import (
+    STRUCTURED_TYPES,
+    PackedStructure,
+    StructureMatrix,
+    apply_ablation,
+)
 
 from conftest import float64, random_document
 from reference_ops import (
@@ -79,7 +84,7 @@ def trained_like(mode: str, layers: int, structured_layers: str):
     pack = Pack(tuple(encodings))
     counts = [enc.n_entities for enc in encodings]
     assert 0 in counts and 1 in counts and pack.n_pairs
-    return model, docs, pack
+    return model, pack
 
 
 STACKS = [(0, "all"), (1, "all"), (2, "all"), (2, "0"), (2, "1")]
@@ -92,7 +97,7 @@ MODES = ["none", "decomp", "biaffine"]
 @pytest.mark.parametrize("mode", MODES)
 def test_inference_logits_are_bit_equal(compute_dtype, mode, layers,
                                         structured_layers):
-    model, _, pack = trained_like(mode, layers, structured_layers)
+    model, pack = trained_like(mode, layers, structured_layers)
     result = model.forward(pack)
     assert result.hidden.shape == (pack.structure.read_rows.size,
                                    model.cfg.d_model)
@@ -107,7 +112,7 @@ def test_inference_logits_are_bit_equal(compute_dtype, mode, layers,
 @pytest.mark.parametrize("layers, structured_layers", STACKS)
 @pytest.mark.parametrize("mode", MODES)
 def test_float64_gradients_match(mode, layers, structured_layers):
-    model, _, pack = trained_like(mode, layers, structured_layers)
+    model, pack = trained_like(mode, layers, structured_layers)
 
     def gradients(logits_of) -> dict[str, np.ndarray]:
         for p in model.store:
@@ -135,7 +140,9 @@ def test_bias_records_are_byte_identical(mode):
     long_one = Document("long-one", (tuple(f"w{i}" for i in range(MAX_LEN)),),
                         (Entity("ENT", (Mention(0, 3, 5, "w3"),)),), ())
     docs = [long_one, dataclasses.replace(long_one, doc_id="long-two")] + docs
-    model, _, _ = trained_like(mode, 2, "all")
+    lengths = [min(doc.token_count(), MAX_LEN) for doc in docs]
+    assert next(pack_spans(lengths, MAX_LEN)) == (0, 2)
+    model, _ = trained_like(mode, 2, "all")
     with pytest.warns(TruncationWarning):
         got = harness.collect_bias_heatmap(model, docs)
     with pytest.warns(TruncationWarning):
@@ -254,3 +261,54 @@ def test_grad_check_the_tail_on_read_rows(rows):
     assert part.values.tobytes() == full.values[rows].tobytes()
     err = grad_check(build, params)
     assert err < 1e-5, err
+
+
+class TestReadCells:
+    """A structure's read tokens and the cells of their queries."""
+
+    @staticmethod
+    def codes(n: int = 7) -> np.ndarray:
+        return random_symmetric_codes(np.random.default_rng(5), n)
+
+    def test_are_the_read_queries_cells_renumbered(self):
+        codes, read = self.codes(), np.array([1, 4, 5])
+        S = StructureMatrix("s", codes, read)
+        plan = S.read_cells
+        assert plan is S.read_cells and (plan.queries, plan.n) == (3, 7)
+        rows, cols = np.nonzero(codes[read])
+        assert plan.cells[0].tolist() == rows.tolist()
+        assert plan.cells[1].tolist() == cols.tolist()
+        assert plan.cells[2].tolist() == (codes[read][rows, cols]
+                                          - 1).tolist()
+        # the slots of a grid whose first rows are the read queries'
+        sub = np.zeros((7, 7), np.int8)
+        sub[:3] = codes[read]
+        assert plan.slots.used.tolist() == StructureMatrix(
+            "sub", sub).slots.used.tolist()
+        for arr in (*plan.cells, plan.slots.used, plan.slots.flat):
+            assert not arr.flags.writeable
+
+    def test_a_matrix_whose_every_token_is_read_is_its_own_plan(self):
+        S = StructureMatrix("s", self.codes())
+        assert S.read.tolist() == list(range(7)) and S.read_cells is S
+        assert StructureMatrix("s", S.codes, S.read).read_cells.n == 7
+
+    @pytest.mark.parametrize("read", [[2, 1], [0, 0], [-1], [7], [[0]]])
+    def test_bad_read_tokens_are_refused(self, read):
+        with pytest.raises(ValueError, match="read tokens"):
+            StructureMatrix("s", self.codes(), read)
+
+    def test_ablation_keeps_the_read_tokens(self):
+        S = StructureMatrix("s", self.codes(), [0, 3])
+        assert apply_ablation(S, STRUCTURED_TYPES[:2]).read.tolist() == [0, 3]
+
+    def test_a_pack_stacks_them_as_rows(self):
+        codes = self.codes()
+        packed = PackedStructure.of([
+            StructureMatrix("a", codes[:3, :3], [0, 2]),
+            StructureMatrix("b", codes[:0, :0]),
+            StructureMatrix("c", codes[:2, :2], []),
+            StructureMatrix("d", codes[:4, :4], [1])])
+        assert packed.read_rows.tolist() == [0, 2, 6]
+        assert packed.read_bounds.tolist() == [0, 2, 2, 2, 3]
+        assert not packed.read_rows.flags.writeable
