@@ -49,6 +49,18 @@ STRUCTURED_TYPES = (
 )
 
 
+def _nonzero_cells(codes: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-NA cells of a grid of codes in row-major order, as
+    ``(rows, cols, types)``, read-only; ``types[i]`` indexes
+    :data:`STRUCTURED_TYPES`."""
+    rows, cols = np.nonzero(codes)
+    types = codes[rows, cols].astype(np.int64) - 1
+    for arr in (rows, cols, types):
+        arr.setflags(write=False)
+    return rows, cols, types
+
+
 def _query_slots(cells: tuple[np.ndarray, np.ndarray, np.ndarray],
                  n: int) -> QuerySlots:
     """The :class:`QuerySlots` of ``cells``, ``(rows, cols, types)``
@@ -110,11 +122,7 @@ class StructureMatrix:
         ``types[i]`` indexes :data:`STRUCTURED_TYPES`.  ``codes`` is
         read-only, so the arrays are computed once per matrix.
         """
-        rows, cols = np.nonzero(self.codes)
-        types = self.codes[rows, cols].astype(np.int64) - 1
-        for arr in (rows, cols, types):
-            arr.setflags(write=False)
-        return rows, cols, types
+        return _nonzero_cells(self.codes)
 
     @cached_property
     def slots(self) -> QuerySlots:
@@ -135,10 +143,11 @@ class ReadCells:
     """The cells of ``matrix`` whose query token is read, as the cells of
     m queries, the read tokens in order, against the n key tokens.
 
-    ``cells`` and ``slots`` are those of :class:`StructureMatrix` with
-    each cell's query renumbered to its place among the read tokens, in
-    the same order; each is computed on first use, which only a biased
-    layer makes.
+    ``cells`` are the non-NA cells of the read tokens' rows of the codes,
+    each query numbered by its place among the read tokens: the
+    matrix's :attr:`~StructureMatrix.cells` whose query is read, in the
+    same order.  ``slots`` are their query slots.  Each is computed on
+    first use, which only a biased layer makes.
     """
 
     matrix: StructureMatrix
@@ -153,15 +162,7 @@ class ReadCells:
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, cols, types = self.matrix.cells
-        is_read = np.zeros(self.n, dtype=bool)
-        is_read[self.matrix.read] = True
-        keep = is_read[rows]
-        place = np.cumsum(is_read) - 1
-        out = (place[rows[keep]], cols[keep], types[keep])
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        return _nonzero_cells(self.matrix.codes[self.matrix.read])
 
     @cached_property
     def slots(self) -> QuerySlots:

@@ -835,7 +835,8 @@ class TestStructuredAttention:
         cfg = encoder_config(mode, heads=2, d_model=8)
         store = make_store(cfg, 5)
         x = Tensor(np.ones((S.n + delta, 8)))
-        with pytest.raises(ValueError, match="tokens"):
+        with pytest.raises(ValueError, match=f"cover {S.n} rows .* has "
+                                             f"{S.n + delta} tokens"):
             structured_attention(store, x, packed(S), 0, cfg)
 
     def test_one_node_per_layer_with_all_parents(self, two_sentence_doc):
