@@ -129,40 +129,51 @@ class StructureMatrix:
         """The cells on a dense grid of the query slots they use."""
         return _query_slots(self.cells, self.n)
 
-    @cached_property
+    @property
     def read_cells(self) -> StructureMatrix | ReadCells:
-        """The cells of the read tokens' queries: a :class:`ReadCells`,
-        or the matrix itself when every token is read."""
+        """The cells of the read tokens' queries: the matrix itself when
+        every token is read, else a :class:`ReadCells` built on first use
+        and kept."""
         if self.read.size == self.n:
             return self
-        return ReadCells(self)
+        return self._read_cells
+
+    @cached_property
+    def _read_cells(self) -> ReadCells:
+        # The plan holds a copy of the read rows and no reference to the
+        # matrix: a cycle between the two would keep every structure of a
+        # dropped pack alive until the cyclic garbage collector ran.
+        codes = self.codes[self.read]
+        codes.setflags(write=False)
+        return ReadCells(codes)
 
 
 @dataclass(frozen=True)
 class ReadCells:
-    """The cells of ``matrix`` whose query token is read, as the cells of
-    m queries, the read tokens in order, against the n key tokens.
+    """The cells of a structure's read tokens' queries against its n key
+    tokens.  ``codes`` are the read tokens' rows of the structure's codes,
+    (m, n), read-only.
 
-    ``cells`` are the non-NA cells of the read tokens' rows of the codes,
-    each query numbered by its place among the read tokens: the
-    matrix's :attr:`~StructureMatrix.cells` whose query is read, in the
-    same order.  ``slots`` are their query slots.  Each is computed on
-    first use, which only a biased layer makes.
+    ``cells`` are their non-NA cells, each query numbered by its place
+    among the read tokens: the structure's
+    :attr:`~StructureMatrix.cells` whose query is read, in the same
+    order.  ``slots`` are their query slots.  Each is computed on first
+    use, which only a biased layer makes.
     """
 
-    matrix: StructureMatrix
+    codes: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.n
+        return self.codes.shape[1]
 
     @property
     def queries(self) -> int:
-        return self.matrix.read.size
+        return self.codes.shape[0]
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _nonzero_cells(self.matrix.codes[self.matrix.read])
+        return _nonzero_cells(self.codes)
 
     @cached_property
     def slots(self) -> QuerySlots:

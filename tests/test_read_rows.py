@@ -5,6 +5,8 @@ inference logits are bit-equal in float32 and float64, float64 gradients
 agree to 1e-12 relative, and the bias records of ``export-bias`` are
 byte-identical."""
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -287,6 +289,21 @@ class TestReadCells:
             "sub", sub).slots.used.tolist()
         for arr in (*plan.cells, plan.slots.used, plan.slots.flat):
             assert not arr.flags.writeable
+
+    def test_a_structure_and_its_plan_form_no_cycle(self):
+        # freed by reference counting when a pack is dropped, not only
+        # when the cyclic garbage collector runs
+        S = StructureMatrix("s", self.codes(), [1, 4])
+        S.read_cells.slots
+        every = StructureMatrix("t", self.codes())
+        every.read_cells.slots
+        refs = [weakref.ref(S), weakref.ref(every)]
+        gc.disable()
+        try:
+            del S, every
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_a_matrix_whose_every_token_is_read_is_its_own_plan(self):
         S = StructureMatrix("s", self.codes())
